@@ -18,7 +18,7 @@ from .errors import (ContractError, DimensionMismatchError,
                      EmbeddingInfeasibleError, FormatError,
                      InvalidParameterError)
 from .experiments import (ExperimentConfig, ExperimentReport, emit_report,
-                          gsp, run_qac_comparison, run_scaling)
+                          gsp, run_experiment)
 from .ising import (IsingProblem, ReplicatedProblem, energies, energy,
                     gauge_transform, make_problem, replicate)
 from .planted import (GeneratorParams, LoopCover, PlantedInstance,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .decode import (build_qac_problem, decode_majority, decode_rbm,
@@ -23,7 +24,8 @@ from .embedding import (combine_qac_rbm, combined_to_dict, encoding_from_dict,
                         partition_to_dict, partition_replicas, tile_qac,
                         verify_partition)
 from .errors import ContractError, FormatError
-from .experiments import config_from_dict, report_from_dict, run_experiment
+from .experiments import (config_from_dict, emit_report, report_from_dict,
+                          run_experiment)
 from .ising import problem_from_dict, replicate
 from .planted import (GeneratorParams, build_loop_cover, generate_instance,
                       instance_to_dict)
@@ -49,8 +51,11 @@ def _fingerprint(value):
 def _config_hash(ns: argparse.Namespace) -> str:
     # destinations are not configuration: identical invocations aimed at
     # different output paths must produce byte-identical payloads
-    payload = {k: _fingerprint(v) for k, v in sorted(vars(ns).items())
-               if k not in ("func", "out")}
+    # the key below names a removed option; hashing it as null keeps the hash
+    # of every invocation, and so every pinned payload, what it was before
+    payload = {"threads": None}
+    payload.update((k, _fingerprint(v)) for k, v in vars(ns).items()
+                   if k not in ("func", "out"))
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -107,7 +112,9 @@ def _load_encoding(path: str | None, purpose: str):
         raise ContractError(f"{purpose} needs an encoding file (--structure)")
     data = _read_json(path)
     if "encodings" in data:
-        return encoding_from_dict(data["encodings"][0])
+        if not isinstance(data["encodings"], list) or not data["encodings"]:
+            raise FormatError("combined file needs a nonempty 'encodings' list")
+        data = data["encodings"][0]
     return encoding_from_dict(data)
 
 
@@ -232,55 +239,19 @@ def _cmd_decode(ns) -> int:
     return 0
 
 
-def _emit_with_meta(report, out_dir: str, formats: tuple[str, ...],
-                    ns: argparse.Namespace) -> None:
-    """Report sinks with provenance: meta object in JSON, meta comment in
-    SVG; the CSV stays pure rows (its provenance lives in report.json)."""
-    from .experiments import render_report, report_to_dict
-    payloads = render_report(report)
-    os.makedirs(ns.out, exist_ok=True)
-    if "json" in formats:
-        _write_payload(report_to_dict(report), os.path.join(out_dir, "report.json"), ns)
-    if "csv" in formats:
-        path = os.path.join(out_dir, "report.csv")
-        with open(path, "w") as f:
-            f.write(payloads["report.csv"])
-        print(f"wrote {path}")
-    if "svg" in formats:
-        comment = f"<!-- {json.dumps(_meta(ns), sort_keys=True)} -->\n"
-        for name in ("energies.svg", "gsp.svg"):
-            path = os.path.join(out_dir, name)
-            body = payloads[name]
-            head, rest = body.split("\n", 1)
-            with open(path, "w") as f:
-                f.write(head + "\n" + comment + rest)
-            print(f"wrote {path}")
-    unknown = set(formats) - {"json", "csv", "svg"}
-    if unknown:
-        raise ContractError(f"unknown report formats: {sorted(unknown)}")
-
-
 def _cmd_experiment(ns) -> int:
     cfg = config_from_dict(_read_json(ns.config))
-    study = "qac_comparison" if ns.study == "qac" else "scaling"
-    overrides = {"study": study}
-    if ns.seed is not None:
-        overrides["seed"] = ns.seed
-    cfg = config_from_dict({**_as_config_dict(cfg), **overrides})
-    report = run_experiment(cfg)
-    _emit_with_meta(report, ns.out, ("json", "csv", "svg"), ns)
+    cfg = replace(cfg, study="qac_comparison" if ns.study == "qac" else "scaling",
+                  seed=cfg.seed if ns.seed is None else ns.seed)
+    for path in emit_report(run_experiment(cfg), ns.out, meta=_meta(ns)):
+        print(f"wrote {path}")
     return 0
-
-
-def _as_config_dict(cfg) -> dict:
-    from .experiments import config_to_dict
-    return config_to_dict(cfg)
 
 
 def _cmd_report_render(ns) -> int:
     report = report_from_dict(_read_json(ns.report))
-    formats = tuple(ns.formats.split(","))
-    _emit_with_meta(report, ns.out, formats, ns)
+    for path in emit_report(report, ns.out, tuple(ns.formats.split(",")), meta=_meta(ns)):
+        print(f"wrote {path}")
     return 0
 
 
@@ -376,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--out", required=True)
     rr.add_argument("--formats", default="json,csv,svg")
     rr.set_defaults(func=_cmd_report_render)
-
-    for p in (parser, topo, emb, gen, smp, sx, dec, exp, rep):
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism cap (see ANNEAL_RBM_THREADS)")
     return parser
 
 
@@ -389,8 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if ns.threads is not None:
-        os.environ["ANNEAL_RBM_THREADS"] = str(ns.threads)
     try:
         return ns.func(ns)
     except ContractError as exc:

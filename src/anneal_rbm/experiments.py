@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import rng
 from .decode import build_qac_problem, decode_majority, decode_rbm, decode_sqa_repeat
 from .embedding import combine_qac_rbm, partition_replicas
-from .errors import InvalidParameterError
+from .errors import FormatError, InvalidParameterError
 from .ising import replicate
 from .planted import GeneratorParams, build_loop_cover, generate_instance
 from .samplers import (AnnealParams, NoiseModel, noise_from_dict,
@@ -42,31 +44,6 @@ REFERENCE_SIZES = {
     "k4": (1219, 6914),
     "k8": (526, 2826),
 }
-
-_STUDIES = ("qac_comparison", "scaling")
-
-
-def max_threads() -> int:
-    """Parallelism cap from the environment (>=1, default sequential)."""
-    raw = os.environ.get("ANNEAL_RBM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_instances(worker, count: int) -> list:
-    """Run per-instance work, optionally threaded, reduced in index order.
-
-    Every instance derives its own random streams, so the result is the same
-    list whichever schedule the pool picks.
-    """
-    workers = min(max_threads(), count)
-    if workers <= 1:
-        return [worker(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
 
 
 @dataclass(frozen=True)
@@ -89,11 +66,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.study not in _STUDIES:
-            raise InvalidParameterError(f"study must be one of {_STUDIES}, got {self.study!r}")
+            raise InvalidParameterError(
+                f"study must be one of {tuple(_STUDIES)}, got {self.study!r}")
         if self.instances_per_cell < 1:
             raise InvalidParameterError("instances_per_cell must be >= 1")
         if not self.bias_sets or not self.beta_grid or not self.k_values:
             raise InvalidParameterError("parameter grids must be nonempty")
+        if any(len(b) != 2 for b in (*self.bias_sets, self.scaling_bias)):
+            raise InvalidParameterError("bias sets must be (large, small) pairs")
 
 
 @dataclass
@@ -146,145 +126,113 @@ def _cell_results(cell: dict, per_method: dict[str, list[dict]]) -> list[MethodC
     return out
 
 
-def run_qac_comparison(cfg: ExperimentConfig) -> ExperimentReport:
-    """Replication vs penalty encoding vs uncorrected baseline at fixed k.
+# A method maps (logical problem, anneal call) to the best energy it decodes;
+# the studies bind the structure arguments with functools.partial.
+def _rbm(part, problem, anneal) -> float:
+    """Replication: one call on the k-copy problem, min-energy subsample."""
+    rp = replicate(problem, part)
+    return decode_rbm(anneal(rp.problem, rp.placement), part, problem).energy
+
+
+def _majority(enc, alpha: float, problem, anneal) -> float:
+    """Penalty encoding at weight alpha (0 is the baseline), majority vote."""
+    qp = build_qac_problem(problem, enc, alpha)
+    return decode_majority(anneal(qp.problem, qp.placement), enc, problem)[1].energy
+
+
+def _repeat(k: int, placement: dict[int, int], problem, anneal) -> float:
+    """Baseline: k separate calls on one region, best read overall."""
+    return decode_sqa_repeat([anneal(problem, placement) for _ in range(k)],
+                             problem).energy
+
+
+def _qac_structures(cfg: ExperimentConfig):
+    """One combined k-structure; RBM, QAC and SQA on each bias set.
 
     All three methods solve the same planted instances with the same number
     of reads; the baseline is the penalty encoding with alpha = 0 and a
     problem-qubits-only majority vote.
     """
-    g = build_pegasus(cfg.graph_m)
-    comb = combine_qac_rbm(g, cfg.k)
-    part = comb.rbm_partition
-    cover = build_loop_cover(part.n_logical, part.logical_edges)
-    enc = comb.encodings[0]
-
-    cells: list[MethodCell] = []
-    quad_counts: list[int] = []
-    for ci, (large, small) in enumerate(cfg.bias_sets):
-
-        def one_instance(ii: int) -> tuple[int, dict[str, float]]:
-            gen = GeneratorParams(bias_large=large, bias_small=small,
-                                  p_large=cfg.p_large, beta=cfg.beta,
-                                  seed=_derived_seed(cfg.seed, 1, ci, ii))
-            inst = generate_instance(cover, gen)
-
-            rp = replicate(inst.problem, part)
-            ss = sample_sa(rp.problem,
-                           AnnealParams(cfg.num_reads, cfg.sweeps,
-                                        seed=_derived_seed(cfg.seed, 2, ci, ii, 0)),
-                           cfg.noise, rp.placement)
-            rbm = decode_rbm(ss, part, inst.problem)
-
-            qac_p = build_qac_problem(inst.problem, enc, cfg.alpha)
-            ss = sample_sa(qac_p.problem,
-                           AnnealParams(cfg.num_reads, cfg.sweeps,
-                                        seed=_derived_seed(cfg.seed, 2, ci, ii, 1)),
-                           cfg.noise, qac_p.placement)
-            _, qac = decode_majority(ss, enc, inst.problem)
-
-            sqa_p = build_qac_problem(inst.problem, enc, 0.0)
-            ss = sample_sa(sqa_p.problem,
-                           AnnealParams(cfg.num_reads, cfg.sweeps,
-                                        seed=_derived_seed(cfg.seed, 2, ci, ii, 2)),
-                           cfg.noise, sqa_p.placement)
-            _, sqa = decode_majority(ss, enc, inst.problem)
-
-            return len(inst.problem.j), {
-                "rbm": rbm.energy, "qac": qac.energy, "sqa": sqa.energy,
-                "planted": inst.planted_energy}
-
-        per_method: dict[str, list[dict]] = {"rbm": [], "qac": [], "sqa": []}
-        for ii, (n_quad, result) in enumerate(
-                _map_instances(one_instance, cfg.instances_per_cell)):
-            quad_counts.append(n_quad)
-            for method in per_method:
-                per_method[method].append({
-                    "instance": ii, "best": result[method],
-                    "planted": result["planted"]})
-        cells += _cell_results({"k": cfg.k, "bias": [large, small], "beta": cfg.beta},
-                               per_method)
-
-    sizes = {
-        "qac_k4": {
-            "n_linear": part.n_logical,
-            "n_quadratic": sum(quad_counts) / len(quad_counts),
-            "reference": list(REFERENCE_SIZES["qac_k4"]),
-        }
-    }
-    return ExperimentReport(study="qac_comparison", config=config_to_dict(cfg),
-                            cells=cells, instance_sizes=sizes)
+    comb = combine_qac_rbm(build_pegasus(cfg.graph_m), cfg.k)
+    part, enc = comb.rbm_partition, comb.encodings[0]
+    methods = {"rbm": partial(_rbm, part), "qac": partial(_majority, enc, cfg.alpha),
+               "sqa": partial(_majority, enc, 0.0)}
+    cells = [((ci,), cfg.k, bias, cfg.beta) for ci, bias in enumerate(cfg.bias_sets)]
+    yield "qac_k4", part, methods, cells
 
 
-def run_scaling(cfg: ExperimentConfig) -> ExperimentReport:
-    """Replication vs k-repeated single-region baseline over a beta grid.
+def _scaling_structures(cfg: ExperimentConfig):
+    """One replica partition per k; RBM and k-repeated SQA on each beta.
 
     Per instance, replication samples the k-copy problem once with num_reads
     reads (k subsamples each); the baseline runs k separate calls of
-    num_reads reads on region 0 — identical total read budgets, but the
+    num_reads reads on region 0 -- identical total read budgets, but the
     baseline occupies one hardware region only (and k times the wall time).
     """
     g = build_pegasus(cfg.graph_m)
-    large, small = cfg.scaling_bias
-    cells: list[MethodCell] = []
-    sizes: dict[str, dict] = {}
-
     for ki, k in enumerate(cfg.k_values):
         part = partition_replicas(g, k)
-        cover = build_loop_cover(part.n_logical, part.logical_edges)
-        placement0 = dict(part.iso_maps[0])
-        quad_counts: list[int] = []
-        for bi, beta in enumerate(cfg.beta_grid):
+        methods = {"rbm": partial(_rbm, part),
+                   "sqa": partial(_repeat, k, dict(part.iso_maps[0]))}
+        cells = [((ki, bi), k, cfg.scaling_bias, beta)
+                 for bi, beta in enumerate(cfg.beta_grid)]
+        yield f"k{k}", part, methods, cells
 
-            def one_instance(ii: int) -> tuple[int, dict[str, float]]:
-                gen = GeneratorParams(bias_large=large, bias_small=small,
-                                      p_large=cfg.p_large, beta=beta,
-                                      seed=_derived_seed(cfg.seed, 3, ki, bi, ii))
-                inst = generate_instance(cover, gen)
 
-                rp = replicate(inst.problem, part)
-                ss = sample_sa(rp.problem,
-                               AnnealParams(cfg.num_reads, cfg.sweeps,
-                                            seed=_derived_seed(cfg.seed, 4, ki, bi, ii, 0)),
-                               cfg.noise, rp.placement)
-                rbm = decode_rbm(ss, part, inst.problem)
+#: study -> (structures, generation seed tag, anneal seed tag).  The tags
+#: head every seed path, so changing one changes every report of the study.
+_STUDIES = {
+    "qac_comparison": (_qac_structures, 1, 2),
+    "scaling": (_scaling_structures, 3, 4),
+}
 
-                repeats = [
-                    sample_sa(inst.problem,
-                              AnnealParams(cfg.num_reads, cfg.sweeps,
-                                           seed=_derived_seed(cfg.seed, 4, ki, bi, ii, 1 + rep)),
-                              cfg.noise, placement0)
-                    for rep in range(k)
-                ]
-                sqa = decode_sqa_repeat(repeats, inst.problem)
-                return len(inst.problem.j), {
-                    "rbm": rbm.energy, "sqa": sqa.energy,
-                    "planted": inst.planted_energy}
 
-            per_method: dict[str, list[dict]] = {"rbm": [], "sqa": []}
-            for ii, (n_quad, result) in enumerate(
-                    _map_instances(one_instance, cfg.instances_per_cell)):
-                quad_counts.append(n_quad)
-                for method in per_method:
-                    per_method[method].append({
-                        "instance": ii, "best": result[method],
-                        "planted": result["planted"]})
-            cells += _cell_results({"k": k, "bias": [large, small], "beta": beta},
-                                   per_method)
-        sizes[f"k{k}"] = {
-            "n_linear": part.n_logical,
-            "n_quadratic": sum(quad_counts) / len(quad_counts),
-            "reference": list(REFERENCE_SIZES.get(f"k{k}", ())),
-        }
+def _annealer(cfg: ExperimentConfig, *path: int):
+    """Anneal calls of one instance; the j-th call samples with seed path (*path, j)."""
+    calls = itertools.count()
 
-    return ExperimentReport(study="scaling", config=config_to_dict(cfg),
-                            cells=cells, instance_sizes=sizes)
+    def anneal(problem, placement):
+        params = AnnealParams(cfg.num_reads, cfg.sweeps,
+                              seed=_derived_seed(cfg.seed, *path, next(calls)))
+        return sample_sa(problem, params, cfg.noise, placement)
+    return anneal
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.study == "qac_comparison":
-        return run_qac_comparison(cfg)
-    return run_scaling(cfg)
+    """Run every (cell, instance, method) task of the study in grid order.
+
+    Instance ii of the cell at grid path c is generated with seed path
+    (generation tag, *c, ii); its methods share one annealer keyed by
+    (anneal tag, *c, ii), so the report is a pure function of the config.
+    """
+    structures, gen_tag, anneal_tag = _STUDIES[cfg.study]
+    cells: list[MethodCell] = []
+    sizes: dict[str, dict] = {}
+    for key, part, methods, grid in structures(cfg):
+        cover = build_loop_cover(part.n_logical, part.logical_edges)
+        quad_counts: list[int] = []
+        for path, k, (large, small), beta in grid:
+            per_method: dict[str, list[dict]] = {name: [] for name in methods}
+            for ii in range(cfg.instances_per_cell):
+                gen = GeneratorParams(bias_large=large, bias_small=small,
+                                      p_large=cfg.p_large, beta=beta,
+                                      seed=_derived_seed(cfg.seed, gen_tag, *path, ii))
+                inst = generate_instance(cover, gen)
+                quad_counts.append(len(inst.problem.j))
+                anneal = _annealer(cfg, anneal_tag, *path, ii)
+                for name, method in methods.items():
+                    per_method[name].append({
+                        "instance": ii, "best": method(inst.problem, anneal),
+                        "planted": inst.planted_energy})
+            cells += _cell_results({"k": k, "bias": [large, small], "beta": beta},
+                                   per_method)
+        sizes[key] = {
+            "n_linear": part.n_logical,
+            "n_quadratic": sum(quad_counts) / len(quad_counts),
+            "reference": list(REFERENCE_SIZES.get(key, ())),
+        }
+    return ExperimentReport(study=cfg.study, config=config_to_dict(cfg),
+                            cells=cells, instance_sizes=sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +253,24 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def report_from_dict(data: dict) -> ExperimentReport:
-    cells = [MethodCell(cell=c["cell"], method=c["method"],
-                        mean_best=c["mean_best"], mean_planted=c["mean_planted"],
-                        mean_normalized=c["mean_normalized"], gsp=c["gsp"],
-                        records=list(c.get("records", ())))
-             for c in data["cells"]]
-    return ExperimentReport(study=data["study"], config=dict(data.get("config", {})),
-                            cells=cells, instance_sizes=dict(data.get("instance_sizes", {})))
+    """Rebuild a report from its JSON form; FormatError when it cannot render."""
+    if not isinstance(data, dict):
+        raise FormatError(f"report must be a JSON object, got {type(data).__name__}")
+    try:
+        cells = []
+        for c in data["cells"]:
+            values = [c[key] for key in ("mean_best", "mean_planted", "mean_normalized", "gsp")]
+            if not isinstance(c["method"], str) or not all(
+                    isinstance(v, (int, float)) for v in values):
+                raise TypeError("a cell needs a string method and numeric aggregates")
+            _cell_label(c["cell"])
+            cells.append(MethodCell(c["cell"], c["method"], *values,
+                                    records=list(c.get("records", ()))))
+        return ExperimentReport(study=data["study"], config=dict(data.get("config", {})),
+                                cells=cells,
+                                instance_sizes=dict(data.get("instance_sizes", {})))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed report: {exc!r}") from exc
 
 
 def _cell_label(cell: dict) -> str:
@@ -407,25 +366,42 @@ def render_report(report: ExperimentReport) -> dict[str, str]:
     }
 
 
+#: report format -> the payloads of render_report it writes
+_SINKS = {
+    "json": ("report.json",),
+    "csv": ("report.csv",),
+    "svg": ("energies.svg", "gsp.svg"),
+}
+
+
 def emit_report(report: ExperimentReport, out_dir: str,
-                formats: tuple[str, ...] = ("json", "csv", "svg")) -> list[str]:
-    """Write the selected sinks into ``out_dir``; returns the paths written."""
+                formats: tuple[str, ...] = ("json", "csv", "svg"),
+                meta: dict | None = None) -> list[str]:
+    """Write the selected sinks into ``out_dir``; returns the paths written.
+
+    Unknown formats are rejected before anything is written.  With ``meta``,
+    report.json carries it as its ``meta`` object and each SVG as a comment
+    after the root tag; the CSV stays pure rows (its provenance lives in
+    report.json).
+    """
+    unknown = sorted(set(formats) - set(_SINKS))
+    if unknown:
+        raise InvalidParameterError(f"unknown report formats: {unknown}")
     payloads = render_report(report)
-    chosen = {
-        "json": ["report.json"],
-        "csv": ["report.csv"],
-        "svg": ["energies.svg", "gsp.svg"],
-    }
+    if meta is not None:
+        payloads["report.json"] = json.dumps({**report_to_dict(report), "meta": meta},
+                                             sort_keys=True, indent=1) + "\n"
+        comment = f"<!-- {json.dumps(meta, sort_keys=True)} -->\n"
+        for name in _SINKS["svg"]:
+            head, rest = payloads[name].split("\n", 1)
+            payloads[name] = head + "\n" + comment + rest
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for fmt in formats:
-        if fmt not in chosen:
-            raise InvalidParameterError(f"unknown report format {fmt!r}")
-        for name in chosen[fmt]:
-            path = os.path.join(out_dir, name)
-            with open(path, "w") as f:
-                f.write(payloads[name])
-            written.append(path)
+    for name in [n for fmt, names in _SINKS.items() if fmt in formats for n in names]:
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as f:
+            f.write(payloads[name])
+        written.append(path)
     return written
 
 
@@ -447,8 +423,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _listed(value):
+    """A list field as given; a string would otherwise iterate as characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    from .errors import FormatError
+    if not isinstance(data, dict):
+        raise FormatError(f"experiment config must be a JSON object, got {type(data).__name__}")
     try:
         noise = None
         if data.get("noise") is not None:
@@ -457,13 +441,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             study=data.get("study", "qac_comparison"),
             graph_m=int(data.get("graph_m", 4)),
             k=int(data.get("k", 4)),
-            k_values=tuple(int(k) for k in data.get("k_values", (2, 4, 8))),
-            bias_sets=tuple(tuple(float(x) for x in b)
-                            for b in data.get("bias_sets", ((9, 2), (10, 2), (11, 2)))),
-            scaling_bias=tuple(float(x) for x in data.get("scaling_bias", (10, 2))),
+            k_values=tuple(int(k) for k in _listed(data.get("k_values", (2, 4, 8)))),
+            bias_sets=tuple(tuple(float(x) for x in _listed(b)) for b in
+                            _listed(data.get("bias_sets", ((9, 2), (10, 2), (11, 2))))),
+            scaling_bias=tuple(float(x) for x in _listed(data.get("scaling_bias", (10, 2)))),
             p_large=float(data.get("p_large", 0.08)),
             beta=float(data.get("beta", 1.0)),
-            beta_grid=tuple(float(b) for b in data.get("beta_grid", (0.7, 0.8, 0.9, 1.0))),
+            beta_grid=tuple(float(b) for b in _listed(data.get("beta_grid",
+                                                               (0.7, 0.8, 0.9, 1.0)))),
             instances_per_cell=int(data.get("instances_per_cell", 10)),
             num_reads=int(data.get("num_reads", 100)),
             sweeps=int(data.get("sweeps", 1000)),

@@ -123,6 +123,8 @@ def noise_to_dict(nm: NoiseModel) -> dict:
 
 
 def noise_from_dict(data: dict) -> NoiseModel:
+    if not isinstance(data, dict):
+        raise FormatError(f"noise model must be a JSON object, got {type(data).__name__}")
     try:
         return NoiseModel(
             sigma_h=float(data.get("sigma_h", 0.0)),

@@ -220,3 +220,30 @@ def test_malformed_json_input_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("topology", "stats", str(bad)) == 4
+
+
+_CELL = {"cell": {"k": 2, "bias": [10.0, 2.0], "beta": 1.0},
+         "mean_best": -8.0, "mean_planted": -8.0, "mean_normalized": 1.0, "gsp": 1.0}
+_TINY = {"beta_grid": [1.0], "instances_per_cell": 1, "num_reads": 1, "sweeps": 1}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["experiment", "qac", "--config", "{bad}"], []),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "k_values": "24"}),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "scaling_bias": "92"}),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"], []),
+    (["sample", "--problem", "{problem}", "--qac", "{bad}"], {"encodings": []}),
+    (["report", "render", "--report", "{bad}"], []),
+    (["report", "render", "--report", "{bad}"], {}),
+    (["report", "render", "--report", "{bad}"], {"cells": 3}),
+    (["report", "render", "--report", "{bad}"], {"study": "scaling", "cells": [_CELL]}),
+], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
+        "no-encodings", "report-list", "report-empty", "report-cells-int",
+        "report-cell-no-method"])
+def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
+    bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
+    bad.write_text(json.dumps(payload))
+    problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
+    argv = [arg.format(bad=bad, problem=problem) for arg in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 4
+    assert capsys.readouterr().err.startswith("contract:")
