@@ -24,9 +24,9 @@ from .ising import (IsingProblem, ReplicatedProblem, energies, energy,
 from .planted import (GeneratorParams, LoopCover, PlantedInstance,
                       build_loop_cover, decompose_loops, eulerian_augment,
                       generate_instance, verify_planted)
+from .jsonio import read_json, write_json
 from .samplers import (AnnealParams, ExactSolution, NoiseModel, SampleSet,
-                       export_problem, export_samples, import_samples,
-                       region_biases, sample_sa, solve_exact)
+                       import_samples, region_biases, sample_sa, solve_exact)
 from .topology import (GraphStats, HardwareGraph, apply_defects,
                        build_chimera, build_custom, build_pegasus,
-                       graph_stats, read_graph, write_graph)
+                       graph_stats)

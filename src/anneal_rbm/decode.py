@@ -68,9 +68,6 @@ class QacProblem:
     alpha: float
     placement: dict[int, int]
 
-    def problem_slot(self, unit: int, copy: int) -> int:
-        return 4 * unit + copy
-
     def penalty_slot(self, unit: int) -> int:
         return 4 * unit + 3
 

@@ -14,13 +14,14 @@ that each carry the same logical graph twice over: once as one-qubit-per-node
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
+from .jsonio import loader
 from .topology import (Edge, HardwareGraph, build_custom, canonical_edge,
-                       iter_block_nodes, pegasus_coords, pegasus_index)
+                       chimera_index, iter_block_nodes, pegasus_coords,
+                       pegasus_index)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
@@ -98,11 +99,6 @@ def partition_replicas(g: HardwareGraph, k: int) -> ReplicaPartition:
 
     iso_maps = tuple({rank[c]: mp[c] for c in alive} for mp in maps)
     regions = tuple(frozenset(im.values()) for im in iso_maps)
-    seen: set[int] = set()
-    for r, reg in enumerate(regions):
-        if seen & reg:
-            raise EmbeddingInfeasibleError(f"region {r} overlaps another region")
-        seen |= reg
     meta = {"m": m, "grid": [gx, gy], "block": {"dx": dx, "dy": dy, "zx": zx, "zy": zy}}
     return ReplicaPartition(k=k, n_logical=len(alive),
                             logical_edges=frozenset(logical_edges),
@@ -136,6 +132,39 @@ class PartitionReport:
     failures: list[str]
 
 
+def _region_failures(p: ReplicaPartition) -> dict[str, list[str]]:
+    """Failures of the claims a partition makes without reference to a graph.
+
+    Keyed by claim: k regions and k iso maps (``structural``), no qubit in two
+    regions (``disjoint``), and each iso map a bijection from 0..n_logical-1
+    onto its region (``bijective``).
+    """
+    structural: list[str] = []
+    if not p.k == len(p.regions) == len(p.iso_maps):
+        structural.append(f"k={p.k} but {len(p.regions)} regions / {len(p.iso_maps)} iso maps")
+
+    disjoint: list[str] = []
+    seen: dict[int, int] = {}
+    for r, reg in enumerate(p.regions):
+        for q in reg:
+            if q in seen:
+                disjoint.append(f"qubit {q} shared by regions {seen[q]} and {r}")
+            else:
+                seen[q] = r
+
+    bijective: list[str] = []
+    for r, iso in enumerate(p.iso_maps):
+        if set(iso.keys()) != set(range(p.n_logical)):
+            bijective.append(f"region {r}: iso map domain is not 0..{p.n_logical - 1}")
+            continue
+        image = set(iso.values())
+        if len(image) != p.n_logical:
+            bijective.append(f"region {r}: iso map is not injective")
+        elif r < len(p.regions) and image != set(p.regions[r]):
+            bijective.append(f"region {r}: iso map image differs from region set")
+    return {"structural": structural, "disjoint": disjoint, "bijective": bijective}
+
+
 def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
     """Re-derive and check every structural claim a partition makes.
 
@@ -146,35 +175,9 @@ def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
     regions' induced active edge sets are exactly symmetric, which holds for
     node-only defect masks.
     """
-    failures: list[str] = []
-
-    structural = (p.k == len(p.regions) == len(p.iso_maps))
-    if not structural:
-        failures.append(f"k={p.k} but {len(p.regions)} regions / {len(p.iso_maps)} iso maps")
-
-    seen: dict[int, int] = {}
-    disjoint = True
-    for r, reg in enumerate(p.regions):
-        for q in reg:
-            if q in seen:
-                disjoint = False
-                failures.append(f"qubit {q} shared by regions {seen[q]} and {r}")
-            else:
-                seen[q] = r
-
-    bijective = True
-    for r, iso in enumerate(p.iso_maps):
-        if set(iso.keys()) != set(range(p.n_logical)):
-            bijective = False
-            failures.append(f"region {r}: iso map domain is not 0..{p.n_logical - 1}")
-            continue
-        image = set(iso.values())
-        if len(image) != p.n_logical:
-            bijective = False
-            failures.append(f"region {r}: iso map is not injective")
-        elif r < len(p.regions) and image != set(p.regions[r]):
-            bijective = False
-            failures.append(f"region {r}: iso map image differs from region set")
+    found = _region_failures(p)
+    failures = [f for claim in found.values() for f in claim]
+    structural, disjoint, bijective = (not claim for claim in found.values())
 
     nodes_active = True
     for r, iso in enumerate(p.iso_maps):
@@ -249,16 +252,6 @@ class QacEncoding:
     def n_logical(self) -> int:
         return len(self.units)
 
-    @cached_property
-    def qubit_roles(self) -> dict[int, tuple[int, int]]:
-        """qubit -> (unit index, slot); slots 0..2 problem, 3 penalty."""
-        roles: dict[int, tuple[int, int]] = {}
-        for idx, unit in enumerate(self.units):
-            for slot, q in enumerate(unit.problem_qubits):
-                roles[q] = (idx, slot)
-            roles[unit.penalty_qubit] = (idx, 3)
-        return roles
-
 
 def _greedy_units(g: HardwareGraph, claimed: set[int]) -> list[QacUnit]:
     """Scan qubits in id order as penalty hubs, claiming K_{1,3}s greedily."""
@@ -284,9 +277,7 @@ def _chimera_template_units(g: HardwareGraph) -> tuple[list[QacUnit], set[int]]:
     if shore < 4:
         return units, claimed
 
-    def lin(r, c, u, k):
-        return k + shore * (u + 2 * (c + cols * r))
-
+    lin = partial(chimera_index, cols, shore)
     active, active_edges = g.active_nodes, g.active_edges
     for r in range(rows):
         for c in range(cols):
@@ -434,19 +425,22 @@ def partition_to_dict(p: ReplicaPartition) -> dict:
     }
 
 
+@loader("partition")
 def partition_from_dict(data: dict) -> ReplicaPartition:
-    try:
-        iso_maps = tuple({int(v): int(q) for v, q in iso.items()} for iso in data["iso_maps"])
-        return ReplicaPartition(
-            k=int(data["k"]),
-            n_logical=int(data["n_logical"]),
-            logical_edges=frozenset(canonical_edge(int(a), int(b))
-                                    for a, b in data["logical_edges"]),
-            iso_maps=iso_maps,
-            regions=tuple(frozenset(int(q) for q in reg) for reg in data["regions"]),
-            meta=dict(data.get("meta", {})))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed partition payload: {exc}") from exc
+    """A partition payload; FormatError also when its regions and iso maps
+    break the graph-independent claims verify_partition checks."""
+    p = ReplicaPartition(
+        k=int(data["k"]),
+        n_logical=int(data["n_logical"]),
+        logical_edges=frozenset(canonical_edge(int(a), int(b))
+                                for a, b in data["logical_edges"]),
+        iso_maps=tuple({int(v): int(q) for v, q in iso.items()} for iso in data["iso_maps"]),
+        regions=tuple(frozenset(int(q) for q in reg) for reg in data["regions"]),
+        meta=dict(data.get("meta", {})))
+    failures = [f for claim in _region_failures(p).values() for f in claim]
+    if failures:
+        raise FormatError("inconsistent partition payload: " + "; ".join(failures[:3]))
+    return p
 
 
 def encoding_to_dict(e: QacEncoding) -> dict:
@@ -459,20 +453,18 @@ def encoding_to_dict(e: QacEncoding) -> dict:
     }
 
 
+@loader("encoding")
 def encoding_from_dict(data: dict) -> QacEncoding:
-    try:
-        units = tuple(QacUnit(problem_qubits=tuple(int(q) for q in u["problem"]),
-                              penalty_qubit=int(u["penalty"]))
-                      for u in data["units"])
-        ledges = {}
-        for key, cs in data["logical_edges"].items():
-            a, b = key.split(",")
-            ledges[canonical_edge(int(a), int(b))] = tuple(
-                canonical_edge(int(x), int(y)) for x, y in cs)
-        return QacEncoding(units=units, logical_edges=ledges,
-                           penalty_weight=float(data.get("penalty_weight", -1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed encoding payload: {exc}") from exc
+    units = tuple(QacUnit(problem_qubits=tuple(int(q) for q in u["problem"]),
+                          penalty_qubit=int(u["penalty"]))
+                  for u in data["units"])
+    ledges = {}
+    for key, cs in data["logical_edges"].items():
+        a, b = key.split(",")
+        ledges[canonical_edge(int(a), int(b))] = tuple(
+            canonical_edge(int(x), int(y)) for x, y in cs)
+    return QacEncoding(units=units, logical_edges=ledges,
+                       penalty_weight=float(data.get("penalty_weight", -1.0)))
 
 
 def combined_to_dict(c: CombinedEmbedding) -> dict:
@@ -484,18 +476,10 @@ def combined_to_dict(c: CombinedEmbedding) -> dict:
     }
 
 
+@loader("combined-embedding")
 def combined_from_dict(data: dict) -> CombinedEmbedding:
-    try:
-        return CombinedEmbedding(
-            k=int(data["k"]),
-            encodings=tuple(encoding_from_dict(e) for e in data["encodings"]),
-            rbm_partition=partition_from_dict(data["rbm_partition"]),
-            base_partition=partition_from_dict(data["base_partition"]))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed combined-embedding payload: {exc}") from exc
-
-
-def write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=1)
-        f.write("\n")
+    return CombinedEmbedding(
+        k=int(data["k"]),
+        encodings=tuple(encoding_from_dict(e) for e in data["encodings"]),
+        rbm_partition=partition_from_dict(data["rbm_partition"]),
+        base_partition=partition_from_dict(data["base_partition"]))

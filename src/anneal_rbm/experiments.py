@@ -28,8 +28,9 @@ from functools import partial
 from . import rng
 from .decode import build_qac_problem, decode_majority, decode_rbm, decode_sqa_repeat
 from .embedding import combine_qac_rbm, partition_replicas
-from .errors import FormatError, InvalidParameterError
+from .errors import InvalidParameterError
 from .ising import replicate
+from .jsonio import dumps, loader
 from .planted import GeneratorParams, build_loop_cover, generate_instance
 from .samplers import (AnnealParams, NoiseModel, noise_from_dict,
                        noise_to_dict, sample_sa)
@@ -252,25 +253,21 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
+@loader("report")
 def report_from_dict(data: dict) -> ExperimentReport:
     """Rebuild a report from its JSON form; FormatError when it cannot render."""
-    if not isinstance(data, dict):
-        raise FormatError(f"report must be a JSON object, got {type(data).__name__}")
-    try:
-        cells = []
-        for c in data["cells"]:
-            values = [c[key] for key in ("mean_best", "mean_planted", "mean_normalized", "gsp")]
-            if not isinstance(c["method"], str) or not all(
-                    isinstance(v, (int, float)) for v in values):
-                raise TypeError("a cell needs a string method and numeric aggregates")
-            _cell_label(c["cell"])
-            cells.append(MethodCell(c["cell"], c["method"], *values,
-                                    records=list(c.get("records", ()))))
-        return ExperimentReport(study=data["study"], config=dict(data.get("config", {})),
-                                cells=cells,
-                                instance_sizes=dict(data.get("instance_sizes", {})))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed report: {exc!r}") from exc
+    cells = []
+    for c in data["cells"]:
+        values = [c[key] for key in ("mean_best", "mean_planted", "mean_normalized", "gsp")]
+        if not isinstance(c["method"], str) or not all(
+                isinstance(v, (int, float)) for v in values):
+            raise TypeError("a cell needs a string method and numeric aggregates")
+        _cell_label(c["cell"])
+        cells.append(MethodCell(c["cell"], c["method"], *values,
+                                records=list(c.get("records", ()))))
+    return ExperimentReport(study=data["study"], config=dict(data.get("config", {})),
+                            cells=cells,
+                            instance_sizes=dict(data.get("instance_sizes", {})))
 
 
 def _cell_label(cell: dict) -> str:
@@ -356,7 +353,7 @@ def render_report(report: ExperimentReport) -> dict[str, str]:
     energy_vals = {(_cell_label(c.cell), c.method): c.mean_normalized for c in report.cells}
     gsp_vals = {(_cell_label(c.cell), c.method): c.gsp for c in report.cells}
     return {
-        "report.json": json.dumps(report_to_dict(report), sort_keys=True, indent=1) + "\n",
+        "report.json": dumps(report_to_dict(report)),
         "report.csv": report_to_csv(report),
         "energies.svg": _svg_bar_chart(f"{report.study}: normalized best energy",
                                        groups, series, energy_vals,
@@ -389,8 +386,7 @@ def emit_report(report: ExperimentReport, out_dir: str,
         raise InvalidParameterError(f"unknown report formats: {unknown}")
     payloads = render_report(report)
     if meta is not None:
-        payloads["report.json"] = json.dumps({**report_to_dict(report), "meta": meta},
-                                             sort_keys=True, indent=1) + "\n"
+        payloads["report.json"] = dumps({**report_to_dict(report), "meta": meta})
         comment = f"<!-- {json.dumps(meta, sort_keys=True)} -->\n"
         for name in _SINKS["svg"]:
             head, rest = payloads[name].split("\n", 1)
@@ -430,31 +426,24 @@ def _listed(value):
     return value
 
 
+@loader("experiment config")
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise FormatError(f"experiment config must be a JSON object, got {type(data).__name__}")
-    try:
-        noise = None
-        if data.get("noise") is not None:
-            noise = noise_from_dict(data["noise"])
-        kwargs = dict(
-            study=data.get("study", "qac_comparison"),
-            graph_m=int(data.get("graph_m", 4)),
-            k=int(data.get("k", 4)),
-            k_values=tuple(int(k) for k in _listed(data.get("k_values", (2, 4, 8)))),
-            bias_sets=tuple(tuple(float(x) for x in _listed(b)) for b in
-                            _listed(data.get("bias_sets", ((9, 2), (10, 2), (11, 2))))),
-            scaling_bias=tuple(float(x) for x in _listed(data.get("scaling_bias", (10, 2)))),
-            p_large=float(data.get("p_large", 0.08)),
-            beta=float(data.get("beta", 1.0)),
-            beta_grid=tuple(float(b) for b in _listed(data.get("beta_grid",
-                                                               (0.7, 0.8, 0.9, 1.0)))),
-            instances_per_cell=int(data.get("instances_per_cell", 10)),
-            num_reads=int(data.get("num_reads", 100)),
-            sweeps=int(data.get("sweeps", 1000)),
-            alpha=float(data.get("alpha", -1.0)),
-            noise=noise,
-            seed=int(data.get("seed", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed experiment config: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+    noise = data.get("noise")
+    return ExperimentConfig(
+        study=data.get("study", "qac_comparison"),
+        graph_m=int(data.get("graph_m", 4)),
+        k=int(data.get("k", 4)),
+        k_values=tuple(int(k) for k in _listed(data.get("k_values", (2, 4, 8)))),
+        bias_sets=tuple(tuple(float(x) for x in _listed(b)) for b in
+                        _listed(data.get("bias_sets", ((9, 2), (10, 2), (11, 2))))),
+        scaling_bias=tuple(float(x) for x in _listed(data.get("scaling_bias", (10, 2)))),
+        p_large=float(data.get("p_large", 0.08)),
+        beta=float(data.get("beta", 1.0)),
+        beta_grid=tuple(float(b) for b in _listed(data.get("beta_grid",
+                                                           (0.7, 0.8, 0.9, 1.0)))),
+        instances_per_cell=int(data.get("instances_per_cell", 10)),
+        num_reads=int(data.get("num_reads", 100)),
+        sweeps=int(data.get("sweeps", 1000)),
+        alpha=float(data.get("alpha", -1.0)),
+        noise=None if noise is None else noise_from_dict(noise),
+        seed=int(data.get("seed", 0)))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, EmbeddingInfeasibleError,
                      FormatError, InvalidParameterError)
+from .jsonio import loader
 from .topology import canonical_edge
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,13 +55,6 @@ class IsingProblem:
             if v == 0:
                 raise InvalidParameterError(f"stored zero coupling at J[{a},{b}]")
 
-    @property
-    def variables(self) -> range:
-        return range(self.n)
-
-    def graph_edges(self) -> frozenset[Pair]:
-        return frozenset(self.j)
-
 
 def make_problem(n: int, h: Mapping[int, float] | None = None,
                  j: Mapping[Pair, float] | None = None) -> IsingProblem:
@@ -79,8 +73,8 @@ def make_problem(n: int, h: Mapping[int, float] | None = None,
 
 def as_spins(values: Iterable[int], n: int | None = None) -> np.ndarray:
     """Validate a spin configuration: every entry exactly -1 or +1."""
-    s = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                   dtype=np.int8)
+    # checked before the int8 cast, which raises OverflowError on 300 and truncates 1.5 to 1
+    s = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if s.ndim != 1:
         raise DimensionMismatchError(f"spin configuration must be 1-d, got shape {s.shape}")
     if n is not None and s.shape[0] != n:
@@ -88,7 +82,7 @@ def as_spins(values: Iterable[int], n: int | None = None) -> np.ndarray:
     if s.size and not np.all(np.abs(s) == 1):
         bad = int(np.flatnonzero(np.abs(s) != 1)[0])
         raise InvalidParameterError(f"spin {bad} is {s[bad]}, must be -1 or +1")
-    return s
+    return s.astype(np.int8, copy=False)
 
 
 def energy(p: IsingProblem, s: np.ndarray) -> float:
@@ -152,12 +146,6 @@ class ReplicatedProblem:
     def replica_of(self, var: int) -> int:
         return var // self.n_logical
 
-    def logical_of(self, var: int) -> int:
-        return var % self.n_logical
-
-    def dense_var(self, replica: int, logical: int) -> int:
-        return replica * self.n_logical + logical
-
 
 def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProblem:
     """Compose k identical copies of ``p`` over the partition's regions.
@@ -212,33 +200,19 @@ def problem_to_dict(p: IsingProblem) -> dict:
     }
 
 
+@loader("problem")
 def problem_from_dict(data: dict) -> IsingProblem:
-    try:
-        n = int(data["n"])
-        h = {int(i): float(v) for i, v in data.get("h", {}).items()}
-        j = {}
-        for key, v in data.get("J", {}).items():
-            a, b = key.split(",")
-            j[(int(a), int(b))] = float(v)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed problem payload: {exc}") from exc
-    return make_problem(n, h, j)
+    h = {int(i): float(v) for i, v in data.get("h", {}).items()}
+    j = {}
+    for key, v in data.get("J", {}).items():
+        a, b = key.split(",")
+        j[(int(a), int(b))] = float(v)
+    return make_problem(int(data["n"]), h, j)
 
 
 def problem_hash(p: IsingProblem) -> str:
     blob = json.dumps(problem_to_dict(p), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def write_problem(p: IsingProblem, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(problem_to_dict(p), f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def read_problem(path: str) -> IsingProblem:
-    with open(path) as f:
-        return problem_from_dict(json.load(f))
 
 
 def to_triples(p: IsingProblem) -> str:

@@ -21,6 +21,7 @@ import numpy as np
 from . import rng
 from .errors import ContractError, InvalidParameterError
 from .ising import IsingProblem, as_spins, energy, make_problem
+from .jsonio import loader
 from .topology import Edge, canonical_edge
 
 
@@ -50,27 +51,6 @@ def _adjacency(n: int, edges: Iterable[Edge]) -> list[list[int]]:
     return adj
 
 
-def _bfs_path(adj: Sequence[Sequence[int]], src: int, dst: int) -> list[int] | None:
-    """Shortest path by BFS with sorted neighbor order (deterministic)."""
-    if src == dst:
-        return [src]
-    parent = {src: src}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                if w == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(w)
-    return None
-
-
 def eulerian_augment(n: int, edges: Iterable[Edge]) -> Multigraph:
     """Make every vertex degree even by duplicating existing edges only.
 
@@ -89,30 +69,29 @@ def eulerian_augment(n: int, edges: Iterable[Edge]) -> Multigraph:
     tjoin: set[Edge] = set()
     remaining = list(odd)
     while remaining:
-        # Distances from the first remaining odd vertex to all others; pair it
-        # with the closest one (ties to the smallest vertex id).
+        # BFS distances from the first remaining odd vertex to all others;
+        # pair it with the closest one (ties to the smallest vertex id) along
+        # the BFS tree path, which sorted neighbor order makes deterministic.
         src = remaining[0]
         dist = {src: 0}
+        parent = {src: src}
         queue = deque([src])
         while queue:
             v = queue.popleft()
             for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
+                    parent[w] = v
                     queue.append(w)
         candidates = [(dist[v], v) for v in remaining[1:] if v in dist]
         if not candidates:
             raise ContractError(
                 f"odd-degree vertex {src} cannot be paired inside its component")
         _, mate = min(candidates)
-        path = _bfs_path(adj, src, mate)
-        assert path is not None
-        for a, b in zip(path, path[1:]):
-            e = canonical_edge(a, b)
-            if e in tjoin:
-                tjoin.remove(e)
-            else:
-                tjoin.add(e)
+        v = mate
+        while v != src:
+            tjoin ^= {canonical_edge(v, parent[v])}
+            v = parent[v]
         remaining.remove(src)
         remaining.remove(mate)
 
@@ -447,19 +426,16 @@ def instance_to_dict(inst: PlantedInstance) -> dict:
     }
 
 
+@loader("instance")
 def instance_from_dict(data: dict, cover: LoopCover | None = None) -> PlantedInstance:
-    from .errors import FormatError
     from .ising import problem_from_dict
-    try:
-        problem = problem_from_dict(data)
-        planted = as_spins(data["planted"], problem.n)
-        params = GeneratorParams(**data["params"])
-        clauses = tuple(Clause(loop_index=int(c["loop"]),
-                               magnitude=float(c["magnitude"]),
-                               flip_pos=None if c["flip"] is None else int(c["flip"]))
-                        for c in data.get("clauses", ()))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed instance payload: {exc}") from exc
+    problem = problem_from_dict(data)
+    planted = as_spins(data["planted"], problem.n)
+    params = GeneratorParams(**data["params"])
+    clauses = tuple(Clause(loop_index=int(c["loop"]),
+                           magnitude=float(c["magnitude"]),
+                           flip_pos=None if c["flip"] is None else int(c["flip"]))
+                    for c in data.get("clauses", ()))
     return PlantedInstance(problem=problem, planted=planted, params=params,
                            clauses=clauses,
                            planted_energy=energy(problem, planted), cover=cover)

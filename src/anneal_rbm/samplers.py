@@ -10,7 +10,6 @@ chains see; reported energies are always evaluated on the clean problem.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from .errors import (DimensionMismatchError, FormatError,
                      InvalidParameterError)
 from .ising import (IsingProblem, as_spins, energies, make_problem,
                     problem_hash)
+from .jsonio import loader, read_json
 
 log = logging.getLogger(__name__)
 
@@ -122,19 +122,15 @@ def noise_to_dict(nm: NoiseModel) -> dict:
     }
 
 
+@loader("noise")
 def noise_from_dict(data: dict) -> NoiseModel:
-    if not isinstance(data, dict):
-        raise FormatError(f"noise model must be a JSON object, got {type(data).__name__}")
-    try:
-        return NoiseModel(
-            sigma_h=float(data.get("sigma_h", 0.0)),
-            sigma_j=float(data.get("sigma_j", 0.0)),
-            chip_seed=int(data.get("chip_seed", 0)),
-            region_bias=tuple((frozenset(int(q) for q in rb["qubits"]),
-                               float(rb["delta"]))
-                              for rb in data.get("region_bias", ())))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed noise payload: {exc}") from exc
+    return NoiseModel(
+        sigma_h=float(data.get("sigma_h", 0.0)),
+        sigma_j=float(data.get("sigma_j", 0.0)),
+        chip_seed=int(data.get("chip_seed", 0)),
+        region_bias=tuple((frozenset(int(q) for q in rb["qubits"]),
+                           float(rb["delta"]))
+                          for rb in data.get("region_bias", ())))
 
 
 @dataclass(frozen=True)
@@ -311,13 +307,8 @@ def solve_exact(p: IsingProblem, cap: int = 24,
 
 
 # ---------------------------------------------------------------------------
-# File bridge: lossless problem export plus sample import with local
-# re-evaluation, so external samplers never have to be trusted about energies.
-
-def export_problem(p: IsingProblem, path: str) -> None:
-    from .ising import write_problem
-    write_problem(p, path)
-
+# File bridge: sample import with local re-evaluation, so external samplers
+# never have to be trusted about energies.
 
 def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
     params = {k: v for k, v in ss.params.items() if k != "timing_s"}
@@ -330,21 +321,11 @@ def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
     }
 
 
-def export_samples(ss: SampleSet, p: IsingProblem, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(sampleset_to_dict(ss, p), f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
+@loader("sample")
 def sampleset_from_dict(data: dict, p: IsingProblem) -> SampleSet:
-    try:
-        raw = data["reads"]
-        sampler = str(data.get("sampler", "external"))
-        params = dict(data.get("params", {}))
-        file_hash = data.get("problem_hash")
-        file_energies = data.get("energies")
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed sample payload: {exc}") from exc
+    raw = data["reads"]
+    file_hash = data.get("problem_hash")
+    file_energies = data.get("energies")
     if file_hash is not None and file_hash != problem_hash(p):
         raise FormatError("sample file was produced for a different problem "
                           f"(hash {file_hash[:12]}... != {problem_hash(p)[:12]}...)")
@@ -357,9 +338,10 @@ def sampleset_from_dict(data: dict, p: IsingProblem) -> SampleSet:
         if stated.shape != local.shape or not np.array_equal(stated, local):
             log.warning("imported energies disagree with local recomputation; "
                         "using recomputed values")
-    return SampleSet(reads=reads, energies=local, sampler=sampler, params=params)
+    return SampleSet(reads=reads, energies=local,
+                     sampler=str(data.get("sampler", "external")),
+                     params=dict(data.get("params", {})))
 
 
 def import_samples(path: str, p: IsingProblem) -> SampleSet:
-    with open(path) as f:
-        return sampleset_from_dict(json.load(f), p)
+    return sampleset_from_dict(read_json(path), p)

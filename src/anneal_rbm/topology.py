@@ -9,12 +9,12 @@ after qubits are disabled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator
 
-from .errors import FormatError, InvalidParameterError
+from .errors import InvalidParameterError
+from .jsonio import loader
 
 Edge = tuple[int, int]
 
@@ -147,9 +147,7 @@ def build_chimera(rows: int, cols: int, shore: int) -> HardwareGraph:
         raise InvalidParameterError(
             f"chimera parameters must be >= 1, got ({rows},{cols},{shore})")
 
-    def lin(r: int, c: int, u: int, k: int) -> int:
-        return k + shore * (u + 2 * (c + cols * r))
-
+    lin = partial(chimera_index, cols, shore)
     nodes = frozenset(range(rows * cols * 2 * shore))
     edges: set[Edge] = set()
     for r in range(rows):
@@ -167,6 +165,7 @@ def build_chimera(rows: int, cols: int, shore: int) -> HardwareGraph:
 
 
 def chimera_index(cols: int, shore: int, r: int, c: int, u: int, k: int) -> int:
+    """(row, col, shore side, wire) -> linear id in a Chimera grid."""
     return k + shore * (u + 2 * (c + cols * r))
 
 
@@ -244,30 +243,29 @@ def graph_to_dict(g: HardwareGraph) -> dict:
     }
 
 
+@loader("defect mask")
+def defects_from_dict(data: dict) -> tuple[frozenset[int], frozenset[Edge]]:
+    """Dead nodes and edges of a ``{"nodes": [...], "edges": [[a, b], ...]}``
+    mask; a missing key masks nothing."""
+    return (frozenset(int(v) for v in data.get("nodes", ())),
+            frozenset(canonical_edge(int(a), int(b)) for a, b in data.get("edges", ())))
+
+
+#: graph family -> the integer parameters its coordinate scheme needs
+_FAMILY_PARAMS = {"pegasus": ("m",), "chimera": ("rows", "cols", "shore")}
+
+
+@loader("graph")
 def graph_from_dict(data: dict) -> HardwareGraph:
-    try:
-        family = data["family"]
-        params = dict(data.get("params", {}))
-        nodes = frozenset(int(v) for v in data["nodes"])
-        edges = frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"])
-        defects = data.get("defects", {})
-        dn = frozenset(int(v) for v in defects.get("nodes", ()))
-        de = frozenset(canonical_edge(int(a), int(b)) for a, b in defects.get("edges", ()))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed graph payload: {exc}") from exc
-    g = HardwareGraph(family=family, params=params, nodes=nodes, edges=edges)
-    return apply_defects(g, dn, de)
-
-
-def write_graph(g: HardwareGraph, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(graph_to_dict(g), f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def read_graph(path: str) -> HardwareGraph:
-    with open(path) as f:
-        return graph_from_dict(json.load(f))
+    params = dict(data.get("params", {}))
+    for key in _FAMILY_PARAMS.get(data["family"], ()):
+        if not isinstance(params[key], int):
+            raise TypeError(f"{data['family']} parameter {key!r} must be an integer")
+    g = HardwareGraph(
+        family=data["family"], params=params,
+        nodes=frozenset(int(v) for v in data["nodes"]),
+        edges=frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"]))
+    return apply_defects(g, *defects_from_dict(data.get("defects", {})))
 
 
 def iter_block_nodes(m: int, vert_w: range, vert_z: range,

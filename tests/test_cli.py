@@ -3,7 +3,8 @@ import json
 import pytest
 
 from anneal_rbm.cli import main
-from anneal_rbm.topology import read_graph
+from anneal_rbm.jsonio import read_json
+from anneal_rbm.topology import graph_from_dict
 
 
 def run(*argv):
@@ -14,7 +15,7 @@ def test_topology_build_pegasus(tmp_path):
     out = tmp_path / "g.json"
     assert run("topology", "build", "--family", "pegasus", "--m", "2",
                "--out", str(out)) == 0
-    g = read_graph(str(out))
+    g = graph_from_dict(read_json(str(out)))
     assert len(g.nodes) == 48
     payload = json.loads(out.read_text())
     assert payload["meta"]["tool"] == "anneal-rbm"
@@ -37,7 +38,7 @@ def test_topology_build_with_defects(tmp_path):
     out = tmp_path / "g.json"
     assert run("topology", "build", "--family", "pegasus", "--m", "2",
                "--defects", str(mask), "--out", str(out)) == 0
-    g = read_graph(str(out))
+    g = graph_from_dict(read_json(str(out)))
     assert len(g.active_nodes) == 46
 
 
@@ -225,6 +226,10 @@ def test_malformed_json_input_exits_4(tmp_path, capsys):
 _CELL = {"cell": {"k": 2, "bias": [10.0, 2.0], "beta": 1.0},
          "mean_best": -8.0, "mean_planted": -8.0, "mean_normalized": 1.0, "gsp": 1.0}
 _TINY = {"beta_grid": [1.0], "instances_per_cell": 1, "num_reads": 1, "sweeps": 1}
+_BUILD = ["topology", "build", "--family", "pegasus", "--m", "2"]
+_GRAPH = {"family": "pegasus", "params": {"m": 2}, "nodes": [0, 1], "edges": [[0, 1]]}
+_PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
+              "iso_maps": [{"0": 0, "1": 1}, {"0": 2, "1": 3}], "regions": [[0, 1], [2, 3]]}
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -237,12 +242,30 @@ _TINY = {"beta_grid": [1.0], "instances_per_cell": 1, "num_reads": 1, "sweeps": 
     (["report", "render", "--report", "{bad}"], {}),
     (["report", "render", "--report", "{bad}"], {"cells": 3}),
     (["report", "render", "--report", "{bad}"], {"study": "scaling", "cells": [_CELL]}),
+    (_BUILD + ["--defects", "{bad}"], []),
+    (_BUILD + ["--defects", "{bad}"], {"nodes": 5}),
+    (["embed", "partition", "--graph", "{bad}"], {**_GRAPH, "defects": []}),
+    (["embed", "partition", "--graph", "{bad}"], b'{"family": "\xff"}'),
+    (["embed", "partition", "--graph", "{bad}"], {**_GRAPH, "params": {}}),
+    (["embed", "qac", "--graph", "{bad}"], {**_GRAPH, "family": "chimera"}),
+    (["sample", "--problem", "{bad}"], {"n": 2, "h": [], "J": {}}),
+    (["generate", "--cover-from", "{bad}"], 5),
+    (["sample", "--problem", "{problem}", "--qac", "{bad}"], 5),
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
+     {**_PARTITION, "iso_maps": [[0, 1], [2, 3]]}),
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
+     {"problem_hash": 5, "reads": [[1, 1]]}),
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
+     {**_PARTITION, "iso_maps": [{"0": 0, "1": 1}, {"1": 3}]}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
-        "report-cell-no-method"])
+        "report-cell-no-method", "defects-list", "defects-nodes-int",
+        "graph-defects-list", "graph-not-utf8", "pegasus-no-m", "chimera-no-shape",
+        "problem-h-list", "cover-int",
+        "qac-int", "iso-maps-lists", "samples-hash-int", "iso-map-missing-key"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
     argv = [arg.format(bad=bad, problem=problem) for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4

@@ -7,10 +7,12 @@ import pytest
 from anneal_rbm.embedding import partition_replicas
 from anneal_rbm.errors import (DimensionMismatchError, FormatError,
                                InvalidParameterError)
-from anneal_rbm.ising import energies, make_problem, replicate
+from anneal_rbm.ising import (energies, make_problem, problem_from_dict,
+                              problem_to_dict, replicate)
+from anneal_rbm.jsonio import read_json, write_json
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
-                                 export_samples, import_samples,
+                                 import_samples,
                                  noise_from_dict, noise_to_dict,
                                  region_biases, sample_sa, sampleset_to_dict,
                                  solve_exact)
@@ -186,7 +188,7 @@ def test_export_import_round_trip(tmp_path):
     p = make_problem(3, {1: 1.0}, {(0, 2): -2.0})
     ss = sample_sa(p, AnnealParams(num_reads=5, sweeps=20, seed=2))
     path = tmp_path / "samples.json"
-    export_samples(ss, p, str(path))
+    write_json(sampleset_to_dict(ss, p), str(path))
     again = import_samples(str(path), p)
     assert np.array_equal(again.reads, ss.reads)
     assert np.array_equal(again.energies, ss.energies)
@@ -213,7 +215,7 @@ def test_import_rejects_foreign_problem_hash(tmp_path):
     q = make_problem(2, {}, {(0, 1): 2.0})
     ss = sample_sa(p, AnnealParams(num_reads=2, sweeps=10, seed=1))
     path = tmp_path / "samples.json"
-    export_samples(ss, p, str(path))
+    write_json(sampleset_to_dict(ss, p), str(path))
     with pytest.raises(FormatError):
         import_samples(str(path), q)
 
@@ -232,12 +234,10 @@ def test_import_corrects_wrong_energies_and_logs(tmp_path, caplog):
 
 
 def test_export_problem_round_trips(tmp_path):
-    from anneal_rbm.ising import read_problem
-    from anneal_rbm.samplers import export_problem
     p = make_problem(3, {2: -1.0}, {(0, 1): 2.5})
     path = tmp_path / "p.json"
-    export_problem(p, str(path))
-    assert read_problem(str(path)) == p
+    write_json(problem_to_dict(p), str(path))
+    assert problem_from_dict(read_json(str(path))) == p
 
 
 def test_timing_metadata_excluded_from_serialization():
