@@ -2,10 +2,17 @@
 and a file bridge for out-of-process samplers.
 
 The annealer runs independent single-spin-flip Metropolis chains, one per
-read, over a geometric temperature ladder.  Each read consumes its own PCG64
-substream keyed by (seed, read index), so a sample set is reproducible read
-by read regardless of internal vectorization.  Noise perturbs the problem the
-chains see; reported energies are always evaluated on the clean problem.
+read, over a geometric temperature ladder.  A sweep updates spins 0..n-1 in
+index order, and it is scheduled by levels: spin j's level is one more than
+the highest level among its neighbours i < j (0 if it has none), and one
+numpy step updates every spin of a level for every read at once.  Spins of a
+level share no coupler, and when a level runs, every lower neighbour of its
+spins has been updated and no higher neighbour has, so each spin sees the
+same state, and draws the same uniform, as in the one-spin-at-a-time sweep;
+the reads are identical.  Each read consumes its own PCG64 substream keyed by
+(seed, read index), so a sample set is reproducible read by read whatever
+the batch size or chunking.  Noise perturbs the problem the chains see;
+reported energies are always evaluated on the clean problem.
 """
 
 from __future__ import annotations
@@ -179,57 +186,123 @@ def _temperature_ladder(p: IsingProblem, params: AnnealParams) -> np.ndarray:
     return t_hot * ratio ** np.arange(params.sweeps)
 
 
+def _spin_levels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """level[j] = 1 + max(level[i]) over the neighbours i < j of spin j, or
+    0 when it has none; coupler c joins spins lo[c] < hi[c].
+
+    Longest-path relaxation over the couplers oriented low to high, which
+    settles after depth + 1 rounds.
+    """
+    level = np.zeros(n, dtype=np.intp)
+    if not lo.size:
+        return level
+    order = np.argsort(hi, kind="stable")
+    lo, hi = lo[order], hi[order]
+    heads, starts = np.unique(hi, return_index=True)
+    while True:
+        new = np.zeros(n, dtype=np.intp)
+        new[heads] = np.maximum.reduceat(level[lo] + 1, starts)
+        if np.array_equal(new, level):
+            return level
+        level = new
+
+
+def _sweep_steps(p: IsingProblem) -> list[tuple[np.ndarray, np.ndarray,
+                                                np.ndarray, np.ndarray]]:
+    """The update steps of one sweep as (spins, neighbour index, coupler
+    value, field) arrays, one step per (level, degree) in level order.
+
+    A spin's row lists its neighbours in the order of `p.j`, and all rows of
+    a step have the spin's own degree, so `np.matmul` over the step makes
+    the BLAS call a one-spin-at-a-time sweep makes for each spin, with the
+    same summation order.  Padding rows to one width would change that order
+    and, in the last bit, the local fields.
+    """
+    n_j = len(p.j)
+    a = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=n_j)
+    b = np.fromiter((b for _, b in p.j), dtype=np.intp, count=n_j)
+    val = np.fromiter(p.j.values(), dtype=np.float64, count=n_j)
+    h = np.zeros(p.n)
+    for i, v in p.h.items():
+        h[i] = v
+
+    level = _spin_levels(p.n, np.minimum(a, b), np.maximum(a, b))
+    ends = np.concatenate([a, b])
+    coupler = np.tile(np.arange(n_j), 2)
+    order = np.lexsort((coupler, ends))
+    others = np.concatenate([b, a])[order]
+    values = np.concatenate([val, val])[order]
+    degree = np.bincount(ends, minlength=p.n)
+    first = np.cumsum(degree) - degree
+
+    key = level * (int(degree.max()) + 1) + degree
+    by_key = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[by_key])) + 1
+    steps = []
+    for spins in np.split(by_key, cuts):
+        rows = first[spins, None] + np.arange(degree[spins[0]])
+        steps.append((spins, others[rows], values[rows, None], h[spins]))
+    return steps
+
+
+def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndarray:
+    """Final (reads, n) int8 states of the Metropolis chains on `p`.
+
+    Each sweep applies the level steps in order.  Spins of one level share
+    no coupler, and a spin's neighbours i < j sit in lower levels, so every
+    spin sees the new values of its lower neighbours and the old values of
+    its higher ones: exactly the state a sweep over spins 0..n-1 shows it.
+    It also draws the same uniform, uniforms[r, t, j], and makes the same
+    accept test, so the reads equal those of that sequential sweep.
+    """
+    steps = _sweep_steps(p)
+    reads = params.num_reads
+    gens = [rng.stream(params.seed, rng.STREAM_READ, r) for r in range(reads)]
+    states = np.stack([g.integers(0, 2, p.n).astype(np.float64) * 2 - 1 for g in gens])
+
+    chunk = max(1, _SWEEP_CHUNK_BUDGET // (reads * p.n))
+    uniforms = np.empty((reads, min(chunk, params.sweeps), p.n))
+    sweep = 0
+    # exp(-d_e / temp) >= 1 > u wherever d_e <= 0 (inf where it overflows),
+    # so `u < exp` alone is the usual "d_e <= 0 or u < exp(-d_e / temp)" test
+    with np.errstate(over="ignore"):
+        while sweep < params.sweeps:
+            width = min(chunk, params.sweeps - sweep)
+            for r, g in enumerate(gens):
+                g.random(out=uniforms[r, :width])
+            for t in range(width):
+                temp = temps[sweep + t]
+                u = uniforms[:, t]
+                for spins, nb, nb_val, h in steps:
+                    local = h
+                    if nb.shape[1]:
+                        local = local + np.matmul(states[:, nb].transpose(1, 0, 2),
+                                                  nb_val)[:, :, 0].T
+                    s = states[:, spins]
+                    d_e = -2.0 * s * local
+                    accept = u[:, spins] < np.exp(-d_e / temp)
+                    states[:, spins] = np.where(accept, -s, s)
+            sweep += width
+    return states.astype(np.int8)
+
+
 def sample_sa(p: IsingProblem, params: AnnealParams,
               noise: NoiseModel | None = None,
               placement: dict[int, int] | None = None) -> SampleSet:
     """Run num_reads independent Metropolis anneals of `sweeps` full sweeps.
 
     The chains anneal the noise-perturbed problem when a noise model is
-    given; returned energies are evaluated on the clean problem.  Reads are
-    vectorized internally but each consumes only its own (seed, read) stream:
-    results are identical to running the reads sequentially.
+    given; returned energies are evaluated on the clean problem.  Each
+    sweep updates spins 0..n-1 in order, scheduled by levels (see
+    `_anneal`), and each read consumes only its own (seed, read) stream:
+    results are identical to a one-spin-at-a-time sweep of each read alone.
     """
     if p.n < 1:
         raise InvalidParameterError("cannot sample an empty problem")
     t_start = time.perf_counter()
     annealed = noise.perturb(p, placement) if noise is not None else p
     temps = _temperature_ladder(annealed, params)
-
-    # CSR neighbor structure of the annealed problem.
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(p.n)]
-    for (a, b), v in annealed.j.items():
-        nbrs[a].append((b, v))
-        nbrs[b].append((a, v))
-    nb_idx = [np.array([i for i, _ in lst], dtype=np.intp) for lst in nbrs]
-    nb_val = [np.array([v for _, v in lst]) for lst in nbrs]
-    h_vec = np.zeros(p.n)
-    for i, v in annealed.h.items():
-        h_vec[i] = v
-
-    reads = params.num_reads
-    gens = [rng.stream(params.seed, rng.STREAM_READ, r) for r in range(reads)]
-    states = np.stack([g.integers(0, 2, p.n).astype(np.float64) * 2 - 1 for g in gens])
-
-    chunk = max(1, _SWEEP_CHUNK_BUDGET // (reads * p.n))
-    sweep = 0
-    while sweep < params.sweeps:
-        width = min(chunk, params.sweeps - sweep)
-        uniforms = np.stack([g.random((width, p.n)) for g in gens])
-        for t in range(width):
-            temp = temps[sweep + t]
-            for jspin in range(p.n):
-                local = h_vec[jspin]
-                if nb_idx[jspin].size:
-                    local = local + states[:, nb_idx[jspin]] @ nb_val[jspin]
-                d_e = -2.0 * states[:, jspin] * local
-                accept = d_e <= 0
-                hot = ~accept
-                if np.any(hot):
-                    accept[hot] = uniforms[hot, t, jspin] < np.exp(-d_e[hot] / temp)
-                states[accept, jspin] = -states[accept, jspin]
-        sweep += width
-
-    final = states.astype(np.int8)
+    final = _anneal(annealed, temps, params)
     clean_energies = energies(p, final)
     meta = {
         "num_reads": params.num_reads, "sweeps": params.sweeps,
