@@ -299,8 +299,8 @@ def generate_instance(cover: LoopCover, params: GeneratorParams,
 
     clauses: list[Clause] = []
     coupler: dict[Edge, float] = {}
-    for idx in selected:
-        loop_rng = rng.stream(params.seed, rng.STREAM_LOOP, idx)
+    for idx, loop_rng in zip(selected, rng.streams(params.seed, rng.STREAM_LOOP,
+                                                   selected)):
         magnitude = params.bias_large if loop_rng.random() < params.p_large \
             else params.bias_small
         length = len(cover.loops[idx])

@@ -66,6 +66,12 @@ class NoiseModel:
     pure function of the chip seed and the hardware placement, so it persists
     across calls, and the same logical problem placed in two regions sees
     offsets differing exactly by the region-bias delta.
+
+    Qubit q's offset is one normal draw from the stream (chip_seed,
+    STREAM_NOISE_H, q), and the factor of a coupler on qubits qa < qb one
+    from (chip_seed, STREAM_NOISE_J, qa, qb).  `perturb` seeds all of a
+    call's streams in one batch (`rng.streams`); its values equal those of
+    building each keyed stream alone with `rng.stream`.
     """
 
     sigma_h: float = 0.0
@@ -74,8 +80,14 @@ class NoiseModel:
     region_bias: tuple[tuple[frozenset[int], float], ...] = ()
 
     def __post_init__(self):
+        if not (np.isfinite(self.sigma_h) and np.isfinite(self.sigma_j)):
+            raise InvalidParameterError(
+                f"noise std-devs must be finite, got ({self.sigma_h}, {self.sigma_j})")
         if self.sigma_h < 0 or self.sigma_j < 0:
             raise InvalidParameterError("noise std-devs must be >= 0")
+        for _, delta in self.region_bias:
+            if not np.isfinite(delta):
+                raise InvalidParameterError(f"region bias delta must be finite, got {delta}")
 
     def perturb(self, p: IsingProblem,
                 placement: dict[int, int] | None) -> IsingProblem:
@@ -85,29 +97,35 @@ class NoiseModel:
                 raise InvalidParameterError(
                     "placement map required when region_bias is nonempty")
             placement = {v: v for v in range(p.n)}
+        qubit = np.fromiter((placement[v] for v in range(p.n)),
+                            dtype=np.int64, count=p.n)
 
-        h: dict[int, float] = dict(p.h)
-        for v in range(p.n):
-            q = placement[v]
-            off = 0.0
-            if self.sigma_h:
-                off += float(rng.stream(self.chip_seed, rng.STREAM_NOISE_H, q)
-                             .normal(0.0, self.sigma_h))
-            for qubits, delta in self.region_bias:
-                if q in qubits:
-                    off += delta
-            if off:
-                h[v] = h.get(v, 0.0) + off
+        off = np.zeros(p.n)
+        if self.sigma_h:
+            off += _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_H, qubit),
+                            self.sigma_h, p.n)
+        for qubits, delta in self.region_bias:
+            off[np.isin(qubit, np.fromiter(qubits, dtype=np.int64))] += delta
+        moved = np.flatnonzero(off)
+        h = dict(p.h)
+        h.update((v, p.h.get(v, 0.0) + d)
+                 for v, d in zip(moved.tolist(), off[moved].tolist()))
 
-        j: dict[tuple[int, int], float] = {}
-        for (a, b), val in p.j.items():
-            if self.sigma_j:
-                qa, qb = sorted((placement[a], placement[b]))
-                factor = 1.0 + float(rng.stream(self.chip_seed, rng.STREAM_NOISE_J,
-                                                qa, qb).normal(0.0, self.sigma_j))
-                val = val * factor
-            j[(a, b)] = val
+        j = p.j
+        if self.sigma_j and p.j:
+            couplers = np.fromiter(
+                (q for a, b in p.j for q in sorted((placement[a], placement[b]))),
+                dtype=np.int64, count=2 * len(p.j)).reshape(-1, 2)
+            factor = 1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
+                                                couplers), self.sigma_j, len(p.j))
+            j = {e: val * f for (e, val), f in zip(p.j.items(), factor.tolist())}
         return make_problem(p.n, h, j)
+
+
+def _normals(gens, sigma: float, count: int) -> np.ndarray:
+    """One N(0, sigma) draw from each generator, in order."""
+    return np.fromiter((g.normal(0.0, sigma) for g in gens),
+                       dtype=np.float64, count=count)
 
 
 def region_biases(regions, deltas) -> tuple[tuple[frozenset[int], float], ...]:
@@ -257,7 +275,7 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
     """
     steps = _sweep_steps(p)
     reads = params.num_reads
-    gens = [rng.stream(params.seed, rng.STREAM_READ, r) for r in range(reads)]
+    gens = list(rng.streams(params.seed, rng.STREAM_READ, np.arange(reads)))
     states = np.stack([g.integers(0, 2, p.n).astype(np.float64) * 2 - 1 for g in gens])
 
     chunk = max(1, _SWEEP_CHUNK_BUDGET // (reads * p.n))
@@ -387,7 +405,7 @@ def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
     params = {k: v for k, v in ss.params.items() if k != "timing_s"}
     return {
         "problem_hash": problem_hash(p),
-        "reads": [[int(s) for s in row] for row in ss.reads],
+        "reads": ss.reads.astype(np.int8, copy=False).tolist(),
         "energies": [float(e) for e in ss.energies],
         "sampler": ss.sampler,
         "params": params,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,32 @@ def test_pipeline_stage_reruns_are_byte_identical(pipeline, tmp_path):
     b = json.loads(samples2.read_text())
     assert a["reads"] == b["reads"]
     assert a["problem_hash"] == b["problem_hash"]
+
+
+#: sha256 of the instance and of a noisy sample file the m=2 pipeline
+#: writes.  Seeded payloads are part of the reproducibility contract: a change
+#: to how streams are seeded, noise is drawn or reads are serialized must
+#: leave these bytes alone.
+PINNED_SHA256 = {
+    "instance": "b8bc3582424087b6b6a9595e3b7fea5497f44e642edb0d32751891594665f613",
+    "samples": "4eca56a96c1dc2f2c8bbd413ff9d8e3c16a267dac78bee4e537e5120db1c293c",
+}
+
+
+def test_written_files_are_pinned(pipeline, tmp_path):
+    instance, _, _ = pipeline
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"sigma_h": 0.05, "sigma_j": 0.02, "chip_seed": 11,
+                                 "region_bias": [{"qubits": list(range(0, 48, 3)),
+                                                  "delta": 0.25}]}))
+    samples = tmp_path / "noisy.json"
+    assert run("sample", "--problem", str(instance), "--replicate",
+               str(tmp_path / "partition.json"), "--noise", str(noise),
+               "--reads", "20", "--sweeps", "50", "--seed", "5",
+               "--out", str(samples)) == 0
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for name, path in (("instance", instance), ("samples", samples))}
+    assert got == PINNED_SHA256
 
 
 def test_solve_exact_cli(tmp_path, capsys):
@@ -257,12 +284,19 @@ _PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
      {"problem_hash": 5, "reads": [[1, 1]]}),
     (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
      {**_PARTITION, "iso_maps": [{"0": 0, "1": 1}, {"1": 3}]}),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"],
+     {"sigma_h": float("inf"), "chip_seed": 1}),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"],
+     {"sigma_j": float("nan"), "chip_seed": 1}),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"],
+     {"region_bias": [{"qubits": [0], "delta": float("-inf")}]}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
         "graph-defects-list", "graph-not-utf8", "pegasus-no-m", "chimera-no-shape",
         "problem-h-list", "cover-int",
-        "qac-int", "iso-maps-lists", "samples-hash-int", "iso-map-missing-key"])
+        "qac-int", "iso-maps-lists", "samples-hash-int", "iso-map-missing-key",
+        "noise-sigma-h-inf", "noise-sigma-j-nan", "noise-delta-inf"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anneal_rbm import rng
 from anneal_rbm.embedding import partition_replicas
 from anneal_rbm.errors import ContractError, InvalidParameterError
 from anneal_rbm.ising import energy, gauge_transform, make_problem
@@ -153,6 +154,21 @@ def test_determinism_bit_identical():
     assert a.problem == b.problem
     assert np.array_equal(a.planted, b.planted)
     assert a.clauses == b.clauses
+
+
+def test_clause_draws_come_from_the_loop_stream():
+    # each selected loop draws its magnitude, then its flip, from its own
+    # (seed, STREAM_LOOP, loop) stream
+    n, edges = pegasus_ball(2, 18)
+    cover = build_loop_cover(n, edges)
+    params = GeneratorParams(beta=0.7, p_large=0.5, seed=2**40 + 3)
+    inst = generate_instance(cover, params)
+    for clause in inst.clauses:
+        loop_rng = rng.stream(params.seed, rng.STREAM_LOOP, clause.loop_index)
+        large = loop_rng.random() < params.p_large
+        assert clause.magnitude == (params.bias_large if large else params.bias_small)
+        length = len(cover.loops[clause.loop_index])
+        assert clause.flip_pos == (int(loop_rng.integers(length)) if length >= 3 else None)
 
 
 def test_gauge_correctness():
