@@ -98,22 +98,28 @@ def energy(p: IsingProblem, s: np.ndarray) -> float:
 
 
 def energies(p: IsingProblem, states: np.ndarray) -> np.ndarray:
-    """Vectorized energies for a (reads, n) array of spin configurations."""
+    """Vectorized energies for a (reads, n) array of +-1 spin configurations.
+
+    Spins are gathered and multiplied as int8, where a product of +-1 values
+    is exact, and cast to float64 once, so the gemv sees the same matrix as a
+    float64 product would give while only one (reads x couplers) float64
+    array is held.
+    """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] != p.n:
         raise DimensionMismatchError(
             f"states must have shape (reads, {p.n}), got {states.shape}")
-    sf = states.astype(np.float64)
+    s8 = states.astype(np.int8, copy=False)
     out = np.zeros(states.shape[0])
     if p.j:
         ii = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=len(p.j))
         jj = np.fromiter((b for _, b in p.j), dtype=np.intp, count=len(p.j))
         jv = np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j))
-        out += (sf[:, ii] * sf[:, jj]) @ jv
+        out += (s8[:, ii] * s8[:, jj]).astype(np.float64) @ jv
     if p.h:
         hi = np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h))
         hv = np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h))
-        out += sf[:, hi] @ hv
+        out += s8[:, hi].astype(np.float64) @ hv
     return out
 
 

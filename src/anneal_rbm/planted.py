@@ -12,7 +12,7 @@ ground state of the summed problem.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -67,33 +67,36 @@ def eulerian_augment(n: int, edges: Iterable[Edge]) -> Multigraph:
     odd = [v for v in range(n) if len(adj[v]) % 2 == 1]
 
     tjoin: set[Edge] = set()
-    remaining = list(odd)
-    while remaining:
-        # BFS distances from the first remaining odd vertex to all others;
-        # pair it with the closest one (ties to the smallest vertex id) along
-        # the BFS tree path, which sorted neighbor order makes deterministic.
-        src = remaining[0]
-        dist = {src: 0}
+    remaining = set(odd)
+    for src in odd:
+        if src not in remaining:
+            continue
+        remaining.discard(src)
+        # BFS from the smallest remaining odd vertex, one level at a time;
+        # pair it with the smallest remaining odd vertex of the first level
+        # that holds one, along the BFS tree path.  Sorted neighbor order makes
+        # the tree deterministic, and every vertex up to that level is found
+        # in the order, and with the parent, a full BFS would give it.
         parent = {src: src}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-        candidates = [(dist[v], v) for v in remaining[1:] if v in dist]
-        if not candidates:
+        level = [src]
+        mate = None
+        while level and mate is None:
+            found = []
+            for v in level:
+                for w in adj[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        found.append(w)
+            mate = min(remaining.intersection(found), default=None)
+            level = found
+        if mate is None:
             raise ContractError(
                 f"odd-degree vertex {src} cannot be paired inside its component")
-        _, mate = min(candidates)
+        remaining.discard(mate)
         v = mate
         while v != src:
             tjoin ^= {canonical_edge(v, parent[v])}
             v = parent[v]
-        remaining.remove(src)
-        remaining.remove(mate)
 
     added = tuple(sorted(tjoin))
     mg = Multigraph(n=n, edges=tuple(base) + added, added=added)

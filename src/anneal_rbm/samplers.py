@@ -26,8 +26,7 @@ import numpy as np
 from . import rng
 from .errors import (DimensionMismatchError, FormatError,
                      InvalidParameterError)
-from .ising import (IsingProblem, as_spins, energies, make_problem,
-                    problem_hash)
+from .ising import IsingProblem, as_spins, energies, problem_hash
 from .jsonio import loader, read_json
 
 log = logging.getLogger(__name__)
@@ -110,16 +109,20 @@ class NoiseModel:
         h = dict(p.h)
         h.update((v, p.h.get(v, 0.0) + d)
                  for v, d in zip(moved.tolist(), off[moved].tolist()))
+        # p is canonical, so dropping exact zeros is all make_problem would do
+        h = {v: x for v, x in h.items() if x != 0}
 
-        j = p.j
         if self.sigma_j and p.j:
             couplers = np.fromiter(
                 (q for a, b in p.j for q in sorted((placement[a], placement[b]))),
                 dtype=np.int64, count=2 * len(p.j)).reshape(-1, 2)
             factor = 1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
                                                 couplers), self.sigma_j, len(p.j))
-            j = {e: val * f for (e, val), f in zip(p.j.items(), factor.tolist())}
-        return make_problem(p.n, h, j)
+            j = {e: x for (e, val), f in zip(p.j.items(), factor.tolist())
+                 if (x := val * f) != 0}
+        else:
+            j = dict(p.j)
+        return IsingProblem(n=p.n, h=h, j=j)
 
 
 def _normals(gens, sigma: float, count: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from anneal_rbm.topology import build_custom, build_pegasus
 
@@ -31,6 +32,11 @@ def pegasus_ball(m: int, size: int, start: int | None = None):
 
 
 @pytest.fixture(scope="session")
+def pegasus16():
+    return build_pegasus(16)
+
+
+@pytest.fixture(scope="session")
 def p2_ball18():
     return pegasus_ball(2, 18)
 
@@ -43,3 +49,19 @@ def two_stars_graph():
 
 def spins(*values) -> np.ndarray:
     return np.array(values, dtype=np.int8)
+
+
+@st.composite
+def connected_graph(draw):
+    """Random connected graph: spanning tree plus extra edges."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    edges = set()
+    for v in range(1, n):
+        edges.add(tuple(sorted((v, draw(st.integers(0, v - 1))))))
+    extras = draw(st.integers(0, 2 * n))
+    for _ in range(extras):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1))
+        if a != b:
+            edges.add(tuple(sorted((a, b))))
+    return n, sorted(edges)

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anneal_rbm.embedding import partition_replicas
+from anneal_rbm.decode import build_qac_problem
+from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
 from anneal_rbm.errors import (DimensionMismatchError,
                                EmbeddingInfeasibleError, InvalidParameterError)
 from anneal_rbm.ising import (IsingProblem, as_spins, energies, energy,
                               extract_replica, from_triples, gauge_transform,
                               make_problem, problem_from_dict, problem_hash,
                               problem_to_dict, replicate, to_triples)
-from anneal_rbm.samplers import solve_exact
+from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
+from anneal_rbm.samplers import NoiseModel, solve_exact
 from anneal_rbm.topology import build_pegasus
 from conftest import spins
 
@@ -98,6 +100,62 @@ def test_energies_matches_scalar():
     batch = energies(p, states)
     for row, e in zip(states, batch):
         assert energy(p, row) == e
+
+
+def _energies_float64(p, states):
+    """The float64 gather-and-multiply energies computed before the int8 one."""
+    sf = states.astype(np.float64)
+    out = np.zeros(states.shape[0])
+    if p.j:
+        ii = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=len(p.j))
+        jj = np.fromiter((b for _, b in p.j), dtype=np.intp, count=len(p.j))
+        jv = np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j))
+        out += (sf[:, ii] * sf[:, jj]) @ jv
+    if p.h:
+        hi = np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h))
+        hv = np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h))
+        out += sf[:, hi] @ hv
+    return out
+
+
+def _assert_energies_match_float64(p, read_counts, seed=0):
+    gen = np.random.default_rng(seed)
+    for reads in read_counts:
+        states = gen.choice(np.array([-1, 1], dtype=np.int8), size=(reads, p.n))
+        assert np.array_equal(energies(p, states), _energies_float64(p, states))
+        assert np.array_equal(energies(p, states.astype(np.float64)),
+                              _energies_float64(p, states))
+
+
+@pytest.fixture(scope="module")
+def m16_replica(pegasus16):
+    part = partition_replicas(pegasus16, 4)
+    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    return replicate(generate_instance(cover, GeneratorParams(seed=5)).problem, part)
+
+
+def test_energies_equal_float64_products_on_m16_replica_problems(m16_replica):
+    noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=1)
+    for p in (m16_replica.problem, noise.perturb(m16_replica.problem, m16_replica.placement)):
+        _assert_energies_match_float64(p, (1, 37, 100))
+
+
+def test_energies_equal_float64_products_on_noisy_qac_problem():
+    enc = tile_qac(build_pegasus(8))
+    cover = build_loop_cover(enc.n_logical, sorted(logical_graph(enc).active_edges))
+    qp = build_qac_problem(generate_instance(cover, GeneratorParams(seed=6)).problem, enc)
+    noisy = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=2).perturb(qp.problem,
+                                                                        qp.placement)
+    _assert_energies_match_float64(noisy, (1, 37, 100, 257))
+
+
+def test_energies_equal_float64_products_on_random_coefficients():
+    gen = np.random.default_rng(7)
+    n = 300
+    pairs = {tuple(sorted(map(int, gen.choice(n, 2, replace=False)))) for _ in range(2000)}
+    p = make_problem(n, {i: float(gen.normal()) for i in range(0, n, 3)},
+                     {e: float(gen.normal() * 10.0 ** gen.integers(-3, 4)) for e in pairs})
+    _assert_energies_match_float64(p, (1, 2, 37, 100, 257), seed=8)
 
 
 @pytest.fixture(scope="module")

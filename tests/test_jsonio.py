@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -150,3 +151,80 @@ def test_sample_reads_outside_int8_are_rejected():
             sampleset_from_dict({"reads": [row]}, problem)
     assert np.array_equal(sampleset_from_dict({"reads": [[1, -1]]}, problem).reads,
                           [[1, -1]])
+
+
+def _stdlib_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# encoded, none of these may be mistaken for a row or item boundary
+_TRICKY_STRINGS = ["],\n [", "],\n  [", "]],\n [[", "},\n {", "a,b", ",", '"q"', "\\",
+                   "\x00\x1f\n\t", "é€😀 ", "[1, 2]", ""]
+_strings = st.sampled_from(_TRICKY_STRINGS) | st.text(max_size=6)
+_numbers = (st.integers(-2**70, 2**70) | st.floats()
+            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+            | st.floats().map(np.float64))
+_scalars = st.none() | st.booleans() | _numbers | _strings
+_number_rows = st.lists(st.lists(_numbers, min_size=1, max_size=4), min_size=1, max_size=4)
+# rows that must not be split by text: an empty row, a bool or a string among numbers
+_mixed_rows = st.lists(st.lists(_numbers | st.booleans() | _strings, max_size=3),
+                       min_size=1, max_size=4)
+# one key family per dict, since sorting keys of unorderable types fails in json too
+_key_families = [_strings, st.integers(-10**6, 10**6) | st.floats() | st.booleans(),
+                 st.none()]
+
+
+def _dicts(children):
+    return st.sampled_from(_key_families).flatmap(
+        lambda keys: st.dictionaries(keys, children, max_size=4))
+
+
+_payloads = st.recursive(
+    _scalars | _number_rows | _number_rows.map(tuple) | _mixed_rows,
+    lambda children: (st.lists(children, max_size=4) | _dicts(children)
+                      | st.lists(children, max_size=3).map(tuple)),
+    max_leaves=24)
+_deep_payloads = _payloads.map(lambda x: {"a": [{"b": [x, [[1, 2.5]]]}], "c": (1, x)})
+
+WRITER_CASES = [
+    {}, [], (), {"a": []}, {"a": {}}, [[]], [[], [1]], [[1], []], [[1, 2], [3]],
+    [[1, 2], [3, 4.5], [-0.0, 7]], ((1, 2), (3, 4)), [(1, 2), [3, 4]], [[1]],
+    [[True, 2], [3]], [[1, "a"], [2]], [["],\n  [", 1], [2]], [[1, None], [2]],
+    [[1, [2]], [3]], [[1.5, np.float64(2.5)], [3]], [[math.nan, math.inf], [-math.inf, 0]],
+    {1: [1, [2]], 2.5: {"x": None}}, {None: [1, [2]]}, {False: [[1]], True: 1},
+    {math.nan: [[1]], -math.inf: {"a": [1]}}, {-0.0: [[1]]}, {2**70: [[1]], -3: 2},
+    {1: 1, 2.5: "x", True: None}, {"s": "],\n [", "t": ["],\n  [", [1]]},
+    [math.nan, math.inf, -math.inf, -0.0, np.float64(1.5), True, False, None],
+    {"é": "ü\x01\"", "b": [[1.5, -2], [3, 4e300]]}, [[[[[1]]]]], [1, [2, [3, [4, []]]]],
+    {"x": {"y": {"z": [[1, 2], [3, 4]], "w": [{"v": [[5]]}]}}}, [{}, [], {"a": 1}, [1]],
+    5, -0.0, "x", None, True, np.float64(0.1),
+]
+
+
+@pytest.mark.parametrize("payload", WRITER_CASES, ids=repr)
+def test_writer_matches_stdlib_indent_on_edge_cases(payload, tmp_path):
+    path = tmp_path / "x.json"
+    write_json(payload, str(path))
+    assert dumps(payload) == _stdlib_text(payload)
+    assert path.read_bytes() == _stdlib_text(payload).encode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(payload=_payloads | _deep_payloads)
+def test_writer_matches_stdlib_indent(payload, tmp_path_factory):
+    """dumps and write_json give the stdlib's indented bytes for any payload."""
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    write_json(payload, str(path))
+    assert dumps(payload) == _stdlib_text(payload)
+    assert path.read_bytes() == _stdlib_text(payload).encode()
+
+
+@pytest.mark.parametrize("payload", [{(1, 2): [1, [2]]}, {(1, 2): 1}, [object()],
+                                     {"a": [object(), [1]]}, {1: [1, [2]], "a": [1]},
+                                     {None: [[1]], 1: 2}], ids=repr)
+def test_writer_raises_what_stdlib_raises(payload):
+    with pytest.raises(TypeError) as want:
+        _stdlib_text(payload)
+    with pytest.raises(TypeError) as got:
+        dumps(payload)
+    assert str(got.value) == str(want.value)

@@ -17,7 +17,7 @@ from anneal_rbm.planted import (GeneratorParams, Multigraph,
                                 instance_to_dict, verify_planted)
 from anneal_rbm.samplers import solve_exact
 from anneal_rbm.topology import build_pegasus
-from conftest import pegasus_ball, spins
+from conftest import connected_graph, pegasus_ball, spins
 
 
 def test_augment_even_graph_unchanged():
@@ -179,22 +179,6 @@ def test_gauge_correctness():
     gauged = gauge_transform(inst.problem, inst.planted)
     all_up = np.ones(n, dtype=np.int8)
     assert energy(gauged, all_up) == inst.planted_energy
-
-
-@st.composite
-def connected_graph(draw):
-    """Random connected graph: spanning tree plus extra edges."""
-    n = draw(st.integers(min_value=2, max_value=14))
-    edges = set()
-    for v in range(1, n):
-        edges.add(tuple(sorted((v, draw(st.integers(0, v - 1))))))
-    extras = draw(st.integers(0, 2 * n))
-    for _ in range(extras):
-        a = draw(st.integers(0, n - 1))
-        b = draw(st.integers(0, n - 1))
-        if a != b:
-            edges.add(tuple(sorted((a, b))))
-    return n, sorted(edges)
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,6 +18,7 @@ from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
                                  solve_exact)
 from anneal_rbm.topology import build_pegasus
 from conftest import pegasus_ball
+from noise_reference import perturb_reference
 
 
 def test_params_validation():
@@ -125,6 +126,15 @@ def test_noise_region_bias_delta_exact():
         assert pert.h.get(n_l + v, 0.0) == -0.5
         # identical logical variable, different regions: offsets differ by the delta
         assert pert.h.get(v, 0.0) - pert.h.get(n_l + v, 0.0) == 0.75
+
+
+def test_noise_drops_couplers_that_underflow_to_zero():
+    # the smallest subnormal times a factor under 0.5 in magnitude rounds to 0
+    p = make_problem(12, {}, {(i, i + 1): 5e-324 for i in range(11)})
+    nm = NoiseModel(sigma_j=1.0, chip_seed=3)
+    got = nm.perturb(p, None)
+    assert list(got.j.items()) == list(perturb_reference(nm, p, None).j.items())
+    assert 0 < len(got.j) < len(p.j)
 
 
 def test_noise_requires_placement_for_region_bias():
