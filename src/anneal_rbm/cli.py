@@ -50,6 +50,16 @@ def _fingerprint(value):
     return value
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _config_hash(ns: argparse.Namespace) -> str:
     # destinations are not configuration: identical invocations aimed at
     # different output paths must produce byte-identical payloads
@@ -288,14 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, default=0.08,
                      help="probability of the large magnitude per loop")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--count", type=int, default=10)
+    gen.add_argument("--count", type=_count, default=10)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=_cmd_generate)
 
     smp = sub.add_parser("sample", help="run the simulated annealer")
     smp.add_argument("--problem", required=True)
-    smp.add_argument("--replicate", help="partition file: sample the k-copy problem")
-    smp.add_argument("--qac", help="encoding file: sample the penalty-encoded problem")
+    physical = smp.add_mutually_exclusive_group()
+    physical.add_argument("--replicate", help="partition file: sample the k-copy problem")
+    physical.add_argument("--qac", help="encoding file: sample the penalty-encoded problem")
     smp.add_argument("--alpha", type=float, default=-1.0)
     smp.add_argument("--reads", type=int, default=100)
     smp.add_argument("--sweeps", type=int, default=1000)

@@ -68,9 +68,6 @@ class QacProblem:
     alpha: float
     placement: dict[int, int]
 
-    def penalty_slot(self, unit: int) -> int:
-        return 4 * unit + 3
-
 
 def build_qac_problem(logical: IsingProblem, enc: QacEncoding,
                       alpha: float = -1.0) -> QacProblem:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from .errors import (DimensionMismatchError, EmbeddingInfeasibleError,
-                     FormatError, InvalidParameterError)
+                     InvalidParameterError)
 from .jsonio import loader
 from .topology import canonical_edge
 
@@ -149,9 +149,6 @@ class ReplicatedProblem:
     n_logical: int
     placement: dict[int, int]
 
-    def replica_of(self, var: int) -> int:
-        return var // self.n_logical
-
 
 def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProblem:
     """Compose k identical copies of ``p`` over the partition's regions.
@@ -186,15 +183,6 @@ def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProbl
                              placement=placement)
 
 
-def extract_replica(rp: ReplicatedProblem, replica: int) -> IsingProblem:
-    """Restrict a replicated problem to one replica and relabel to 0..n-1."""
-    base = replica * rp.n_logical
-    h = {i - base: v for i, v in rp.problem.h.items() if base <= i < base + rp.n_logical}
-    j = {(a - base, b - base): v for (a, b), v in rp.problem.j.items()
-         if base <= a and b < base + rp.n_logical}
-    return make_problem(rp.n_logical, h, j)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -219,34 +207,3 @@ def problem_from_dict(data: dict) -> IsingProblem:
 def problem_hash(p: IsingProblem) -> str:
     blob = json.dumps(problem_to_dict(p), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def to_triples(p: IsingProblem) -> str:
-    """Plain-text interchange: one ``i j value`` line per term, ``i i`` for h."""
-    lines = [f"{i} {i} {v!r}" for i, v in sorted(p.h.items())]
-    lines += [f"{a} {b} {v!r}" for (a, b), v in sorted(p.j.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def from_triples(text: str, n: int | None = None) -> IsingProblem:
-    h: dict[int, float] = {}
-    j: dict[Pair, float] = {}
-    top = -1
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"line {ln}: expected 'i j value', got {raw!r}")
-        try:
-            a, b, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
-        top = max(top, a, b)
-        if a == b:
-            h[a] = h.get(a, 0.0) + v
-        else:
-            e = canonical_edge(a, b)
-            j[e] = j.get(e, 0.0) + v
-    return make_problem(n if n is not None else top + 1, h, j)

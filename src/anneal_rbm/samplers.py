@@ -3,16 +3,17 @@ and a file bridge for out-of-process samplers.
 
 The annealer runs independent single-spin-flip Metropolis chains, one per
 read, over a geometric temperature ladder.  A sweep updates spins 0..n-1 in
-index order, and it is scheduled by levels: spin j's level is one more than
-the highest level among its neighbours i < j (0 if it has none), and one
-numpy step updates every spin of a level for every read at once.  Spins of a
-level share no coupler, and when a level runs, every lower neighbour of its
-spins has been updated and no higher neighbour has, so each spin sees the
-same state, and draws the same uniform, as in the one-spin-at-a-time sweep;
-the reads are identical.  Each read consumes its own PCG64 substream keyed by
-(seed, read index), so a sample set is reproducible read by read whatever
-the batch size or chunking.  Noise perturbs the problem the chains see;
-reported energies are always evaluated on the clean problem.
+index order, scheduled by levels: spin j's level is one more than the
+highest level among its neighbours i < j (0 if it has none).  A level makes
+one gemv per degree for its local fields, then one accept test and flip of
+all its spins for every read.  Spins of a level share no coupler, and when a
+level runs, every lower neighbour of its spins has been updated and no
+higher neighbour has, so each spin sees the same state, and draws the same
+uniform, as in the one-spin-at-a-time sweep: it is still that sequential
+sweep, with identical reads.  Each read consumes its own PCG64 substream
+keyed by (seed, read index), so a sample set is reproducible read by read
+whatever the batch size or chunking.  Noise perturbs the problem the chains
+see; reported energies are always evaluated on the clean problem.
 """
 
 from __future__ import annotations
@@ -228,58 +229,64 @@ def _spin_levels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         level = new
 
 
-def _sweep_steps(p: IsingProblem) -> list[tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]]:
-    """The update steps of one sweep as (spins, neighbour index, coupler
-    value, field) arrays, one step per (level, degree) in level order.
+def _sweep_plan(p: IsingProblem) -> tuple[np.ndarray, list]:
+    """The sweep as (order, levels): the spin updated k-th, order[k], takes
+    the label k, so each level and each step is a contiguous label block.
 
-    A spin's row lists its neighbours in the order of `p.j`, and all rows of
-    a step have the spin's own degree, so `np.matmul` over the step makes
-    the BLAS call a one-spin-at-a-time sweep makes for each spin, with the
-    same summation order.  Padding rows to one width would change that order
-    and, in the last bit, the local fields.
+    A level is (start, stop, h, steps), h its fields as a column; a step is
+    (start, stop, neighbour labels, coupler values), one per degree in the
+    level.  A row lists the spin's neighbours in the order of `p.j`, so
+    `np.matmul` over a step makes the BLAS call a one-spin-at-a-time sweep
+    makes for each spin, with the same summation order.  Padding rows to one
+    width would change that order and, in the last bit, the local fields.
     """
     n_j = len(p.j)
     a = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=n_j)
     b = np.fromiter((b for _, b in p.j), dtype=np.intp, count=n_j)
     val = np.fromiter(p.j.values(), dtype=np.float64, count=n_j)
     h = np.zeros(p.n)
-    for i, v in p.h.items():
-        h[i] = v
+    h[list(p.h)] = list(p.h.values())
 
     level = _spin_levels(p.n, np.minimum(a, b), np.maximum(a, b))
     ends = np.concatenate([a, b])
     coupler = np.tile(np.arange(n_j), 2)
-    order = np.lexsort((coupler, ends))
-    others = np.concatenate([b, a])[order]
-    values = np.concatenate([val, val])[order]
+    by_end = np.lexsort((coupler, ends))
+    others = np.concatenate([b, a])[by_end]
+    values = np.concatenate([val, val])[by_end]
     degree = np.bincount(ends, minlength=p.n)
     first = np.cumsum(degree) - degree
 
-    key = level * (int(degree.max()) + 1) + degree
-    by_key = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[by_key])) + 1
-    steps = []
-    for spins in np.split(by_key, cuts):
-        rows = first[spins, None] + np.arange(degree[spins[0]])
-        steps.append((spins, others[rows], values[rows, None], h[spins]))
-    return steps
+    order = np.lexsort((degree, level))
+    label = np.argsort(order)
+    bounds = np.searchsorted(level[order], np.arange(level.max() + 2)).tolist()
+    levels = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        deg = degree[order[start:stop]]
+        cuts = (start + np.flatnonzero(np.diff(deg, prepend=-1, append=-1))).tolist()
+        steps = []
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            rows = first[order[i:j], None] + np.arange(deg[i - start])
+            steps.append((i, j, label[others[rows]], values[rows, None]))
+        levels.append((start, stop, h[order[start:stop], None], steps))
+    return order, levels
 
 
 def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndarray:
     """Final (reads, n) int8 states of the Metropolis chains on `p`.
 
-    Each sweep applies the level steps in order.  Spins of one level share
-    no coupler, and a spin's neighbours i < j sit in lower levels, so every
-    spin sees the new values of its lower neighbours and the old values of
-    its higher ones: exactly the state a sweep over spins 0..n-1 shows it.
-    It also draws the same uniform, uniforms[r, t, j], and makes the same
-    accept test, so the reads equal those of that sequential sweep.
+    A sweep runs each level's gemvs, then one accept test for all its spins.
+    Spins of a level share no coupler, and a spin's neighbours i < j sit in
+    lower levels, so every spin sees the new values of its lower neighbours
+    and the old values of its higher ones, as in a sweep over spins 0..n-1.
+    It draws the same uniform, uniforms[r, t, j], and tests it against the
+    same number: 2 * s * local is -d_e exactly for s = +-1, and `np.exp`
+    gets a contiguous float64 operand.  So the reads are that sweep's.
     """
-    steps = _sweep_steps(p)
+    order, levels = _sweep_plan(p)
     reads = params.num_reads
     gens = list(rng.streams(params.seed, rng.STREAM_READ, np.arange(reads)))
-    states = np.stack([g.integers(0, 2, p.n).astype(np.float64) * 2 - 1 for g in gens])
+    states = np.stack([g.integers(0, 2, p.n) * 2.0 - 1 for g in gens])[:, order]
+    fields = np.empty((max(stop - start for start, stop, *_ in levels), reads))
 
     chunk = max(1, _SWEEP_CHUNK_BUDGET // (reads * p.n))
     uniforms = np.empty((reads, min(chunk, params.sweeps), p.n))
@@ -294,17 +301,16 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
             for t in range(width):
                 temp = temps[sweep + t]
                 u = uniforms[:, t]
-                for spins, nb, nb_val, h in steps:
-                    local = h
-                    if nb.shape[1]:
-                        local = local + np.matmul(states[:, nb].transpose(1, 0, 2),
-                                                  nb_val)[:, :, 0].T
-                    s = states[:, spins]
-                    d_e = -2.0 * s * local
-                    accept = u[:, spins] < np.exp(-d_e / temp)
-                    states[:, spins] = np.where(accept, -s, s)
+                for start, stop, h, steps in levels:
+                    # a degree-0 step's matmul writes zeros, so local = h there
+                    for i, j, nb, nb_val in steps:
+                        np.matmul(states[:, nb].transpose(1, 0, 2), nb_val,
+                                  out=fields[i - start:j - start, :, None])
+                    s = states[:, start:stop]
+                    x = np.exp(s * (fields[:stop - start] + h).T * 2 / temp)
+                    np.negative(s, out=s, where=u[:, order[start:stop]] < x)
             sweep += width
-    return states.astype(np.int8)
+    return states.astype(np.int8)[:, np.argsort(order)]
 
 
 def sample_sa(p: IsingProblem, params: AnnealParams,

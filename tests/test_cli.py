@@ -47,6 +47,27 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run("frobnicate") == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-2", "two"])
+def test_generate_count_below_one_exits_2(tmp_path, capsys, count):
+    graph, out = tmp_path / "g.json", tmp_path / "inst"
+    assert run("topology", "build", "--family", "pegasus", "--m", "2",
+               "--out", str(graph)) == 0
+    assert run("generate", "--cover-from", str(graph), "--count", count,
+               "--out", str(out)) == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_replicate_and_qac_together_exit_2(tmp_path, capsys):
+    # no input is read: the usage error comes first
+    out = tmp_path / "s.json"
+    assert run("sample", "--problem", str(tmp_path / "p.json"),
+               "--replicate", str(tmp_path / "part.json"),
+               "--qac", str(tmp_path / "enc.json"), "--out", str(out)) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     assert run("topology", "stats", str(tmp_path / "absent.json")) == 3
     assert capsys.readouterr().err.startswith("io:")

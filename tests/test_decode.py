@@ -11,6 +11,7 @@ from anneal_rbm.ising import energies, energy, make_problem, replicate
 from anneal_rbm.samplers import SampleSet
 from anneal_rbm.topology import build_chimera, build_pegasus
 from conftest import spins
+from problem_helpers import penalty_slot
 
 
 def synthetic_partition(k: int, n_logical: int) -> ReplicaPartition:
@@ -111,7 +112,7 @@ def test_build_qac_alpha_zero_decouples_penalty():
     touched = set(qp.problem.h)
     for a, b in qp.problem.j:
         touched.update((a, b))
-    assert qp.penalty_slot(0) not in touched
+    assert penalty_slot(0) not in touched
 
 
 def test_build_qac_rejects_positive_alpha():
@@ -186,7 +187,7 @@ def test_majority_vote_invariant_to_penalty_flips():
     qp = build_qac_problem(logical, cell, alpha=0.0)
     flipped = reads.copy()
     for u in range(2):
-        col = qp.penalty_slot(u)
+        col = penalty_slot(u)
         flipped[:, col] = -flipped[:, col]
     v1, _ = decode_majority(synthetic_samples(reads), cell, logical)
     v2, _ = decode_majority(synthetic_samples(flipped), cell, logical)

@@ -8,13 +8,13 @@ from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
 from anneal_rbm.errors import (DimensionMismatchError,
                                EmbeddingInfeasibleError, InvalidParameterError)
 from anneal_rbm.ising import (IsingProblem, as_spins, energies, energy,
-                              extract_replica, from_triples, gauge_transform,
-                              make_problem, problem_from_dict, problem_hash,
-                              problem_to_dict, replicate, to_triples)
+                              gauge_transform, make_problem, problem_from_dict,
+                              problem_hash, problem_to_dict, replicate)
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import NoiseModel, solve_exact
 from anneal_rbm.topology import build_pegasus
 from conftest import spins
+from problem_helpers import extract_replica, from_triples, replica_of, to_triples
 
 
 def test_energy_zero_problem():
@@ -192,7 +192,7 @@ def test_replicate_no_cross_replica_couplers(p2_partition):
     p = _small_problem(p2_partition)
     rp = replicate(p, p2_partition)
     for a, b in rp.problem.j:
-        assert rp.replica_of(a) == rp.replica_of(b)
+        assert replica_of(rp, a) == replica_of(rp, b)
 
 
 def test_extract_replica_recovers_original(p2_partition):
@@ -232,7 +232,7 @@ def test_replicate_placement_lands_in_regions(p2_partition):
     p = _small_problem(p2_partition)
     rp = replicate(p, p2_partition)
     for var, qubit in rp.placement.items():
-        assert qubit in p2_partition.regions[rp.replica_of(var)]
+        assert qubit in p2_partition.regions[replica_of(rp, var)]
 
 
 def test_problem_json_round_trip():

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,7 +222,8 @@ def test_writer_matches_stdlib_indent(payload, tmp_path_factory):
 
 @pytest.mark.parametrize("payload", [{(1, 2): [1, [2]]}, {(1, 2): 1}, [object()],
                                      {"a": [object(), [1]]}, {1: [1, [2]], "a": [1]},
-                                     {None: [[1]], 1: 2}], ids=repr)
+                                     {None: [[1]], 1: 2}],
+                         ids=lambda p: re.sub(r" at 0x[0-9a-f]+", "", repr(p)))
 def test_writer_raises_what_stdlib_raises(payload):
     with pytest.raises(TypeError) as want:
         _stdlib_text(payload)

@@ -16,7 +16,7 @@ from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
 from anneal_rbm.ising import make_problem, replicate
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import (AnnealParams, NoiseModel, _spin_levels,
-                                 _sweep_steps, region_biases, sample_sa)
+                                 _sweep_plan, region_biases, sample_sa)
 from anneal_rbm.topology import build_pegasus
 from conftest import pegasus_ball
 from sa_reference import sample_sa_reference
@@ -60,6 +60,18 @@ def chain(n=64, seed=0):
     r = np.random.default_rng(seed)
     return make_problem(n, {i: float(v) for i, v in enumerate(r.normal(0, 0.3, n))},
                         {(i, i + 1): float(v) for i, v in enumerate(r.normal(0, 1, n - 1))})
+
+
+def mixed(n=30, seed=2):
+    """A problem whose odd spins have a weak field and no coupler, and whose
+    even spins form a branched chain, some with a field.  The weak fields
+    keep the uncoupled spins flipping through most of the anneal."""
+    r = np.random.default_rng(seed)
+    h = {i: float(v) for i, v in zip(range(1, n, 2), r.normal(0, 0.1, n // 2))}
+    h.update({i: float(v) for i, v in zip(range(0, n, 6), r.normal(0, 1, n))})
+    j = {(i, i + 2): float(v) for i, v in zip(range(0, n - 2, 2), r.normal(0, 1, n))}
+    j.update({(i, i + 6): float(v) for i, v in zip(range(0, n - 6, 4), r.normal(0, 1, n))})
+    return make_problem(n, h, j)
 
 
 def relabeled(p, seed=0):
@@ -118,6 +130,32 @@ def test_sweeps_cross_chunks(monkeypatch):
                              noise, placement)
 
 
+def test_replicated_sweeps_cross_chunks(monkeypatch):
+    monkeypatch.setattr(samplers, "_SWEEP_CHUNK_BUDGET", 1)
+    p, noise, placement = noisy_replicated()
+    assert_matches_reference(p, AnnealParams(num_reads=7, sweeps=12, seed=11),
+                             noise, placement)
+
+
+@pytest.mark.parametrize("reads", [7, 13])
+def test_odd_read_counts(reads):
+    # every level-wide elementwise pass then ends in a partial SIMD vector
+    p, noise, placement = noisy_qac()
+    assert_matches_reference(p, AnnealParams(num_reads=reads, sweeps=20, seed=reads),
+                             noise, placement)
+
+
+def test_uncoupled_spins_with_fields_among_coupled_ones():
+    # every sweep must see local = h on the uncoupled spins, whatever an
+    # earlier level or sweep computed in their place; the anneal ends hot, so
+    # their final values still depend on the field they saw in the last sweeps
+    p = mixed()
+    lo, hi = edge_arrays(p)
+    assert _spin_levels(p.n, lo, hi).max() >= 3
+    assert_matches_reference(p, AnnealParams(num_reads=11, sweeps=30, seed=15,
+                                             t_hot=4.0, t_cold=0.5))
+
+
 def test_chain_is_one_spin_per_level():
     p = chain()
     assert np.array_equal(_spin_levels(p.n, *edge_arrays(p)), np.arange(p.n))
@@ -164,25 +202,77 @@ def test_schedule_check_rejects_a_two_colouring():
 
 @pytest.mark.parametrize("problem", [
     chain(), planted_ball(), relabeled(planted_ball(size=24, seed=7), seed=3),
-    noisy_replicated()[0], noisy_qac()[0], make_problem(4, {0: 1.0}, {}),
-], ids=["chain", "pegasus", "pegasus-permuted", "replicated", "qac", "no-couplers"])
+    noisy_replicated()[0], noisy_qac()[0], make_problem(4, {0: 1.0}, {}), mixed(),
+], ids=["chain", "pegasus", "pegasus-permuted", "replicated", "qac", "no-couplers",
+        "mixed"])
 def test_schedule_invariants(problem):
     lo, hi = edge_arrays(problem)
     level = _spin_levels(problem.n, lo, hi)
     assert schedule_is_sequential(problem.n, lo, hi, level)
 
-    steps = _sweep_steps(problem)
-    spins = np.concatenate([s for s, *_ in steps])
-    assert np.array_equal(np.sort(spins), np.arange(problem.n))
-    step_levels = [int(level[s[0]]) for s, *_ in steps]
-    assert step_levels == sorted(step_levels)
+    order, levels = _sweep_plan(problem)
+    assert np.array_equal(np.sort(order), np.arange(problem.n))
+    label = np.argsort(order)
+    # level blocks, in level order, tile the labels 0..n-1
+    assert [start for start, *_ in levels] == [0] + [stop for _, stop, *_ in levels[:-1]]
+    assert levels[-1][1] == problem.n
     coupled = {(a, b) for a, b in problem.j} | {(b, a) for a, b in problem.j}
-    for s, nb, nb_val, h in steps:
-        assert np.all(level[s] == level[s[0]])
-        assert not any((int(a), int(b)) in coupled for a in s for b in s)
-        # each row: the spin's neighbours and couplers, in coupler order
-        for row, spin in enumerate(s):
-            want = [(b if a == spin else a, v) for (a, b), v in problem.j.items()
-                    if spin in (a, b)]
-            assert [(int(x), float(y)) for x, y in zip(nb[row], nb_val[row, :, 0])] == want
-        assert np.array_equal(h, [problem.h.get(int(v), 0.0) for v in s])
+    for lv, (start, stop, h, steps) in enumerate(levels):
+        spins = order[start:stop]
+        assert start < stop and np.all(level[spins] == lv)
+        assert not any((int(a), int(b)) in coupled for a in spins for b in spins)
+        assert np.array_equal(h, [[problem.h.get(int(v), 0.0)] for v in spins])
+        # steps tile their level
+        assert [i for i, *_ in steps] == [start] + [j for _, j, *_ in steps[:-1]]
+        assert steps[-1][1] == stop
+        for i, j, nb, nb_val in steps:
+            assert i < j and nb.shape == nb_val.shape[:2] and len(nb) == j - i
+            # each row: the spin's neighbours, relabelled, and its couplers,
+            # in coupler order
+            for spin, row, row_val in zip(order[i:j], nb, nb_val[:, :, 0]):
+                want = [(int(label[b if a == spin else a]), v)
+                        for (a, b), v in problem.j.items() if spin in (a, b)]
+                assert [(int(x), float(y)) for x, y in zip(row, row_val)] == want
+
+
+@pytest.mark.parametrize("problem", [noisy_qac, noisy_replicated])
+def test_step_fields_are_the_per_spin_products(problem):
+    # a field one bit off rarely flips an accept test, so the reads oracle
+    # seldom sees it: compare the fields themselves, each step's matmul into
+    # the level buffer as `_anneal` makes it against the per-spin product
+    # `sa_reference` makes (padding a step's rows changes a few percent)
+    p, noise, placement = problem()
+    p = noise.perturb(p, placement)
+    nbrs = [[] for _ in range(p.n)]
+    for (a, b), v in p.j.items():
+        nbrs[a].append((b, v))
+        nbrs[b].append((a, v))
+    states = np.random.default_rng(17).choice([-1.0, 1.0], size=(37, p.n))
+    order, levels = _sweep_plan(p)
+    relabelled = states[:, order]
+    fields = np.empty((p.n, 37))
+    for start, stop, _, steps in levels:
+        for i, j, nb, nb_val in steps:
+            np.matmul(relabelled[:, nb].transpose(1, 0, 2), nb_val,
+                      out=fields[i - start:j - start, :, None])
+        for row, spin in enumerate(order[start:stop]):
+            idx = np.array([q for q, _ in nbrs[spin]], dtype=np.intp)
+            want = states[:, idx] @ np.array([v for _, v in nbrs[spin]]) if idx.size else 0.0
+            assert np.array_equal(fields[row], np.broadcast_to(want, (37,)))
+
+
+def test_exp_does_not_depend_on_where_its_operand_sits():
+    # the accept test takes np.exp of a level-wide block; each value must be
+    # the one np.exp gives the operand alone, wherever it sits in the block
+    r = np.random.default_rng(16)
+    values = np.concatenate([r.uniform(-40, 3, 60), r.normal(0, 1e-3, 20),
+                             [0.0, -0.0, 1.0, -1.0, 709.0, 710.0, -745.0, -746.0]])
+    with np.errstate(over="ignore"):
+        alone = np.array([np.exp(np.array([v]))[0] for v in values])
+        for offset in range(9):
+            for length in range(1, 18):
+                for first in range(0, values.size - length + 1, length):
+                    block = np.full(offset + length + 3, 0.5)
+                    block[offset:offset + length] = values[first:first + length]
+                    got = np.exp(block[offset:offset + length])
+                    assert np.array_equal(got, alone[first:first + length])
