@@ -180,12 +180,12 @@ def _cmd_generate(ns) -> int:
         large, small = (float(x) for x in ns.bias.split(","))
     except ValueError as exc:
         raise FormatError(f"--bias expects 'LARGE,SMALL', got {ns.bias!r}") from exc
-    os.makedirs(ns.out, exist_ok=True)
     for i in range(ns.count):
         params = GeneratorParams(bias_large=large, bias_small=small,
                                  p_large=ns.p, beta=ns.beta,
                                  seed=ns.seed + i)
         inst = generate_instance(cover, params)
+        os.makedirs(ns.out, exist_ok=True)
         path = os.path.join(ns.out, f"instance_{i:03d}.json")
         _write_payload(instance_to_dict(inst), path, ns)
     return 0

@@ -101,8 +101,10 @@ class ExperimentReport:
 def gsp(results: list[tuple[float, float]]) -> float:
     """Fraction of instances whose best energy matches the planted energy.
 
-    Matching is exact equality: generated coefficients are integers, so the
-    sums compare exactly in double precision.
+    Matching is exact equality.  Both energies come from `ising.energies`,
+    so with exact coefficients every ground state reads exactly the planted
+    energy.  With inexact ones a ground state other than the planted one can
+    read an ulp below or above it, and is then not counted.
     """
     if not results:
         raise InvalidParameterError("ground-state probability of an empty result list")

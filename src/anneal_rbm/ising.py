@@ -4,6 +4,9 @@ A problem is a sparse quadratic form over spins s_i in {-1,+1}:
 
     E(s) = sum_{i<j} J_ij s_i s_j + sum_i h_i s_i
 
+Coefficients are finite.  Every energy the package computes comes from
+`energies`, so equal configurations of equal problems have equal energies.
+
 Variables are dense ids 0..n-1.  Replicated problems keep dense ids too and
 carry a placement map back to physical qubits, which is what the decoder and
 the noise model need.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -31,7 +35,7 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class IsingProblem:
-    """Sparse Ising problem; zero coefficients are never stored."""
+    """Sparse Ising problem; coefficients are finite and never zero."""
 
     n: int
     h: dict[int, float] = field(default_factory=dict)
@@ -43,8 +47,9 @@ class IsingProblem:
         for i, v in self.h.items():
             if not 0 <= i < self.n:
                 raise InvalidParameterError(f"h index {i} out of range for n={self.n}")
-            if v == 0:
-                raise InvalidParameterError(f"stored zero bias at h[{i}]")
+            if v == 0 or not math.isfinite(v):
+                raise InvalidParameterError(
+                    f"stored bias h[{i}] = {v}, must be finite and nonzero")
         for (a, b), v in self.j.items():
             if a == b:
                 raise InvalidParameterError(f"self-pair ({a},{b}) in J")
@@ -52,8 +57,9 @@ class IsingProblem:
                 raise InvalidParameterError(f"non-canonical pair ({a},{b}) in J")
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise InvalidParameterError(f"J pair ({a},{b}) out of range for n={self.n}")
-            if v == 0:
-                raise InvalidParameterError(f"stored zero coupling at J[{a},{b}]")
+            if v == 0 or not math.isfinite(v):
+                raise InvalidParameterError(
+                    f"stored coupling J[{a},{b}] = {v}, must be finite and nonzero")
 
 
 def make_problem(n: int, h: Mapping[int, float] | None = None,
@@ -86,41 +92,38 @@ def as_spins(values: Iterable[int], n: int | None = None) -> np.ndarray:
 
 
 def energy(p: IsingProblem, s: np.ndarray) -> float:
-    """E(s) for a single configuration, evaluated exactly as written."""
-    s = as_spins(s, p.n)
-    total = 0.0
-    sf = s.astype(np.float64)
-    for i, v in p.h.items():
-        total += v * sf[i]
-    for (a, b), v in p.j.items():
-        total += v * sf[a] * sf[b]
-    return float(total)
+    """E(s) for a single configuration: the one-read call of `energies`."""
+    return float(energies(p, as_spins(s, p.n)[None, :])[0])
 
 
 def energies(p: IsingProblem, states: np.ndarray) -> np.ndarray:
-    """Vectorized energies for a (reads, n) array of +-1 spin configurations.
+    """Energies of a (reads, n) array of +-1 spin configurations.
 
-    Spins are gathered and multiplied as int8, where a product of +-1 values
-    is exact, and cast to float64 once, so the gemv sees the same matrix as a
-    float64 product would give while only one (reads x couplers) float64
-    array is held.
+    A read's energy is its h terms by index, then its J terms by pair (the
+    order `problem_to_dict` writes), added left to right from the first
+    term.  It depends only on the problem's contents and that read, not on
+    the batch, the layout or the order the problem's dicts were filled in.
+    The exact terms form one C-ordered (terms, reads + 1) float64 matrix,
+    which numpy reduces over axis 0 row after row; the always-zero last
+    column keeps a lone read off the pairwise sum numpy gives one column.
     """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] != p.n:
         raise DimensionMismatchError(
             f"states must have shape (reads, {p.n}), got {states.shape}")
-    s8 = states.astype(np.int8, copy=False)
-    out = np.zeros(states.shape[0])
-    if p.j:
-        ii = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=len(p.j))
-        jj = np.fromiter((b for _, b in p.j), dtype=np.intp, count=len(p.j))
-        jv = np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j))
-        out += (s8[:, ii] * s8[:, jj]).astype(np.float64) @ jv
-    if p.h:
-        hi = np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h))
-        hv = np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h))
-        out += s8[:, hi].astype(np.float64) @ hv
-    return out
+    reads = states.shape[0]
+    st = np.ascontiguousarray(states.T, dtype=np.int8)  # +-1 products are exact
+    hi = np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h))
+    hv = np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h))
+    ii = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=len(p.j))
+    jj = np.fromiter((b for _, b in p.j), dtype=np.intp, count=len(p.j))
+    jv = np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j))
+    ho, jo = np.argsort(hi), np.lexsort((jj, ii))
+    terms = np.empty((len(hi) + len(jv), reads + 1))
+    terms[:, reads] = 0.0
+    np.multiply(st[hi[ho]], hv[ho, None], out=terms[:len(hi), :reads])
+    np.multiply(st[ii[jo]] * st[jj[jo]], jv[jo, None], out=terms[len(hi):, :reads])
+    return np.add.reduce(terms, axis=0)[:reads]
 
 
 def gauge_transform(p: IsingProblem, t: np.ndarray) -> IsingProblem:

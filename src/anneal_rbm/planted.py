@@ -232,9 +232,9 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.bias_large > self.bias_small > 0:
-            raise InvalidParameterError(
-                f"need bias_large > bias_small > 0, got ({self.bias_large}, {self.bias_small})")
+        if not math.inf > self.bias_large > self.bias_small > 0:
+            raise InvalidParameterError(f"need finite bias_large > bias_small > 0, "
+                                        f"got ({self.bias_large}, {self.bias_small})")
         if not 0 <= self.p_large <= 1:
             raise InvalidParameterError(f"p_large must be in [0,1], got {self.p_large}")
         if not 0 < self.beta <= 1:
@@ -314,9 +314,13 @@ def generate_instance(cover: LoopCover, params: GeneratorParams,
             coupler[e] = coupler.get(e, 0.0) + v
 
     problem = make_problem(cover.n, {}, coupler)
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        planted_energy = energy(problem, planted)
+    if not math.isfinite(planted_energy):
+        raise InvalidParameterError(f"planted energy {planted_energy} is not finite")
     return PlantedInstance(problem=problem, planted=planted, params=params,
                            clauses=tuple(clauses),
-                           planted_energy=energy(problem, planted), cover=cover)
+                           planted_energy=planted_energy, cover=cover)
 
 
 def clause_minimum(length: int, magnitude: float, flipped: bool) -> float:

@@ -355,55 +355,44 @@ def solve_exact(p: IsingProblem, cap: int = 24,
                 max_minimizers: int = 4096) -> ExactSolution:
     """Exhaustive minimum over all 2^n configurations (n <= cap).
 
-    Returns every minimizer up to ``max_minimizers``; ``num_minimizers`` is
-    always the exact count.
+    Scores chunks of 2^16 codes with `energies`.  Returns every minimizer up
+    to ``max_minimizers``; ``num_minimizers`` is always the exact count.
     """
     if p.n > min(cap, _EXACT_HARD_CAP):
         raise InvalidParameterError(
             f"solve_exact refuses n={p.n}: exhaustive enumeration is capped at "
             f"n<={cap} (2^n configurations); raise `cap` explicitly to override"
             + (f", hard ceiling {_EXACT_HARD_CAP}" if cap > _EXACT_HARD_CAP else ""))
-    if p.n == 0:
-        return ExactSolution(0.0, np.zeros((1, 0), dtype=np.int8), 1)
-
     total = 1 << p.n
-    chunk = min(total, 1 << 20)
+    codes = np.arange(min(total, 1 << 16), dtype=np.uint64)
+    low = _code_spins(codes, p.n).T.copy()  # (n, chunk): the layout energies uses
     best = np.inf
     keep: list[np.ndarray] = []
     count = 0
-    h_items = list(p.h.items())
-    j_items = list(p.j.items())
-    for base in range(0, total, chunk):
-        codes = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        e = np.zeros(codes.shape[0])
-        spin = {}
-
-        def spin_of(i):
-            if i not in spin:
-                spin[i] = 1.0 - 2.0 * ((codes >> np.uint64(i)) & np.uint64(1)).astype(np.float64)
-            return spin[i]
-
-        for i, v in h_items:
-            e += v * spin_of(i)
-        for (a, b), v in j_items:
-            e += v * spin_of(a) * spin_of(b)
-
+    for base in range(0, total, codes.shape[0]):
+        # base and the chunk's offsets share no set bit, so their spins multiply
+        high = _code_spins(np.array([base], dtype=np.uint64), p.n).T
+        e = energies(p, (low * high).T)
         lo = float(e.min())
         if lo < best:
             best = lo
             keep = []
             count = 0
         if lo <= best:
-            hits = codes[e == best]
+            hits = codes[e == best] + np.uint64(base)
             count += hits.shape[0]
             room = max_minimizers - sum(h.shape[0] for h in keep)
             if room > 0:
                 keep.append(hits[:room])
 
     codes = np.concatenate(keep) if keep else np.zeros(0, dtype=np.uint64)
-    bits = ((codes[:, None] >> np.arange(p.n, dtype=np.uint64)[None, :]) & np.uint64(1))
-    minimizers = (1 - 2 * bits.astype(np.int8)).astype(np.int8)
-    return ExactSolution(float(best), minimizers, count)
+    return ExactSolution(float(best), _code_spins(codes, p.n), count)
+
+
+def _code_spins(codes: np.ndarray, n: int) -> np.ndarray:
+    """(len(codes), n) int8 spins; spin i is -1 where bit i of the code is set."""
+    bits = (codes[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
+    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

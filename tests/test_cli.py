@@ -58,6 +58,49 @@ def test_generate_count_below_one_exits_2(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bias", ["inf,2", "1e308,1e307"])
+def test_generate_non_finite_coefficients_exit_4(tmp_path, capsys, bias):
+    # inf is rejected as a bias; 1e308 makes couplers or the planted energy overflow
+    graph, out = tmp_path / "g.json", tmp_path / "inst"
+    assert run("topology", "build", "--family", "pegasus", "--m", "2",
+               "--out", str(graph)) == 0
+    assert run("generate", "--cover-from", str(graph), "--bias", bias,
+               "--count", "1", "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("contract:")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_problem_with_infinite_coupler_exits_4(tmp_path, capsys):
+    problem, out = tmp_path / "p.json", tmp_path / "s.json"
+    problem.write_text('{"n": 3, "h": {}, "J": {"0,1": Infinity, "1,2": -2}}')
+    assert run("sample", "--problem", str(problem), "--reads", "4", "--sweeps", "5",
+               "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("contract:")
+    assert not out.exists()
+
+
+def test_decode_sqa_of_the_planted_read_gives_the_planted_energy(tmp_path):
+    # 9.7 and 2.3 are not dyadic, so the planted energy the instance file
+    # states is met only by the same sum in the same order
+    graph, instances = tmp_path / "g.json", tmp_path / "inst"
+    samples, solution = tmp_path / "s.json", tmp_path / "sol.json"
+    assert run("topology", "build", "--family", "pegasus", "--m", "2",
+               "--out", str(graph)) == 0
+    assert run("generate", "--cover-from", str(graph), "--bias", "9.7,2.3",
+               "--seed", "1", "--count", "1", "--out", str(instances)) == 0
+    instance = instances / "instance_000.json"
+    inst = read_json(str(instance))
+    other = [1] * len(inst["planted"])
+    samples.write_text(json.dumps({"reads": [other, inst["planted"], other]}))
+    assert run("decode", "sqa", "--samples", str(samples), "--problem", str(instance),
+               "--out", str(solution)) == 0
+    decoded = read_json(str(solution))
+    assert decoded["assignment"] == inst["planted"]
+    assert decoded["energy"] == inst["planted_energy"]
+
+
 def test_sample_replicate_and_qac_together_exit_2(tmp_path, capsys):
     # no input is read: the usage error comes first
     out = tmp_path / "s.json"

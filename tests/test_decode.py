@@ -4,10 +4,11 @@ import pytest
 from anneal_rbm.decode import (build_qac_problem, decode_majority, decode_rbm,
                                decode_sqa_repeat)
 from anneal_rbm.embedding import (QacEncoding, QacUnit, ReplicaPartition,
-                                  partition_replicas, tile_qac)
+                                  logical_graph, partition_replicas, tile_qac)
 from anneal_rbm.errors import (ContractError, DimensionMismatchError,
                                InvalidParameterError)
 from anneal_rbm.ising import energies, energy, make_problem, replicate
+from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import SampleSet
 from anneal_rbm.topology import build_chimera, build_pegasus
 from conftest import spins
@@ -278,3 +279,51 @@ def test_rbm_decode_on_real_pipeline():
     ss = sample_sa(rp.problem, AnnealParams(num_reads=20, sweeps=100, seed=2))
     sol = decode_rbm(ss, part, p)
     assert sol.energy == -2.0 * len(edges)
+
+
+# Decoded energies at inexact biases: 9.7 and 2.3 are not dyadic, so a
+# decoder finds the planted energy only if it sums the planted configuration
+# exactly as the generator did, whatever the batch it scores it in.
+
+def _inexact_instance(n, edges, seed=1):
+    cover = build_loop_cover(n, sorted(edges))
+    return generate_instance(cover, GeneratorParams(bias_large=9.7, bias_small=2.3,
+                                                    seed=seed))
+
+
+def _random_reads(seed, reads, n):
+    return (np.random.default_rng(seed).integers(0, 2, size=(reads, n)) * 2 - 1
+            ).astype(np.int8)
+
+
+def test_decode_rbm_returns_the_planted_energy_at_inexact_biases():
+    part = partition_replicas(build_pegasus(4), 2)
+    inst = _inexact_instance(part.n_logical, part.logical_edges)
+    rp = replicate(inst.problem, part)
+    reads = _random_reads(1, 30, rp.problem.n)
+    reads[17, part.n_logical:] = inst.planted
+    sol = decode_rbm(synthetic_samples(reads, rp.problem), part, inst.problem)
+    assert sol.energy == inst.planted_energy
+    assert np.array_equal(sol.assignment, inst.planted)
+
+
+def test_decode_majority_returns_the_planted_energy_at_inexact_biases():
+    enc = tile_qac(build_pegasus(4))
+    inst = _inexact_instance(enc.n_logical, logical_graph(enc).active_edges)
+    qp = build_qac_problem(inst.problem, enc)
+    reads = _random_reads(2, 30, qp.problem.n)
+    reads[11] = np.repeat(inst.planted, 4)  # every qubit of unit u holds s_u
+    _, sol = decode_majority(synthetic_samples(reads, qp.problem), enc, inst.problem)
+    assert sol.energy == inst.planted_energy
+    assert np.array_equal(sol.assignment, inst.planted)
+
+
+def test_decode_sqa_returns_the_planted_energy_at_inexact_biases():
+    part = partition_replicas(build_pegasus(4), 2)
+    inst = _inexact_instance(part.n_logical, part.logical_edges)
+    sets = [_random_reads(seed, 30, inst.problem.n) for seed in (3, 4, 5)]
+    sets[1][23] = inst.planted
+    sol = decode_sqa_repeat([synthetic_samples(r, inst.problem) for r in sets],
+                            inst.problem)
+    assert sol.energy == inst.planted_energy
+    assert np.array_equal(sol.assignment, inst.planted)

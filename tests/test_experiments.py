@@ -206,6 +206,17 @@ def test_gsp_monotone_when_sweeps_collapse(scaling_report):
         assert value <= by_method[method]
 
 
+def test_scaling_gsp_counts_planted_ground_states_at_inexact_biases():
+    # 9.7 and 2.3 are not dyadic, so the decoded best and the planted energy
+    # compare equal only when both come from the same sum in the same order
+    cfg = ExperimentConfig(study="scaling", graph_m=4, k_values=(8,),
+                           scaling_bias=(9.7, 2.3), beta_grid=(1.0,),
+                           instances_per_cell=5, sweeps=300, seed=0)
+    report = run_experiment(cfg)
+    assert {c.method: c.gsp for c in report.cells} == {"rbm": 1.0, "sqa": 1.0}
+    assert all(r["best"] == r["planted"] for c in report.cells for r in c.records)
+
+
 #: sha256 of every render_report payload.  Seed paths and task order are part
 #: of the report, so any drift in either changes these.
 PINNED_PAYLOADS = {

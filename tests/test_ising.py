@@ -14,6 +14,7 @@ from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_insta
 from anneal_rbm.samplers import NoiseModel, solve_exact
 from anneal_rbm.topology import build_pegasus
 from conftest import spins
+from energy_reference import energy_reference, solve_exact_reference
 from problem_helpers import extract_replica, from_triples, replica_of, to_triples
 
 
@@ -64,6 +65,16 @@ def test_stored_zero_rejected():
         IsingProblem(2, {0: 0.0}, {})
 
 
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(InvalidParameterError):
+        make_problem(2, {0: bad})
+    with pytest.raises(InvalidParameterError):
+        make_problem(2, {}, {(0, 1): bad})
+    with pytest.raises(InvalidParameterError):
+        problem_from_dict({"n": 2, "h": {}, "J": {"0,1": bad}})
+
+
 @st.composite
 def random_problem_and_spins(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -99,7 +110,7 @@ def test_energies_matches_scalar():
     states = np.array([[1, 1, 1], [-1, 1, -1], [1, -1, 1]], dtype=np.int8)
     batch = energies(p, states)
     for row, e in zip(states, batch):
-        assert energy(p, row) == e
+        assert energy_reference(p, row) == e
 
 
 def _energies_float64(p, states):
@@ -118,13 +129,20 @@ def _energies_float64(p, states):
     return out
 
 
-def _assert_energies_match_float64(p, read_counts, seed=0):
+def _random_states(gen, reads, n):
+    return gen.choice(np.array([-1, 1], dtype=np.int8), size=(reads, n))
+
+
+def _assert_energies_match_reference(p, read_counts, seed=0):
+    """Each read of each batch, int8 or float64, equals the reference loop on
+    the file-order copy of the problem, bit for bit."""
+    q = problem_from_dict(problem_to_dict(p))
     gen = np.random.default_rng(seed)
     for reads in read_counts:
-        states = gen.choice(np.array([-1, 1], dtype=np.int8), size=(reads, p.n))
-        assert np.array_equal(energies(p, states), _energies_float64(p, states))
-        assert np.array_equal(energies(p, states.astype(np.float64)),
-                              _energies_float64(p, states))
+        states = _random_states(gen, reads, p.n)
+        want = np.array([energy_reference(q, s) for s in states])
+        assert np.array_equal(energies(p, states), want)
+        assert np.array_equal(energies(p, states.astype(np.float64)), want)
 
 
 @pytest.fixture(scope="module")
@@ -134,28 +152,104 @@ def m16_replica(pegasus16):
     return replicate(generate_instance(cover, GeneratorParams(seed=5)).problem, part)
 
 
-def test_energies_equal_float64_products_on_m16_replica_problems(m16_replica):
-    noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=1)
-    for p in (m16_replica.problem, noise.perturb(m16_replica.problem, m16_replica.placement)):
-        _assert_energies_match_float64(p, (1, 37, 100))
-
-
-def test_energies_equal_float64_products_on_noisy_qac_problem():
+@pytest.fixture(scope="module")
+def noisy_qac():
     enc = tile_qac(build_pegasus(8))
     cover = build_loop_cover(enc.n_logical, sorted(logical_graph(enc).active_edges))
     qp = build_qac_problem(generate_instance(cover, GeneratorParams(seed=6)).problem, enc)
-    noisy = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=2).perturb(qp.problem,
-                                                                        qp.placement)
-    _assert_energies_match_float64(noisy, (1, 37, 100, 257))
+    return NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=2).perturb(qp.problem,
+                                                                       qp.placement)
 
 
-def test_energies_equal_float64_products_on_random_coefficients():
+def _random_coefficients():
     gen = np.random.default_rng(7)
     n = 300
     pairs = {tuple(sorted(map(int, gen.choice(n, 2, replace=False)))) for _ in range(2000)}
-    p = make_problem(n, {i: float(gen.normal()) for i in range(0, n, 3)},
-                     {e: float(gen.normal() * 10.0 ** gen.integers(-3, 4)) for e in pairs})
-    _assert_energies_match_float64(p, (1, 2, 37, 100, 257), seed=8)
+    return make_problem(n, {i: float(gen.normal()) for i in range(0, n, 3)},
+                        {e: float(gen.normal() * 10.0 ** gen.integers(-3, 4)) for e in pairs})
+
+
+def test_energies_equal_float64_products_on_m16_replica_problems(m16_replica):
+    clean = m16_replica.problem
+    noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=1)
+    for p in (clean, noise.perturb(clean, m16_replica.placement)):
+        _assert_energies_match_reference(p, (1, 37, 100))
+    # integer coefficients: every partial sum is exact, so the old BLAS order
+    # gives the same bits and payloads pinned before cannot move
+    gen = np.random.default_rng(0)
+    for reads in (1, 37, 100):
+        states = _random_states(gen, reads, clean.n)
+        assert np.array_equal(energies(clean, states), _energies_float64(clean, states))
+
+
+def test_energies_equal_float64_products_on_noisy_qac_problem(noisy_qac):
+    _assert_energies_match_reference(noisy_qac, (1, 37, 100, 257))
+
+
+def test_energies_equal_float64_products_on_random_coefficients():
+    _assert_energies_match_reference(_random_coefficients(), (1, 2, 37, 100, 257), seed=8)
+
+
+@pytest.mark.parametrize("make", [lambda s: s, np.asfortranarray,
+                                  lambda s: s.astype(np.float64)],
+                         ids=["c-order", "f-order", "float64"])
+def test_energies_do_not_depend_on_batch_or_layout(noisy_qac, make):
+    states = _random_states(np.random.default_rng(3), 64, noisy_qac.n)
+    batch = energies(noisy_qac, make(states))
+    reversed_batch = energies(noisy_qac, make(states[::-1].copy()))
+    assert np.array_equal(reversed_batch[::-1], batch)
+    for row, e in zip(states, batch):
+        assert energies(noisy_qac, make(row[None, :].copy()))[0] == e
+        assert energy(noisy_qac, row) == e
+
+
+def test_energies_do_not_depend_on_dict_order():
+    # a planted instance's couplers are stored in loop order, and a file
+    # round trip sorts them
+    part = partition_replicas(build_pegasus(4), 2)
+    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    p = generate_instance(cover, GeneratorParams(bias_large=9.7, bias_small=2.3,
+                                                 seed=1)).problem
+    q = problem_from_dict(problem_to_dict(p))
+    assert q == p and list(q.j) != list(p.j)
+    for problem in (p, _random_coefficients()):
+        shuffled = make_problem(problem.n, dict(reversed(problem.h.items())),
+                                dict(reversed(problem.j.items())))
+        states = _random_states(np.random.default_rng(4), 50, problem.n)
+        want = energies(problem_from_dict(problem_to_dict(problem)), states)
+        assert np.array_equal(energies(problem, states), want)
+        assert np.array_equal(energies(shuffled, states), want)
+
+
+def _tied_problem(n, biases, seed):
+    """A sparse problem on spins 0..n-4 with signed coefficients drawn from
+    ``biases``; the last three spins are free, so every minimum has 8 or more
+    minimizers, and at n = 17 they lie in both chunks of 2^16 codes."""
+    gen = np.random.default_rng(seed)
+    m = n - 3
+    pairs = sorted({tuple(sorted(map(int, gen.choice(m, 2, replace=False))))
+                    for _ in range(2 * m)})
+    h = {int(i): float(gen.choice(biases) * gen.choice((-1, 1)))
+         for i in gen.choice(m, m // 3, replace=False)}
+    j = {e: float(gen.choice(biases) * gen.choice((-1, 1))) for e in pairs}
+    return make_problem(n, dict(reversed(h.items())), j)
+
+
+@pytest.mark.parametrize("biases", [(10.0, 2.0), (9.7, 2.3), (0.3, 0.1)])
+@pytest.mark.parametrize("n", [0, 1, 14, 17, 20])
+def test_solve_exact_matches_reference_on_file_order_problems(n, biases):
+    if n < 4:
+        p = make_problem(n, {0: biases[1]} if n else {})
+    else:
+        p = problem_from_dict(problem_to_dict(_tied_problem(n, biases, seed=n)))
+    for cap in (4096, 3):
+        got = solve_exact(p, max_minimizers=cap)
+        want = solve_exact_reference(p, max_minimizers=cap)
+        assert got.min_energy == want.min_energy
+        assert got.num_minimizers == want.num_minimizers
+        assert np.array_equal(got.minimizers, want.minimizers)
+        assert got.minimizers.dtype == want.minimizers.dtype
+    assert want.num_minimizers >= (8 if n >= 4 else 1)
 
 
 @pytest.fixture(scope="module")

@@ -90,6 +90,20 @@ def test_generator_params_validation():
         GeneratorParams(p_large=1.5)
     with pytest.raises(InvalidParameterError):
         GeneratorParams(beta=0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError):
+            GeneratorParams(bias_large=bad)
+        with pytest.raises(InvalidParameterError):
+            GeneratorParams(bias_large=bad, bias_small=bad)
+
+
+def test_generate_rejects_a_planted_energy_that_overflows():
+    # every coupler is finite, but their sum overflows to -inf
+    n, edges = pegasus_ball(2, 18)
+    cover = build_loop_cover(n, edges)
+    with pytest.raises(InvalidParameterError, match="planted energy"):
+        generate_instance(cover, GeneratorParams(bias_large=1e308, bias_small=1e307,
+                                                 p_large=0.0))
 
 
 def test_single_four_loop_instance():
