@@ -4,8 +4,10 @@ A problem is a sparse quadratic form over spins s_i in {-1,+1}:
 
     E(s) = sum_{i<j} J_ij s_i s_j + sum_i h_i s_i
 
-Coefficients are finite.  Every energy the package computes comes from
-`energies`, so equal configurations of equal problems have equal energies.
+Coefficients are finite, and so is the sum of their magnitudes, which bounds
+every energy and every partial sum of one.  Every energy the package computes
+comes from `energies`, so equal configurations of equal problems have equal
+energies.
 
 Variables are dense ids 0..n-1.  Replicated problems keep dense ids too and
 carry a placement map back to physical qubits, which is what the decoder and
@@ -32,10 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Pair = tuple[int, int]
 
+_ENERGY_BUDGET = 1 << 20  # float64 entries `energies` holds at once
+
 
 @dataclass(frozen=True)
 class IsingProblem:
-    """Sparse Ising problem; coefficients are finite and never zero."""
+    """Sparse Ising problem; coefficients are finite and never zero, and the
+    sum of their magnitudes is finite."""
 
     n: int
     h: dict[int, float] = field(default_factory=dict)
@@ -60,6 +65,11 @@ class IsingProblem:
             if v == 0 or not math.isfinite(v):
                 raise InvalidParameterError(
                     f"stored coupling J[{a},{b}] = {v}, must be finite and nonzero")
+        # bounds every site weight and every partial sum of an energy
+        scale = sum(map(abs, self.h.values())) + sum(map(abs, self.j.values()))
+        if not math.isfinite(scale):
+            raise InvalidParameterError(
+                f"sum of |h| and |J| is {scale}; it must be finite")
 
 
 def make_problem(n: int, h: Mapping[int, float] | None = None,
@@ -103,27 +113,50 @@ def energies(p: IsingProblem, states: np.ndarray) -> np.ndarray:
     order `problem_to_dict` writes), added left to right from the first
     term.  It depends only on the problem's contents and that read, not on
     the batch, the layout or the order the problem's dicts were filled in.
-    The exact terms form one C-ordered (terms, reads + 1) float64 matrix,
-    which numpy reduces over axis 0 row after row; the always-zero last
-    column keeps a lone read off the pairwise sum numpy gives one column.
+    Terms are scored a block at a time in a C-ordered float64 matrix of at
+    most `_ENERGY_BUDGET` entries: its first row holds the sums so far, the
+    others a block of exact terms, one column per read, and numpy reduces it
+    over axis 0 row after row.  So each read's sum runs left to right across
+    blocks as in one (terms, reads) matrix; it starts at 0.0, and 0.0 plus
+    the first term is that term.  An always-zero last column keeps a lone
+    read off the pairwise sum numpy gives one column.
     """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] != p.n:
         raise DimensionMismatchError(
             f"states must have shape (reads, {p.n}), got {states.shape}")
     reads = states.shape[0]
-    st = np.ascontiguousarray(states.T, dtype=np.int8)  # +-1 products are exact
+    # spin rows, and a row of +1 at index n: h term i is h_i s_i s_n
+    st = np.ones((p.n + 1, reads), dtype=np.int8)
+    st[:p.n] = states.T  # +-1 products are exact
     hi = np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h))
     hv = np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h))
     ii = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=len(p.j))
     jj = np.fromiter((b for _, b in p.j), dtype=np.intp, count=len(p.j))
     jv = np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j))
     ho, jo = np.argsort(hi), np.lexsort((jj, ii))
-    terms = np.empty((len(hi) + len(jv), reads + 1))
-    terms[:, reads] = 0.0
-    np.multiply(st[hi[ho]], hv[ho, None], out=terms[:len(hi), :reads])
-    np.multiply(st[ii[jo]] * st[jj[jo]], jv[jo, None], out=terms[len(hi):, :reads])
-    return np.add.reduce(terms, axis=0)[:reads]
+    first = np.concatenate([hi[ho], ii[jo]])
+    second = np.concatenate([np.full(len(hi), p.n), jj[jo]])
+    value = np.concatenate([hv[ho], jv[jo]])[:, None]
+
+    # blocks of `width` reads (and the zero column) by `rows` terms (and the sums row)
+    width = max(1, min(reads, _ENERGY_BUDGET // 2))
+    rows = max(1, min(len(value), _ENERGY_BUDGET // (width + 1) - 1))
+    matrix = np.empty((rows + 1, width + 1))
+    out = np.empty(reads)
+    for start in range(0, reads, width):
+        s = st[:, start:start + width]
+        w = s.shape[1]
+        total = np.zeros(w + 1)
+        for t in range(0, len(value), rows):
+            block = matrix[:min(rows, len(value) - t) + 1, :w + 1]
+            block[0] = total
+            block[1:, w] = 0.0
+            np.multiply(s[first[t:t + rows]] * s[second[t:t + rows]],
+                        value[t:t + rows], out=block[1:, :w])
+            np.add.reduce(block, axis=0, out=total)
+        out[start:start + w] = total[:w]
+    return out
 
 
 def gauge_transform(p: IsingProblem, t: np.ndarray) -> IsingProblem:

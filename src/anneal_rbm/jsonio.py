@@ -8,9 +8,10 @@ or raises FormatError.
 The bytes are exactly those of ``json.dump(payload, f, sort_keys=True,
 indent=1)`` plus a newline, but an indent makes the stdlib run its
 pure-Python encoder over every value.  The writer walks in Python only the
-containers that hold containers and encodes every leaf container in one call
-of a compact C-speed encoder whose item separator already carries the newline
-and the indent of the leaf's items; see ``_chunks``.
+containers that hold containers and encodes every leaf container, every list
+of number rows and every list of scalar dicts in one call of a compact C-speed
+encoder whose item separator already carries the newline and the indent of
+the leaf's items; see ``_chunks``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ def _number_rows(items) -> bool:
             and _NUMBERS.issuperset(map(type, chain.from_iterable(items))))
 
 
+def _scalar_dicts(items) -> bool:
+    """A list of non-empty dicts of scalars: no encoded scalar holds a raw
+    newline, so dicts can be split by text."""
+    return (set(map(type, items)) == {dict} and all(items)
+            and _only_scalars(chain.from_iterable(d.values() for d in items)))
+
+
 def _chunks(obj, depth: int):
     """The text of ``obj`` indented as at nesting ``depth``, in pieces.
 
@@ -97,13 +105,15 @@ def _chunks(obj, depth: int):
             yield from _chunks(value, depth + 1)
             sep = "," + inner
         yield outer + "}"
-    elif _number_rows(obj):
-        # rows of numbers in one call, their items at depth + 2; the row
-        # boundaries "],<newline><indent>[" then move to depth + 1
+    elif _number_rows(obj) or _scalar_dicts(obj):
+        # rows of numbers or dicts of scalars in one call, their items at
+        # depth + 2; the boundaries "],<newline><indent>[" or
+        # "},<newline><indent>{" then move to depth + 1
+        start, end = "{}" if isinstance(obj[0], dict) else "[]"
         deep = inner + " "
         body = _encoder(depth + 1)(obj)[2:-2].replace(
-            "]," + deep + "[", inner + "]," + inner + "[" + deep)
-        yield "[" + inner + "[" + deep + body + inner + "]" + outer + "]"
+            end + "," + deep + start, inner + end + "," + inner + start + deep)
+        yield "[" + inner + start + deep + body + inner + end + outer + "]"
     else:
         sep = "[" + inner
         for item in obj:

@@ -313,11 +313,13 @@ def generate_instance(cover: LoopCover, params: GeneratorParams,
         for e, v in _clause_contributions(cover, clause, planted).items():
             coupler[e] = coupler.get(e, 0.0) + v
 
+    # the planted state breaks only the flipped couplings, so its energy is
+    # about -sum |J|, which a problem must keep finite
+    scale = sum(map(abs, coupler.values()))
+    if not math.isfinite(scale):
+        raise InvalidParameterError(f"planted energy is not finite: sum of |J| is {scale}")
     problem = make_problem(cover.n, {}, coupler)
-    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-        planted_energy = energy(problem, planted)
-    if not math.isfinite(planted_energy):
-        raise InvalidParameterError(f"planted energy {planted_energy} is not finite")
+    planted_energy = energy(problem, planted)
     return PlantedInstance(problem=problem, planted=planted, params=params,
                            clauses=tuple(clauses),
                            planted_energy=planted_energy, cover=cover)

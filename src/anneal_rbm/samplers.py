@@ -32,7 +32,7 @@ from .jsonio import loader, read_json
 
 log = logging.getLogger(__name__)
 
-_SWEEP_CHUNK_BUDGET = 4_000_000  # uniforms held in memory at once
+_SWEEP_CHUNK_BUDGET = 1_000_000  # uniforms held in memory at once
 
 
 @dataclass(frozen=True)
@@ -397,17 +397,41 @@ def _code_spins(codes: np.ndarray, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # File bridge: sample import with local re-evaluation, so external samplers
-# never have to be trusted about energies.
+# never have to be trusted about energies.  A read is written as one string
+# whose character i is spin i, "+" for +1 and "-" for -1; a list of +-1
+# rows, the older form, still imports.
+
+_UP, _DOWN = ord("+"), ord("-")
+
 
 def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
     params = {k: v for k, v in ss.params.items() if k != "timing_s"}
+    count, n = ss.reads.shape
+    text = np.where(ss.reads > 0, _UP, _DOWN).astype(np.uint8).tobytes().decode("ascii")
     return {
         "problem_hash": problem_hash(p),
-        "reads": ss.reads.astype(np.int8, copy=False).tolist(),
+        "reads": [text[r * n:(r + 1) * n] for r in range(count)],
         "energies": [float(e) for e in ss.energies],
         "sampler": ss.sampler,
         "params": params,
     }
+
+
+def _unpack_reads(raw: list, n: int) -> np.ndarray:
+    """(len(raw), n) int8 spins of reads written as "+"/"-" strings."""
+    for r, text in enumerate(raw):
+        if len(text) != n:
+            raise DimensionMismatchError(f"read {r} has {len(text)} spins, expected {n}")
+    # one byte per character, "?" for a non-ASCII one, so offsets stay spin indices
+    codes = np.frombuffer("".join(raw).encode("ascii", "replace"),
+                          dtype=np.uint8).reshape(len(raw), n)
+    up = codes == _UP
+    bad = np.flatnonzero(~up & (codes != _DOWN))
+    if bad.size:
+        r, i = divmod(int(bad[0]), n)
+        raise InvalidParameterError(
+            f"read {r} spin {i} is {raw[r][i]!r}, must be '+' or '-'")
+    return np.where(up, 1, -1).astype(np.int8)
 
 
 @loader("sample")
@@ -420,7 +444,13 @@ def sampleset_from_dict(data: dict, p: IsingProblem) -> SampleSet:
                           f"(hash {file_hash[:12]}... != {problem_hash(p)[:12]}...)")
     if not isinstance(raw, list) or not raw:
         raise FormatError("sample file contains no reads")
-    reads = np.array([as_spins(row, p.n) for row in raw], dtype=np.int8)
+    packed = [isinstance(row, str) for row in raw]
+    if all(packed):
+        reads = _unpack_reads(raw, p.n)
+    elif any(packed):
+        raise FormatError("sample file mixes string reads and list reads")
+    else:
+        reads = np.array([as_spins(row, p.n) for row in raw], dtype=np.int8)
     local = energies(p, reads)
     if file_energies is not None:
         stated = np.asarray(file_energies, dtype=np.float64)

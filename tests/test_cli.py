@@ -81,6 +81,17 @@ def test_sample_problem_with_infinite_coupler_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_problem_whose_coefficients_overflow_when_summed_exits_4(tmp_path, capsys):
+    # each coupler is finite, but a site weight and the energies are not
+    problem, out = tmp_path / "p.json", tmp_path / "s.json"
+    problem.write_text('{"n": 3, "J": {"0,1": -1e308, "1,2": -1e308}}')
+    assert run("sample", "--problem", str(problem), "--reads", "3", "--sweeps", "3",
+               "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("contract:")
+    assert not out.exists()
+
+
 def test_decode_sqa_of_the_planted_read_gives_the_planted_energy(tmp_path):
     # 9.7 and 2.3 are not dyadic, so the planted energy the instance file
     # states is met only by the same sum in the same order
@@ -176,12 +187,12 @@ def test_pipeline_stage_reruns_are_byte_identical(pipeline, tmp_path):
 
 
 #: sha256 of the instance and of a noisy sample file the m=2 pipeline
-#: writes.  Seeded payloads are part of the reproducibility contract: a change
-#: to how streams are seeded, noise is drawn or reads are serialized must
-#: leave these bytes alone.
+#: writes, whose reads are "+"/"-" strings.  Seeded payloads are part of the
+#: reproducibility contract: a change to how streams are seeded, noise is
+#: drawn or reads are serialized must leave these bytes alone.
 PINNED_SHA256 = {
     "instance": "b8bc3582424087b6b6a9595e3b7fea5497f44e642edb0d32751891594665f613",
-    "samples": "4eca56a96c1dc2f2c8bbd413ff9d8e3c16a267dac78bee4e537e5120db1c293c",
+    "samples": "dcf5ce68abe109b1f84b3579134820101ed9e7ef4a49ca5ced7bc005819870ce",
 }
 
 
@@ -354,13 +365,23 @@ _PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
      {"sigma_j": float("nan"), "chip_seed": 1}),
     (["sample", "--problem", "{problem}", "--noise", "{bad}"],
      {"region_bias": [{"qubits": [0], "delta": float("-inf")}]}),
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
+     {"reads": ["+-", [1, -1]]}),
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
+     {"reads": ["+-", "+"]}),
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
+     {"reads": ["+-", "+1"]}),
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
+     {"reads": ["+\u2212"]}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
         "graph-defects-list", "graph-not-utf8", "pegasus-no-m", "chimera-no-shape",
         "problem-h-list", "cover-int",
         "qac-int", "iso-maps-lists", "samples-hash-int", "iso-map-missing-key",
-        "noise-sigma-h-inf", "noise-sigma-j-nan", "noise-delta-inf"])
+        "noise-sigma-h-inf", "noise-sigma-j-nan", "noise-delta-inf",
+        "samples-mixed-reads", "samples-short-read", "samples-bad-spin",
+        "samples-non-ascii-spin"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anneal_rbm import ising
 from anneal_rbm.decode import build_qac_problem
 from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
 from anneal_rbm.errors import (DimensionMismatchError,
@@ -73,6 +74,15 @@ def test_non_finite_coefficients_rejected(bad):
         make_problem(2, {}, {(0, 1): bad})
     with pytest.raises(InvalidParameterError):
         problem_from_dict({"n": 2, "h": {}, "J": {"0,1": bad}})
+
+
+def test_coefficients_whose_magnitudes_overflow_when_summed_rejected():
+    # each coefficient is finite; their sum, a site weight or an energy is not
+    with pytest.raises(InvalidParameterError):
+        make_problem(3, {}, {(0, 1): -1e308, (1, 2): -1e308})
+    with pytest.raises(InvalidParameterError):
+        problem_from_dict({"n": 2, "h": {"0": 1e308}, "J": {"0,1": 1e308}})
+    assert make_problem(3, {}, {(0, 1): -1e308, (1, 2): 1e307}).n == 3
 
 
 @st.composite
@@ -201,6 +211,20 @@ def test_energies_do_not_depend_on_batch_or_layout(noisy_qac, make):
     for row, e in zip(states, batch):
         assert energies(noisy_qac, make(row[None, :].copy()))[0] == e
         assert energy(noisy_qac, row) == e
+
+
+@pytest.mark.parametrize("budget", [64, 4096, 50_000])
+def test_energies_do_not_depend_on_blocking(monkeypatch, budget):
+    # 64 entries hold 32 reads by one term (a lone read by 31 terms); 4096
+    # and 50,000 split only the 2,049 terms, at 14 and 192 per block for 257 reads
+    p = _random_coefficients()
+    gen = np.random.default_rng(5)
+    batches = [_random_states(gen, reads, p.n) for reads in (1, 37, 257)]
+    monkeypatch.setattr(ising, "_ENERGY_BUDGET", 1 << 40)  # one block
+    want = [energies(p, states) for states in batches]
+    monkeypatch.setattr(ising, "_ENERGY_BUDGET", budget)
+    for states, e in zip(batches, want):
+        assert np.array_equal(energies(p, states), e)
 
 
 def test_energies_do_not_depend_on_dict_order():

@@ -199,6 +199,16 @@ WRITER_CASES = [
     {"é": "ü\x01\"", "b": [[1.5, -2], [3, 4e300]]}, [[[[[1]]]]], [1, [2, [3, [4, []]]]],
     {"x": {"y": {"z": [[1, 2], [3, 4]], "w": [{"v": [[5]]}]}}}, [{}, [], {"a": 1}, [1]],
     5, -0.0, "x", None, True, np.float64(0.1),
+    # lists of scalar dicts, which are encoded in one call and split by text
+    [{"a": 1}], [{"a": 1}, {"b": None}], ({"a": 1}, {"a": 2}),
+    [{"loop": 3, "magnitude": 9.7, "flip": None}, {"loop": 4, "magnitude": -0.0, "flip": 1}],
+    [{"t": True, "f": False}, {"n": None, "z": -0.0, "x": math.nan, "i": -math.inf}],
+    [{"s": "},\n {"}, {"s": "},\n  {", "t": "}, {"}, {"u": "}"}, {"v": "{"}],
+    [{"},\n {": 1}, {"},\n  {": "},\n {"}], [{1: "a", 2.5: None}, {True: 1, False: 2}, {None: 3}],
+    [{"é": "ü\x01\"", "b": 1.5}, {"a": np.float64(2.5)}], {"c": [{"a": 1}, {"b": 2}]},
+    [{}, {"a": 1}], [{"a": 1}, {}], [{"a": 1}, [1]], [{"a": [1]}, {"b": 2}],
+    [{"a": {}}, {"b": 2}], [[{"a": 1}], {"b": 2}], [{"a": 1}, {"b": 2}, 3],
+    {"x": {"y": [{"a": 1, "b": [2]}, {"c": 3}], "z": [{"d": 4}, {"e": 5}]}},
 ]
 
 
@@ -222,7 +232,8 @@ def test_writer_matches_stdlib_indent(payload, tmp_path_factory):
 
 @pytest.mark.parametrize("payload", [{(1, 2): [1, [2]]}, {(1, 2): 1}, [object()],
                                      {"a": [object(), [1]]}, {1: [1, [2]], "a": [1]},
-                                     {None: [[1]], 1: 2}],
+                                     {None: [[1]], 1: 2}, [{(1, 2): 1}, {"a": 1}],
+                                     [{1: 1, "a": 1}, {"b": 2}]],
                          ids=lambda p: re.sub(r" at 0x[0-9a-f]+", "", repr(p)))
 def test_writer_raises_what_stdlib_raises(payload):
     with pytest.raises(TypeError) as want:

@@ -9,13 +9,13 @@ from anneal_rbm.errors import (DimensionMismatchError, FormatError,
                                InvalidParameterError)
 from anneal_rbm.ising import (energies, make_problem, problem_from_dict,
                               problem_to_dict, replicate)
-from anneal_rbm.jsonio import read_json, write_json
+from anneal_rbm.jsonio import dumps, read_json, write_json
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
                                  import_samples,
                                  noise_from_dict, noise_to_dict,
-                                 region_biases, sample_sa, sampleset_to_dict,
-                                 solve_exact)
+                                 region_biases, sample_sa, sampleset_from_dict,
+                                 sampleset_to_dict, solve_exact)
 from anneal_rbm.topology import build_pegasus
 from conftest import pegasus_ball
 from noise_reference import perturb_reference
@@ -202,6 +202,50 @@ def test_export_import_round_trip(tmp_path):
     again = import_samples(str(path), p)
     assert np.array_equal(again.reads, ss.reads)
     assert np.array_equal(again.energies, ss.energies)
+
+
+@pytest.mark.parametrize("n", [1, 5376])
+def test_packed_reads_round_trip(n):
+    gen = np.random.default_rng(n)
+    p = make_problem(n, {0: 0.7}, {(i, i + 1): float(gen.normal()) for i in range(n - 1)})
+    reads = gen.choice(np.array([-1, 1], dtype=np.int8), size=(13, n))
+    ss = SampleSet(reads=reads, energies=energies(p, reads), sampler="x")
+    data = json.loads(dumps(sampleset_to_dict(ss, p)))
+    assert [len(row) for row in data["reads"]] == [n] * 13
+    assert data["reads"][0] == "".join("+" if s > 0 else "-" for s in reads[0])
+    again = sampleset_from_dict(data, p)
+    assert again.reads.dtype == np.int8
+    assert np.array_equal(again.reads, reads)
+    assert np.array_equal(again.energies, ss.energies)
+
+
+def test_list_form_reads_import_like_packed_ones():
+    # files written before reads were packed, and hand-written ones, hold rows
+    p = make_problem(4, {1: 0.3}, {(0, 1): -1.1, (1, 3): 0.7, (2, 3): 2.9})
+    ss = sample_sa(p, AnnealParams(num_reads=6, sweeps=10, seed=4))
+    packed = json.loads(dumps(sampleset_to_dict(ss, p)))
+    rows = {**packed, "reads": ss.reads.tolist()}
+    a, b = sampleset_from_dict(packed, p), sampleset_from_dict(rows, p)
+    assert np.array_equal(a.reads, b.reads) and np.array_equal(a.reads, ss.reads)
+    assert np.array_equal(a.energies, b.energies)
+    assert np.array_equal(a.energies, ss.energies)
+
+
+@pytest.mark.parametrize("reads, error, message", [
+    (["+-+", [1, -1, 1]], FormatError, "mixes"),
+    ([[1, -1, 1], "+-+"], FormatError, "mixes"),
+    (["+-+", "+-"], DimensionMismatchError, "read 1 has 2 spins"),
+    (["+-+", "+-+-"], DimensionMismatchError, "read 1 has 4 spins"),
+    (["+-+", "+0+"], InvalidParameterError, "read 1 spin 1 is '0'"),
+    (["+-+", "+ +"], InvalidParameterError, "read 1 spin 1 is ' '"),
+    (["+\u2212+"], InvalidParameterError, "read 0 spin 1 is '\u2212'"),  # not a hyphen
+    (["+-é"], InvalidParameterError, "read 0 spin 2 is 'é'"),
+], ids=["string-then-row", "row-then-string", "short", "long", "digit", "space",
+        "minus-sign", "accent"])
+def test_import_rejects_malformed_packed_reads(reads, error, message):
+    p = make_problem(3, {}, {(0, 1): 1.0})
+    with pytest.raises(error, match=message):
+        sampleset_from_dict({"reads": reads}, p)
 
 
 def test_import_rejects_non_spin_entries(tmp_path):
