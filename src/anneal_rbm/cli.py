@@ -23,7 +23,7 @@ from .embedding import (combine_qac_rbm, combined_to_dict, encoding_from_dict,
                         encoding_to_dict, partition_from_dict,
                         partition_to_dict, partition_replicas, tile_qac,
                         verify_partition)
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, InvalidParameterError
 from .experiments import (config_from_dict, emit_report, report_from_dict,
                           run_experiment)
 from .ising import problem_from_dict, replicate
@@ -241,9 +241,13 @@ def _cmd_decode(ns) -> int:
 
 
 def _cmd_experiment(ns) -> int:
-    cfg = config_from_dict(read_json(ns.config))
-    cfg = replace(cfg, study="qac_comparison" if ns.study == "qac" else "scaling",
-                  seed=cfg.seed if ns.seed is None else ns.seed)
+    data = read_json(ns.config)
+    cfg = config_from_dict(data)
+    study = "qac_comparison" if ns.study == "qac" else "scaling"
+    if data.get("study", study) != study:
+        raise InvalidParameterError(
+            f"{ns.config} configures a {data['study']!r} study, not {study!r}")
+    cfg = replace(cfg, study=study, seed=cfg.seed if ns.seed is None else ns.seed)
     for path in emit_report(run_experiment(cfg), ns.out, meta=_meta(ns)):
         print(f"wrote {path}")
     return 0

@@ -428,7 +428,7 @@ def _listed(value):
     return value
 
 
-@loader("experiment config")
+@loader("experiment config", keys=tuple(config_to_dict(ExperimentConfig())))
 def config_from_dict(data: dict) -> ExperimentConfig:
     noise = data.get("noise")
     return ExperimentConfig(

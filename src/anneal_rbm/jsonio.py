@@ -136,12 +136,14 @@ def read_json(path: str) -> dict:
     return data
 
 
-def loader(kind: str):
+def loader(kind: str, keys=None):
     """Decorate a ``*_from_dict`` with the loader contract.
 
     The payload (first argument) must be a dict, and a lookup, type, value or
     attribute error raised while reading it becomes FormatError naming
-    ``kind``.  Contract errors the body raises pass through unchanged.
+    ``kind``.  Contract errors the body raises pass through unchanged.  With
+    ``keys``, a top-level key outside them is a FormatError too, so a file
+    of another kind or a misspelt field is refused rather than ignored.
     """
     def decorate(fn):
         @functools.wraps(fn)
@@ -149,6 +151,10 @@ def loader(kind: str):
             if not isinstance(data, dict):
                 raise FormatError(
                     f"{kind} payload must be a JSON object, got {type(data).__name__}")
+            unknown = sorted(set(data) - set(keys)) if keys is not None else ()
+            if unknown:
+                raise FormatError(f"unknown {kind} keys {unknown}; "
+                                  f"known keys are {sorted(keys)}")
             try:
                 return fn(data, *args, **kwargs)
             except (LookupError, TypeError, ValueError, AttributeError) as exc:

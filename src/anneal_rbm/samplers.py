@@ -4,16 +4,23 @@ and a file bridge for out-of-process samplers.
 The annealer runs independent single-spin-flip Metropolis chains, one per
 read, over a geometric temperature ladder.  A sweep updates spins 0..n-1 in
 index order, scheduled by levels: spin j's level is one more than the
-highest level among its neighbours i < j (0 if it has none).  A level makes
-one gemv per degree for its local fields, then one accept test and flip of
-all its spins for every read.  Spins of a level share no coupler, and when a
-level runs, every lower neighbour of its spins has been updated and no
-higher neighbour has, so each spin sees the same state, and draws the same
-uniform, as in the one-spin-at-a-time sweep: it is still that sequential
-sweep, with identical reads.  Each read consumes its own PCG64 substream
-keyed by (seed, read index), so a sample set is reproducible read by read
-whatever the batch size or chunking.  Noise perturbs the problem the chains
-see; reported energies are always evaluated on the clean problem.
+highest level among its neighbours i < j (0 if it has none).  The states are
+stored spin by spin, one row of all reads per spin, in update order, so a
+level is a contiguous block of rows.  A level makes one gemv per degree for
+its local fields, then one accept test and flip of all its rows, in place.
+Spins of a level share no coupler, and when a level runs, every lower
+neighbour of its spins has been updated and no higher neighbour has, so
+each spin sees the same state, and draws the same uniform, as in the
+one-spin-at-a-time sweep: it is still that sequential sweep, with identical
+reads.  Each read consumes its own PCG64 substream keyed by (seed, read
+index), so its initial state and its uniforms do not depend on the batch
+size or the chunking.  Its local fields do, in the last bit: a field is a
+row of a gemv over all reads, and with OpenBLAS a row's last bit can depend
+on the row count once a spin has 4 or more neighbours.  So a read is
+reproduced exactly by a call with the same num_reads; a call with another
+count gives the same read unless a one-bit field difference flips one of
+its accept tests.  Noise perturbs the problem the chains see; reported
+energies are always evaluated on the clean problem.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .jsonio import loader, read_json
 log = logging.getLogger(__name__)
 
 _SWEEP_CHUNK_BUDGET = 1_000_000  # uniforms held in memory at once
+_GATHER_BUDGET = 65_536  # neighbour states one gemv step gathers at once
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,7 @@ def noise_to_dict(nm: NoiseModel) -> dict:
     }
 
 
-@loader("noise")
+@loader("noise", keys=tuple(noise_to_dict(NoiseModel())))
 def noise_from_dict(data: dict) -> NoiseModel:
     return NoiseModel(
         sigma_h=float(data.get("sigma_h", 0.0)),
@@ -271,25 +279,80 @@ def _sweep_plan(p: IsingProblem) -> tuple[np.ndarray, list]:
     return order, levels
 
 
+def _field_steps(levels: list, fields: np.ndarray) -> list:
+    """Each level's gemv steps, as (neighbour labels, gather buffer, its
+    transpose, coupler values, out), out the rows of the (width, reads, 1)
+    buffer `fields` the step's spins fill.
+
+    A step of `_sweep_plan` is cut so that it gathers at most
+    _GATHER_BUDGET states (or one row); every row keeps its own gemv call,
+    so the cut changes no bit.  The gather buffers are views of one array.
+    """
+    reads = fields.shape[1]
+    widest = max(nb.shape[1] for *_, steps in levels for _, _, nb, _ in steps)
+    gathered = np.empty(max(_GATHER_BUDGET, widest * reads))
+    plan = []
+    for start, _, _, steps in levels:
+        plan.append([])
+        for i, j, nb, nb_val in steps:
+            size = max(1, _GATHER_BUDGET // max(1, nb.shape[1] * reads))
+            out = fields[i - start:j - start]
+            for a in range(0, j - i, size):
+                rows = nb[a:a + size]
+                g = gathered[:rows.size * reads].reshape(*rows.shape, reads)
+                plan[-1].append((rows, g, g.transpose(0, 2, 1), nb_val[a:a + size],
+                                 out[a:a + size]))
+    return plan
+
+
+def _level_fields(states: np.ndarray, steps: list) -> None:
+    """Write the coupler part of a level's local fields, one gemv per step.
+
+    `states` is spin-major, (n, reads) with row k the spin labelled k, so a
+    step's gather `states.take(nb, axis=0)` is C-ordered (rows, degree,
+    reads), and its transpose hands `np.matmul` a column-major (reads,
+    degree) matrix per spin with lda = reads: the strides of the
+    one-spin-at-a-time sweep's `states[:, idx]`, so each spin gets the same
+    dgemv call and the same bits.  (mode="clip" lets `take` write straight
+    into the gather buffer; the labels are all in range.)
+    """
+    for nb, g, g_t, nb_val, out in steps:
+        states.take(nb, axis=0, out=g, mode="clip")
+        np.matmul(g_t, nb_val, out=out)
+
+
 def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndarray:
     """Final (reads, n) int8 states of the Metropolis chains on `p`.
 
-    A sweep runs each level's gemvs, then one accept test for all its spins.
-    Spins of a level share no coupler, and a spin's neighbours i < j sit in
-    lower levels, so every spin sees the new values of its lower neighbours
-    and the old values of its higher ones, as in a sweep over spins 0..n-1.
-    It draws the same uniform, uniforms[r, t, j], and tests it against the
-    same number: 2 * s * local is -d_e exactly for s = +-1, and `np.exp`
-    gets a contiguous float64 operand.  So the reads are that sweep's.
+    The states are spin-major, (n, reads) with row k spin order[k], so each
+    level is a contiguous block of rows.  A sweep runs a level's gemvs
+    (`_level_fields`), then one accept test and flip of all its spins, in
+    place on its rows.  Spins of a level share no coupler, and a spin's
+    neighbours i < j sit in lower levels, so every spin sees the new values
+    of its lower neighbours and the old values of its higher ones, as in a
+    sweep over spins 0..n-1.  It draws the same uniform, uniforms[r, t, j],
+    and tests it against the same number: 2 * s * local is -d_e exactly for
+    s = +-1, and `np.exp` gets a contiguous float64 operand.  So the reads
+    are that sweep's.
     """
     order, levels = _sweep_plan(p)
-    reads = params.num_reads
+    n, reads = p.n, params.num_reads
     gens = list(rng.streams(params.seed, rng.STREAM_READ, np.arange(reads)))
-    states = np.stack([g.integers(0, 2, p.n) * 2.0 - 1 for g in gens])[:, order]
-    fields = np.empty((max(stop - start for start, stop, *_ in levels), reads))
+    states = np.empty((n, reads))
+    for r, g in enumerate(gens):
+        states[:, r] = g.integers(0, 2, n)[order]
+    states *= 2.0
+    states -= 1
+    fields = np.empty((max(stop - start for start, stop, *_ in levels), reads, 1))
 
-    chunk = max(1, _SWEEP_CHUNK_BUDGET // (reads * p.n))
-    uniforms = np.empty((reads, min(chunk, params.sweeps), p.n))
+    chunk = max(1, _SWEEP_CHUNK_BUDGET // (reads * n))
+    uniforms = np.empty((reads, min(chunk, params.sweeps), n))
+    # a sweep's uniforms with column k for spin order[k]; read-major, so that
+    # `take` fills it in place (mode="clip" skips its copy of the output:
+    # order is a permutation, so nothing is clipped)
+    labelled = np.empty((reads, n))
+    plan = [(states[start:stop], fields[:stop - start, :, 0], labelled[:, start:stop].T,
+             h, steps) for (start, stop, h, _), steps in zip(levels, _field_steps(levels, fields))]
     sweep = 0
     # exp(-d_e / temp) >= 1 > u wherever d_e <= 0 (inf where it overflows),
     # so `u < exp` alone is the usual "d_e <= 0 or u < exp(-d_e / temp)" test
@@ -300,17 +363,19 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
                 g.random(out=uniforms[r, :width])
             for t in range(width):
                 temp = temps[sweep + t]
-                u = uniforms[:, t]
-                for start, stop, h, steps in levels:
+                uniforms[:, t].take(order, axis=1, out=labelled, mode="clip")
+                for s, x, u, h, steps in plan:
                     # a degree-0 step's matmul writes zeros, so local = h there
-                    for i, j, nb, nb_val in steps:
-                        np.matmul(states[:, nb].transpose(1, 0, 2), nb_val,
-                                  out=fields[i - start:j - start, :, None])
-                    s = states[:, start:stop]
-                    x = np.exp(s * (fields[:stop - start] + h).T * 2 / temp)
-                    np.negative(s, out=s, where=u[:, order[start:stop]] < x)
+                    _level_fields(states, steps)
+                    # s * (x + h) * 2 / temp, one operation at a time, in place
+                    x += h
+                    x *= s
+                    x *= 2
+                    x /= temp
+                    np.exp(x, out=x)
+                    np.negative(s, out=s, where=u < x)
             sweep += width
-    return states.astype(np.int8)[:, np.argsort(order)]
+    return states.astype(np.int8)[np.argsort(order)].T
 
 
 def sample_sa(p: IsingProblem, params: AnnealParams,
@@ -322,7 +387,10 @@ def sample_sa(p: IsingProblem, params: AnnealParams,
     given; returned energies are evaluated on the clean problem.  Each
     sweep updates spins 0..n-1 in order, scheduled by levels (see
     `_anneal`), and each read consumes only its own (seed, read) stream:
-    results are identical to a one-spin-at-a-time sweep of each read alone.
+    results are identical to a one-spin-at-a-time sweep of the same
+    num_reads reads.  A read's local fields can differ in the last bit at
+    another num_reads (see the module docstring), so its chain is
+    guaranteed only at the same count.
     """
     if p.n < 1:
         raise InvalidParameterError("cannot sample an empty problem")

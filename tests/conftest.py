@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from anneal_rbm.embedding import partition_replicas
+from anneal_rbm.ising import replicate
+from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
+from anneal_rbm.samplers import NoiseModel, region_biases
 from anneal_rbm.topology import build_custom, build_pegasus
 
 
@@ -29,6 +33,18 @@ def pegasus_ball(m: int, size: int, start: int | None = None):
     edges = [(relabel[a], relabel[b]) for a, b in sorted(g.active_edges)
              if a in seen and b in seen]
     return len(nodes), edges
+
+
+def noisy_replicated():
+    """A planted instance on the two replicas of Pegasus m=4, with chip noise
+    and a different bias offset on each replica: (problem, noise, placement)."""
+    part = partition_replicas(build_pegasus(4), 2)
+    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    inst = generate_instance(cover, GeneratorParams(seed=3))
+    rp = replicate(inst.problem, part)
+    noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=11,
+                       region_bias=region_biases(part.regions, [0.3, -0.2]))
+    return rp.problem, noise, rp.placement
 
 
 @pytest.fixture(scope="session")

@@ -389,3 +389,26 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     argv = [arg.format(bad=bad, problem=problem) for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["experiment", "scaling", "--config", "{bad}"], _GRAPH),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "sweep": 5}),
+    (["experiment", "scaling", "--config", "{bad}"],
+     {**_TINY, "noise": {"sigma_h": 0.05, "sigmaj": 0.02}}),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "study": "qac_comparison"}),
+    (["experiment", "qac", "--config", "{bad}"], {**_TINY, "study": "scaling"}),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"],
+     {"sigma_h": 0.05, "seed": 3}),
+], ids=["config-is-a-graph", "config-unknown-key", "config-noise-unknown-key",
+        "config-qac-run-as-scaling", "config-scaling-run-as-qac", "noise-unknown-key"])
+def test_config_contract_exits_4_and_writes_nothing(tmp_path, capsys, argv, payload):
+    # an unknown key used to be ignored (a graph file ran a full default
+    # study) and a disagreeing study was silently replaced by the subcommand's
+    bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
+    bad.write_text(json.dumps(payload))
+    problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
+    argv = [arg.format(bad=bad, problem=problem) for arg in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 4
+    assert capsys.readouterr().err.startswith("contract:")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json", "p.json"]

@@ -240,6 +240,8 @@ def test_report_payloads_are_pinned(qac_report, noisy_scaling_report):
         hashes = {sink: hashlib.sha256(body.encode()).hexdigest()
                   for sink, body in render_report(report).items()}
         assert hashes == PINNED_PAYLOADS[name], name
+
+
 def test_shipped_configs_parse():
     import os
     here = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -247,3 +249,12 @@ def test_shipped_configs_parse():
         with open(os.path.join(here, name)) as f:
             cfg = config_from_dict(json.load(f))
         assert cfg.instances_per_cell == 10
+
+
+def test_readme_config_example_parses():
+    import os
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    example = readme.split("A minimal experiment config:", 1)[1]
+    example = example.split("```json", 1)[1].split("```", 1)[0]
+    assert config_from_dict(json.loads(example)).study == "scaling"

@@ -12,13 +12,13 @@ import pytest
 
 import anneal_rbm.samplers as samplers
 from anneal_rbm.decode import build_qac_problem
-from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
-from anneal_rbm.ising import make_problem, replicate
+from anneal_rbm.embedding import logical_graph, tile_qac
+from anneal_rbm.ising import make_problem
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import (AnnealParams, NoiseModel, _spin_levels,
-                                 _sweep_plan, region_biases, sample_sa)
+                                 _sweep_plan, sample_sa)
 from anneal_rbm.topology import build_pegasus
-from conftest import pegasus_ball
+from conftest import noisy_replicated, pegasus_ball
 from sa_reference import sample_sa_reference
 
 
@@ -35,16 +35,6 @@ def assert_matches_reference(p, params, noise=None, placement=None):
 def planted_ball(size=18, seed=5):
     n, edges = pegasus_ball(2, size)
     return generate_instance(build_loop_cover(n, edges), GeneratorParams(seed=seed)).problem
-
-
-def noisy_replicated():
-    part = partition_replicas(build_pegasus(4), 2)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
-    inst = generate_instance(cover, GeneratorParams(seed=3))
-    rp = replicate(inst.problem, part)
-    noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=11,
-                       region_bias=region_biases(part.regions, [0.3, -0.2]))
-    return rp.problem, noise, rp.placement
 
 
 def noisy_qac():
@@ -236,10 +226,10 @@ def test_schedule_invariants(problem):
 
 
 @pytest.mark.parametrize("problem", [noisy_qac, noisy_replicated])
-def test_step_fields_are_the_per_spin_products(problem):
+def test_step_fields_are_the_per_spin_products(problem, monkeypatch):
     # a field one bit off rarely flips an accept test, so the reads oracle
-    # seldom sees it: compare the fields themselves, each step's matmul into
-    # the level buffer as `_anneal` makes it against the per-spin product
+    # seldom sees it: compare the fields themselves, as `_level_fields` makes
+    # them for `_anneal` into its level buffer, against the per-spin product
     # `sa_reference` makes (padding a step's rows changes a few percent)
     p, noise, placement = problem()
     p = noise.perturb(p, placement)
@@ -247,18 +237,44 @@ def test_step_fields_are_the_per_spin_products(problem):
     for (a, b), v in p.j.items():
         nbrs[a].append((b, v))
         nbrs[b].append((a, v))
-    states = np.random.default_rng(17).choice([-1.0, 1.0], size=(37, p.n))
+    reads = 37
+    states = np.random.default_rng(17).choice([-1.0, 1.0], size=(reads, p.n))
     order, levels = _sweep_plan(p)
-    relabelled = states[:, order]
-    fields = np.empty((p.n, 37))
-    for start, stop, _, steps in levels:
-        for i, j, nb, nb_val in steps:
-            np.matmul(relabelled[:, nb].transpose(1, 0, 2), nb_val,
-                      out=fields[i - start:j - start, :, None])
-        for row, spin in enumerate(order[start:stop]):
-            idx = np.array([q for q, _ in nbrs[spin]], dtype=np.intp)
-            want = states[:, idx] @ np.array([v for _, v in nbrs[spin]]) if idx.size else 0.0
-            assert np.array_equal(fields[row], np.broadcast_to(want, (37,)))
+    spin_major = np.ascontiguousarray(states[:, order].T)
+    fields = np.empty((max(stop - start for start, stop, *_ in levels), reads, 1))
+
+    # the gather must hand np.matmul the strides of the reference's
+    # `states[:, idx]`, so that it makes the same BLAS call: a numpy that
+    # laid out fancy-index results otherwise must fail here, not drift
+    matmul = np.matmul
+    operands = []
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: operands.append(a) or matmul(a, b, **kw))
+    # a budget of 100 gathered states cuts every step into one- or two-row gemvs
+    for budget in (samplers._GATHER_BUDGET, 100):
+        monkeypatch.setattr(samplers, "_GATHER_BUDGET", budget)
+        for (start, stop, _, _), steps in zip(levels, samplers._field_steps(levels, fields)):
+            operands.clear()
+            fields.fill(np.nan)
+            samplers._level_fields(spin_major, steps)
+            assert operands
+            for a in operands:
+                assert a.shape[1] == reads
+                if a.shape[2]:
+                    assert a.strides[1:] == states[:, np.arange(a.shape[2])].strides
+            for row, spin in enumerate(order[start:stop]):
+                idx = np.array([q for q, _ in nbrs[spin]], dtype=np.intp)
+                want = states[:, idx] @ np.array([v for _, v in nbrs[spin]]) \
+                    if idx.size else 0.0
+                assert np.array_equal(fields[row, :, 0], np.broadcast_to(want, (reads,)))
+
+
+def test_gemv_steps_cut_to_single_rows(monkeypatch):
+    # with a budget of one gathered state every gemv step is cut to one row;
+    # each spin still gets its own gemv call, so the reads do not move
+    monkeypatch.setattr(samplers, "_GATHER_BUDGET", 1)
+    p, noise, placement = noisy_qac()
+    assert_matches_reference(p, AnnealParams(num_reads=9, sweeps=15, seed=18),
+                             noise, placement)
 
 
 def test_exp_does_not_depend_on_where_its_operand_sits():

@@ -17,7 +17,7 @@ from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
                                  region_biases, sample_sa, sampleset_from_dict,
                                  sampleset_to_dict, solve_exact)
 from anneal_rbm.topology import build_pegasus
-from conftest import pegasus_ball
+from conftest import noisy_replicated, pegasus_ball
 from noise_reference import perturb_reference
 
 
@@ -58,12 +58,23 @@ def test_sampleset_bit_identical_reruns():
 
 
 def test_per_read_streams_are_independent_of_batch_size():
-    # the read-r chain is a function of (seed, r) only: running reads
-    # one at a time must reproduce each row of the batched call
+    # the read-r random numbers are a function of (seed, r) only: running
+    # reads one at a time must reproduce each row of the batched call
     p = make_problem(3, {0: 0.5}, {(0, 1): -1.0, (1, 2): 1.0})
     batch = sample_sa(p, AnnealParams(num_reads=4, sweeps=30, seed=9))
     single = sample_sa(p, AnnealParams(num_reads=1, sweeps=30, seed=9))
     assert np.array_equal(single.reads[0], batch.reads[0])
+    # on a noisy problem of degree up to 15 a local field is a gemv row whose
+    # last bit can depend on the read count, the gemv's row count (measured
+    # with OpenBLAS against 100 rows: 2 or 3 rows differ from degree 4 on, 1,
+    # 7 or 37 rows from degree 6 on); a one-bit field seldom flips an accept
+    # test, and at these counts none does
+    p, noise, placement = noisy_replicated()
+    batch = sample_sa(p, AnnealParams(num_reads=100, sweeps=30, seed=9), noise, placement)
+    for reads in (1, 7, 37):
+        fewer = sample_sa(p, AnnealParams(num_reads=reads, sweeps=30, seed=9),
+                          noise, placement)
+        assert np.array_equal(fewer.reads, batch.reads[:reads])
 
 
 def test_results_independent_of_sweep_chunking(monkeypatch):
