@@ -19,10 +19,9 @@ from dataclasses import replace
 from . import __version__
 from .decode import (build_qac_problem, decode_majority, decode_rbm,
                      decode_sqa_repeat, solution_to_dict)
-from .embedding import (combine_qac_rbm, combined_to_dict, encoding_from_dict,
-                        encoding_to_dict, partition_from_dict,
-                        partition_to_dict, partition_replicas, tile_qac,
-                        verify_partition)
+from .embedding import (combine_qac_rbm, combined_to_dict, encoding_to_dict,
+                        partition_to_dict, partition_replicas,
+                        structure_from_dict, tile_qac, verify_partition)
 from .errors import ContractError, FormatError, InvalidParameterError
 from .experiments import (config_from_dict, emit_report, report_from_dict,
                           run_experiment)
@@ -90,35 +89,23 @@ def _load_graph(path: str):
     return graph_from_dict(read_json(path))
 
 
-def _load_structure_graph(path: str):
-    """A plain graph file, or the logical graph of a (combined) partition."""
-    data = read_json(path)
-    if "rbm_partition" in data:
-        return partition_from_dict(data["rbm_partition"]).logical_graph()
-    if "iso_maps" in data:
-        return partition_from_dict(data).logical_graph()
-    return graph_from_dict(data)
+def _load_structure(path: str, role: str):
+    return structure_from_dict(read_json(path), role)
 
 
-def _load_partition(path: str | None, purpose: str):
-    if path is None:
-        raise ContractError(f"{purpose} needs a partition file (--structure)")
-    data = read_json(path)
-    if "rbm_partition" in data:
-        return partition_from_dict(data["rbm_partition"])
-    return partition_from_dict(data)
-
-
-def _load_encoding(path: str | None, purpose: str):
-    """An encoding file, or region 0's encoding of a combined file."""
-    if path is None:
-        raise ContractError(f"{purpose} needs an encoding file (--structure)")
-    data = read_json(path)
-    if "encodings" in data:
-        if not isinstance(data["encodings"], list) or not data["encodings"]:
-            raise FormatError("combined file needs a nonempty 'encodings' list")
-        data = data["encodings"][0]
-    return encoding_from_dict(data)
+def _physical(problem, method: str | None, structure: str | None, alpha: float):
+    """(physical problem, placement, structure) for annealing ``problem`` by
+    ``method``: its k copies on a partition ("rbm"), its penalty encoding
+    ("qac"), or the problem itself (None)."""
+    if method == "rbm":
+        part = _load_structure(structure, "partition")
+        rp = replicate(problem, part)
+        return rp.problem, rp.placement, part
+    if method == "qac":
+        enc = _load_structure(structure, "encoding")
+        qp = build_qac_problem(problem, enc, alpha)
+        return qp.problem, qp.placement, enc
+    return problem, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +158,7 @@ def _cmd_embed(ns) -> int:
 
 
 def _cmd_generate(ns) -> int:
-    graph = _load_structure_graph(ns.cover_from)
+    graph = _load_structure(ns.cover_from, "graph")
     active = sorted(graph.active_nodes)
     relabel = {q: i for i, q in enumerate(active)}
     edges = [(relabel[a], relabel[b]) for a, b in sorted(graph.active_edges)]
@@ -193,15 +180,8 @@ def _cmd_generate(ns) -> int:
 
 def _cmd_sample(ns) -> int:
     problem = problem_from_dict(read_json(ns.problem))
-    placement = None
-    if ns.replicate:
-        part = _load_partition(ns.replicate, "sampling k copies")
-        rp = replicate(problem, part)
-        problem, placement = rp.problem, rp.placement
-    elif ns.qac:
-        enc = _load_encoding(ns.qac, "sampling the penalty encoding")
-        qp = build_qac_problem(problem, enc, ns.alpha)
-        problem, placement = qp.problem, qp.placement
+    method = "rbm" if ns.replicate else "qac" if ns.qac else None
+    problem, placement, _ = _physical(problem, method, ns.replicate or ns.qac, ns.alpha)
     noise = noise_from_dict(read_json(ns.noise)) if ns.noise else None
     params = AnnealParams(num_reads=ns.reads, sweeps=ns.sweeps, seed=ns.seed)
     ss = sample_sa(problem, params, noise, placement)
@@ -222,20 +202,19 @@ def _cmd_solve_exact(ns) -> int:
 
 def _cmd_decode(ns) -> int:
     problem = problem_from_dict(read_json(ns.problem))
-    if ns.method == "rbm":
-        part = _load_partition(ns.structure, "replication decoding")
-        physical = replicate(problem, part).problem
-        samples = import_samples(ns.samples[0], physical)
-        sol = decode_rbm(samples, part, problem)
-    elif ns.method == "qac":
-        enc = _load_encoding(ns.structure, "majority decoding")
-        physical = build_qac_problem(problem, enc, ns.alpha).problem
-        samples = import_samples(ns.samples[0], physical)
-        _, sol = decode_majority(samples, enc, problem,
-                                 include_penalty=ns.include_penalty)
-    else:
+    if ns.method == "sqa":
         sets = [import_samples(path, problem) for path in ns.samples]
         sol = decode_sqa_repeat(sets, problem)
+    else:
+        if ns.structure is None:
+            raise ContractError(f"decode {ns.method} needs a structure file (--structure)")
+        physical, _, structure = _physical(problem, ns.method, ns.structure, ns.alpha)
+        samples = import_samples(ns.samples[0], physical)
+        if ns.method == "rbm":
+            sol = decode_rbm(samples, structure, problem)
+        else:
+            _, sol = decode_majority(samples, structure, problem,
+                                     include_penalty=ns.include_penalty)
     _write_payload(solution_to_dict(sol), ns.out, ns)
     return 0
 
@@ -286,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("graph")
     ts.set_defaults(func=_cmd_topology_stats)
 
-    emb = sub.add_parser("embed", help="build partitions and K_(1,3) encodings")
+    emb = sub.add_parser("embed", help="build partitions, K_(1,3) tilings and combined structures")
     emb.add_argument("structure", choices=("partition", "qac", "combined"))
     emb.add_argument("--graph", required=True)
     emb.add_argument("--k", type=int, default=4)
@@ -296,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate planted frustrated-loop instances")
     gen.add_argument("--cover-from", dest="cover_from", required=True,
-                     help="graph or partition file supplying the instance structure")
+                     help="graph, partition or combined file supplying the "
+                          "instance structure")
     gen.add_argument("--beta", type=float, default=1.0)
     gen.add_argument("--bias", default="10,2", help="LARGE,SMALL magnitudes")
     gen.add_argument("--p", type=float, default=0.08,
@@ -309,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     smp = sub.add_parser("sample", help="run the simulated annealer")
     smp.add_argument("--problem", required=True)
     physical = smp.add_mutually_exclusive_group()
-    physical.add_argument("--replicate", help="partition file: sample the k-copy problem")
-    physical.add_argument("--qac", help="encoding file: sample the penalty-encoded problem")
+    physical.add_argument("--replicate",
+                          help="partition or combined file: sample the k-copy problem")
+    physical.add_argument("--qac", help="encoding or combined file: sample the "
+                                        "penalty-encoded problem")
     smp.add_argument("--alpha", type=float, default=-1.0)
     smp.add_argument("--reads", type=int, default=100)
     smp.add_argument("--sweeps", type=int, default=1000)
@@ -329,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("method", choices=("rbm", "qac", "sqa"))
     dec.add_argument("--samples", action="append", required=True,
                      help="sample file; repeat for the sqa method")
-    dec.add_argument("--structure", help="partition (rbm) or encoding (qac) file")
+    dec.add_argument("--structure", help="partition (rbm), encoding (qac) or "
+                                         "combined file")
     dec.add_argument("--problem", required=True, help="logical problem or instance file")
     dec.add_argument("--alpha", type=float, default=-1.0,
                      help="penalty weight the qac samples were taken with")

@@ -20,8 +20,8 @@ from functools import partial
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
 from .jsonio import loader
 from .topology import (Edge, HardwareGraph, build_custom, canonical_edge,
-                       chimera_index, iter_block_nodes, pegasus_coords,
-                       pegasus_index)
+                       chimera_index, graph_from_dict, iter_block_nodes,
+                       pegasus_coords, pegasus_index)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
@@ -362,9 +362,6 @@ class CombinedEmbedding:
     rbm_partition: ReplicaPartition
     base_partition: ReplicaPartition
 
-    def instance_graph(self) -> HardwareGraph:
-        return self.rbm_partition.logical_graph()
-
 
 def combine_qac_rbm(g: HardwareGraph, k: int = 4,
                     penalty_weight: float = -1.0) -> CombinedEmbedding:
@@ -478,8 +475,52 @@ def combined_to_dict(c: CombinedEmbedding) -> dict:
 
 @loader("combined-embedding")
 def combined_from_dict(data: dict) -> CombinedEmbedding:
-    return CombinedEmbedding(
+    """A combined payload; FormatError also when its ``k``, its number of
+    encodings and its two partitions' ``k`` disagree."""
+    c = CombinedEmbedding(
         k=int(data["k"]),
         encodings=tuple(encoding_from_dict(e) for e in data["encodings"]),
         rbm_partition=partition_from_dict(data["rbm_partition"]),
         base_partition=partition_from_dict(data["base_partition"]))
+    if not c.k == len(c.encodings) == c.rbm_partition.k == c.base_partition.k:
+        raise FormatError(
+            f"inconsistent combined-embedding payload: k={c.k} but "
+            f"{len(c.encodings)} encodings, rbm_partition k={c.rbm_partition.k}, "
+            f"base_partition k={c.base_partition.k}")
+    return c
+
+
+# Structure files.  A flag that names a structure file accepts the file of
+# its own kind or a combined one, and a graph flag a partition too; the keys
+# below tell the kinds apart.  Only a combined payload holds these keys:
+_COMBINED_KEYS = frozenset(("encodings", "rbm_partition", "base_partition"))
+_ROLES = ("graph", "partition", "encoding")
+
+
+@loader("structure")
+def structure_from_dict(data: dict, role: str):
+    """The hardware graph, replica partition or QAC encoding that a structure
+    payload supplies, as ``role`` ("graph", "partition" or "encoding") asks.
+
+    A payload holding any key of a combined file is one, and is loaded and
+    checked whole by combined_from_dict: its partition is ``rbm_partition``,
+    its encoding ``encodings[0]`` and its graph that partition's logical
+    graph.  Otherwise a payload holding ``iso_maps`` is a partition, which
+    supplies itself or its logical graph, and any other payload is read as
+    the role's own kind.  A file that cannot supply the role, such as an
+    encoding read as a graph, raises FormatError.
+    """
+    if role not in _ROLES:
+        raise InvalidParameterError(f"role must be one of {_ROLES}, got {role!r}")
+    if _COMBINED_KEYS & data.keys():
+        combined = combined_from_dict(data)
+        if role == "encoding":
+            return combined.encodings[0]
+        part = combined.rbm_partition
+    elif role == "encoding":
+        return encoding_from_dict(data)
+    elif role == "graph" and "iso_maps" not in data:
+        return graph_from_dict(data)
+    else:
+        part = partition_from_dict(data)
+    return part.logical_graph() if role == "graph" else part

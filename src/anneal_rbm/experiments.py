@@ -30,7 +30,7 @@ from .decode import build_qac_problem, decode_majority, decode_rbm, decode_sqa_r
 from .embedding import combine_qac_rbm, partition_replicas
 from .errors import InvalidParameterError
 from .ising import replicate
-from .jsonio import dumps, loader
+from .jsonio import dumps, integer, loader
 from .planted import GeneratorParams, build_loop_cover, generate_instance
 from .samplers import (AnnealParams, NoiseModel, noise_from_dict,
                        noise_to_dict, sample_sa)
@@ -433,9 +433,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     noise = data.get("noise")
     return ExperimentConfig(
         study=data.get("study", "qac_comparison"),
-        graph_m=int(data.get("graph_m", 4)),
-        k=int(data.get("k", 4)),
-        k_values=tuple(int(k) for k in _listed(data.get("k_values", (2, 4, 8)))),
+        graph_m=integer(data.get("graph_m", 4)),
+        k=integer(data.get("k", 4)),
+        k_values=tuple(integer(k) for k in _listed(data.get("k_values", (2, 4, 8)))),
         bias_sets=tuple(tuple(float(x) for x in _listed(b)) for b in
                         _listed(data.get("bias_sets", ((9, 2), (10, 2), (11, 2))))),
         scaling_bias=tuple(float(x) for x in _listed(data.get("scaling_bias", (10, 2)))),
@@ -443,9 +443,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         beta=float(data.get("beta", 1.0)),
         beta_grid=tuple(float(b) for b in _listed(data.get("beta_grid",
                                                            (0.7, 0.8, 0.9, 1.0)))),
-        instances_per_cell=int(data.get("instances_per_cell", 10)),
-        num_reads=int(data.get("num_reads", 100)),
-        sweeps=int(data.get("sweeps", 1000)),
+        instances_per_cell=integer(data.get("instances_per_cell", 10)),
+        num_reads=integer(data.get("num_reads", 100)),
+        sweeps=integer(data.get("sweeps", 1000)),
         alpha=float(data.get("alpha", -1.0)),
         noise=None if noise is None else noise_from_dict(noise),
-        seed=int(data.get("seed", 0)))
+        seed=integer(data.get("seed", 0)))

@@ -136,14 +136,22 @@ def read_json(path: str) -> dict:
     return data
 
 
+def integer(value) -> int:
+    """``value`` if it is a JSON integer, else TypeError: ``int()`` would
+    truncate a float, take a bool as 0 or 1 and parse a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def loader(kind: str, keys=None):
     """Decorate a ``*_from_dict`` with the loader contract.
 
-    The payload (first argument) must be a dict, and a lookup, type, value or
-    attribute error raised while reading it becomes FormatError naming
-    ``kind``.  Contract errors the body raises pass through unchanged.  With
-    ``keys``, a top-level key outside them is a FormatError too, so a file
-    of another kind or a misspelt field is refused rather than ignored.
+    The payload (first argument) must be a dict, and a lookup, type, value,
+    attribute or overflow error raised while reading it becomes FormatError
+    naming ``kind``.  Contract errors the body raises pass through unchanged.
+    With ``keys``, a top-level key outside them is a FormatError too, so a
+    file of another kind or a misspelt field is refused rather than ignored.
     """
     def decorate(fn):
         @functools.wraps(fn)
@@ -157,7 +165,8 @@ def loader(kind: str, keys=None):
                                   f"known keys are {sorted(keys)}")
             try:
                 return fn(data, *args, **kwargs)
-            except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            except (LookupError, TypeError, ValueError, AttributeError,
+                    OverflowError) as exc:
                 raise FormatError(f"malformed {kind} payload: {exc!r}") from exc
         return load
     return decorate

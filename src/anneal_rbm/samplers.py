@@ -26,7 +26,6 @@ energies are always evaluated on the clean problem.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +34,13 @@ from . import rng
 from .errors import (DimensionMismatchError, FormatError,
                      InvalidParameterError)
 from .ising import IsingProblem, as_spins, energies, problem_hash
-from .jsonio import loader, read_json
+from .jsonio import integer, loader, read_json
 
 log = logging.getLogger(__name__)
 
-_SWEEP_CHUNK_BUDGET = 1_000_000  # uniforms held in memory at once
+# uniforms held in memory at once: 2 MiB, the largest buffer of an anneal,
+# so whether the allocator can reuse freed memory for it moves peak RSS little
+_SWEEP_CHUNK_BUDGET = 262_144
 _GATHER_BUDGET = 65_536  # neighbour states one gemv step gathers at once
 
 
@@ -164,7 +165,7 @@ def noise_from_dict(data: dict) -> NoiseModel:
     return NoiseModel(
         sigma_h=float(data.get("sigma_h", 0.0)),
         sigma_j=float(data.get("sigma_j", 0.0)),
-        chip_seed=int(data.get("chip_seed", 0)),
+        chip_seed=integer(data.get("chip_seed", 0)),
         region_bias=tuple((frozenset(int(q) for q in rb["qubits"]),
                            float(rb["delta"]))
                           for rb in data.get("region_bias", ())))
@@ -394,7 +395,6 @@ def sample_sa(p: IsingProblem, params: AnnealParams,
     """
     if p.n < 1:
         raise InvalidParameterError("cannot sample an empty problem")
-    t_start = time.perf_counter()
     annealed = noise.perturb(p, placement) if noise is not None else p
     temps = _temperature_ladder(annealed, params)
     final = _anneal(annealed, temps, params)
@@ -403,7 +403,6 @@ def sample_sa(p: IsingProblem, params: AnnealParams,
         "num_reads": params.num_reads, "sweeps": params.sweeps,
         "seed": params.seed, "t_hot": float(temps[0]), "t_cold": float(temps[-1]),
         "noise_applied": noise is not None,
-        "timing_s": time.perf_counter() - t_start,
     }
     return SampleSet(reads=final, energies=clean_energies,
                      sampler="sa-metropolis", params=meta)
@@ -473,7 +472,6 @@ _UP, _DOWN = ord("+"), ord("-")
 
 
 def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
-    params = {k: v for k, v in ss.params.items() if k != "timing_s"}
     count, n = ss.reads.shape
     text = np.where(ss.reads > 0, _UP, _DOWN).astype(np.uint8).tobytes().decode("ascii")
     return {
@@ -481,7 +479,7 @@ def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
         "reads": [text[r * n:(r + 1) * n] for r in range(count)],
         "energies": [float(e) for e in ss.energies],
         "sampler": ss.sampler,
-        "params": params,
+        "params": ss.params,
     }
 
 

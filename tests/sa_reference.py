@@ -2,15 +2,14 @@
 
 `sample_sa_reference` is the one-spin-at-a-time loop `samplers.sample_sa`
 used before its sweeps were scheduled by levels, kept word for word (only
-the name and the indentation of its signature changed).  Each sweep visits
+the name and the indentation of its signature changed, and the wall-clock
+``timing_s`` entry of its metadata went when the package's did).  Each sweep visits
 spins 0..n-1, one numpy step per spin, so it is the sequential definition
 the level schedule must reproduce read for read.  The package never imports
 this module.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -35,7 +34,6 @@ def sample_sa_reference(p: IsingProblem, params: AnnealParams,
     """
     if p.n < 1:
         raise InvalidParameterError("cannot sample an empty problem")
-    t_start = time.perf_counter()
     annealed = noise.perturb(p, placement) if noise is not None else p
     temps = _temperature_ladder(annealed, params)
 
@@ -79,7 +77,6 @@ def sample_sa_reference(p: IsingProblem, params: AnnealParams,
         "num_reads": params.num_reads, "sweeps": params.sweeps,
         "seed": params.seed, "t_hot": float(temps[0]), "t_cold": float(temps[-1]),
         "noise_applied": noise is not None,
-        "timing_s": time.perf_counter() - t_start,
     }
     return SampleSet(reads=final, energies=clean_energies,
                      sampler="sa-metropolis", params=meta)

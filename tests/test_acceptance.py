@@ -70,7 +70,7 @@ def test_c03_structural_reference_m16():
     region_nodes = min(report.region_node_counts)
     region_edges = min(report.region_edge_counts)
     comb = combine_qac_rbm(g, 4)
-    inst = comb.instance_graph()
+    inst = comb.rbm_partition.logical_graph()
     stats = graph_stats(inst)
     ok = (report.ok and region_nodes >= 1219 and region_edges >= 8259
           and stats.num_nodes >= 95 and stats.num_edges >= 125)

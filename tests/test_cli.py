@@ -4,8 +4,9 @@ import json
 import pytest
 
 from anneal_rbm.cli import main
-from anneal_rbm.jsonio import read_json
-from anneal_rbm.topology import graph_from_dict
+from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict
+from anneal_rbm.jsonio import dumps, read_json
+from anneal_rbm.topology import build_pegasus, graph_from_dict
 
 
 def run(*argv):
@@ -332,6 +333,14 @@ _BUILD = ["topology", "build", "--family", "pegasus", "--m", "2"]
 _GRAPH = {"family": "pegasus", "params": {"m": 2}, "nodes": [0, 1], "edges": [[0, 1]]}
 _PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
               "iso_maps": [{"0": 0, "1": 1}, {"0": 2, "1": 3}], "regions": [[0, 1], [2, 3]]}
+#: what `embed combined --graph <pegasus m=4> --k 4` writes, without its meta
+_COMBINED = json.loads(dumps(combined_to_dict(combine_qac_rbm(build_pegasus(4), 4))))
+
+
+def _encodings_with(index, **changes):
+    encodings = list(_COMBINED["encodings"])
+    encodings[index] = {**encodings[index], **changes}
+    return encodings
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -373,6 +382,26 @@ _PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
      {"reads": ["+-", "+1"]}),
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
      {"reads": ["+\u2212"]}),
+    # each part of a combined file is checked, not only the part a flag uses;
+    # {uncoupled} is a problem every structure carries, so only the
+    # combined file can be at fault
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
+     {**_COMBINED, "encodings": _encodings_with(1, units=5)}),
+    (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
+     {**_COMBINED, "base_partition": {**_COMBINED["base_partition"], "regions": 3}}),
+    (["decode", "qac", "--samples", "{reads8}", "--structure", "{bad}",
+      "--problem", "{uncoupled}"],
+     {**_COMBINED, "encodings": _COMBINED["encodings"][:1]}),
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
+     {**_COMBINED, "rbm_partition": 4}),
+    (["generate", "--cover-from", "{bad}"],
+     {**_COMBINED, "encodings": dict(enumerate(_COMBINED["encodings"]))}),
+    # 1e400 parses as inf, which int() cannot convert
+    (["experiment", "scaling", "--config", "{bad}"],
+     b'{"beta_grid": [1.0], "instances_per_cell": 1, "num_reads": 1e400, "sweeps": 1}'),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"], b'{"chip_seed": 1e400}'),
+    (["embed", "partition", "--graph", "{bad}"],
+     b'{"family": "pegasus", "params": {"m": 2}, "nodes": [1e400], "edges": []}'),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -381,12 +410,20 @@ _PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
         "qac-int", "iso-maps-lists", "samples-hash-int", "iso-map-missing-key",
         "noise-sigma-h-inf", "noise-sigma-j-nan", "noise-delta-inf",
         "samples-mixed-reads", "samples-short-read", "samples-bad-spin",
-        "samples-non-ascii-spin"])
+        "samples-non-ascii-spin", "combined-encoding-1-malformed",
+        "combined-base-partition-malformed", "combined-k4-one-encoding",
+        "combined-rbm-partition-int", "combined-encodings-dict",
+        "config-num-reads-1e400", "noise-chip-seed-1e400", "graph-node-1e400"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
+    uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
-    argv = [arg.format(bad=bad, problem=problem) for arg in argv]
+    uncoupled.write_text(json.dumps({"n": 2, "h": {"0": 1.0}, "J": {}}))
+    # one read of the 8 qubits that 2 spins take in k=4 copies or in 4-qubit units
+    reads8.write_text(json.dumps({"reads": ["+" * 8]}))
+    argv = [arg.format(bad=bad, problem=problem, uncoupled=uncoupled, reads8=reads8)
+            for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")
 
@@ -400,11 +437,15 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     (["experiment", "qac", "--config", "{bad}"], {**_TINY, "study": "scaling"}),
     (["sample", "--problem", "{problem}", "--noise", "{bad}"],
      {"sigma_h": 0.05, "seed": 3}),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "sweeps": 2.5}),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "instances_per_cell": True}),
 ], ids=["config-is-a-graph", "config-unknown-key", "config-noise-unknown-key",
-        "config-qac-run-as-scaling", "config-scaling-run-as-qac", "noise-unknown-key"])
+        "config-qac-run-as-scaling", "config-scaling-run-as-qac", "noise-unknown-key",
+        "config-sweeps-float", "config-instances-bool"])
 def test_config_contract_exits_4_and_writes_nothing(tmp_path, capsys, argv, payload):
     # an unknown key used to be ignored (a graph file ran a full default
-    # study) and a disagreeing study was silently replaced by the subcommand's
+    # study), a disagreeing study was silently replaced by the subcommand's,
+    # and a float or bool count was truncated to an int
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     bad.write_text(json.dumps(payload))
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))

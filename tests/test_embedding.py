@@ -6,11 +6,13 @@ from anneal_rbm.embedding import (combine_qac_rbm, combined_from_dict,
                                   combined_to_dict, encoding_from_dict,
                                   encoding_to_dict, logical_graph,
                                   partition_from_dict, partition_replicas,
-                                  partition_to_dict, tile_qac,
-                                  verify_partition)
-from anneal_rbm.errors import EmbeddingInfeasibleError, InvalidParameterError
+                                  partition_to_dict, structure_from_dict,
+                                  tile_qac, verify_partition)
+from anneal_rbm.errors import (EmbeddingInfeasibleError, FormatError,
+                               InvalidParameterError)
 from anneal_rbm.topology import (apply_defects, build_chimera, build_custom,
-                                 build_pegasus, canonical_edge, graph_stats)
+                                 build_pegasus, canonical_edge, graph_stats,
+                                 graph_to_dict)
 from conftest import two_stars_graph
 
 
@@ -202,3 +204,42 @@ def test_combined_serialization_round_trip(g4):
     comb = combine_qac_rbm(g4, 4)
     again = combined_from_dict(combined_to_dict(comb))
     assert again == comb
+
+
+def test_combined_payload_whose_counts_disagree_is_rejected(g4):
+    data = combined_to_dict(combine_qac_rbm(g4, 4))
+    for bad in ({**data, "k": 2}, {**data, "encodings": data["encodings"][:3]},
+                {**data, "base_partition": partition_to_dict(partition_replicas(g4, 2))}):
+        with pytest.raises(FormatError, match="inconsistent"):
+            combined_from_dict(bad)
+
+
+def test_structure_from_dict_serves_each_role_from_each_file_kind(g4):
+    comb = combine_qac_rbm(g4, 4)
+    part = partition_replicas(g4, 2)
+    enc = tile_qac(build_chimera(1, 2, 4))
+    files = {"graph": graph_to_dict(g4), "partition": partition_to_dict(part),
+             "encoding": encoding_to_dict(enc), "combined": combined_to_dict(comb)}
+    served = {
+        ("graph", "graph"): g4,
+        ("partition", "graph"): part.logical_graph(),
+        ("partition", "partition"): part,
+        ("encoding", "encoding"): enc,
+        ("combined", "graph"): comb.rbm_partition.logical_graph(),
+        ("combined", "partition"): comb.rbm_partition,
+        ("combined", "encoding"): comb.encodings[0],
+    }
+    for kind, data in files.items():
+        for role in ("graph", "partition", "encoding"):
+            if (kind, role) in served:
+                assert structure_from_dict(data, role) == served[kind, role]
+            else:
+                with pytest.raises(FormatError):
+                    structure_from_dict(data, role)
+    # a combined file without its rbm_partition is still read, and refused, as one
+    no_rbm = {k: v for k, v in files["combined"].items() if k != "rbm_partition"}
+    for role in ("graph", "partition", "encoding"):
+        with pytest.raises(FormatError, match="combined-embedding"):
+            structure_from_dict(no_rbm, role)
+    with pytest.raises(InvalidParameterError):
+        structure_from_dict(files["partition"], "region")

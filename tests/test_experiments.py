@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from anneal_rbm import experiments
-from anneal_rbm.errors import InvalidParameterError
+from anneal_rbm.errors import FormatError, InvalidParameterError
 from anneal_rbm.experiments import (ExperimentConfig, config_from_dict,
                                     config_to_dict, emit_report, gsp,
                                     render_report, report_from_dict,
@@ -240,6 +240,16 @@ def test_report_payloads_are_pinned(qac_report, noisy_scaling_report):
         hashes = {sink: hashlib.sha256(body.encode()).hexdigest()
                   for sink, body in render_report(report).items()}
         assert hashes == PINNED_PAYLOADS[name], name
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("key", ["graph_m", "k", "k_values", "instances_per_cell",
+                                 "num_reads", "sweeps", "seed"])
+def test_config_integer_fields_must_be_json_integers(key, value):
+    data = config_to_dict(ExperimentConfig())
+    data[key] = [value] if key == "k_values" else value
+    with pytest.raises(FormatError):
+        config_from_dict(data)
 
 
 def test_shipped_configs_parse():

@@ -167,6 +167,12 @@ def test_noise_round_trip():
     assert noise_from_dict(noise_to_dict(nm)) == nm
 
 
+@pytest.mark.parametrize("chip_seed", [3.0, True, "3"], ids=["float", "bool", "string"])
+def test_noise_chip_seed_must_be_a_json_integer(chip_seed):
+    with pytest.raises(FormatError):
+        noise_from_dict({"sigma_h": 0.1, "chip_seed": chip_seed})
+
+
 def test_solve_exact_antiferro_pair():
     sol = solve_exact(make_problem(2, {}, {(0, 1): 1.0}))
     assert sol.min_energy == -1.0
@@ -305,8 +311,10 @@ def test_export_problem_round_trips(tmp_path):
     assert problem_from_dict(read_json(str(path))) == p
 
 
-def test_timing_metadata_excluded_from_serialization():
+def test_sampler_params_are_rerun_identical_and_serialized_whole():
+    # no wall-clock entry: the params of a rerun, and so the payload, are equal
     p = make_problem(2, {}, {(0, 1): -1.0})
-    ss = sample_sa(p, AnnealParams(num_reads=2, sweeps=10, seed=1))
-    assert "timing_s" in ss.params
-    assert "timing_s" not in sampleset_to_dict(ss, p)["params"]
+    params = AnnealParams(num_reads=2, sweeps=10, seed=1)
+    ss = sample_sa(p, params)
+    assert sample_sa(p, params).params == ss.params
+    assert sampleset_to_dict(ss, p)["params"] == ss.params
