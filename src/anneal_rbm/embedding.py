@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
+
+import numpy as np
 
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
-from .jsonio import loader
+from .jsonio import integer, integer_rows, integers, loader
 from .topology import (Edge, HardwareGraph, build_custom, canonical_edge,
-                       chimera_index, graph_from_dict, iter_block_nodes,
-                       pegasus_coords, pegasus_index)
+                       canonical_edges, chimera_index, edge_array, edge_set,
+                       graph_from_dict, unique_codes)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
@@ -70,49 +73,53 @@ def partition_replicas(g: HardwareGraph, k: int) -> ReplicaPartition:
     if dx == 0 or dy == 0:
         raise EmbeddingInfeasibleError(f"pegasus m={m} is too small to split {gx}x{gy}")
 
-    canon = sorted(iter_block_nodes(m, range(dx), range(zy), range(dy), range(zx)))
-    if not canon:
-        raise EmbeddingInfeasibleError(f"empty canonical block for m={m}, k={k}")
-
-    def shift(node: int, ix: int, iy: int) -> int:
-        u, w, kk, z = pegasus_coords(m, node)
-        if u == 0:
-            return pegasus_index(m, 0, w + ix * dx, kk, z + iy * dy)
-        return pegasus_index(m, 1, w + iy * dy, kk, z + ix * dx)
+    # The canonical block in id order: vertical qubits (u=0) before
+    # horizontal ones, and the linear id z + span*(k + 12*(w + m*u)) grows
+    # with (w, k, z).  Cell (ix, iy) holds its translate by whole tiles.
+    def block(u: int, w_len: int, z_len: int, w_shift: int, z_shift: int) -> np.ndarray:
+        w, kk, z = np.ix_(range(w_len), range(12), range(z_len))
+        return (z + z_shift + span * (kk + 12 * (w + w_shift + m * u))).ravel()
 
     cells = [(ix, iy) for ix in range(gx) for iy in range(gy)]
-    maps = [{c: shift(c, ix, iy) for c in canon} for ix, iy in cells]
+    maps = np.array([np.concatenate([block(0, dx, zy, ix * dx, iy * dy),
+                                     block(1, dy, zx, iy * dy, ix * dx)])
+                     for ix, iy in cells], dtype=np.int64)
+    if not maps.shape[1]:
+        raise EmbeddingInfeasibleError(f"empty canonical block for m={m}, k={k}")
 
-    active = g.active_nodes
-    alive = [c for c in canon if all(mp[c] in active for mp in maps)]
-    if not alive:
+    maps = maps[:, g.has_nodes(maps).all(axis=0)]
+    n = maps.shape[1]
+    if not n:
         raise EmbeddingInfeasibleError(f"no qubit of the block survives defects (m={m}, k={k})")
-    rank = {c: i for i, c in enumerate(alive)}
-    alive_set = set(alive)
+    # logical id = rank in the surviving block, which is maps[0] (cell (0, 0))
+    rank = np.full(g.code_base, -1, dtype=np.int64)
+    rank[maps[0]] = np.arange(n)
+    a, b = np.divmod(g.ideal_codes, g.code_base)
+    ra, rb = rank[a], rank[b]
+    keep = (ra >= 0) & (rb >= 0)
+    ra, rb = ra[keep], rb[keep]
+    keep = np.ones(ra.size, dtype=bool)
+    for mp in maps:
+        keep &= g.has_edges(mp[ra], mp[rb])
 
-    active_edges = g.active_edges
-    logical_edges = set()
-    for a, b in g.edges:
-        if a in alive_set and b in alive_set:
-            if all(canonical_edge(mp[a], mp[b]) in active_edges for mp in maps):
-                logical_edges.add(canonical_edge(rank[a], rank[b]))
-
-    iso_maps = tuple({rank[c]: mp[c] for c in alive} for mp in maps)
+    iso_maps = tuple(dict(zip(range(n), mp.tolist())) for mp in maps)
     regions = tuple(frozenset(im.values()) for im in iso_maps)
     meta = {"m": m, "grid": [gx, gy], "block": {"dx": dx, "dy": dy, "zx": zx, "zy": zy}}
-    return ReplicaPartition(k=k, n_logical=len(alive),
-                            logical_edges=frozenset(logical_edges),
+    return ReplicaPartition(k=k, n_logical=n,
+                            logical_edges=edge_set(ra[keep], rb[keep]),
                             iso_maps=iso_maps, regions=regions, meta=meta)
 
 
 def _whole_graph_partition(g: HardwareGraph) -> ReplicaPartition:
     """Trivial k=1 partition: one region spanning all active qubits."""
-    alive = sorted(g.active_nodes)
-    rank = {q: i for i, q in enumerate(alive)}
-    edges = frozenset(canonical_edge(rank[a], rank[b]) for a, b in g.active_edges)
-    iso = {i: q for q, i in rank.items()}
-    return ReplicaPartition(k=1, n_logical=len(alive), logical_edges=edges,
-                            iso_maps=(iso,), regions=(frozenset(alive),),
+    alive = np.array(sorted(g.active_nodes), dtype=np.int64)
+    rank = np.full(g.code_base, -1, dtype=np.int64)
+    rank[alive] = np.arange(alive.size)
+    a, b = (rank[ends] for ends in np.divmod(g.edge_codes, g.code_base))
+    iso = dict(zip(range(alive.size), alive.tolist()))
+    return ReplicaPartition(k=1, n_logical=alive.size,
+                            logical_edges=edge_set(a, b),
+                            iso_maps=(iso,), regions=(frozenset(iso.values()),),
                             meta={"grid": [1, 1]})
 
 
@@ -135,22 +142,28 @@ class PartitionReport:
 def _region_failures(p: ReplicaPartition) -> dict[str, list[str]]:
     """Failures of the claims a partition makes without reference to a graph.
 
-    Keyed by claim: k regions and k iso maps (``structural``), no qubit in two
-    regions (``disjoint``), and each iso map a bijection from 0..n_logical-1
-    onto its region (``bijective``).
+    Keyed by claim: k regions and k iso maps, and logical edges between ids
+    in 0..n_logical-1 (``structural``), no qubit in two regions
+    (``disjoint``), and each iso map a bijection from 0..n_logical-1 onto its
+    region (``bijective``).
     """
     structural: list[str] = []
     if not p.k == len(p.regions) == len(p.iso_maps):
         structural.append(f"k={p.k} but {len(p.regions)} regions / {len(p.iso_maps)} iso maps")
+    if not set(range(p.n_logical)).issuperset(chain.from_iterable(p.logical_edges)):
+        structural.append(f"a logical edge leaves 0..{p.n_logical - 1}")
 
     disjoint: list[str] = []
     seen: dict[int, int] = {}
-    for r, reg in enumerate(p.regions):
-        for q in reg:
-            if q in seen:
-                disjoint.append(f"qubit {q} shared by regions {seen[q]} and {r}")
-            else:
-                seen[q] = r
+    # the union is one C-level pass; only overlapping regions are walked,
+    # in their own order, to name each shared qubit
+    if len(frozenset().union(*p.regions)) < sum(map(len, p.regions)):
+        for r, reg in enumerate(p.regions):
+            for q in reg:
+                if q in seen:
+                    disjoint.append(f"qubit {q} shared by regions {seen[q]} and {r}")
+                else:
+                    seen[q] = r
 
     bijective: list[str] = []
     for r, iso in enumerate(p.iso_maps):
@@ -179,42 +192,57 @@ def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
     failures = [f for claim in found.values() for f in claim]
     structural, disjoint, bijective = (not claim for claim in found.values())
 
+    n = p.n_logical
+    complete = [iso.keys() == set(range(n)) for iso in p.iso_maps]
+
     nodes_active = True
     for r, iso in enumerate(p.iso_maps):
-        dead = sorted(q for q in iso.values() if q not in g.active_nodes)
-        if dead:
+        image = np.fromiter(iso.values(), dtype=np.int64, count=len(iso))
+        dead = np.sort(image[~g.has_nodes(image)])
+        if dead.size:
             nodes_active = False
-            failures.append(f"region {r}: inactive qubits {dead[:5]}")
+            failures.append(f"region {r}: inactive qubits {dead[:5].tolist()}")
 
     edges_embedded = True
-    active_edges = g.active_edges
+    la, lb = edge_array(p.logical_edges).T
+    inside = not la.size or (min(la.min(), lb.min()) >= 0 and max(la.max(), lb.max()) < n)
     for r, iso in enumerate(p.iso_maps):
-        if set(iso.keys()) != set(range(p.n_logical)):
+        if not (complete[r] and inside):
             continue
-        for a, b in sorted(p.logical_edges):
-            if canonical_edge(iso[a], iso[b]) not in active_edges:
-                edges_embedded = False
-                failures.append(f"region {r}: logical edge ({a},{b}) has no active coupler")
+        image = _iso_array(iso)
+        qa, qb = image[la], image[lb]
+        loops = np.flatnonzero(qa == qb)
+        if loops.size:  # an iso map that collapses a logical edge
+            raise InvalidParameterError(f"self-loop on node {int(qa[loops[0]])}")
+        missing = ~g.has_edges(qa, qb)
+        if missing.any():
+            edges_embedded = False
+            failures += [f"region {r}: logical edge ({a},{b}) has no active coupler"
+                         for a, b in zip(la[missing].tolist(), lb[missing].tolist())]
 
+    # each region's active edges pulled back to logical ids, as sorted codes
     induced_symmetric = True
     region_edge_counts: list[int] = []
-    pulled: list[frozenset[Edge]] | None = []
+    pulled: list[np.ndarray] | None = []
+    qa, qb = np.divmod(g.edge_codes, g.code_base)
     for r, iso in enumerate(p.iso_maps):
-        if set(iso.keys()) != set(range(p.n_logical)):
+        if not complete[r]:
             pulled = None
             break
-        inv = {q: v for v, q in iso.items()}
-        induced = frozenset(
-            canonical_edge(inv[a], inv[b])
-            for a, b in active_edges if a in inv and b in inv)
-        region_edge_counts.append(len(induced))
+        inv = _inverse(iso, g.code_base)
+        va, vb = inv[qa], inv[qb]
+        both = (va >= 0) & (vb >= 0)
+        va, vb = va[both], vb[both]
+        induced = unique_codes(np.minimum(va, vb) * n + np.maximum(va, vb))
+        region_edge_counts.append(induced.size)
         pulled.append(induced)
-    if pulled is not None and pulled:
+    if pulled:
         ref = pulled[0]
         for r, ind in enumerate(pulled[1:], start=1):
-            if ind != ref:
+            if not np.array_equal(ind, ref):
                 induced_symmetric = False
-                diff = sorted((ind ^ ref))[:3]
+                va, vb = np.divmod(np.setxor1d(ind, ref)[:3], n)
+                diff = list(zip(va.tolist(), vb.tolist()))
                 failures.append(f"region {r}: induced edges differ from region 0 near {diff}")
     else:
         induced_symmetric = False
@@ -226,6 +254,30 @@ def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
         induced_symmetric=induced_symmetric,
         region_node_counts=[len(reg) for reg in p.regions],
         region_edge_counts=region_edge_counts, failures=failures)
+
+
+def _iso_array(iso: dict[int, int]) -> np.ndarray:
+    """A complete iso map (domain 0..n-1) as the array of its images."""
+    image = np.empty(len(iso), dtype=np.int64)
+    image[np.fromiter(iso.keys(), dtype=np.int64, count=len(iso))] = np.fromiter(
+        iso.values(), dtype=np.int64, count=len(iso))
+    return image
+
+
+def _inverse(iso: dict[int, int], base: int) -> np.ndarray:
+    """qubit -> logical id for qubits below ``base``, -1 where none; where
+    the map is not injective the last logical id in map order wins, as in
+    ``{q: v for v, q in iso.items()}``."""
+    v = np.fromiter(iso.keys(), dtype=np.int64, count=len(iso))
+    q = np.fromiter(iso.values(), dtype=np.int64, count=len(iso))
+    inside = (q >= 0) & (q < base)
+    v, q = v[inside], q[inside]
+    order = np.argsort(q, kind="stable")
+    v, q = v[order], q[order]
+    last = np.r_[q[1:] != q[:-1], True] if q.size else np.zeros(0, dtype=bool)
+    inv = np.full(base, -1, dtype=np.int64)
+    inv[q[last]] = v[last]
+    return inv
 
 
 @dataclass(frozen=True)
@@ -380,25 +432,30 @@ def combine_qac_rbm(g: HardwareGraph, k: int = 4,
         raise EmbeddingInfeasibleError(
             f"no K_(1,3) unit fits the shared block structure (k={k})")
 
-    reps = _pick_representatives(tiling, shared)
-    shared_edges = shared.active_edges
+    reps = np.array(_pick_representatives(tiling, shared), dtype=np.int64)
     n_units = tiling.n_logical
-    inst_edges = set()
-    for (ua, ub), _couplers in tiling.logical_edges.items():
-        if canonical_edge(reps[ua], reps[ub]) in shared_edges:
-            inst_edges.add(canonical_edge(ua, ub))
+    pairs = np.array(list(tiling.logical_edges), dtype=np.int64).reshape(-1, 2)
+    kept = shared.has_edges(reps[pairs[:, 0]], reps[pairs[:, 1]])
+    inst_edges = list(map(tuple, pairs[kept].tolist()))  # sorted, as the keys are
+    couplers = [tiling.logical_edges[e] for e in inst_edges]
+    ends = np.array(list(chain.from_iterable(couplers)), dtype=np.int64).reshape(-1, 2)
+    cuts = np.cumsum([0] + [len(cs) for cs in couplers]).tolist()
+    problem = np.array([u.problem_qubits for u in tiling.units], dtype=np.int64)
+    penalty = np.array([u.penalty_qubit for u in tiling.units], dtype=np.int64)
 
     encodings = []
     for iso in base.iso_maps:
-        units = tuple(QacUnit(problem_qubits=tuple(iso[q] for q in u.problem_qubits),
-                              penalty_qubit=iso[u.penalty_qubit])
-                      for u in tiling.units)
-        ledges = {e: tuple(canonical_edge(iso[a], iso[b]) for a, b in tiling.logical_edges[e])
-                  for e in sorted(inst_edges)}
+        image = _iso_array(iso)
+        units = tuple(QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
+                      for qs, q in zip(image[problem].tolist(), image[penalty].tolist()))
+        mapped = image[ends]
+        rows = list(zip(mapped.min(axis=1).tolist(), mapped.max(axis=1).tolist()))
+        ledges = {e: tuple(rows[a:b]) for e, a, b in zip(inst_edges, cuts, cuts[1:])}
         encodings.append(QacEncoding(units=units, logical_edges=ledges,
                                      penalty_weight=penalty_weight))
 
-    iso_maps = tuple({u: iso[reps[u]] for u in range(n_units)} for iso in base.iso_maps)
+    iso_maps = tuple(dict(zip(range(n_units), _iso_array(iso)[reps].tolist()))
+                     for iso in base.iso_maps)
     regions = tuple(frozenset(im.values()) for im in iso_maps)
     rbm = ReplicaPartition(k=base.k, n_logical=n_units,
                            logical_edges=frozenset(inst_edges),
@@ -415,7 +472,7 @@ def partition_to_dict(p: ReplicaPartition) -> dict:
     return {
         "k": p.k,
         "n_logical": p.n_logical,
-        "logical_edges": [list(e) for e in sorted(p.logical_edges)],
+        "logical_edges": edge_array(p.logical_edges).tolist(),
         "iso_maps": [{str(v): q for v, q in sorted(iso.items())} for iso in p.iso_maps],
         "regions": [sorted(reg) for reg in p.regions],
         "meta": p.meta,
@@ -427,12 +484,12 @@ def partition_from_dict(data: dict) -> ReplicaPartition:
     """A partition payload; FormatError also when its regions and iso maps
     break the graph-independent claims verify_partition checks."""
     p = ReplicaPartition(
-        k=int(data["k"]),
-        n_logical=int(data["n_logical"]),
-        logical_edges=frozenset(canonical_edge(int(a), int(b))
-                                for a, b in data["logical_edges"]),
-        iso_maps=tuple({int(v): int(q) for v, q in iso.items()} for iso in data["iso_maps"]),
-        regions=tuple(frozenset(int(q) for q in reg) for reg in data["regions"]),
+        k=integer(data["k"]),
+        n_logical=integer(data["n_logical"]),
+        logical_edges=edge_set(*canonical_edges(integer_rows(data["logical_edges"], 2)).T),
+        iso_maps=tuple(dict(zip(map(int, iso.keys()), integers(list(iso.values()))))
+                       for iso in data["iso_maps"]),
+        regions=tuple(frozenset(integers(reg)) for reg in data["regions"]),
         meta=dict(data.get("meta", {})))
     failures = [f for claim in _region_failures(p).values() for f in claim]
     if failures:
@@ -444,7 +501,7 @@ def encoding_to_dict(e: QacEncoding) -> dict:
     return {
         "units": [{"problem": list(u.problem_qubits), "penalty": u.penalty_qubit}
                   for u in e.units],
-        "logical_edges": {f"{a},{b}": [list(c) for c in cs]
+        "logical_edges": {f"{a},{b}": list(map(list, cs))
                           for (a, b), cs in sorted(e.logical_edges.items())},
         "penalty_weight": e.penalty_weight,
     }
@@ -452,16 +509,25 @@ def encoding_to_dict(e: QacEncoding) -> dict:
 
 @loader("encoding")
 def encoding_from_dict(data: dict) -> QacEncoding:
-    units = tuple(QacUnit(problem_qubits=tuple(int(q) for q in u["problem"]),
-                          penalty_qubit=int(u["penalty"]))
-                  for u in data["units"])
-    ledges = {}
-    for key, cs in data["logical_edges"].items():
-        a, b = key.split(",")
-        ledges[canonical_edge(int(a), int(b))] = tuple(
-            canonical_edge(int(x), int(y)) for x, y in cs)
-    return QacEncoding(units=units, logical_edges=ledges,
-                       penalty_weight=float(data.get("penalty_weight", -1.0)))
+    units = data["units"]
+    problem = integer_rows([u["problem"] for u in units], 3).tolist()
+    penalty = integers([u["penalty"] for u in units])
+    # "a,b" keys parsed all at once: every key must give exactly two ids
+    ledges = data["logical_edges"]
+    ids = list(map(int, ",".join(ledges).split(","))) if ledges else []
+    if len(ids) != 2 * len(ledges):
+        raise ValueError("logical edge keys must be 'a,b'")
+    keys = canonical_edges(np.array(ids, dtype=np.int64).reshape(-1, 2))
+    couplers = list(ledges.values())
+    ends = canonical_edges(integer_rows(list(chain.from_iterable(couplers)), 2))
+    rows = list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+    cuts = np.cumsum([0] + [len(cs) for cs in couplers]).tolist()
+    return QacEncoding(
+        units=tuple(QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
+                    for qs, q in zip(problem, penalty)),
+        logical_edges=dict(zip(zip(keys[:, 0].tolist(), keys[:, 1].tolist()),
+                               (tuple(rows[a:b]) for a, b in zip(cuts, cuts[1:])))),
+        penalty_weight=float(data.get("penalty_weight", -1.0)))
 
 
 def combined_to_dict(c: CombinedEmbedding) -> dict:
@@ -476,9 +542,10 @@ def combined_to_dict(c: CombinedEmbedding) -> dict:
 @loader("combined-embedding")
 def combined_from_dict(data: dict) -> CombinedEmbedding:
     """A combined payload; FormatError also when its ``k``, its number of
-    encodings and its two partitions' ``k`` disagree."""
+    encodings and its two partitions' ``k`` disagree, or when an encoding's
+    units or logical edges are not ``rbm_partition``'s logical ids and edges."""
     c = CombinedEmbedding(
-        k=int(data["k"]),
+        k=integer(data["k"]),
         encodings=tuple(encoding_from_dict(e) for e in data["encodings"]),
         rbm_partition=partition_from_dict(data["rbm_partition"]),
         base_partition=partition_from_dict(data["base_partition"]))
@@ -487,6 +554,14 @@ def combined_from_dict(data: dict) -> CombinedEmbedding:
             f"inconsistent combined-embedding payload: k={c.k} but "
             f"{len(c.encodings)} encodings, rbm_partition k={c.rbm_partition.k}, "
             f"base_partition k={c.base_partition.k}")
+    rbm = c.rbm_partition
+    for r, enc in enumerate(c.encodings):
+        if enc.n_logical != rbm.n_logical or enc.logical_edges.keys() != rbm.logical_edges:
+            raise FormatError(
+                f"inconsistent combined-embedding payload: encoding {r} has "
+                f"{enc.n_logical} units and {len(enc.logical_edges)} logical edges, "
+                f"rbm_partition {rbm.n_logical} and {len(rbm.logical_edges)}, or "
+                f"other edges")
     return c
 
 

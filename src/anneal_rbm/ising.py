@@ -241,5 +241,8 @@ def problem_from_dict(data: dict) -> IsingProblem:
 
 
 def problem_hash(p: IsingProblem) -> str:
-    blob = json.dumps(problem_to_dict(p), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """sha256 of ``json.dumps(problem_to_dict(p), sort_keys=True)``; the
+    dicts are built unsorted, since sort_keys puts every key in order."""
+    payload = {"n": p.n, "h": {str(i): v for i, v in p.h.items()},
+               "J": {f"{a},{b}": v for (a, b), v in p.j.items()}}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

@@ -20,11 +20,14 @@ import functools
 import json
 from itertools import chain
 
+import numpy as np
+
 from .errors import FormatError
 
 _SCALARS = (str, int, float, type(None))  # bool is an int
 _ROWS = frozenset((list, tuple))
 _NUMBERS = frozenset((int, float))
+_INT = frozenset((int,))  # a JSON integer; bool is not one
 
 
 def write_json(payload, path: str) -> None:
@@ -142,6 +145,25 @@ def integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def integers(values) -> list:
+    """``values`` if it is a JSON list of integers, else TypeError; checked
+    by the types of its items, so a long id list costs one C-level pass."""
+    if not isinstance(values, (list, tuple)) or not _INT.issuperset(map(type, values)):
+        raise TypeError(f"expected a list of integers, got {values!r:.60}")
+    return values
+
+
+def integer_rows(rows, width: int) -> np.ndarray:
+    """``rows``, a JSON list of lists of ``width`` integers such as edge
+    pairs, as a (len, width) int64 array; TypeError for anything else and
+    OverflowError for an integer outside int64."""
+    if (not isinstance(rows, (list, tuple)) or not _ROWS.issuperset(map(type, rows))
+            or not {width}.issuperset(map(len, rows))):
+        raise TypeError(f"expected a list of {width}-integer rows, got {rows!r:.60}")
+    flat = integers(list(chain.from_iterable(rows)))
+    return np.array(flat, dtype=np.int64).reshape(len(rows), width)
 
 
 def loader(kind: str, keys=None):

@@ -5,16 +5,26 @@ qubit's coordinate tuple.  Pegasus uses (u, w, k, z) coordinates with the
 standard vendor offset lists; Chimera uses (row, col, shore, k).  A graph
 keeps its ideal node/edge sets plus a defect mask, so coordinates stay valid
 after qubits are disabled.
+
+Node ids are non-negative, so an edge (a, b) with a < b has the integer code
+a*N + b, N being one more than the largest id, and sorted codes are sorted
+edges.  Each graph caches its active edges as one sorted int64 code array;
+building, masking, loading and writing graphs, and the partition checks in
+`embedding`, are numpy passes over such arrays, and the frozensets of the
+public fields are built once from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 from .errors import InvalidParameterError
-from .jsonio import loader
+from .jsonio import integer_rows, integers, loader
 
 Edge = tuple[int, int]
 
@@ -50,15 +60,60 @@ class HardwareGraph:
 
     @cached_property
     def active_nodes(self) -> frozenset[int]:
-        return self.nodes - self.defect_nodes
+        return self.nodes - self.defect_nodes if self.defect_nodes else self.nodes
 
     @cached_property
     def active_edges(self) -> frozenset[Edge]:
-        dead = self.defect_nodes
-        return frozenset(
-            e for e in self.edges
-            if e not in self.defect_edges and e[0] not in dead and e[1] not in dead
-        )
+        if not (self.defect_nodes or self.defect_edges):
+            return self.edges
+        return edge_set(*np.divmod(self.edge_codes, self.code_base))
+
+    @cached_property
+    def code_base(self) -> int:
+        """N of the edge codes a*N + b: one more than the largest node id."""
+        return max(self.nodes, default=-1) + 1
+
+    @cached_property
+    def ideal_codes(self) -> np.ndarray:
+        """Sorted int64 codes of ``edges``, the ideal couplers."""
+        return _codes(edge_array(self.edges), self.code_base)
+
+    @cached_property
+    def edge_codes(self) -> np.ndarray:
+        """Sorted int64 codes of the active couplers."""
+        codes, base = self.ideal_codes, self.code_base
+        if self.defect_edges:
+            codes = codes[~_contains(_codes(edge_array(self.defect_edges), base), codes)]
+        if self.defect_nodes:
+            dead = np.zeros(base, dtype=bool)
+            dead[list(self.defect_nodes)] = True
+            a, b = np.divmod(codes, base)
+            codes = codes[~(dead[a] | dead[b])]
+        return codes
+
+    @cached_property
+    def _active_mask(self) -> np.ndarray:
+        mask = np.zeros(self.code_base, dtype=bool)
+        mask[list(self.active_nodes)] = True
+        return mask
+
+    def has_nodes(self, q: np.ndarray) -> np.ndarray:
+        """Elementwise: is qubit ``q`` active?  Any integer array."""
+        q = np.asarray(q, dtype=np.int64)
+        inside = (q >= 0) & (q < self.code_base)
+        out = np.zeros(q.shape, dtype=bool)
+        out[inside] = self._active_mask[q[inside]]
+        return out
+
+    def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise: is there an active coupler between qubits ``a`` and
+        ``b``?  Endpoints in either order; unknown ids have none."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        known = (lo >= 0) & (hi < self.code_base)
+        out = np.zeros(lo.shape, dtype=bool)
+        out[known] = _contains(self.edge_codes, lo[known] * self.code_base + hi[known])
+        return out
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -89,38 +144,30 @@ def build_pegasus(m: int) -> HardwareGraph:
     """
     if m < 2:
         raise InvalidParameterError(f"pegasus size m must be >= 2, got {m}")
-    nodes = frozenset(range(24 * m * (m - 1)))
-    edges: set[Edge] = set()
+    n = 24 * m * (m - 1)
     span = m - 1
 
-    def lin(u: int, w: int, k: int, z: int) -> int:
+    def lin(u, w, k, z):
         return z + span * (k + 12 * (w + m * u))
 
-    for u in range(2):
-        for w in range(m):
-            for k in range(12):
-                for z in range(span - 1):
-                    edges.add(canonical_edge(lin(u, w, k, z), lin(u, w, k, z + 1)))
-            for k in range(0, 12, 2):
-                for z in range(span):
-                    edges.add(canonical_edge(lin(u, w, k, z), lin(u, w, k + 1, z)))
+    u, w, k, z = np.ix_(range(2), range(m), range(12), range(span))
+    external = (lin(u, w, k, z[..., :-1]), lin(u, w, k, z[..., 1:]))
+    odd = (lin(u, w, k[:, :, 0::2], z), lin(u, w, k[:, :, 1::2], z))
 
-    ov, oh = PEGASUS_VERTICAL_OFFSETS, PEGASUS_HORIZONTAL_OFFSETS
-    for w in range(m):
-        for k in range(12):
-            x = 12 * w + k
-            for z in range(span):
-                y0 = 12 * z + ov[k]
-                for y in range(y0, y0 + 12):
-                    w2, k2 = divmod(y, 12)
-                    if x < oh[k2]:
-                        continue
-                    z2 = (x - oh[k2]) // 12
-                    if z2 < span:
-                        edges.add(canonical_edge(lin(0, w, k, z), lin(1, w2, k2, z2)))
+    # a vertical qubit (w, k, z) crosses the horizontal wires y0..y0+11,
+    # y0 = 12*z + vertical offset of k; y = 12*w2 + k2 meets it at tile z2
+    w, k, z, j = np.ix_(range(m), range(12), range(span), range(12))
+    w2, k2 = np.divmod(12 * z + np.take(PEGASUS_VERTICAL_OFFSETS, k) + j, 12)
+    x = 12 * w + k - np.take(PEGASUS_HORIZONTAL_OFFSETS, k2)
+    z2 = x // 12
+    cross = (x >= 0) & (z2 < span)
+    internal = (np.broadcast_to(lin(0, w, k, z), cross.shape)[cross],
+                lin(1, w2, k2, z2)[cross])
 
-    return HardwareGraph(family="pegasus", params={"m": m},
-                         nodes=nodes, edges=frozenset(edges))
+    a, b = (np.concatenate([e.ravel() for e in ends])
+            for ends in zip(external, odd, internal))
+    return _graph("pegasus", {"m": m}, frozenset(range(n)), n,
+                  unique_codes(_codes(np.stack([a, b], axis=1), n)))
 
 
 def pegasus_coords(m: int, node: int) -> tuple[int, int, int, int]:
@@ -177,14 +224,10 @@ def build_custom(nodes: Iterable[int], edges: Iterable[Edge],
     coordinate structure is implied.
     """
     node_set = frozenset(int(v) for v in nodes)
-    edge_set = set()
-    for a, b in edges:
-        e = canonical_edge(int(a), int(b))
-        if e[0] not in node_set or e[1] not in node_set:
-            raise InvalidParameterError(f"edge {e} references unknown node")
-        edge_set.add(e)
-    return HardwareGraph(family=family, params={}, nodes=node_set,
-                         edges=frozenset(edge_set))
+    base = _known_base(node_set)
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return _graph(family, {}, node_set, base,
+                  unique_codes(_codes(_canonical(pairs, node_set), base)))
 
 
 def apply_defects(g: HardwareGraph, dead_nodes: Iterable[int] = (),
@@ -202,8 +245,10 @@ def apply_defects(g: HardwareGraph, dead_nodes: Iterable[int] = (),
     bad_edges = edge_mask - g.edges
     if bad_edges:
         raise InvalidParameterError(f"defect mask names unknown edges: {sorted(bad_edges)[:5]}")
-    return replace(g, defect_nodes=g.defect_nodes | node_mask,
-                   defect_edges=g.defect_edges | edge_mask)
+    masked = replace(g, defect_nodes=g.defect_nodes | node_mask,
+                     defect_edges=g.defect_edges | edge_mask)
+    vars(masked).update(code_base=g.code_base, ideal_codes=g.ideal_codes)
+    return masked
 
 
 @dataclass(frozen=True)
@@ -235,7 +280,7 @@ def graph_to_dict(g: HardwareGraph) -> dict:
         "family": g.family,
         "params": dict(g.params),
         "nodes": sorted(g.nodes),
-        "edges": [list(e) for e in sorted(g.edges)],
+        "edges": _edge_list(g.ideal_codes, g.code_base),
         "defects": {
             "nodes": sorted(g.defect_nodes),
             "edges": [list(e) for e in sorted(g.defect_edges)],
@@ -247,8 +292,8 @@ def graph_to_dict(g: HardwareGraph) -> dict:
 def defects_from_dict(data: dict) -> tuple[frozenset[int], frozenset[Edge]]:
     """Dead nodes and edges of a ``{"nodes": [...], "edges": [[a, b], ...]}``
     mask; a missing key masks nothing."""
-    return (frozenset(int(v) for v in data.get("nodes", ())),
-            frozenset(canonical_edge(int(a), int(b)) for a, b in data.get("edges", ())))
+    pairs = canonical_edges(integer_rows(data.get("edges", []), 2))
+    return frozenset(integers(data.get("nodes", []))), edge_set(*pairs.T)
 
 
 #: graph family -> the integer parameters its coordinate scheme needs
@@ -261,21 +306,88 @@ def graph_from_dict(data: dict) -> HardwareGraph:
     for key in _FAMILY_PARAMS.get(data["family"], ()):
         if not isinstance(params[key], int):
             raise TypeError(f"{data['family']} parameter {key!r} must be an integer")
-    g = HardwareGraph(
-        family=data["family"], params=params,
-        nodes=frozenset(int(v) for v in data["nodes"]),
-        edges=frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"]))
+    nodes = frozenset(integers(data["nodes"]))
+    base = _known_base(nodes)
+    pairs = _canonical(integer_rows(data["edges"], 2), nodes)
+    g = _graph(data["family"], params, nodes, base, unique_codes(_codes(pairs, base)))
     return apply_defects(g, *defects_from_dict(data.get("defects", {})))
 
 
-def iter_block_nodes(m: int, vert_w: range, vert_z: range,
-                     horiz_w: range, horiz_z: range) -> Iterator[int]:
-    """Linear ids of an axis-aligned Pegasus coordinate block."""
-    for w in vert_w:
-        for k in range(12):
-            for z in vert_z:
-                yield pegasus_index(m, 0, w, k, z)
-    for w in horiz_w:
-        for k in range(12):
-            for z in horiz_z:
-                yield pegasus_index(m, 1, w, k, z)
+# ---------------------------------------------------------------------------
+# Edge arrays
+
+def _graph(family: str, params: dict, nodes: frozenset[int], base: int,
+           codes: np.ndarray) -> HardwareGraph:
+    """The defect-free graph whose ideal edges have the sorted unique
+    ``codes`` (base ``base``, one more than the largest of ``nodes``), with
+    its code cache already filled."""
+    g = HardwareGraph(family=family, params=params, nodes=nodes,
+                      edges=edge_set(*np.divmod(codes, base)))
+    vars(g).update(code_base=base, ideal_codes=codes)
+    return g
+
+
+def _known_base(nodes: frozenset[int]) -> int:
+    """The code base of a node set; InvalidParameterError for a negative id."""
+    if nodes and min(nodes) < 0:
+        raise InvalidParameterError(f"node ids must be non-negative, got {min(nodes)}")
+    return max(nodes, default=-1) + 1
+
+
+def canonical_edges(pairs: np.ndarray) -> np.ndarray:
+    """An (E, 2) array of edge endpoints with the lower id first;
+    InvalidParameterError, as canonical_edge raises it, for a self-loop."""
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    loops = np.flatnonzero(lo == hi)
+    if loops.size:
+        raise InvalidParameterError(f"self-loop on node {int(lo[loops[0]])}")
+    return np.stack([lo, hi], axis=1)
+
+
+def _canonical(pairs: np.ndarray, nodes: frozenset[int]) -> np.ndarray:
+    """canonical_edges of ``pairs``; InvalidParameterError, as build_custom
+    raises it, for an endpoint outside ``nodes`` too."""
+    pairs = canonical_edges(pairs)
+    known = np.zeros(_known_base(nodes) + 1, dtype=bool)  # the last slot: unknown
+    known[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+    ends = np.where((pairs >= 0) & (pairs < known.size), pairs, -1)
+    unknown = np.flatnonzero(~known[ends].all(axis=1))
+    if unknown.size:
+        e = tuple(pairs[unknown[0]].tolist())
+        raise InvalidParameterError(f"edge {e} references unknown node")
+    return pairs
+
+
+def unique_codes(codes: np.ndarray) -> np.ndarray:
+    """``codes`` sorted, without repeats (np.unique's result, by one sort)."""
+    codes = np.sort(codes)
+    return codes[np.r_[True, codes[1:] != codes[:-1]]] if codes.size else codes
+
+
+def edge_array(edges) -> np.ndarray:
+    """A set of edges (a, b) as an (E, 2) int64 array in sorted order."""
+    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                        count=2 * len(edges)).reshape(-1, 2)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _codes(pairs: np.ndarray, base: int) -> np.ndarray:
+    return pairs[:, 0] * base + pairs[:, 1]
+
+
+def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Elementwise membership of ``codes`` in the sorted ``sorted_codes``."""
+    if not sorted_codes.size:
+        return np.zeros(np.shape(codes), dtype=bool)
+    at = np.searchsorted(sorted_codes, codes)
+    return sorted_codes[np.minimum(at, sorted_codes.size - 1)] == codes
+
+
+def edge_set(a: np.ndarray, b: np.ndarray) -> frozenset[Edge]:
+    """The edges (a[i], b[i]) as a set of tuples of ints."""
+    return frozenset(zip(a.tolist(), b.tolist()))
+
+
+def _edge_list(codes: np.ndarray, base: int) -> list[list[int]]:
+    """Sorted codes as the sorted ``[a, b]`` rows of a payload."""
+    return np.stack(np.divmod(codes, base), axis=1).tolist()

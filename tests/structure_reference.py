@@ -1,0 +1,276 @@
+"""Reference structure layer for the oracle tests: the per-edge loops.
+
+These are the Pegasus builder, the graph payload conversions, the active
+sets, the replica partitioner, the partition verifier and the combined
+construction as `topology` and `embedding` computed them one Python tuple at
+a time, before those modules moved to array passes over sorted edge codes.
+They are kept as they were apart from their names and the package names
+they import; `graph_from_dict_reference` sets the defect fields directly
+instead of checking the payload, and `combine_qac_rbm_reference` covers
+k > 1.  The tests check that the array passes give equal graphs,
+partitions, reports and payloads.  The package never imports this module.
+"""
+
+from __future__ import annotations
+
+from anneal_rbm.embedding import (CombinedEmbedding, PartitionReport, QacEncoding,
+                                  QacUnit, ReplicaPartition, _GRIDS,
+                                  _pick_representatives, tile_qac)
+from anneal_rbm.errors import EmbeddingInfeasibleError, InvalidParameterError
+from anneal_rbm.topology import (PEGASUS_HORIZONTAL_OFFSETS,
+                                 PEGASUS_VERTICAL_OFFSETS, Edge, HardwareGraph,
+                                 canonical_edge, pegasus_coords, pegasus_index)
+
+
+def build_pegasus_reference(m: int) -> HardwareGraph:
+    if m < 2:
+        raise InvalidParameterError(f"pegasus size m must be >= 2, got {m}")
+    nodes = frozenset(range(24 * m * (m - 1)))
+    edges: set[Edge] = set()
+    span = m - 1
+
+    def lin(u: int, w: int, k: int, z: int) -> int:
+        return z + span * (k + 12 * (w + m * u))
+
+    for u in range(2):
+        for w in range(m):
+            for k in range(12):
+                for z in range(span - 1):
+                    edges.add(canonical_edge(lin(u, w, k, z), lin(u, w, k, z + 1)))
+            for k in range(0, 12, 2):
+                for z in range(span):
+                    edges.add(canonical_edge(lin(u, w, k, z), lin(u, w, k + 1, z)))
+
+    ov, oh = PEGASUS_VERTICAL_OFFSETS, PEGASUS_HORIZONTAL_OFFSETS
+    for w in range(m):
+        for k in range(12):
+            x = 12 * w + k
+            for z in range(span):
+                y0 = 12 * z + ov[k]
+                for y in range(y0, y0 + 12):
+                    w2, k2 = divmod(y, 12)
+                    if x < oh[k2]:
+                        continue
+                    z2 = (x - oh[k2]) // 12
+                    if z2 < span:
+                        edges.add(canonical_edge(lin(0, w, k, z), lin(1, w2, k2, z2)))
+
+    return HardwareGraph(family="pegasus", params={"m": m},
+                         nodes=nodes, edges=frozenset(edges))
+
+
+def active_nodes_reference(g: HardwareGraph) -> frozenset[int]:
+    return g.nodes - g.defect_nodes
+
+
+def active_edges_reference(g: HardwareGraph) -> frozenset[Edge]:
+    dead = g.defect_nodes
+    return frozenset(
+        e for e in g.edges
+        if e not in g.defect_edges and e[0] not in dead and e[1] not in dead
+    )
+
+
+def graph_to_dict_reference(g: HardwareGraph) -> dict:
+    return {
+        "family": g.family,
+        "params": dict(g.params),
+        "nodes": sorted(g.nodes),
+        "edges": [list(e) for e in sorted(g.edges)],
+        "defects": {
+            "nodes": sorted(g.defect_nodes),
+            "edges": [list(e) for e in sorted(g.defect_edges)],
+        },
+    }
+
+
+def graph_from_dict_reference(data: dict) -> HardwareGraph:
+    """The graph a well-formed payload describes (no payload checks)."""
+    defects = data.get("defects", {})
+    return HardwareGraph(
+        family=data["family"], params=dict(data.get("params", {})),
+        nodes=frozenset(int(v) for v in data["nodes"]),
+        edges=frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"]),
+        defect_nodes=frozenset(int(v) for v in defects.get("nodes", ())),
+        defect_edges=frozenset(canonical_edge(int(a), int(b))
+                               for a, b in defects.get("edges", ())))
+
+
+def partition_replicas_reference(g: HardwareGraph, k: int) -> ReplicaPartition:
+    if k not in _GRIDS:
+        raise InvalidParameterError(f"replica count must be one of {sorted(_GRIDS)}, got {k}")
+    if g.family != "pegasus":
+        raise InvalidParameterError(f"replica partitioning needs a pegasus graph, got {g.family!r}")
+    m = int(g.params["m"])
+    gx, gy = _GRIDS[k]
+    dx, dy = m // gx, m // gy
+    span = m - 1
+    zx = max(0, min(dx, span - (gx - 1) * dx))
+    zy = max(0, min(dy, span - (gy - 1) * dy))
+    if dx == 0 or dy == 0:
+        raise EmbeddingInfeasibleError(f"pegasus m={m} is too small to split {gx}x{gy}")
+
+    canon = sorted(_iter_block_nodes(m, range(dx), range(zy), range(dy), range(zx)))
+    if not canon:
+        raise EmbeddingInfeasibleError(f"empty canonical block for m={m}, k={k}")
+
+    def shift(node: int, ix: int, iy: int) -> int:
+        u, w, kk, z = pegasus_coords(m, node)
+        if u == 0:
+            return pegasus_index(m, 0, w + ix * dx, kk, z + iy * dy)
+        return pegasus_index(m, 1, w + iy * dy, kk, z + ix * dx)
+
+    cells = [(ix, iy) for ix in range(gx) for iy in range(gy)]
+    maps = [{c: shift(c, ix, iy) for c in canon} for ix, iy in cells]
+
+    active = active_nodes_reference(g)
+    alive = [c for c in canon if all(mp[c] in active for mp in maps)]
+    if not alive:
+        raise EmbeddingInfeasibleError(f"no qubit of the block survives defects (m={m}, k={k})")
+    rank = {c: i for i, c in enumerate(alive)}
+    alive_set = set(alive)
+
+    active_edges = active_edges_reference(g)
+    logical_edges = set()
+    for a, b in g.edges:
+        if a in alive_set and b in alive_set:
+            if all(canonical_edge(mp[a], mp[b]) in active_edges for mp in maps):
+                logical_edges.add(canonical_edge(rank[a], rank[b]))
+
+    iso_maps = tuple({rank[c]: mp[c] for c in alive} for mp in maps)
+    regions = tuple(frozenset(im.values()) for im in iso_maps)
+    meta = {"m": m, "grid": [gx, gy], "block": {"dx": dx, "dy": dy, "zx": zx, "zy": zy}}
+    return ReplicaPartition(k=k, n_logical=len(alive),
+                            logical_edges=frozenset(logical_edges),
+                            iso_maps=iso_maps, regions=regions, meta=meta)
+
+
+def _iter_block_nodes(m, vert_w, vert_z, horiz_w, horiz_z):
+    for w in vert_w:
+        for k in range(12):
+            for z in vert_z:
+                yield pegasus_index(m, 0, w, k, z)
+    for w in horiz_w:
+        for k in range(12):
+            for z in horiz_z:
+                yield pegasus_index(m, 1, w, k, z)
+
+
+def region_failures_reference(p: ReplicaPartition) -> dict[str, list[str]]:
+    structural: list[str] = []
+    if not p.k == len(p.regions) == len(p.iso_maps):
+        structural.append(f"k={p.k} but {len(p.regions)} regions / {len(p.iso_maps)} iso maps")
+
+    disjoint: list[str] = []
+    seen: dict[int, int] = {}
+    for r, reg in enumerate(p.regions):
+        for q in reg:
+            if q in seen:
+                disjoint.append(f"qubit {q} shared by regions {seen[q]} and {r}")
+            else:
+                seen[q] = r
+
+    bijective: list[str] = []
+    for r, iso in enumerate(p.iso_maps):
+        if set(iso.keys()) != set(range(p.n_logical)):
+            bijective.append(f"region {r}: iso map domain is not 0..{p.n_logical - 1}")
+            continue
+        image = set(iso.values())
+        if len(image) != p.n_logical:
+            bijective.append(f"region {r}: iso map is not injective")
+        elif r < len(p.regions) and image != set(p.regions[r]):
+            bijective.append(f"region {r}: iso map image differs from region set")
+    return {"structural": structural, "disjoint": disjoint, "bijective": bijective}
+
+
+def verify_partition_reference(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
+    found = region_failures_reference(p)
+    failures = [f for claim in found.values() for f in claim]
+    structural, disjoint, bijective = (not claim for claim in found.values())
+
+    active_nodes = active_nodes_reference(g)
+    nodes_active = True
+    for r, iso in enumerate(p.iso_maps):
+        dead = sorted(q for q in iso.values() if q not in active_nodes)
+        if dead:
+            nodes_active = False
+            failures.append(f"region {r}: inactive qubits {dead[:5]}")
+
+    edges_embedded = True
+    active_edges = active_edges_reference(g)
+    for r, iso in enumerate(p.iso_maps):
+        if set(iso.keys()) != set(range(p.n_logical)):
+            continue
+        for a, b in sorted(p.logical_edges):
+            if canonical_edge(iso[a], iso[b]) not in active_edges:
+                edges_embedded = False
+                failures.append(f"region {r}: logical edge ({a},{b}) has no active coupler")
+
+    induced_symmetric = True
+    region_edge_counts: list[int] = []
+    pulled: list[frozenset[Edge]] | None = []
+    for r, iso in enumerate(p.iso_maps):
+        if set(iso.keys()) != set(range(p.n_logical)):
+            pulled = None
+            break
+        inv = {q: v for v, q in iso.items()}
+        induced = frozenset(
+            canonical_edge(inv[a], inv[b])
+            for a, b in active_edges if a in inv and b in inv)
+        region_edge_counts.append(len(induced))
+        pulled.append(induced)
+    if pulled is not None and pulled:
+        ref = pulled[0]
+        for r, ind in enumerate(pulled[1:], start=1):
+            if ind != ref:
+                induced_symmetric = False
+                diff = sorted((ind ^ ref))[:3]
+                failures.append(f"region {r}: induced edges differ from region 0 near {diff}")
+    else:
+        induced_symmetric = False
+
+    ok = structural and disjoint and bijective and nodes_active and edges_embedded
+    return PartitionReport(
+        ok=ok, k=p.k, disjoint=disjoint, bijective=bijective,
+        nodes_active=nodes_active, edges_embedded=edges_embedded,
+        induced_symmetric=induced_symmetric,
+        region_node_counts=[len(reg) for reg in p.regions],
+        region_edge_counts=region_edge_counts, failures=failures)
+
+
+def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
+                              penalty_weight: float = -1.0) -> CombinedEmbedding:
+    """The combined construction for k > 1 (k = 1 uses the whole graph)."""
+    base = partition_replicas_reference(g, k)
+    shared = base.logical_graph()
+    tiling = tile_qac(shared, penalty_weight=penalty_weight)
+    if not tiling.units:
+        raise EmbeddingInfeasibleError(
+            f"no K_(1,3) unit fits the shared block structure (k={k})")
+
+    reps = _pick_representatives(tiling, shared)
+    shared_edges = active_edges_reference(shared)
+    n_units = tiling.n_logical
+    inst_edges = set()
+    for (ua, ub), _couplers in tiling.logical_edges.items():
+        if canonical_edge(reps[ua], reps[ub]) in shared_edges:
+            inst_edges.add(canonical_edge(ua, ub))
+
+    encodings = []
+    for iso in base.iso_maps:
+        units = tuple(QacUnit(problem_qubits=tuple(iso[q] for q in u.problem_qubits),
+                              penalty_qubit=iso[u.penalty_qubit])
+                      for u in tiling.units)
+        ledges = {e: tuple(canonical_edge(iso[a], iso[b]) for a, b in tiling.logical_edges[e])
+                  for e in sorted(inst_edges)}
+        encodings.append(QacEncoding(units=units, logical_edges=ledges,
+                                     penalty_weight=penalty_weight))
+
+    iso_maps = tuple({u: iso[reps[u]] for u in range(n_units)} for iso in base.iso_maps)
+    regions = tuple(frozenset(im.values()) for im in iso_maps)
+    rbm = ReplicaPartition(k=base.k, n_logical=n_units,
+                           logical_edges=frozenset(inst_edges),
+                           iso_maps=iso_maps, regions=regions,
+                           meta={**base.meta, "representatives": True})
+    return CombinedEmbedding(k=base.k, encodings=tuple(encodings),
+                             rbm_partition=rbm, base_partition=base)

@@ -402,6 +402,33 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{problem}", "--noise", "{bad}"], b'{"chip_seed": 1e400}'),
     (["embed", "partition", "--graph", "{bad}"],
      b'{"family": "pegasus", "params": {"m": 2}, "nodes": [1e400], "edges": []}'),
+    # a combined file whose encoding keeps 2 of its units loaded, and
+    # generate wrote instances that only sample --qac refused
+    (["generate", "--cover-from", "{bad}"],
+     {**_COMBINED, "encodings": _encodings_with(0, units=_COMBINED["encodings"][0]["units"][:2])}),
+    (["generate", "--cover-from", "{bad}"],
+     {**_COMBINED, "encodings": _encodings_with(2, logical_edges={})}),
+    # structure files take JSON integers only; int() truncated each of these
+    # to a value that loaded and ran
+    (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
+     {**_COMBINED, "rbm_partition": {**_COMBINED["rbm_partition"], "k": 4.7}}),
+    (["embed", "qac", "--graph", "{bad}"],
+     {"family": "custom", "nodes": [0, 1], "edges": [[0, 1.5]]}),
+    (["embed", "qac", "--graph", "{bad}"],
+     {"family": "custom", "nodes": [0, True], "edges": [[0, 1]]}),
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
+     {**_PARTITION, "iso_maps": [{"0": 0, "1": 1}, {"0": 2.0, "1": 3}]}),
+    (_BUILD + ["--defects", "{bad}"], {"nodes": [1.0]}),
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
+     {"units": [{"problem": [0, 1, 2], "penalty": 3},
+                {"problem": [4, 5, 6.0], "penalty": 7}], "logical_edges": {}}),
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"], {**_COMBINED, "k": 4.0}),
+    # edge codes need listed, non-negative node ids; an edge to an unlisted
+    # node used to load and exit 1 with KeyError when the graph was tiled
+    (["embed", "qac", "--graph", "{bad}"],
+     {"family": "custom", "nodes": [0, 1], "edges": [[0, 5]]}),
+    (["embed", "qac", "--graph", "{bad}"],
+     {"family": "custom", "nodes": [-1, 0], "edges": [[-1, 0]]}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -413,7 +440,11 @@ def _encodings_with(index, **changes):
         "samples-non-ascii-spin", "combined-encoding-1-malformed",
         "combined-base-partition-malformed", "combined-k4-one-encoding",
         "combined-rbm-partition-int", "combined-encodings-dict",
-        "config-num-reads-1e400", "noise-chip-seed-1e400", "graph-node-1e400"])
+        "config-num-reads-1e400", "noise-chip-seed-1e400", "graph-node-1e400",
+        "combined-encoding-0-two-units", "combined-encoding-2-no-edges",
+        "combined-partition-k-float", "graph-edge-float", "graph-node-bool",
+        "partition-iso-value-float", "defects-node-float", "encoding-qubit-float",
+        "combined-k-float", "graph-edge-unknown-node", "graph-node-negative"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
@@ -426,6 +457,7 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
             for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, payload", [
