@@ -210,11 +210,9 @@ def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
         if not (complete[r] and inside):
             continue
         image = _iso_array(iso)
-        qa, qb = image[la], image[lb]
-        loops = np.flatnonzero(qa == qb)
-        if loops.size:  # an iso map that collapses a logical edge
-            raise InvalidParameterError(f"self-loop on node {int(qa[loops[0]])}")
-        missing = ~g.has_edges(qa, qb)
+        # an iso map that collapses a logical edge onto one qubit leaves it
+        # without a coupler: has_edges(q, q) is False
+        missing = ~g.has_edges(image[la], image[lb])
         if missing.any():
             edges_embedded = False
             failures += [f"region {r}: logical edge ({a},{b}) has no active coupler"

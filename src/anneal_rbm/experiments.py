@@ -298,7 +298,8 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 
 def _svg_bar_chart(title: str, groups: list[str], series: list[str],
-                   values: dict[tuple[str, str], float], y_label: str) -> str:
+                   values: dict[tuple[str, str], float], y_label: str,
+                   comment: list[str]) -> str:
     """Deterministic grouped bar chart, one group per cell, one bar per method."""
     width, height = 120 + 90 * max(1, len(groups)), 360
     plot_left, plot_right, plot_top, plot_bottom = 70, width - 20, 50, height - 80
@@ -307,6 +308,7 @@ def _svg_bar_chart(title: str, groups: list[str], series: list[str],
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
+        *comment,
         f'<text x="{width / 2:g}" y="24" text-anchor="middle" font-size="15">{title}</text>',
         f'<text x="16" y="{(plot_top + plot_bottom) / 2:g}" font-size="11" '
         f'transform="rotate(-90 16 {(plot_top + plot_bottom) / 2:g})" '
@@ -341,8 +343,10 @@ def _svg_bar_chart(title: str, groups: list[str], series: list[str],
     return "\n".join(out) + "\n"
 
 
-def render_report(report: ExperimentReport) -> dict[str, str]:
-    """All report sinks as named payload strings (filename -> content)."""
+def render_report(report: ExperimentReport, meta: dict | None = None) -> dict[str, str]:
+    """All report sinks as named payload strings (filename -> content).  With
+    ``meta``, report.json carries it as its ``meta`` object and each SVG as
+    a comment after the root tag; the CSV stays pure rows."""
     groups: list[str] = []
     for c in report.cells:
         label = _cell_label(c.cell)
@@ -354,14 +358,19 @@ def render_report(report: ExperimentReport) -> dict[str, str]:
             series.append(c.method)
     energy_vals = {(_cell_label(c.cell), c.method): c.mean_normalized for c in report.cells}
     gsp_vals = {(_cell_label(c.cell), c.method): c.gsp for c in report.cells}
+    payload = report_to_dict(report)
+    comment = []
+    if meta is not None:
+        payload["meta"] = meta
+        comment.append(f"<!-- {json.dumps(meta, sort_keys=True)} -->")
     return {
-        "report.json": dumps(report_to_dict(report)),
+        "report.json": dumps(payload),
         "report.csv": report_to_csv(report),
         "energies.svg": _svg_bar_chart(f"{report.study}: normalized best energy",
                                        groups, series, energy_vals,
-                                       "mean best / planted"),
+                                       "mean best / planted", comment),
         "gsp.svg": _svg_bar_chart(f"{report.study}: ground state probability",
-                                  groups, series, gsp_vals, "GSP"),
+                                  groups, series, gsp_vals, "GSP", comment),
     }
 
 
@@ -376,23 +385,12 @@ _SINKS = {
 def emit_report(report: ExperimentReport, out_dir: str,
                 formats: tuple[str, ...] = ("json", "csv", "svg"),
                 meta: dict | None = None) -> list[str]:
-    """Write the selected sinks into ``out_dir``; returns the paths written.
-
-    Unknown formats are rejected before anything is written.  With ``meta``,
-    report.json carries it as its ``meta`` object and each SVG as a comment
-    after the root tag; the CSV stays pure rows (its provenance lives in
-    report.json).
-    """
+    """Write the selected sinks of `render_report` into ``out_dir``, or none
+    if a format is unknown; returns the paths written."""
     unknown = sorted(set(formats) - set(_SINKS))
     if unknown:
         raise InvalidParameterError(f"unknown report formats: {unknown}")
-    payloads = render_report(report)
-    if meta is not None:
-        payloads["report.json"] = dumps({**report_to_dict(report), "meta": meta})
-        comment = f"<!-- {json.dumps(meta, sort_keys=True)} -->\n"
-        for name in _SINKS["svg"]:
-            head, rest = payloads[name].split("\n", 1)
-            payloads[name] = head + "\n" + comment + rest
+    payloads = render_report(report, meta)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name in [n for fmt, names in _SINKS.items() if fmt in formats for n in names]:

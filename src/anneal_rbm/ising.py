@@ -20,13 +20,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, EmbeddingInfeasibleError,
                      InvalidParameterError)
-from .jsonio import loader
+from .jsonio import integer, loader
 from .topology import canonical_edge
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,6 +102,17 @@ def as_spins(values: Iterable[int], n: int | None = None) -> np.ndarray:
     return s.astype(np.int8, copy=False)
 
 
+def terms(p: IsingProblem) -> tuple[np.ndarray, ...]:
+    """The coefficients as arrays, in the order of ``p.h`` and ``p.j``: h
+    indices, h values, J first ends, J second ends and J values.  This is
+    the one place a problem's dicts become arrays."""
+    ends = np.fromiter(chain.from_iterable(p.j), dtype=np.intp, count=2 * len(p.j))
+    return (np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h)),
+            np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h)),
+            ends[0::2], ends[1::2],
+            np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j)))
+
+
 def energy(p: IsingProblem, s: np.ndarray) -> float:
     """E(s) for a single configuration: the one-read call of `energies`."""
     return float(energies(p, as_spins(s, p.n)[None, :])[0])
@@ -129,11 +141,7 @@ def energies(p: IsingProblem, states: np.ndarray) -> np.ndarray:
     # spin rows, and a row of +1 at index n: h term i is h_i s_i s_n
     st = np.ones((p.n + 1, reads), dtype=np.int8)
     st[:p.n] = states.T  # +-1 products are exact
-    hi = np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h))
-    hv = np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h))
-    ii = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=len(p.j))
-    jj = np.fromiter((b for _, b in p.j), dtype=np.intp, count=len(p.j))
-    jv = np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j))
+    hi, hv, ii, jj, jv = terms(p)
     ho, jo = np.argsort(hi), np.lexsort((jj, ii))
     first = np.concatenate([hi[ho], ii[jo]])
     second = np.concatenate([np.full(len(hi), p.n), jj[jo]])
@@ -237,7 +245,7 @@ def problem_from_dict(data: dict) -> IsingProblem:
     for key, v in data.get("J", {}).items():
         a, b = key.split(",")
         j[(int(a), int(b))] = float(v)
-    return make_problem(int(data["n"]), h, j)
+    return make_problem(integer(data["n"]), h, j)
 
 
 def problem_hash(p: IsingProblem) -> str:

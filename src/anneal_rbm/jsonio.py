@@ -6,12 +6,12 @@ payload into a library object; whatever the payload holds, it either returns
 or raises FormatError.
 
 The bytes are exactly those of ``json.dump(payload, f, sort_keys=True,
-indent=1)`` plus a newline, but an indent makes the stdlib run its
-pure-Python encoder over every value.  The writer walks in Python only the
-containers that hold containers and encodes every leaf container, every list
-of number rows and every list of scalar dicts in one call of a compact C-speed
-encoder whose item separator already carries the newline and the indent of
-the leaf's items; see ``_chunks``.
+indent=1, allow_nan=False)`` plus a newline, but an indent makes the stdlib
+run its pure-Python encoder over every value.  The writer walks in Python
+only the containers that hold containers and encodes every leaf container,
+every list of number rows and every list of scalar dicts in one call of a
+compact C-speed encoder whose item separator already carries the newline and
+the indent of the leaf's items; see ``_chunks``.
 """
 
 from __future__ import annotations
@@ -32,19 +32,31 @@ _INT = frozenset((int,))  # a JSON integer; bool is not one
 
 def write_json(payload, path: str) -> None:
     """Write ``payload`` to ``path`` as the bytes of ``json.dump(payload, f,
-    sort_keys=True, indent=1)`` and a newline.
+    sort_keys=True, indent=1, allow_nan=False)`` and a newline, or raise
+    what that call raises.
 
     Pieces are written as they are encoded, so a large sample file is never
     held in memory a second time as one string.
     """
     with open(path, "w") as f:
-        f.writelines(_chunks(payload, 0))
-        f.write("\n")
+        f.writelines(_pieces(payload))
 
 
 def dumps(payload) -> str:
     """The text write_json writes for ``payload``."""
-    return "".join(chain(_chunks(payload, 0), "\n"))
+    return "".join(_pieces(payload))
+
+
+def _pieces(payload):
+    """The text of ``payload`` and a newline, in pieces.  A NaN or an
+    infinity raises the stdlib's own error: before Python 3.13 the message
+    of the C encoder's does not name the value."""
+    try:
+        yield from _chunks(payload, 0)
+    except ValueError:
+        json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+        raise
+    yield "\n"
 
 
 @functools.cache
@@ -56,7 +68,7 @@ def _encoder(depth: int):
     indented encoder writes for it, except for the newline and indent after
     the opening bracket and before the closing one.
     """
-    return json.JSONEncoder(sort_keys=True,
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
                             separators=(",\n" + " " * (depth + 1), ": ")).encode
 
 
@@ -126,12 +138,17 @@ def _chunks(obj, depth: int):
         yield outer + "]"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(path: str) -> dict:
     """The JSON object in the file at ``path``; FormatError when the file is
-    not UTF-8, not JSON, or holds something other than an object."""
+    not UTF-8, not JSON (``NaN`` and ``Infinity`` included, which the stdlib
+    parses), or holds something other than an object."""
     try:
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, parse_constant=_refuse_constant)
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise FormatError(f"{path} is not a UTF-8 JSON file ({exc})") from exc
     if not isinstance(data, dict):

@@ -130,15 +130,12 @@ class LoopCover:
 
 
 def _normalize_loop(loop: Sequence[int]) -> tuple[int, ...]:
-    """Canonical rotation/direction so equal cycles serialize identically."""
-    k = len(loop)
-    best = None
-    for start in range(k):
-        for step in (1, -1):
-            cand = tuple(loop[(start + step * i) % k] for i in range(k))
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Canonical rotation/direction so equal cycles serialize identically:
+    the smallest of the loop's rotations in either direction.  A simple
+    cycle's vertices are distinct, so that rotation starts at its minimum."""
+    m = loop.index(min(loop))
+    forward = tuple(loop[m:]) + tuple(loop[:m])
+    return min(forward, forward[:1] + forward[:0:-1])
 
 
 def decompose_loops(mg: Multigraph) -> LoopCover:

@@ -33,8 +33,8 @@ import numpy as np
 from . import rng
 from .errors import (DimensionMismatchError, FormatError,
                      InvalidParameterError)
-from .ising import IsingProblem, as_spins, energies, problem_hash
-from .jsonio import integer, loader, read_json
+from .ising import IsingProblem, as_spins, energies, problem_hash, terms
+from .jsonio import integer, integers, loader, read_json
 
 log = logging.getLogger(__name__)
 
@@ -123,9 +123,8 @@ class NoiseModel:
         h = {v: x for v, x in h.items() if x != 0}
 
         if self.sigma_j and p.j:
-            couplers = np.fromiter(
-                (q for a, b in p.j for q in sorted((placement[a], placement[b]))),
-                dtype=np.int64, count=2 * len(p.j)).reshape(-1, 2)
+            # each coupler's qubits in increasing order
+            couplers = np.sort(qubit[np.stack(terms(p)[2:4], axis=1)], axis=1)
             factor = 1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
                                                 couplers), self.sigma_j, len(p.j))
             j = {e: x for (e, val), f in zip(p.j.items(), factor.tolist())
@@ -166,7 +165,7 @@ def noise_from_dict(data: dict) -> NoiseModel:
         sigma_h=float(data.get("sigma_h", 0.0)),
         sigma_j=float(data.get("sigma_j", 0.0)),
         chip_seed=integer(data.get("chip_seed", 0)),
-        region_bias=tuple((frozenset(int(q) for q in rb["qubits"]),
+        region_bias=tuple((frozenset(integers(rb["qubits"])),
                            float(rb["delta"]))
                           for rb in data.get("region_bias", ())))
 
@@ -238,27 +237,29 @@ def _spin_levels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         level = new
 
 
-def _sweep_plan(p: IsingProblem) -> tuple[np.ndarray, list]:
-    """The sweep as (order, levels): the spin updated k-th, order[k], takes
-    the label k, so each level and each step is a contiguous label block.
+def _sweep_plan(p: IsingProblem, reads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The sweep of `reads` chains as (order, states, labelled, levels).
 
-    A level is (start, stop, h, steps), h its fields as a column; a step is
-    (start, stop, neighbour labels, coupler values), one per degree in the
-    level.  A row lists the spin's neighbours in the order of `p.j`, so
-    `np.matmul` over a step makes the BLAS call a one-spin-at-a-time sweep
-    makes for each spin, with the same summation order.  Padding rows to one
-    width would change that order and, in the last bit, the local fields.
+    The spin updated k-th, order[k], takes the label k: row k of the (n,
+    reads) `states` and column k of the (reads, n) uniforms buffer
+    `labelled`, so each level and each step is a contiguous label block.  A
+    level is (s, x, u, h, steps): its rows of `states`, of the one
+    local-field buffer and of `labelled`.T, its fields h as a column, and
+    its gemv steps.  A step is (neighbour labels, gather buffer, its
+    transpose, coupler values, out): spins of one degree, at most
+    _GATHER_BUDGET gathered states or one row, gathered into a view of one
+    array, out their rows of the field buffer.  Each row keeps its own gemv
+    call and lists the spin's neighbours in the order of `p.j`, so
+    `np.matmul` makes the BLAS call a one-spin-at-a-time sweep makes for
+    each spin, with the same summation order; padding rows to one width
+    would change that order and, in the last bit, the local fields.
     """
-    n_j = len(p.j)
-    a = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=n_j)
-    b = np.fromiter((b for _, b in p.j), dtype=np.intp, count=n_j)
-    val = np.fromiter(p.j.values(), dtype=np.float64, count=n_j)
+    hi, hv, a, b, val = terms(p)
     h = np.zeros(p.n)
-    h[list(p.h)] = list(p.h.values())
-
+    h[hi] = hv
     level = _spin_levels(p.n, np.minimum(a, b), np.maximum(a, b))
     ends = np.concatenate([a, b])
-    coupler = np.tile(np.arange(n_j), 2)
+    coupler = np.tile(np.arange(len(val)), 2)
     by_end = np.lexsort((coupler, ends))
     others = np.concatenate([b, a])[by_end]
     values = np.concatenate([val, val])[by_end]
@@ -268,42 +269,26 @@ def _sweep_plan(p: IsingProblem) -> tuple[np.ndarray, list]:
     order = np.lexsort((degree, level))
     label = np.argsort(order)
     bounds = np.searchsorted(level[order], np.arange(level.max() + 2)).tolist()
+    states = np.empty((p.n, reads))
+    labelled = np.empty((reads, p.n))
+    fields = np.empty((max(np.diff(bounds)), reads, 1))
+    gathered = np.empty(max(_GATHER_BUDGET, degree.max(initial=0) * reads))
     levels = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
         deg = degree[order[start:stop]]
         cuts = (start + np.flatnonzero(np.diff(deg, prepend=-1, append=-1))).tolist()
         steps = []
         for i, j in zip(cuts[:-1], cuts[1:]):
-            rows = first[order[i:j], None] + np.arange(deg[i - start])
-            steps.append((i, j, label[others[rows]], values[rows, None]))
-        levels.append((start, stop, h[order[start:stop], None], steps))
-    return order, levels
-
-
-def _field_steps(levels: list, fields: np.ndarray) -> list:
-    """Each level's gemv steps, as (neighbour labels, gather buffer, its
-    transpose, coupler values, out), out the rows of the (width, reads, 1)
-    buffer `fields` the step's spins fill.
-
-    A step of `_sweep_plan` is cut so that it gathers at most
-    _GATHER_BUDGET states (or one row); every row keeps its own gemv call,
-    so the cut changes no bit.  The gather buffers are views of one array.
-    """
-    reads = fields.shape[1]
-    widest = max(nb.shape[1] for *_, steps in levels for _, _, nb, _ in steps)
-    gathered = np.empty(max(_GATHER_BUDGET, widest * reads))
-    plan = []
-    for start, _, _, steps in levels:
-        plan.append([])
-        for i, j, nb, nb_val in steps:
-            size = max(1, _GATHER_BUDGET // max(1, nb.shape[1] * reads))
-            out = fields[i - start:j - start]
-            for a in range(0, j - i, size):
-                rows = nb[a:a + size]
+            width = deg[i - start]
+            size = max(1, _GATHER_BUDGET // max(1, width * reads))
+            for c in range(i, j, size):
+                rows = first[order[c:min(c + size, j)], None] + np.arange(width)
                 g = gathered[:rows.size * reads].reshape(*rows.shape, reads)
-                plan[-1].append((rows, g, g.transpose(0, 2, 1), nb_val[a:a + size],
-                                 out[a:a + size]))
-    return plan
+                steps.append((label[others[rows]], g, g.transpose(0, 2, 1),
+                              values[rows, None], fields[c - start:c - start + len(rows)]))
+        levels.append((states[start:stop], fields[:stop - start, :, 0],
+                       labelled[:, start:stop].T, h[order[start:stop], None], steps))
+    return order, states, labelled, levels
 
 
 def _level_fields(states: np.ndarray, steps: list) -> None:
@@ -336,24 +321,16 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
     s = +-1, and `np.exp` gets a contiguous float64 operand.  So the reads
     are that sweep's.
     """
-    order, levels = _sweep_plan(p)
     n, reads = p.n, params.num_reads
+    order, states, labelled, levels = _sweep_plan(p, reads)
     gens = list(rng.streams(params.seed, rng.STREAM_READ, np.arange(reads)))
-    states = np.empty((n, reads))
     for r, g in enumerate(gens):
         states[:, r] = g.integers(0, 2, n)[order]
     states *= 2.0
     states -= 1
-    fields = np.empty((max(stop - start for start, stop, *_ in levels), reads, 1))
 
     chunk = max(1, _SWEEP_CHUNK_BUDGET // (reads * n))
     uniforms = np.empty((reads, min(chunk, params.sweeps), n))
-    # a sweep's uniforms with column k for spin order[k]; read-major, so that
-    # `take` fills it in place (mode="clip" skips its copy of the output:
-    # order is a permutation, so nothing is clipped)
-    labelled = np.empty((reads, n))
-    plan = [(states[start:stop], fields[:stop - start, :, 0], labelled[:, start:stop].T,
-             h, steps) for (start, stop, h, _), steps in zip(levels, _field_steps(levels, fields))]
     sweep = 0
     # exp(-d_e / temp) >= 1 > u wherever d_e <= 0 (inf where it overflows),
     # so `u < exp` alone is the usual "d_e <= 0 or u < exp(-d_e / temp)" test
@@ -364,8 +341,11 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
                 g.random(out=uniforms[r, :width])
             for t in range(width):
                 temp = temps[sweep + t]
+                # `labelled` is read-major, so `take` fills it in place
+                # (mode="clip" skips its copy of the output: order is a
+                # permutation, so nothing is clipped)
                 uniforms[:, t].take(order, axis=1, out=labelled, mode="clip")
-                for s, x, u, h, steps in plan:
+                for s, x, u, h, steps in levels:
                     # a degree-0 step's matmul writes zeros, so local = h there
                     _level_fields(states, steps)
                     # s * (x + h) * 2 / temp, one operation at a time, in place

@@ -1,16 +1,19 @@
-"""Reference Eulerian augmentation for the golden tests: one full BFS per pair.
+"""Reference Eulerian augmentation and loop normalization for the golden tests.
 
 `eulerian_augment_reference` is the loop `planted.eulerian_augment` ran before
 its BFS stopped at the first level holding a remaining odd vertex, kept word
 for word (only the name changed).  It explores the whole component of every
 odd vertex it pairs, so it is the definition the level-stopped BFS must
-reproduce edge for edge.  The package never imports this module.
+reproduce edge for edge.  `normalize_loop_reference` is the scan over every
+rotation and direction that `planted._normalize_loop` ran before it rotated
+to the minimum vertex, also kept word for word.  The package never imports
+this module.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from anneal_rbm.errors import ContractError, InvalidParameterError
 from anneal_rbm.planted import Multigraph, _adjacency
@@ -66,3 +69,15 @@ def eulerian_augment_reference(n: int, edges: Iterable[Edge]) -> Multigraph:
     if any(d % 2 for d in mg.degrees()):
         raise ContractError("augmentation failed to even all degrees")
     return mg
+
+
+def normalize_loop_reference(loop: Sequence[int]) -> tuple[int, ...]:
+    """Canonical rotation/direction so equal cycles serialize identically."""
+    k = len(loop)
+    best = None
+    for start in range(k):
+        for step in (1, -1):
+            cand = tuple(loop[(start + step * i) % k] for i in range(k))
+            if best is None or cand < best:
+                best = cand
+    return best

@@ -6,8 +6,9 @@ construction as `topology` and `embedding` computed them one Python tuple at
 a time, before those modules moved to array passes over sorted edge codes.
 They are kept as they were apart from their names and the package names
 they import; `graph_from_dict_reference` sets the defect fields directly
-instead of checking the payload, and `combine_qac_rbm_reference` covers
-k > 1.  The tests check that the array passes give equal graphs,
+instead of checking the payload, `combine_qac_rbm_reference` covers k > 1,
+and `verify_partition_reference` counts a logical edge that an iso map
+collapses onto one qubit as a missing coupler instead of raising.  The tests check that the array passes give equal graphs,
 partitions, reports and payloads.  The package never imports this module.
 """
 
@@ -202,7 +203,7 @@ def verify_partition_reference(p: ReplicaPartition, g: HardwareGraph) -> Partiti
         if set(iso.keys()) != set(range(p.n_logical)):
             continue
         for a, b in sorted(p.logical_edges):
-            if canonical_edge(iso[a], iso[b]) not in active_edges:
+            if iso[a] == iso[b] or canonical_edge(iso[a], iso[b]) not in active_edges:
                 edges_embedded = False
                 failures.append(f"region {r}: logical edge ({a},{b}) has no active coupler")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -429,6 +430,17 @@ def _encodings_with(index, **changes):
      {"family": "custom", "nodes": [0, 1], "edges": [[0, 5]]}),
     (["embed", "qac", "--graph", "{bad}"],
      {"family": "custom", "nodes": [-1, 0], "edges": [[-1, 0]]}),
+    # the stdlib parses NaN and Infinity, which no payload holds; a sample
+    # file's energies and a report's cells took them and ran
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
+     b'{"reads": ["+-"], "energies": [NaN]}'),
+    (["report", "render", "--report", "{bad}"],
+     json.dumps({"study": "scaling", "cells": [{**_CELL, "method": "rbm",
+                                                "mean_normalized": math.inf}]}).encode()),
+    # int() truncated a problem's n, and a region's qubit ids, to values that ran
+    (["sample", "--problem", "{bad}"], {"n": 3.9, "h": {}, "J": {"0,1": 1.0}}),
+    (["sample", "--problem", "{problem}", "--replicate", "{partition}", "--noise", "{bad}"],
+     {"region_bias": [{"qubits": [1.7, True], "delta": 0.5}]}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -444,16 +456,21 @@ def _encodings_with(index, **changes):
         "combined-encoding-0-two-units", "combined-encoding-2-no-edges",
         "combined-partition-k-float", "graph-edge-float", "graph-node-bool",
         "partition-iso-value-float", "defects-node-float", "encoding-qubit-float",
-        "combined-k-float", "graph-edge-unknown-node", "graph-node-negative"])
+        "combined-k-float", "graph-edge-unknown-node", "graph-node-negative",
+        "samples-energy-nan", "report-cell-infinity", "problem-n-float",
+        "noise-region-qubits-float-bool"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
+    partition = tmp_path / "part.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
     uncoupled.write_text(json.dumps({"n": 2, "h": {"0": 1.0}, "J": {}}))
     # one read of the 8 qubits that 2 spins take in k=4 copies or in 4-qubit units
     reads8.write_text(json.dumps({"reads": ["+" * 8]}))
-    argv = [arg.format(bad=bad, problem=problem, uncoupled=uncoupled, reads8=reads8)
+    partition.write_text(json.dumps(_PARTITION))
+    argv = [arg.format(bad=bad, problem=problem, uncoupled=uncoupled, reads8=reads8,
+                       partition=partition)
             for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")

@@ -101,6 +101,16 @@ def test_verifier_detects_missing_edge(g4):
     assert any(f"({a},{b})" in f for f in report.failures)
 
 
+def test_verifier_reports_a_collapsed_logical_edge(g4):
+    # both ends of a logical edge on one qubit: a failed report, not an error
+    part = partition_replicas(g4, 2)
+    a, b = min(part.logical_edges)
+    maps = (part.iso_maps[0], {**part.iso_maps[1], b: part.iso_maps[1][a]})
+    report = verify_partition(dataclasses.replace(part, iso_maps=maps), g4)
+    assert not report.ok and not report.bijective and not report.edges_embedded
+    assert f"region 1: logical edge ({a},{b}) has no active coupler" in report.failures
+
+
 def test_verifier_detects_removed_region(g4):
     part = partition_replicas(g4, 4)
     mutated = dataclasses.replace(part, regions=part.regions[:3],

@@ -7,16 +7,17 @@ same order, on every structure the workbench builds a loop cover on.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anneal_rbm import planted
 from anneal_rbm.embedding import combine_qac_rbm, partition_replicas
 from anneal_rbm.errors import ContractError
-from anneal_rbm.planted import eulerian_augment
+from anneal_rbm.planted import _normalize_loop, build_loop_cover, eulerian_augment
 from anneal_rbm.topology import apply_defects, build_chimera
 
 import eulerian_reference
 from conftest import connected_graph, pegasus_ball
-from eulerian_reference import eulerian_augment_reference
+from eulerian_reference import eulerian_augment_reference, normalize_loop_reference
 
 
 def assert_matches_reference(n, edges):
@@ -75,3 +76,20 @@ def test_unpairable_odd_vertex_raises_the_same_error(monkeypatch):
     for augment in (eulerian_augment, eulerian_augment_reference):
         with pytest.raises(ContractError, match="odd-degree vertex 0 cannot be paired"):
             augment(4, [(0, 1), (2, 3)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 30), min_size=2, max_size=12, unique=True)
+       | st.permutations(range(12)))
+def test_normalized_loop_is_the_smallest_rotation(loop):
+    # decompose_loops emits simple cycles, whose vertices are distinct
+    assert _normalize_loop(loop) == normalize_loop_reference(loop)
+    assert _normalize_loop(tuple(reversed(loop))) == normalize_loop_reference(loop)
+
+
+def test_m16_loop_cover_equals_the_scanned_normalization(pegasus16, monkeypatch):
+    part = partition_replicas(pegasus16, 4)
+    edges = sorted(part.logical_edges)
+    cover = build_loop_cover(part.n_logical, edges)
+    monkeypatch.setattr(planted, "_normalize_loop", normalize_loop_reference)
+    assert cover == build_loop_cover(part.n_logical, edges)

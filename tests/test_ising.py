@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,28 @@ def test_energies_do_not_depend_on_dict_order():
         want = energies(problem_from_dict(problem_to_dict(problem)), states)
         assert np.array_equal(energies(problem, states), want)
         assert np.array_equal(energies(shuffled, states), want)
+
+
+def test_terms_follow_the_dict_order_of_a_loaded_file(tmp_path):
+    # a file's J keys in text order, "10,11" before "2,3": the arrays keep
+    # that order, and energies still add the terms sorted by index and pair
+    path = tmp_path / "p.json"
+    path.write_text('{"n": 12, "h": {"11": 0.5, "2": -1.25, "10": 3.0}, '
+                    '"J": {"10,11": 1.5, "2,3": -0.75, "0,10": 2.0, "2,10": 0.1}}')
+    p = problem_from_dict(json.loads(path.read_text()))
+    assert list(p.j) == [(10, 11), (2, 3), (0, 10), (2, 10)]
+    hi, hv, ja, jb, jv = ising.terms(p)
+    assert hi.tolist() == [11, 2, 10] and hv.tolist() == [0.5, -1.25, 3.0]
+    assert ja.tolist() == [10, 2, 0, 2] and jb.tolist() == [11, 3, 10, 10]
+    assert jv.tolist() == [1.5, -0.75, 2.0, 0.1]
+    assert hi.dtype == ja.dtype == jb.dtype == np.intp
+    assert hv.dtype == jv.dtype == np.float64
+
+    in_order = make_problem(p.n, dict(sorted(p.h.items())), dict(sorted(p.j.items())))
+    states = _random_states(np.random.default_rng(6), 40, p.n)
+    got = energies(p, states)
+    assert np.array_equal(got, energies(in_order, states))
+    assert got.tolist() == [energy_reference(in_order, s) for s in states]
 
 
 def _tied_problem(n, biases, seed):

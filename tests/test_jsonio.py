@@ -137,7 +137,8 @@ def test_write_json_format_and_read_json_round_trip(tmp_path):
     assert read_json(str(path)) == payload
 
 
-@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"{not json", b"[1, 2]", b"5", b"", b'"{}"'])
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"{not json", b"[1, 2]", b"5", b"", b'"{}"',
+                                 b'{"a": NaN}', b'{"a": [1, Infinity]}', b'{"a": {"b": -Infinity}}'])
 def test_read_json_rejects_what_is_not_a_json_object(tmp_path, raw):
     path = tmp_path / "bad.json"
     path.write_bytes(raw)
@@ -155,37 +156,58 @@ def test_sample_reads_outside_int8_are_rejected():
 
 
 def _stdlib_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
+
+
+def _assert_written_as_stdlib(payload, path):
+    """dumps and write_json give the stdlib's text, or raise its error."""
+    try:
+        want = _stdlib_text(payload)
+    except (TypeError, ValueError) as exc:
+        for write in (dumps, lambda x: write_json(x, str(path))):
+            with pytest.raises(type(exc)) as got:
+                write(payload)
+            assert str(got.value) == str(exc)
+        return
+    write_json(payload, str(path))
+    assert dumps(payload) == want
+    assert path.read_bytes() == want.encode()
 
 
 # encoded, none of these may be mistaken for a row or item boundary
 _TRICKY_STRINGS = ["],\n [", "],\n  [", "]],\n [[", "},\n {", "a,b", ",", '"q"', "\\",
                    "\x00\x1f\n\t", "é€😀 ", "[1, 2]", ""]
 _strings = st.sampled_from(_TRICKY_STRINGS) | st.text(max_size=6)
-_numbers = (st.integers(-2**70, 2**70) | st.floats()
-            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
-            | st.floats().map(np.float64))
-_scalars = st.none() | st.booleans() | _numbers | _strings
-_number_rows = st.lists(st.lists(_numbers, min_size=1, max_size=4), min_size=1, max_size=4)
-# rows that must not be split by text: an empty row, a bool or a string among numbers
-_mixed_rows = st.lists(st.lists(_numbers | st.booleans() | _strings, max_size=3),
-                       min_size=1, max_size=4)
-# one key family per dict, since sorting keys of unorderable types fails in json too
-_key_families = [_strings, st.integers(-10**6, 10**6) | st.floats() | st.booleans(),
-                 st.none()]
+def _payload_strategy(floats):
+    """Payloads whose floats are drawn from ``floats``, plus their deep
+    variants, which nest each payload inside containers of containers."""
+    numbers = (st.integers(-2**70, 2**70) | floats | floats.map(np.float64)
+               | st.just(-0.0))
+    scalars = st.none() | st.booleans() | numbers | _strings
+    number_rows = st.lists(st.lists(numbers, min_size=1, max_size=4), min_size=1, max_size=4)
+    # rows that must not be split by text: an empty row, a bool or a string among numbers
+    mixed_rows = st.lists(st.lists(numbers | st.booleans() | _strings, max_size=3),
+                          min_size=1, max_size=4)
+    # one key family per dict, since sorting keys of unorderable types fails in json too
+    key_families = [_strings, st.integers(-10**6, 10**6) | floats | st.booleans(),
+                    st.none()]
+
+    def dicts(children):
+        return st.sampled_from(key_families).flatmap(
+            lambda keys: st.dictionaries(keys, children, max_size=4))
+
+    payloads = st.recursive(
+        scalars | number_rows | number_rows.map(tuple) | mixed_rows,
+        lambda children: (st.lists(children, max_size=4) | dicts(children)
+                          | st.lists(children, max_size=3).map(tuple)),
+        max_leaves=24)
+    return payloads | payloads.map(lambda x: {"a": [{"b": [x, [[1, 2.5]]]}], "c": (1, x)})
 
 
-def _dicts(children):
-    return st.sampled_from(_key_families).flatmap(
-        lambda keys: st.dictionaries(keys, children, max_size=4))
-
-
-_payloads = st.recursive(
-    _scalars | _number_rows | _number_rows.map(tuple) | _mixed_rows,
-    lambda children: (st.lists(children, max_size=4) | _dicts(children)
-                      | st.lists(children, max_size=3).map(tuple)),
-    max_leaves=24)
-_deep_payloads = _payloads.map(lambda x: {"a": [{"b": [x, [[1, 2.5]]]}], "c": (1, x)})
+_finite_payloads = _payload_strategy(st.floats(allow_nan=False, allow_infinity=False))
+# a NaN or an infinity somewhere in most payloads: a value, a row entry or a key
+_nonfinite_payloads = _payload_strategy(
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
 
 WRITER_CASES = [
     {}, [], (), {"a": []}, {"a": {}}, [[]], [[], [1]], [[1], []], [[1, 2], [3]],
@@ -214,14 +236,12 @@ WRITER_CASES = [
 
 @pytest.mark.parametrize("payload", WRITER_CASES, ids=repr)
 def test_writer_matches_stdlib_indent_on_edge_cases(payload, tmp_path):
-    path = tmp_path / "x.json"
-    write_json(payload, str(path))
-    assert dumps(payload) == _stdlib_text(payload)
-    assert path.read_bytes() == _stdlib_text(payload).encode()
+    # the cases holding a NaN or an infinity raise, as the stdlib does
+    _assert_written_as_stdlib(payload, tmp_path / "x.json")
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(payload=_payloads | _deep_payloads)
+@given(payload=_finite_payloads)
 def test_writer_matches_stdlib_indent(payload, tmp_path_factory):
     """dumps and write_json give the stdlib's indented bytes for any payload."""
     path = tmp_path_factory.getbasetemp() / "writer.json"
@@ -230,14 +250,24 @@ def test_writer_matches_stdlib_indent(payload, tmp_path_factory):
     assert path.read_bytes() == _stdlib_text(payload).encode()
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(payload=_nonfinite_payloads)
+def test_writer_refuses_non_finite_numbers_as_stdlib_does(payload, tmp_path_factory):
+    _assert_written_as_stdlib(payload, tmp_path_factory.getbasetemp() / "nonfinite.json")
+
+
 @pytest.mark.parametrize("payload", [{(1, 2): [1, [2]]}, {(1, 2): 1}, [object()],
                                      {"a": [object(), [1]]}, {1: [1, [2]], "a": [1]},
                                      {None: [[1]], 1: 2}, [{(1, 2): 1}, {"a": 1}],
-                                     [{1: 1, "a": 1}, {"b": 2}]],
+                                     [{1: 1, "a": 1}, {"b": 2}],
+                                     # each path of the writer meets a non-finite number
+                                     math.nan, [1, math.inf], {"a": -math.inf},
+                                     {math.nan: 1}, {2.5: 1, -math.inf: [1, [2]]},
+                                     [[1, 2], [3, math.nan]], [{"a": 1}, {"b": math.inf}],
+                                     {"a": [{"b": [1, [math.nan]]}]},
+                                     [object(), math.nan], [math.nan, object()]],
                          ids=lambda p: re.sub(r" at 0x[0-9a-f]+", "", repr(p)))
-def test_writer_raises_what_stdlib_raises(payload):
-    with pytest.raises(TypeError) as want:
+def test_writer_raises_what_stdlib_raises(payload, tmp_path):
+    with pytest.raises((TypeError, ValueError)):
         _stdlib_text(payload)
-    with pytest.raises(TypeError) as got:
-        dumps(payload)
-    assert str(got.value) == str(want.value)
+    _assert_written_as_stdlib(payload, tmp_path / "x.json")

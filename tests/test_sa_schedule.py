@@ -188,39 +188,76 @@ def test_schedule_check_rejects_a_two_colouring():
     assert not schedule_is_sequential(p.n, lo, hi, np.arange(p.n) % 2)
 
 
+def first_row(view, base):
+    """The row of `base` at which `view`, a block of its rows, starts."""
+    assert np.shares_memory(view, base)
+    offset = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+    assert offset % base.strides[0] == 0
+    return offset // base.strides[0]
+
+
+# a budget of 100 gathered states cuts every step into one- or two-row gemvs
+BUDGETS = [samplers._GATHER_BUDGET, 100]
+
+
 @pytest.mark.parametrize("problem", [
     chain(), planted_ball(), relabeled(planted_ball(size=24, seed=7), seed=3),
     noisy_replicated()[0], noisy_qac()[0], make_problem(4, {0: 1.0}, {}), mixed(),
 ], ids=["chain", "pegasus", "pegasus-permuted", "replicated", "qac", "no-couplers",
         "mixed"])
-def test_schedule_invariants(problem):
+def test_schedule_invariants(problem, monkeypatch):
     lo, hi = edge_arrays(problem)
     level = _spin_levels(problem.n, lo, hi)
     assert schedule_is_sequential(problem.n, lo, hi, level)
+    for budget in BUDGETS:
+        monkeypatch.setattr(samplers, "_GATHER_BUDGET", budget)
+        check_plan(problem, level, budget)
 
-    order, levels = _sweep_plan(problem)
+
+def check_plan(problem, level, budget):
+    reads = 9
+    order, states, labelled, levels = _sweep_plan(problem, reads)
     assert np.array_equal(np.sort(order), np.arange(problem.n))
+    assert states.shape == (problem.n, reads) and states.flags.c_contiguous
+    assert labelled.shape == (reads, problem.n) and labelled.flags.c_contiguous
     label = np.argsort(order)
     # level blocks, in level order, tile the labels 0..n-1
-    assert [start for start, *_ in levels] == [0] + [stop for _, stop, *_ in levels[:-1]]
-    assert levels[-1][1] == problem.n
+    bounds = [first_row(s, states) for s, *_ in levels] + [problem.n]
     coupled = {(a, b) for a, b in problem.j} | {(b, a) for a, b in problem.j}
-    for lv, (start, stop, h, steps) in enumerate(levels):
+    gathered, field_buffers = set(), set()
+    for lv, (s, x, u, h, steps) in enumerate(levels):
+        start, stop = bounds[lv], bounds[lv + 1]
         spins = order[start:stop]
-        assert start < stop and np.all(level[spins] == lv)
+        assert start < stop and s.shape == (stop - start, reads)
+        assert np.all(level[spins] == lv)
         assert not any((int(a), int(b)) in coupled for a in spins for b in spins)
         assert np.array_equal(h, [[problem.h.get(int(v), 0.0)] for v in spins])
-        # steps tile their level
-        assert [i for i, *_ in steps] == [start] + [j for _, j, *_ in steps[:-1]]
-        assert steps[-1][1] == stop
-        for i, j, nb, nb_val in steps:
-            assert i < j and nb.shape == nb_val.shape[:2] and len(nb) == j - i
+        # its uniforms are columns start..stop of `labelled`, one row per spin
+        assert first_row(u.T, labelled.T) == start and u.shape == (stop - start, reads)
+        # its fields are rows 0..width of the one field buffer, and its steps'
+        # outputs tile them
+        assert x.shape == (stop - start, reads) and first_row(x, x.base[:, :, 0]) == 0
+        field_buffers.add(id(x.base))
+        assert [first_row(out[:, :, 0], x) for *_, out in steps] == \
+            [0] + np.cumsum([len(out) for *_, out in steps[:-1]]).tolist()
+        assert sum(len(out) for *_, out in steps) == stop - start
+        i = start
+        for nb, g, g_t, nb_val, out in steps:
+            j = i + len(out)
+            assert nb.shape == nb_val.shape[:2] and len(nb) == len(out)
+            # one degree per step, gathered into the one buffer within budget
+            assert g.shape == (*nb.shape, reads) and g.flags.c_contiguous
+            assert g_t.base is g.base and g_t.shape == (len(nb), reads, nb.shape[1])
+            assert g.size <= budget or len(nb) == 1
+            gathered.add(id(g.base))
             # each row: the spin's neighbours, relabelled, and its couplers,
             # in coupler order
             for spin, row, row_val in zip(order[i:j], nb, nb_val[:, :, 0]):
                 want = [(int(label[b if a == spin else a]), v)
                         for (a, b), v in problem.j.items() if spin in (a, b)]
-                assert [(int(x), float(y)) for x, y in zip(row, row_val)] == want
+                assert [(int(q), float(v)) for q, v in zip(row, row_val)] == want
+            i = j
+    assert len(gathered) == len(field_buffers) == 1
 
 
 @pytest.mark.parametrize("problem", [noisy_qac, noisy_replicated])
@@ -237,9 +274,6 @@ def test_step_fields_are_the_per_spin_products(problem, monkeypatch):
         nbrs[b].append((a, v))
     reads = 37
     states = np.random.default_rng(17).choice([-1.0, 1.0], size=(reads, p.n))
-    order, levels = _sweep_plan(p)
-    spin_major = np.ascontiguousarray(states[:, order].T)
-    fields = np.empty((max(stop - start for start, stop, *_ in levels), reads, 1))
 
     # the gather must hand np.matmul the strides of the reference's
     # `states[:, idx]`, so that it makes the same BLAS call: a numpy that
@@ -247,29 +281,42 @@ def test_step_fields_are_the_per_spin_products(problem, monkeypatch):
     matmul = np.matmul
     operands = []
     monkeypatch.setattr(np, "matmul", lambda a, b, **kw: operands.append(a) or matmul(a, b, **kw))
-    # a budget of 100 gathered states cuts every step into one- or two-row gemvs
-    for budget in (samplers._GATHER_BUDGET, 100):
+    for budget in BUDGETS:
         monkeypatch.setattr(samplers, "_GATHER_BUDGET", budget)
-        for (start, stop, _, _), steps in zip(levels, samplers._field_steps(levels, fields)):
+        order, spin_major, _, levels = _sweep_plan(p, reads)
+        spin_major[:] = states[:, order].T
+        start = 0
+        for _, x, _, _, steps in levels:
             operands.clear()
-            fields.fill(np.nan)
+            x.fill(np.nan)
             samplers._level_fields(spin_major, steps)
             assert operands
             for a in operands:
                 assert a.shape[1] == reads
                 if a.shape[2]:
                     assert a.strides[1:] == states[:, np.arange(a.shape[2])].strides
-            for row, spin in enumerate(order[start:stop]):
+            for row, spin in enumerate(order[start:start + len(x)]):
                 idx = np.array([q for q, _ in nbrs[spin]], dtype=np.intp)
                 want = states[:, idx] @ np.array([v for _, v in nbrs[spin]]) \
                     if idx.size else 0.0
-                assert np.array_equal(fields[row, :, 0], np.broadcast_to(want, (reads,)))
+                assert np.array_equal(x[row], np.broadcast_to(want, (reads,)))
+            start += len(x)
+        assert start == p.n
 
 
 def test_gemv_steps_cut_to_single_rows(monkeypatch):
     # with a budget of one gathered state every gemv step is cut to one row;
     # each spin still gets its own gemv call, so the reads do not move
     monkeypatch.setattr(samplers, "_GATHER_BUDGET", 1)
+    p, noise, placement = noisy_qac()
+    assert_matches_reference(p, AnnealParams(num_reads=9, sweeps=15, seed=18),
+                             noise, placement)
+
+
+def test_gemv_steps_cut_to_one_or_two_rows(monkeypatch):
+    # 100 gathered states hold one or two rows of the noisy QAC problem at
+    # 9 reads, so most steps are cut and some rows share a gemv step
+    monkeypatch.setattr(samplers, "_GATHER_BUDGET", 100)
     p, noise, placement = noisy_qac()
     assert_matches_reference(p, AnnealParams(num_reads=9, sweeps=15, seed=18),
                              noise, placement)
