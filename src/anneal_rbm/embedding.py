@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
-from .jsonio import integer, integer_rows, integers, loader
+from .jsonio import index_keys, integer, integer_rows, integers, loader
 from .topology import (Edge, HardwareGraph, build_custom, canonical_edge,
                        canonical_edges, chimera_index, edge_array, edge_set,
                        graph_from_dict, unique_codes)
@@ -485,7 +485,7 @@ def partition_from_dict(data: dict) -> ReplicaPartition:
         k=integer(data["k"]),
         n_logical=integer(data["n_logical"]),
         logical_edges=edge_set(*canonical_edges(integer_rows(data["logical_edges"], 2)).T),
-        iso_maps=tuple(dict(zip(map(int, iso.keys()), integers(list(iso.values()))))
+        iso_maps=tuple(dict(zip(index_keys(iso), integers(list(iso.values()))))
                        for iso in data["iso_maps"]),
         regions=tuple(frozenset(integers(reg)) for reg in data["regions"]),
         meta=dict(data.get("meta", {})))
@@ -510,12 +510,8 @@ def encoding_from_dict(data: dict) -> QacEncoding:
     units = data["units"]
     problem = integer_rows([u["problem"] for u in units], 3).tolist()
     penalty = integers([u["penalty"] for u in units])
-    # "a,b" keys parsed all at once: every key must give exactly two ids
     ledges = data["logical_edges"]
-    ids = list(map(int, ",".join(ledges).split(","))) if ledges else []
-    if len(ids) != 2 * len(ledges):
-        raise ValueError("logical edge keys must be 'a,b'")
-    keys = canonical_edges(np.array(ids, dtype=np.int64).reshape(-1, 2))
+    keys = canonical_edges(np.array(index_keys(ledges, 2), dtype=np.int64).reshape(-1, 2))
     couplers = list(ledges.values())
     ends = canonical_edges(integer_rows(list(chain.from_iterable(couplers)), 2))
     rows = list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))

@@ -19,16 +19,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, EmbeddingInfeasibleError,
                      InvalidParameterError)
-from .jsonio import integer, loader
-from .topology import canonical_edge
+from .jsonio import index_keys, integer, loader, numbers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .embedding import ReplicaPartition
@@ -38,54 +39,115 @@ Pair = tuple[int, int]
 _ENERGY_BUDGET = 1 << 20  # float64 entries `energies` holds at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsingProblem:
-    """Sparse Ising problem; coefficients are finite and never zero, and the
-    sum of their magnitudes is finite."""
+    """Sparse Ising problem stored as its term arrays: h indices and values,
+    and J first ends, second ends and values with first < second.
+
+    Coefficients are finite and never zero, no index or pair repeats, and the
+    sum of their magnitudes is finite.  The terms keep the order they are
+    given in, which is the order of the ``h`` and ``j`` views and the order
+    the annealer sums each local field in.  The arrays are read-only copies,
+    and ``==`` compares the views, so it ignores that order.
+    """
 
     n: int
-    h: dict[int, float] = field(default_factory=dict)
-    j: dict[Pair, float] = field(default_factory=dict)
+    h_index: np.ndarray
+    h_value: np.ndarray
+    j_first: np.ndarray
+    j_second: np.ndarray
+    j_value: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidParameterError(f"variable count must be >= 0, got {self.n}")
-        for i, v in self.h.items():
-            if not 0 <= i < self.n:
-                raise InvalidParameterError(f"h index {i} out of range for n={self.n}")
-            if v == 0 or not math.isfinite(v):
-                raise InvalidParameterError(
-                    f"stored bias h[{i}] = {v}, must be finite and nonzero")
-        for (a, b), v in self.j.items():
-            if a == b:
-                raise InvalidParameterError(f"self-pair ({a},{b}) in J")
-            if a > b:
-                raise InvalidParameterError(f"non-canonical pair ({a},{b}) in J")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise InvalidParameterError(f"J pair ({a},{b}) out of range for n={self.n}")
-            if v == 0 or not math.isfinite(v):
-                raise InvalidParameterError(
-                    f"stored coupling J[{a},{b}] = {v}, must be finite and nonzero")
-        # bounds every site weight and every partial sum of an energy
-        scale = sum(map(abs, self.h.values())) + sum(map(abs, self.j.values()))
-        if not math.isfinite(scale):
+        n = self.n
+        if n < 0:
+            raise InvalidParameterError(f"variable count must be >= 0, got {n}")
+        for name, dtype in _TERM_FIELDS.items():
+            # a float index or a string value would be cast silently
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1 or (a.size and not np.can_cast(a.dtype, dtype, "same_kind")):
+                raise InvalidParameterError(f"{name} must be 1-d {dtype.__name__}, "
+                                            f"got {a.dtype} of shape {a.shape}")
+            a = a.astype(dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        hi, hv, a, b, jv = (self.h_index, self.h_value, self.j_first, self.j_second,
+                            self.j_value)
+        if hi.shape != hv.shape or not a.shape == b.shape == jv.shape:
             raise InvalidParameterError(
-                f"sum of |h| and |J| is {scale}; it must be finite")
+                f"term arrays of lengths {[len(x) for x in (hi, hv, a, b, jv)]}; "
+                f"h needs two and J three of one length each")
+        _refuse((hi < 0) | (hi >= n), lambda t: f"h index {hi[t]} out of range for n={n}")
+        _refuse(np.bincount(hi)[hi] > 1, lambda t: f"h index {hi[t]} given twice")
+        _refuse((hv == 0) | ~np.isfinite(hv),
+                lambda t: f"stored bias h[{hi[t]}] = {hv[t]}, must be finite and nonzero")
+        _refuse(a == b, lambda t: f"self-pair ({a[t]},{b[t]}) in J")
+        _refuse(a > b, lambda t: f"non-canonical pair ({a[t]},{b[t]}) in J")
+        _refuse((a < 0) | (b >= n), lambda t: f"J pair ({a[t]},{b[t]}) out of range for n={n}")
+        base = int(b.max(initial=0)) + 1  # sorted codes a*base + b put equal pairs side by side
+        codes = np.sort(a * base + b)
+        _refuse(codes[1:] == codes[:-1],
+                lambda t: f"duplicate coupling for pair {divmod(int(codes[t]), base)}")
+        _refuse((jv == 0) | ~np.isfinite(jv), lambda t: f"stored coupling "
+                f"J[{a[t]},{b[t]}] = {jv[t]}, must be finite and nonzero")
+        # bounds every site weight and every partial sum of an energy; cumsum
+        # adds left to right in stored order, as Python's sum does
+        with np.errstate(over="ignore"):
+            hs, js = (float(np.cumsum(np.abs(v))[-1]) if v.size else 0.0 for v in (hv, jv))
+        if not math.isfinite(hs + js):
+            raise InvalidParameterError(
+                f"sum of |h| and |J| is {hs + js}; it must be finite")
+
+    @cached_property
+    def h(self) -> Mapping[int, float]:
+        """Read-only dict {index: value} of the h terms, in stored order."""
+        return MappingProxyType(dict(zip(self.h_index.tolist(), self.h_value.tolist())))
+
+    @cached_property
+    def j(self) -> Mapping[Pair, float]:
+        """Read-only dict {(first, second): value} of the J terms, in stored order."""
+        return MappingProxyType(dict(zip(zip(self.j_first.tolist(), self.j_second.tolist()),
+                                         self.j_value.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, IsingProblem):
+            return NotImplemented
+        return self.n == other.n and self.h == other.h and self.j == other.j
+
+    def __reduce__(self):
+        # through the constructor: the cached views do not pickle, and an
+        # unpickled array would be writable
+        return IsingProblem, (self.n, self.h_index, self.h_value, self.j_first,
+                              self.j_second, self.j_value)
+
+
+_TERM_FIELDS = {"h_index": np.intp, "h_value": np.float64, "j_first": np.intp,
+                "j_second": np.intp, "j_value": np.float64}
+
+
+def _refuse(bad: np.ndarray, message) -> None:
+    """InvalidParameterError naming the first term flagged in ``bad``."""
+    if bad.any():
+        raise InvalidParameterError(message(int(bad.argmax())))
 
 
 def make_problem(n: int, h: Mapping[int, float] | None = None,
                  j: Mapping[Pair, float] | None = None) -> IsingProblem:
     """Canonicalize coefficients (order pairs, drop exact zeros) and validate."""
-    hh = {int(i): float(v) for i, v in (h or {}).items() if v != 0}
-    jj: dict[Pair, float] = {}
-    for (a, b), v in (j or {}).items():
-        if v == 0:
-            continue
-        e = canonical_edge(int(a), int(b))
-        if e in jj:
-            raise InvalidParameterError(f"duplicate coupling for pair {e}")
-        jj[e] = float(v)
-    return IsingProblem(n=int(n), h=hh, j=jj)
+    h, j = h or {}, j or {}
+    ends = np.fromiter(chain.from_iterable(j), dtype=np.intp, count=2 * len(j))
+    return _canonical(int(n), np.fromiter(h, dtype=np.intp, count=len(h)),
+                      np.fromiter(h.values(), dtype=np.float64, count=len(h)),
+                      ends[0::2], ends[1::2],
+                      np.fromiter(j.values(), dtype=np.float64, count=len(j)))
+
+
+def _canonical(n: int, hi, hv, a, b, jv) -> IsingProblem:
+    """The problem of these term arrays with exact zeros dropped and each
+    pair's lower end first, so a pair given in both orders is a duplicate."""
+    hk, jk = hv != 0, jv != 0
+    a, b = a[jk], b[jk]
+    return IsingProblem(n, hi[hk], hv[hk], np.minimum(a, b), np.maximum(a, b), jv[jk])
 
 
 def as_spins(values: Iterable[int], n: int | None = None) -> np.ndarray:
@@ -102,17 +164,6 @@ def as_spins(values: Iterable[int], n: int | None = None) -> np.ndarray:
     return s.astype(np.int8, copy=False)
 
 
-def terms(p: IsingProblem) -> tuple[np.ndarray, ...]:
-    """The coefficients as arrays, in the order of ``p.h`` and ``p.j``: h
-    indices, h values, J first ends, J second ends and J values.  This is
-    the one place a problem's dicts become arrays."""
-    ends = np.fromiter(chain.from_iterable(p.j), dtype=np.intp, count=2 * len(p.j))
-    return (np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h)),
-            np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h)),
-            ends[0::2], ends[1::2],
-            np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j)))
-
-
 def energy(p: IsingProblem, s: np.ndarray) -> float:
     """E(s) for a single configuration: the one-read call of `energies`."""
     return float(energies(p, as_spins(s, p.n)[None, :])[0])
@@ -124,7 +175,7 @@ def energies(p: IsingProblem, states: np.ndarray) -> np.ndarray:
     A read's energy is its h terms by index, then its J terms by pair (the
     order `problem_to_dict` writes), added left to right from the first
     term.  It depends only on the problem's contents and that read, not on
-    the batch, the layout or the order the problem's dicts were filled in.
+    the batch, the layout or the order the problem's terms are stored in.
     Terms are scored a block at a time in a C-ordered float64 matrix of at
     most `_ENERGY_BUDGET` entries: its first row holds the sums so far, the
     others a block of exact terms, one column per read, and numpy reduces it
@@ -141,7 +192,7 @@ def energies(p: IsingProblem, states: np.ndarray) -> np.ndarray:
     # spin rows, and a row of +1 at index n: h term i is h_i s_i s_n
     st = np.ones((p.n + 1, reads), dtype=np.int8)
     st[:p.n] = states.T  # +-1 products are exact
-    hi, hv, ii, jj, jv = terms(p)
+    hi, hv, ii, jj, jv = p.h_index, p.h_value, p.j_first, p.j_second, p.j_value
     ho, jo = np.argsort(hi), np.lexsort((jj, ii))
     first = np.concatenate([hi[ho], ii[jo]])
     second = np.concatenate([np.full(len(hi), p.n), jj[jo]])
@@ -173,10 +224,9 @@ def gauge_transform(p: IsingProblem, t: np.ndarray) -> IsingProblem:
     Energies satisfy E'(s * t) = E(s) for every configuration, so spectra are
     preserved exactly.
     """
-    t = as_spins(t, p.n)
-    h = {i: v * float(t[i]) for i, v in p.h.items()}
-    j = {e: v * float(t[e[0]]) * float(t[e[1]]) for e, v in p.j.items()}
-    return make_problem(p.n, h, j)
+    t = as_spins(t, p.n).astype(np.float64)
+    return IsingProblem(p.n, p.h_index, p.h_value * t[p.h_index], p.j_first, p.j_second,
+                        p.j_value * t[p.j_first] * t[p.j_second])
 
 
 @dataclass(frozen=True)
@@ -201,56 +251,51 @@ def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProbl
     sum of the per-replica energies of ``p``, and no couplers cross replica
     boundaries.
     """
-    n_l = p.n
+    n_l, k = p.n, partition.k
     if n_l > partition.n_logical:
         raise EmbeddingInfeasibleError(
             f"problem has {n_l} variables but regions admit {partition.n_logical}")
-    missing = [e for e in p.j if e not in partition.logical_edges]
-    if missing:
+    pairs = list(zip(p.j_first.tolist(), p.j_second.tolist()))
+    if not partition.logical_edges.issuperset(pairs):
+        missing = sorted(set(pairs) - partition.logical_edges)
         raise EmbeddingInfeasibleError(
-            f"region structure lacks couplers for logical edges {sorted(missing)[:5]}")
+            f"region structure lacks couplers for logical edges {missing[:5]}")
 
-    h: dict[int, float] = {}
-    j: dict[Pair, float] = {}
-    placement: dict[int, int] = {}
-    for r in range(partition.k):
-        iso = partition.iso_maps[r]
-        base = r * n_l
-        for v in range(n_l):
-            placement[base + v] = iso[v]
-        for i, val in p.h.items():
-            h[base + i] = val
-        for (a, b), val in p.j.items():
-            j[(base + a, base + b)] = val
-    rep = IsingProblem(n=partition.k * n_l, h=h, j=j)
-    return ReplicatedProblem(problem=rep, k=partition.k, n_logical=n_l,
-                             placement=placement)
+    base = np.arange(k)[:, None] * n_l  # replica-major: replica r's terms, then r + 1's
+    rep = IsingProblem(k * n_l, (base + p.h_index).ravel(), np.tile(p.h_value, k),
+                       (base + p.j_first).ravel(), (base + p.j_second).ravel(),
+                       np.tile(p.j_value, k))
+    placement = {r * n_l + v: partition.iso_maps[r][v] for r in range(k) for v in range(n_l)}
+    return ReplicatedProblem(problem=rep, k=k, n_logical=n_l, placement=placement)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 def problem_to_dict(p: IsingProblem) -> dict:
+    """The problem's payload: h keyed by ``"i"``, J by ``"a,b"``, each
+    sorted by index."""
+    ho, jo = np.argsort(p.h_index), np.lexsort((p.j_second, p.j_first))
     return {
         "n": p.n,
-        "h": {str(i): v for i, v in sorted(p.h.items())},
-        "J": {f"{a},{b}": v for (a, b), v in sorted(p.j.items())},
+        "h": dict(zip(map(str, p.h_index[ho].tolist()), p.h_value[ho].tolist())),
+        "J": dict(zip(map("{},{}".format, p.j_first[jo].tolist(), p.j_second[jo].tolist()),
+                      p.j_value[jo].tolist())),
     }
 
 
 @loader("problem")
 def problem_from_dict(data: dict) -> IsingProblem:
-    h = {int(i): float(v) for i, v in data.get("h", {}).items()}
-    j = {}
-    for key, v in data.get("J", {}).items():
-        a, b = key.split(",")
-        j[(int(a), int(b))] = float(v)
-    return make_problem(integer(data["n"]), h, j)
+    """The problem of a payload whose keys, ``"i"`` for h and ``"a,b"`` for
+    J, are canonical decimals (`jsonio.index_keys`) and whose coefficients
+    are JSON numbers."""
+    h, j = data.get("h", {}), data.get("J", {})
+    ends = np.array(index_keys(j, 2), dtype=np.intp).reshape(-1, 2)
+    return _canonical(integer(data["n"]), np.array(index_keys(h), dtype=np.intp),
+                      np.array(numbers(h.values()), dtype=np.float64), ends[:, 0], ends[:, 1],
+                      np.array(numbers(j.values()), dtype=np.float64))
 
 
 def problem_hash(p: IsingProblem) -> str:
-    """sha256 of ``json.dumps(problem_to_dict(p), sort_keys=True)``; the
-    dicts are built unsorted, since sort_keys puts every key in order."""
-    payload = {"n": p.n, "h": {str(i): v for i, v in p.h.items()},
-               "J": {f"{a},{b}": v for (a, b), v in p.j.items()}}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    """sha256 of ``json.dumps(problem_to_dict(p), sort_keys=True)``."""
+    return hashlib.sha256(json.dumps(problem_to_dict(p), sort_keys=True).encode()).hexdigest()

@@ -16,8 +16,11 @@ the indent of the leaf's items; see ``_chunks``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import math
+import os
 from itertools import chain
 
 import numpy as np
@@ -36,10 +39,19 @@ def write_json(payload, path: str) -> None:
     what that call raises.
 
     Pieces are written as they are encoded, so a large sample file is never
-    held in memory a second time as one string.
+    held in memory a second time as one string.  They go to a temporary file
+    beside ``path`` that replaces it only once complete, so a payload that
+    fails part-way leaves ``path`` as it was and no temporary file behind.
     """
-    with open(path, "w") as f:
-        f.writelines(_pieces(payload))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.writelines(_pieces(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def dumps(payload) -> str:
@@ -138,17 +150,21 @@ def _chunks(obj, depth: int):
         yield outer + "]"
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
 
 
 def read_json(path: str) -> dict:
     """The JSON object in the file at ``path``; FormatError when the file is
     not UTF-8, not JSON (``NaN`` and ``Infinity`` included, which the stdlib
-    parses), or holds something other than an object."""
+    parses, and a number such as ``1e400`` that it parses to infinity), or
+    holds something other than an object."""
     try:
         with open(path, encoding="utf-8") as f:
-            data = json.load(f, parse_constant=_refuse_constant)
+            data = json.load(f, parse_constant=_finite_float, parse_float=_finite_float)
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise FormatError(f"{path} is not a UTF-8 JSON file ({exc})") from exc
     if not isinstance(data, dict):
@@ -170,6 +186,28 @@ def integers(values) -> list:
     if not isinstance(values, (list, tuple)) or not _INT.issuperset(map(type, values)):
         raise TypeError(f"expected a list of integers, got {values!r:.60}")
     return values
+
+
+def numbers(values) -> list:
+    """``values`` as a list if each is a JSON number, else TypeError:
+    ``float()`` would take a bool as 0 or 1 and parse a string."""
+    values = list(values)
+    if not _NUMBERS.issuperset(map(type, values)):
+        raise TypeError(f"expected numbers, got {values!r:.60}")
+    return values
+
+
+def index_keys(keys, width: int = 1) -> list:
+    """The indices in object keys of ``width`` comma-separated decimals
+    each, flat in key order; ValueError unless each key reads as its indices
+    print, ``str(int(k)) == k`` for each part, so ``"01"``, ``" 1"`` and
+    ``"1_0"`` are refused and no two keys name one index or pair."""
+    keys = list(keys)
+    ints = list(map(int, ",".join(keys).split(","))) if keys else []
+    printed = map(",".join(["{}"] * width).format, *(ints[i::width] for i in range(width)))
+    if list(printed) != keys:
+        raise ValueError(f"keys {keys!r:.60} are not {width} canonical decimal indices each")
+    return ints
 
 
 def integer_rows(rows, width: int) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 from . import rng
 from .errors import ContractError, InvalidParameterError
 from .ising import IsingProblem, as_spins, energy, make_problem
-from .jsonio import loader
 from .topology import Edge, canonical_edge
 
 
@@ -431,17 +430,3 @@ def instance_to_dict(inst: PlantedInstance) -> dict:
         "planted_energy": inst.planted_energy,
     }
 
-
-@loader("instance")
-def instance_from_dict(data: dict, cover: LoopCover | None = None) -> PlantedInstance:
-    from .ising import problem_from_dict
-    problem = problem_from_dict(data)
-    planted = as_spins(data["planted"], problem.n)
-    params = GeneratorParams(**data["params"])
-    clauses = tuple(Clause(loop_index=int(c["loop"]),
-                           magnitude=float(c["magnitude"]),
-                           flip_pos=None if c["flip"] is None else int(c["flip"]))
-                    for c in data.get("clauses", ()))
-    return PlantedInstance(problem=problem, planted=planted, params=params,
-                           clauses=clauses,
-                           planted_energy=energy(problem, planted), cover=cover)

@@ -33,7 +33,7 @@ import numpy as np
 from . import rng
 from .errors import (DimensionMismatchError, FormatError,
                      InvalidParameterError)
-from .ising import IsingProblem, as_spins, energies, problem_hash, terms
+from .ising import IsingProblem, as_spins, energies, problem_hash
 from .jsonio import integer, integers, loader, read_json
 
 log = logging.getLogger(__name__)
@@ -115,23 +115,21 @@ class NoiseModel:
                             self.sigma_h, p.n)
         for qubits, delta in self.region_bias:
             off[np.isin(qubit, np.fromiter(qubits, dtype=np.int64))] += delta
-        moved = np.flatnonzero(off)
-        h = dict(p.h)
-        h.update((v, p.h.get(v, 0.0) + d)
-                 for v, d in zip(moved.tolist(), off[moved].tolist()))
-        # p is canonical, so dropping exact zeros is all make_problem would do
-        h = {v: x for v, x in h.items() if x != 0}
+        # each h term moves by its offset in place, and a moved spin without
+        # one gains a term after them, in index order
+        added = np.setdiff1d(np.flatnonzero(off), p.h_index, assume_unique=True)
+        hi = np.concatenate([p.h_index, added])
+        hv = np.concatenate([p.h_value + off[p.h_index], off[added]])
 
-        if self.sigma_j and p.j:
+        jv = p.j_value
+        if self.sigma_j and jv.size:
             # each coupler's qubits in increasing order
-            couplers = np.sort(qubit[np.stack(terms(p)[2:4], axis=1)], axis=1)
-            factor = 1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
-                                                couplers), self.sigma_j, len(p.j))
-            j = {e: x for (e, val), f in zip(p.j.items(), factor.tolist())
-                 if (x := val * f) != 0}
-        else:
-            j = dict(p.j)
-        return IsingProblem(n=p.n, h=h, j=j)
+            couplers = np.sort(qubit[np.stack([p.j_first, p.j_second], axis=1)], axis=1)
+            jv = jv * (1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
+                                                  couplers), self.sigma_j, jv.size))
+        # p is canonical, so dropping exact zeros is all make_problem would do
+        hk, jk = hv != 0, jv != 0
+        return IsingProblem(p.n, hi[hk], hv[hk], p.j_first[jk], p.j_second[jk], jv[jk])
 
 
 def _normals(gens, sigma: float, count: int) -> np.ndarray:
@@ -249,12 +247,12 @@ def _sweep_plan(p: IsingProblem, reads: int) -> tuple[np.ndarray, np.ndarray, np
     transpose, coupler values, out): spins of one degree, at most
     _GATHER_BUDGET gathered states or one row, gathered into a view of one
     array, out their rows of the field buffer.  Each row keeps its own gemv
-    call and lists the spin's neighbours in the order of `p.j`, so
-    `np.matmul` makes the BLAS call a one-spin-at-a-time sweep makes for
-    each spin, with the same summation order; padding rows to one width
-    would change that order and, in the last bit, the local fields.
+    call and lists the spin's neighbours in the stored order of the J
+    terms, so `np.matmul` makes the BLAS call a one-spin-at-a-time sweep
+    makes for each spin, with the same summation order; padding rows to one
+    width would change that order and, in the last bit, the local fields.
     """
-    hi, hv, a, b, val = terms(p)
+    hi, hv, a, b, val = p.h_index, p.h_value, p.j_first, p.j_second, p.j_value
     h = np.zeros(p.n)
     h[hi] = hv
     level = _spin_levels(p.n, np.minimum(a, b), np.maximum(a, b))

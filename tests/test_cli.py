@@ -441,6 +441,21 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{bad}"], {"n": 3.9, "h": {}, "J": {"0,1": 1.0}}),
     (["sample", "--problem", "{problem}", "--replicate", "{partition}", "--noise", "{bad}"],
      {"region_bias": [{"qubits": [1.7, True], "delta": 0.5}]}),
+    # keys that alias one term, where the last value won, or name another
+    # index ("1_0" loaded as 10); a key must read as str(int(k)) does
+    (["sample", "--problem", "{bad}"], {"n": 2, "h": {}, "J": {"0,1": 1.0, "00,1": 2.0}}),
+    (["sample", "--problem", "{bad}"], {"n": 2, "h": {}, "J": {" 0,1": 1.0}}),
+    (["sample", "--problem", "{bad}"], {"n": 2, "h": {"1": 1.0, "01": 2.0}, "J": {}}),
+    (["sample", "--problem", "{bad}"], {"n": 11, "h": {"1_0": 1.0}, "J": {}}),
+    # coefficients that float() took: a bool as 1.0, a string as its number
+    (["sample", "--problem", "{bad}"], {"n": 2, "h": {"0": True}, "J": {}}),
+    (["sample", "--problem", "{bad}"], {"n": 2, "h": {}, "J": {"0,1": "2.5"}}),
+    # structure files name ids by keys too, parsed by the same rule
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
+     {**_PARTITION, "iso_maps": [{"0": 0, "1": 1}, {"0": 2, "01": 3}]}),
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
+     {**_COMBINED, "encodings": _encodings_with(0, logical_edges={
+         "0" + key: cs for key, cs in _COMBINED["encodings"][0]["logical_edges"].items()})}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -458,7 +473,9 @@ def _encodings_with(index, **changes):
         "partition-iso-value-float", "defects-node-float", "encoding-qubit-float",
         "combined-k-float", "graph-edge-unknown-node", "graph-node-negative",
         "samples-energy-nan", "report-cell-infinity", "problem-n-float",
-        "noise-region-qubits-float-bool"])
+        "noise-region-qubits-float-bool", "problem-j-keys-alias", "problem-j-key-space",
+        "problem-h-keys-alias", "problem-h-key-underscore", "problem-h-bool",
+        "problem-j-string", "partition-iso-key-alias", "combined-encoding-key-alias"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"

@@ -60,12 +60,12 @@ def test_make_problem_rejects_duplicates_and_self_pairs():
     with pytest.raises(InvalidParameterError):
         make_problem(3, {}, {(0, 1): 1.0, (1, 0): 2.0})
     with pytest.raises(InvalidParameterError):
-        IsingProblem(2, {}, {(1, 1): 1.0})
+        IsingProblem(2, [], [], [1], [1], [1.0])
 
 
 def test_stored_zero_rejected():
     with pytest.raises(InvalidParameterError):
-        IsingProblem(2, {0: 0.0}, {})
+        IsingProblem(2, [0], [0.0], [], [], [])
 
 
 @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
@@ -255,7 +255,7 @@ def test_terms_follow_the_dict_order_of_a_loaded_file(tmp_path):
                     '"J": {"10,11": 1.5, "2,3": -0.75, "0,10": 2.0, "2,10": 0.1}}')
     p = problem_from_dict(json.loads(path.read_text()))
     assert list(p.j) == [(10, 11), (2, 3), (0, 10), (2, 10)]
-    hi, hv, ja, jb, jv = ising.terms(p)
+    hi, hv, ja, jb, jv = p.h_index, p.h_value, p.j_first, p.j_second, p.j_value
     assert hi.tolist() == [11, 2, 10] and hv.tolist() == [0.5, -1.25, 3.0]
     assert ja.tolist() == [10, 2, 0, 2] and jb.tolist() == [11, 3, 10, 10]
     assert jv.tolist() == [1.5, -0.75, 2.0, 0.1]

@@ -18,9 +18,6 @@ from anneal_rbm.experiments import (ExperimentConfig, config_from_dict,
                                     config_to_dict, report_from_dict)
 from anneal_rbm.ising import make_problem, problem_from_dict, problem_to_dict
 from anneal_rbm.jsonio import dumps, read_json, write_json
-from anneal_rbm.planted import (GeneratorParams, build_loop_cover,
-                                generate_instance, instance_from_dict,
-                                instance_to_dict)
 from anneal_rbm.samplers import (AnnealParams, NoiseModel, noise_from_dict,
                                  noise_to_dict, region_biases, sample_sa,
                                  sampleset_from_dict, sampleset_to_dict)
@@ -35,8 +32,6 @@ def _payloads():
     part = partition_replicas(g2, 2)
     problem = make_problem(3, {0: 1.0}, {(0, 1): -1.0, (1, 2): 2.0})
     samples = sample_sa(problem, AnnealParams(num_reads=3, sweeps=5, seed=1))
-    inst = generate_instance(build_loop_cover(part.n_logical, part.logical_edges),
-                             GeneratorParams(seed=4))
     noise = NoiseModel(0.1, 0.05, 3, region_biases([{0, 1}], [0.5]))
     cell = {"cell": {"k": 2, "bias": [10.0, 2.0], "beta": 1.0}, "method": "rbm",
             "mean_best": -8.0, "mean_planted": -8.0, "mean_normalized": 1.0, "gsp": 1.0,
@@ -48,7 +43,6 @@ def _payloads():
         "partition": (partition_from_dict, partition_to_dict(part)),
         "encoding": (encoding_from_dict, encoding_to_dict(tile_qac(build_chimera(1, 1, 4)))),
         "combined": (combined_from_dict, combined_to_dict(combine_qac_rbm(build_pegasus(3), 2))),
-        "instance": (instance_from_dict, instance_to_dict(inst)),
         "noise": (noise_from_dict, noise_to_dict(noise)),
         "sampleset": (lambda data: sampleset_from_dict(data, problem),
                       sampleset_to_dict(samples, problem)),
@@ -138,12 +132,29 @@ def test_write_json_format_and_read_json_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"{not json", b"[1, 2]", b"5", b"", b'"{}"',
-                                 b'{"a": NaN}', b'{"a": [1, Infinity]}', b'{"a": {"b": -Infinity}}'])
+                                 b'{"a": NaN}', b'{"a": [1, Infinity]}', b'{"a": {"b": -Infinity}}',
+                                 # numbers the stdlib parses to infinity
+                                 b'{"a": 1e400}', b'{"a": [-1e400]}'])
 def test_read_json_rejects_what_is_not_a_json_object(tmp_path, raw):
     path = tmp_path / "bad.json"
     path.write_bytes(raw)
     with pytest.raises(FormatError):
         read_json(str(path))
+
+
+def test_write_json_that_fails_part_way_leaves_path_as_it_was(tmp_path):
+    # the payload fails after its first key: a new file is not created, an
+    # old one keeps its bytes, and no temporary file is left beside either
+    payload = {"a": [1, 2], "b": {"c": math.nan}}
+    with pytest.raises(ValueError):
+        write_json(payload, str(tmp_path / "new.json"))
+    assert list(tmp_path.iterdir()) == []
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(ValueError):
+        write_json(payload, str(old))
+    assert old.read_bytes() == b'{"kept": true}\n'
+    assert list(tmp_path.iterdir()) == [old]
 
 
 def test_sample_reads_outside_int8_are_rejected():
