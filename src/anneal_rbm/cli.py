@@ -159,10 +159,8 @@ def _cmd_embed(ns) -> int:
 
 def _cmd_generate(ns) -> int:
     graph = _load_structure(ns.cover_from, "graph")
-    active = sorted(graph.active_nodes)
-    relabel = {q: i for i, q in enumerate(active)}
-    edges = [(relabel[a], relabel[b]) for a, b in sorted(graph.active_edges)]
-    cover = build_loop_cover(len(active), edges)
+    a, b = graph.edge_ranks.tolist()  # active qubits relabelled 0..n-1 in id order
+    cover = build_loop_cover(graph.active_ids.size, zip(a, b))
     try:
         large, small = (float(x) for x in ns.bias.split(","))
     except ValueError as exc:

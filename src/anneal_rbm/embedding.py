@@ -4,7 +4,10 @@ Replica partitions split a Pegasus graph into k congruent axis-aligned
 coordinate blocks whose induced subgraphs are isomorphic by construction (the
 isomorphism maps are tile translations).  Defects anywhere are excised from
 every block through those maps, so the shared logical structure stays valid
-on real, defective hardware.
+on real, defective hardware.  A partition stores its iso maps as one (k,
+n_logical) array and its logical edges as sorted codes a*n_logical + b, as
+`topology` stores a graph; ``logical_edges``, ``iso_maps`` and ``regions``
+are views of those arrays, built on first read.
 
 QAC tilings cover a graph with vertex-disjoint K_{1,3} units (three problem
 qubits plus one penalty hub).  The combined construction produces k regions
@@ -15,39 +18,58 @@ that each carry the same logical graph twice over: once as one-qubit-per-node
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
-from .jsonio import index_keys, integer, integer_rows, integers, loader
-from .topology import (Edge, HardwareGraph, build_custom, canonical_edge,
-                       canonical_edges, chimera_index, edge_array, edge_set,
-                       graph_from_dict, unique_codes)
+from .jsonio import index_keys, integer, integer_rows, integers, loader, numbers
+from .topology import (Edge, HardwareGraph, build_custom, canonical_edges,
+                       chimera_index, edge_rows, edge_set, frozen, graph_from_dict,
+                       unique_codes)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicaPartition:
     """k disjoint regions carrying isomorphic copies of one logical graph.
 
-    Logical ids are dense 0..n_logical-1.  ``iso_maps[r]`` sends a logical id
-    to the physical qubit hosting it in region ``r``; ``logical_edges`` is the
-    shared structure guaranteed to exist (as active couplers) in every region.
+    Logical ids are dense 0..n_logical-1.  ``images`` is a read-only (k,
+    n_logical) int64 array whose row r sends a logical id to the physical
+    qubit hosting it in region r, so region r is the set of row r's values;
+    ``edge_codes`` are the sorted codes a*n_logical + b (a < b) of the
+    logical edges, the shared structure guaranteed to exist (as active
+    couplers) in every region.
     """
 
-    k: int
-    n_logical: int
-    logical_edges: frozenset[Edge]
-    iso_maps: tuple[dict[int, int], ...]
-    regions: tuple[frozenset[int], ...]
+    images: np.ndarray
+    edge_codes: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "images", frozen(self.images))
+        object.__setattr__(self, "edge_codes", frozen(self.edge_codes))
+
+    def __eq__(self, other):
+        if not isinstance(other, ReplicaPartition):
+            return NotImplemented
+        return (self.meta == other.meta and np.array_equal(self.images, other.images)
+                and np.array_equal(self.edge_codes, other.edge_codes))
+
+    k = property(lambda p: p.images.shape[0])
+    n_logical = property(lambda p: p.images.shape[1])
+    # Views of the arrays, built on first read: the logical edge set, and
+    # per region its iso map dict and its qubit set
+    logical_edges = cached_property(lambda p: edge_set(p.edge_codes, p.n_logical))
+    iso_maps = cached_property(
+        lambda p: tuple(dict(enumerate(row)) for row in p.images.tolist()))
+    regions = cached_property(lambda p: tuple(frozenset(row) for row in p.images.tolist()))
+
     def logical_graph(self) -> HardwareGraph:
-        return build_custom(range(self.n_logical), self.logical_edges, family="logical")
+        return HardwareGraph("logical", {}, np.arange(self.n_logical), self.edge_codes)
 
 
 def partition_replicas(g: HardwareGraph, k: int) -> ReplicaPartition:
@@ -92,35 +114,21 @@ def partition_replicas(g: HardwareGraph, k: int) -> ReplicaPartition:
     if not n:
         raise EmbeddingInfeasibleError(f"no qubit of the block survives defects (m={m}, k={k})")
     # logical id = rank in the surviving block, which is maps[0] (cell (0, 0))
-    rank = np.full(g.code_base, -1, dtype=np.int64)
-    rank[maps[0]] = np.arange(n)
+    # and sorted, so ra < rb and the codes stay sorted
     a, b = np.divmod(g.ideal_codes, g.code_base)
-    ra, rb = rank[a], rank[b]
-    keep = (ra >= 0) & (rb >= 0)
-    ra, rb = ra[keep], rb[keep]
+    inside = np.isin(a, maps[0]) & np.isin(b, maps[0])
+    ra, rb = np.searchsorted(maps[0], (a[inside], b[inside]))
     keep = np.ones(ra.size, dtype=bool)
     for mp in maps:
         keep &= g.has_edges(mp[ra], mp[rb])
-
-    iso_maps = tuple(dict(zip(range(n), mp.tolist())) for mp in maps)
-    regions = tuple(frozenset(im.values()) for im in iso_maps)
     meta = {"m": m, "grid": [gx, gy], "block": {"dx": dx, "dy": dy, "zx": zx, "zy": zy}}
-    return ReplicaPartition(k=k, n_logical=n,
-                            logical_edges=edge_set(ra[keep], rb[keep]),
-                            iso_maps=iso_maps, regions=regions, meta=meta)
+    return ReplicaPartition(maps, ra[keep] * n + rb[keep], meta)
 
 
 def _whole_graph_partition(g: HardwareGraph) -> ReplicaPartition:
     """Trivial k=1 partition: one region spanning all active qubits."""
-    alive = np.array(sorted(g.active_nodes), dtype=np.int64)
-    rank = np.full(g.code_base, -1, dtype=np.int64)
-    rank[alive] = np.arange(alive.size)
-    a, b = (rank[ends] for ends in np.divmod(g.edge_codes, g.code_base))
-    iso = dict(zip(range(alive.size), alive.tolist()))
-    return ReplicaPartition(k=1, n_logical=alive.size,
-                            logical_edges=edge_set(a, b),
-                            iso_maps=(iso,), regions=(frozenset(iso.values()),),
-                            meta={"grid": [1, 1]})
+    a, b = g.edge_ranks
+    return ReplicaPartition(g.active_ids[None], a * g.active_ids.size + b, {"grid": [1, 1]})
 
 
 @dataclass
@@ -142,40 +150,25 @@ class PartitionReport:
 def _region_failures(p: ReplicaPartition) -> dict[str, list[str]]:
     """Failures of the claims a partition makes without reference to a graph.
 
-    Keyed by claim: k regions and k iso maps, and logical edges between ids
-    in 0..n_logical-1 (``structural``), no qubit in two regions
-    (``disjoint``), and each iso map a bijection from 0..n_logical-1 onto its
-    region (``bijective``).
+    Keyed by claim: no qubit in two regions (``disjoint``) and each iso map
+    injective, so a bijection from 0..n_logical-1 onto its region
+    (``bijective``).
     """
-    structural: list[str] = []
-    if not p.k == len(p.regions) == len(p.iso_maps):
-        structural.append(f"k={p.k} but {len(p.regions)} regions / {len(p.iso_maps)} iso maps")
-    if not set(range(p.n_logical)).issuperset(chain.from_iterable(p.logical_edges)):
-        structural.append(f"a logical edge leaves 0..{p.n_logical - 1}")
-
+    qubits = np.unique(p.images)
     disjoint: list[str] = []
-    seen: dict[int, int] = {}
-    # the union is one C-level pass; only overlapping regions are walked,
-    # in their own order, to name each shared qubit
-    if len(frozenset().union(*p.regions)) < sum(map(len, p.regions)):
-        for r, reg in enumerate(p.regions):
-            for q in reg:
-                if q in seen:
-                    disjoint.append(f"qubit {q} shared by regions {seen[q]} and {r}")
-                else:
-                    seen[q] = r
-
     bijective: list[str] = []
-    for r, iso in enumerate(p.iso_maps):
-        if set(iso.keys()) != set(range(p.n_logical)):
-            bijective.append(f"region {r}: iso map domain is not 0..{p.n_logical - 1}")
-            continue
-        image = set(iso.values())
-        if len(image) != p.n_logical:
+    if qubits.size == p.images.size:  # no qubit is named twice
+        return {"disjoint": disjoint, "bijective": bijective}
+    first = np.full(qubits.size, -1)  # the first region holding each qubit
+    for r, row in enumerate(p.images):
+        at = np.unique(np.searchsorted(qubits, row))
+        if at.size < p.n_logical:
             bijective.append(f"region {r}: iso map is not injective")
-        elif r < len(p.regions) and image != set(p.regions[r]):
-            bijective.append(f"region {r}: iso map image differs from region set")
-    return {"structural": structural, "disjoint": disjoint, "bijective": bijective}
+        shared = at[first[at] >= 0]
+        disjoint += [f"qubit {q} shared by regions {s} and {r}"
+                     for q, s in zip(qubits[shared].tolist(), first[shared].tolist())]
+        first[at[first[at] < 0]] = r
+    return {"disjoint": disjoint, "bijective": bijective}
 
 
 def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
@@ -190,92 +183,52 @@ def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
     """
     found = _region_failures(p)
     failures = [f for claim in found.values() for f in claim]
-    structural, disjoint, bijective = (not claim for claim in found.values())
-
+    disjoint, bijective = (not claim for claim in found.values())
     n = p.n_logical
-    complete = [iso.keys() == set(range(n)) for iso in p.iso_maps]
 
     nodes_active = True
-    for r, iso in enumerate(p.iso_maps):
-        image = np.fromiter(iso.values(), dtype=np.int64, count=len(iso))
-        dead = np.sort(image[~g.has_nodes(image)])
+    for r, row in enumerate(p.images):
+        dead = np.sort(row[~g.has_nodes(row)])
         if dead.size:
             nodes_active = False
             failures.append(f"region {r}: inactive qubits {dead[:5].tolist()}")
 
+    # an iso map that collapses a logical edge onto one qubit leaves it
+    # without a coupler: has_edges(q, q) is False
     edges_embedded = True
-    la, lb = edge_array(p.logical_edges).T
-    inside = not la.size or (min(la.min(), lb.min()) >= 0 and max(la.max(), lb.max()) < n)
-    for r, iso in enumerate(p.iso_maps):
-        if not (complete[r] and inside):
-            continue
-        image = _iso_array(iso)
-        # an iso map that collapses a logical edge onto one qubit leaves it
-        # without a coupler: has_edges(q, q) is False
-        missing = ~g.has_edges(image[la], image[lb])
+    la, lb = np.divmod(p.edge_codes, max(n, 1))
+    for r, row in enumerate(p.images):
+        missing = ~g.has_edges(row[la], row[lb])
         if missing.any():
             edges_embedded = False
             failures += [f"region {r}: logical edge ({a},{b}) has no active coupler"
                          for a, b in zip(la[missing].tolist(), lb[missing].tolist())]
 
-    # each region's active edges pulled back to logical ids, as sorted codes
-    induced_symmetric = True
-    region_edge_counts: list[int] = []
-    pulled: list[np.ndarray] | None = []
-    qa, qb = np.divmod(g.edge_codes, g.code_base)
-    for r, iso in enumerate(p.iso_maps):
-        if not complete[r]:
-            pulled = None
-            break
-        inv = _inverse(iso, g.code_base)
-        va, vb = inv[qa], inv[qb]
-        both = (va >= 0) & (vb >= 0)
-        va, vb = va[both], vb[both]
-        induced = unique_codes(np.minimum(va, vb) * n + np.maximum(va, vb))
-        region_edge_counts.append(induced.size)
-        pulled.append(induced)
-    if pulled:
-        ref = pulled[0]
-        for r, ind in enumerate(pulled[1:], start=1):
-            if not np.array_equal(ind, ref):
-                induced_symmetric = False
-                va, vb = np.divmod(np.setxor1d(ind, ref)[:3], n)
-                diff = list(zip(va.tolist(), vb.tolist()))
-                failures.append(f"region {r}: induced edges differ from region 0 near {diff}")
-    else:
-        induced_symmetric = False
+    # each region's active edges pulled back to logical ids, as sorted codes;
+    # an active qubit pulls back to the last (largest) logical id sent to it
+    pulled: list[np.ndarray] = []
+    for row in p.images:
+        alive = g.has_nodes(row)
+        inv = np.full(g.active_ids.size, -1, dtype=np.int64)
+        np.maximum.at(inv, np.searchsorted(g.active_ids, row[alive]), np.flatnonzero(alive))
+        pre = inv[g.edge_ranks]
+        va, vb = pre[:, (pre >= 0).all(axis=0)]
+        pulled.append(unique_codes(np.minimum(va, vb) * n + np.maximum(va, vb)))
+    induced_symmetric = bool(pulled)
+    for r, ind in enumerate(pulled[1:], start=1):
+        if not np.array_equal(ind, pulled[0]):
+            induced_symmetric = False
+            va, vb = np.divmod(np.setxor1d(ind, pulled[0])[:3], n)
+            diff = list(zip(va.tolist(), vb.tolist()))
+            failures.append(f"region {r}: induced edges differ from region 0 near {diff}")
 
-    ok = structural and disjoint and bijective and nodes_active and edges_embedded
+    ok = disjoint and bijective and nodes_active and edges_embedded
     return PartitionReport(
         ok=ok, k=p.k, disjoint=disjoint, bijective=bijective,
         nodes_active=nodes_active, edges_embedded=edges_embedded,
         induced_symmetric=induced_symmetric,
-        region_node_counts=[len(reg) for reg in p.regions],
-        region_edge_counts=region_edge_counts, failures=failures)
-
-
-def _iso_array(iso: dict[int, int]) -> np.ndarray:
-    """A complete iso map (domain 0..n-1) as the array of its images."""
-    image = np.empty(len(iso), dtype=np.int64)
-    image[np.fromiter(iso.keys(), dtype=np.int64, count=len(iso))] = np.fromiter(
-        iso.values(), dtype=np.int64, count=len(iso))
-    return image
-
-
-def _inverse(iso: dict[int, int], base: int) -> np.ndarray:
-    """qubit -> logical id for qubits below ``base``, -1 where none; where
-    the map is not injective the last logical id in map order wins, as in
-    ``{q: v for v, q in iso.items()}``."""
-    v = np.fromiter(iso.keys(), dtype=np.int64, count=len(iso))
-    q = np.fromiter(iso.values(), dtype=np.int64, count=len(iso))
-    inside = (q >= 0) & (q < base)
-    v, q = v[inside], q[inside]
-    order = np.argsort(q, kind="stable")
-    v, q = v[order], q[order]
-    last = np.r_[q[1:] != q[:-1], True] if q.size else np.zeros(0, dtype=bool)
-    inv = np.full(base, -1, dtype=np.int64)
-    inv[q[last]] = v[last]
-    return inv
+        region_node_counts=[np.unique(row).size for row in p.images],
+        region_edge_counts=[ind.size for ind in pulled], failures=failures)
 
 
 @dataclass(frozen=True)
@@ -303,45 +256,54 @@ class QacEncoding:
         return len(self.units)
 
 
-def _greedy_units(g: HardwareGraph, claimed: set[int]) -> list[QacUnit]:
-    """Scan qubits in id order as penalty hubs, claiming K_{1,3}s greedily."""
+def _owners(units, g: HardwareGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(problem, owner): the units' (u, 3) problem qubits, as ranks in
+    ``g.active_ids``, and for each rank the unit it is a problem qubit of,
+    or -1."""
+    problem = np.array([u.problem_qubits for u in units], dtype=np.int64).reshape(-1, 3)
+    problem = np.searchsorted(g.active_ids, problem)
+    owner = np.full(g.active_ids.size, -1, dtype=np.int64)
+    owner[problem] = np.arange(len(problem))[:, None]
+    return problem, owner
+
+
+def _greedy_units(g: HardwareGraph, taken: list[bool]) -> list[QacUnit]:
+    """Scan active qubits in id order as penalty hubs, claiming K_{1,3}s
+    greedily; ``taken[i]`` marks a claimed ``g.active_ids[i]`` and is
+    updated."""
+    offsets, ranks = (a.tolist() for a in g.neighbors)
+    ids = g.active_ids.tolist()
     units = []
-    for hub in sorted(g.active_nodes):
-        if hub in claimed:
+    for hub in range(len(ids)):
+        if taken[hub]:
             continue
-        avail = [nb for nb in g.adjacency[hub] if nb not in claimed]
+        avail = [nb for nb in ranks[offsets[hub]:offsets[hub + 1]] if not taken[nb]]
         if len(avail) < 3:
             continue
-        leaves = tuple(avail[:3])
-        claimed.add(hub)
-        claimed.update(leaves)
-        units.append(QacUnit(problem_qubits=leaves, penalty_qubit=hub))
+        for i in (hub, *avail[:3]):
+            taken[i] = True
+        units.append(QacUnit(problem_qubits=tuple(ids[i] for i in avail[:3]),
+                             penalty_qubit=ids[hub]))
     return units
 
 
-def _chimera_template_units(g: HardwareGraph) -> tuple[list[QacUnit], set[int]]:
-    """Two units per fully working Chimera cell, penalty hubs on wire 3."""
+def _chimera_template_units(g: HardwareGraph) -> tuple[list[QacUnit], np.ndarray]:
+    """Two units per fully working Chimera cell, penalty hubs on wire 3; and
+    the mask, over ``g.active_ids``, of the qubits they claim."""
     rows, cols, shore = (int(g.params[x]) for x in ("rows", "cols", "shore"))
-    claimed: set[int] = set()
-    units: list[QacUnit] = []
+    taken = np.zeros(g.active_ids.size, dtype=bool)
     if shore < 4:
-        return units, claimed
-
-    lin = partial(chimera_index, cols, shore)
-    active, active_edges = g.active_nodes, g.active_edges
-    for r in range(rows):
-        for c in range(cols):
-            for prob_shore in (0, 1):
-                pen = lin(r, c, 1 - prob_shore, 3)
-                probs = tuple(lin(r, c, prob_shore, k) for k in range(3))
-                qubits = probs + (pen,)
-                if not all(q in active for q in qubits):
-                    continue
-                if not all(canonical_edge(q, pen) in active_edges for q in probs):
-                    continue
-                units.append(QacUnit(problem_qubits=probs, penalty_qubit=pen))
-                claimed.update(qubits)
-    return units, claimed
+        return [], taken
+    # cell (r, c) has a unit with problem qubits on each side, in that order
+    r, c, side, k = np.ix_(range(rows), range(cols), range(2), range(3))
+    probs = chimera_index(cols, shore, r, c, side, k)
+    pens = chimera_index(cols, shore, r, c, 1 - side, 3)
+    ok = (g.has_nodes(probs).all(-1) & g.has_nodes(pens).all(-1)
+          & g.has_edges(probs, pens).all(-1)).ravel()
+    probs, pens = probs.reshape(-1, 3)[ok], pens.ravel()[ok]
+    taken[np.searchsorted(g.active_ids, np.c_[probs, pens])] = True
+    return [QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
+            for qs, q in zip(probs.tolist(), pens.tolist())], taken
 
 
 def tile_qac(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
@@ -350,27 +312,36 @@ def tile_qac(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
     On Chimera the per-cell template is applied first (two logical qubits per
     working cell); any leftover qubits, and all other graph families, are
     tiled by a deterministic id-order greedy scan.  Logical edges collect all
-    hardware couplers between problem-qubit sets of distinct units.
+    hardware couplers between problem-qubit sets of distinct units, each
+    unit pair's in sorted order.
     """
     if g.family == "chimera":
-        units, claimed = _chimera_template_units(g)
-        units += _greedy_units(g, claimed)
+        units, taken = _chimera_template_units(g)
+        units += _greedy_units(g, taken.tolist())
     else:
-        units = _greedy_units(g, set())
+        units = _greedy_units(g, [False] * g.active_ids.size)
 
-    owner: dict[int, int] = {}
-    for idx, unit in enumerate(units):
-        for q in unit.problem_qubits:
-            owner[q] = idx
-    logical_edges: dict[Edge, list[Edge]] = {}
-    for a, b in sorted(g.active_edges):
-        ua, ub = owner.get(a), owner.get(b)
-        if ua is None or ub is None or ua == ub:
-            continue
-        logical_edges.setdefault(canonical_edge(ua, ub), []).append((a, b))
+    _, owner = _owners(units, g)
+    ua, ub = owner[g.edge_ranks]
+    keep = (ua >= 0) & (ub >= 0) & (ua != ub)
+    pair = np.minimum(ua, ub)[keep] * len(units) + np.maximum(ua, ub)[keep]
+    order = np.argsort(pair, kind="stable")  # a pair's couplers stay sorted
+    pair = pair[order]
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    ua, ub = np.divmod(pair[starts], max(len(units), 1))
+    ends = np.stack(np.divmod(g.edge_codes, g.code_base), axis=1)[keep][order]
     return QacEncoding(units=tuple(units),
-                       logical_edges={e: tuple(cs) for e, cs in sorted(logical_edges.items())},
+                       logical_edges=_grouped(zip(ua.tolist(), ub.tolist()), ends,
+                                              np.r_[starts, pair.size]),
                        penalty_weight=penalty_weight)
+
+
+def _grouped(keys, ends: np.ndarray, cuts) -> dict[Edge, tuple[Edge, ...]]:
+    """{key: its couplers}: key i's are the (a, b) rows cuts[i]:cuts[i + 1]
+    of the (E, 2) ``ends``."""
+    rows = list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+    cuts = np.asarray(cuts).tolist()
+    return {e: tuple(rows[i:j]) for e, i, j in zip(keys, cuts, cuts[1:])}
 
 
 def logical_graph(enc: QacEncoding) -> HardwareGraph:
@@ -382,20 +353,17 @@ def _pick_representatives(tiling: QacEncoding, shared: HardwareGraph) -> list[in
     """One problem qubit per unit, chosen to maximize inter-unit adjacency.
 
     The score of a candidate counts its neighbors that belong to other units'
-    problem triples; ties fall to the lowest qubit id, keeping the choice
-    deterministic.
+    problem triples; ties fall to the first, lowest, of a unit's problem
+    qubits, keeping the choice deterministic.
     """
-    owner = {q: i for i, u in enumerate(tiling.units) for q in u.problem_qubits}
-    reps = []
-    for idx, unit in enumerate(tiling.units):
-        best, best_score = unit.problem_qubits[0], -1
-        for q in unit.problem_qubits:
-            score = sum(1 for nb in shared.adjacency.get(q, ())
-                        if owner.get(nb, idx) != idx)
-            if score > best_score:
-                best, best_score = q, score
-        reps.append(best)
-    return reps
+    problem, owner = _owners(tiling.units, shared)
+    offsets, ranks = shared.neighbors
+    hub = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))  # ranks[i] neighbours hub[i]
+    other = owner[ranks]
+    score = np.bincount(hub, weights=(other >= 0) & (other != owner[hub]),
+                        minlength=offsets.size - 1)
+    best = problem[np.arange(len(problem)), np.argmax(score[problem], axis=1)]
+    return shared.active_ids[best].tolist()
 
 
 @dataclass(frozen=True)
@@ -433,32 +401,24 @@ def combine_qac_rbm(g: HardwareGraph, k: int = 4,
     reps = np.array(_pick_representatives(tiling, shared), dtype=np.int64)
     n_units = tiling.n_logical
     pairs = np.array(list(tiling.logical_edges), dtype=np.int64).reshape(-1, 2)
-    kept = shared.has_edges(reps[pairs[:, 0]], reps[pairs[:, 1]])
-    inst_edges = list(map(tuple, pairs[kept].tolist()))  # sorted, as the keys are
+    pairs = pairs[shared.has_edges(reps[pairs[:, 0]], reps[pairs[:, 1]])]
+    inst_edges = list(map(tuple, pairs.tolist()))  # sorted, as the keys are
     couplers = [tiling.logical_edges[e] for e in inst_edges]
     ends = np.array(list(chain.from_iterable(couplers)), dtype=np.int64).reshape(-1, 2)
-    cuts = np.cumsum([0] + [len(cs) for cs in couplers]).tolist()
+    cuts = np.cumsum([0] + [len(cs) for cs in couplers])
     problem = np.array([u.problem_qubits for u in tiling.units], dtype=np.int64)
     penalty = np.array([u.penalty_qubit for u in tiling.units], dtype=np.int64)
 
     encodings = []
-    for iso in base.iso_maps:
-        image = _iso_array(iso)
+    for image in base.images:
         units = tuple(QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
                       for qs, q in zip(image[problem].tolist(), image[penalty].tolist()))
-        mapped = image[ends]
-        rows = list(zip(mapped.min(axis=1).tolist(), mapped.max(axis=1).tolist()))
-        ledges = {e: tuple(rows[a:b]) for e, a, b in zip(inst_edges, cuts, cuts[1:])}
+        ledges = _grouped(inst_edges, np.sort(image[ends], axis=1), cuts)
         encodings.append(QacEncoding(units=units, logical_edges=ledges,
                                      penalty_weight=penalty_weight))
 
-    iso_maps = tuple(dict(zip(range(n_units), _iso_array(iso)[reps].tolist()))
-                     for iso in base.iso_maps)
-    regions = tuple(frozenset(im.values()) for im in iso_maps)
-    rbm = ReplicaPartition(k=base.k, n_logical=n_units,
-                           logical_edges=frozenset(inst_edges),
-                           iso_maps=iso_maps, regions=regions,
-                           meta={**base.meta, "representatives": True})
+    rbm = ReplicaPartition(base.images[:, reps], pairs[:, 0] * n_units + pairs[:, 1],
+                           {**base.meta, "representatives": True})
     return CombinedEmbedding(k=base.k, encodings=tuple(encodings),
                              rbm_partition=rbm, base_partition=base)
 
@@ -467,29 +427,46 @@ def combine_qac_rbm(g: HardwareGraph, k: int = 4,
 # Serialization
 
 def partition_to_dict(p: ReplicaPartition) -> dict:
+    keys = list(map(str, range(p.n_logical)))
     return {
         "k": p.k,
         "n_logical": p.n_logical,
-        "logical_edges": edge_array(p.logical_edges).tolist(),
-        "iso_maps": [{str(v): q for v, q in sorted(iso.items())} for iso in p.iso_maps],
-        "regions": [sorted(reg) for reg in p.regions],
+        "logical_edges": edge_rows(p.edge_codes, p.n_logical),
+        "iso_maps": [dict(zip(keys, row)) for row in p.images.tolist()],
+        "regions": [np.unique(row).tolist() for row in p.images],
         "meta": p.meta,
     }
 
 
 @loader("partition")
 def partition_from_dict(data: dict) -> ReplicaPartition:
-    """A partition payload; FormatError also when its regions and iso maps
-    break the graph-independent claims verify_partition checks."""
-    p = ReplicaPartition(
-        k=integer(data["k"]),
-        n_logical=integer(data["n_logical"]),
-        logical_edges=edge_set(*canonical_edges(integer_rows(data["logical_edges"], 2)).T),
-        iso_maps=tuple(dict(zip(index_keys(iso), integers(list(iso.values()))))
-                       for iso in data["iso_maps"]),
-        regions=tuple(frozenset(integers(reg)) for reg in data["regions"]),
-        meta=dict(data.get("meta", {})))
-    failures = [f for claim in _region_failures(p).values() for f in claim]
+    """A partition payload; FormatError also when its ``k`` is not its
+    number of regions and of iso maps, a logical edge or an iso map's
+    domain is not within 0..n_logical-1, a region is not its map's image,
+    or the regions break the other graph-independent claims verify_partition
+    checks."""
+    k, n = integer(data["k"]), integer(data["n_logical"])
+    pairs = canonical_edges(integer_rows(data["logical_edges"], 2))
+    maps, regions = data["iso_maps"], data["regions"]
+    failures = []
+    if not k == len(regions) == len(maps):
+        failures.append(f"k={k} but {len(regions)} regions / {len(maps)} iso maps")
+    if pairs.size and not 0 <= pairs.min() <= pairs.max() < n:
+        failures.append(f"a logical edge leaves 0..{n - 1}")
+    images = np.empty((len(maps), n), dtype=np.int64)
+    domain = dict.fromkeys(map(str, range(n)))  # the keys "0".."n-1", as printed
+    for r, iso in enumerate(maps):
+        if iso.keys() != domain.keys():
+            failures.append(f"region {r}: iso map domain is not 0..{n - 1}")
+            continue
+        images[r] = integers([iso[v] for v in domain])
+    if not failures:
+        p = ReplicaPartition(images, unique_codes(pairs[:, 0] * n + pairs[:, 1]),
+                             dict(data.get("meta", {})))
+        failures = [f for claim in _region_failures(p).values() for f in claim]
+        failures += [f"region {r}: iso map image differs from region set"
+                     for r, (reg, row) in enumerate(zip(regions, images))
+                     if not np.array_equal(np.unique(integers(reg)), np.unique(row))]
     if failures:
         raise FormatError("inconsistent partition payload: " + "; ".join(failures[:3]))
     return p
@@ -514,14 +491,12 @@ def encoding_from_dict(data: dict) -> QacEncoding:
     keys = canonical_edges(np.array(index_keys(ledges, 2), dtype=np.int64).reshape(-1, 2))
     couplers = list(ledges.values())
     ends = canonical_edges(integer_rows(list(chain.from_iterable(couplers)), 2))
-    rows = list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
-    cuts = np.cumsum([0] + [len(cs) for cs in couplers]).tolist()
     return QacEncoding(
         units=tuple(QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
                     for qs, q in zip(problem, penalty)),
-        logical_edges=dict(zip(zip(keys[:, 0].tolist(), keys[:, 1].tolist()),
-                               (tuple(rows[a:b]) for a, b in zip(cuts, cuts[1:])))),
-        penalty_weight=float(data.get("penalty_weight", -1.0)))
+        logical_edges=_grouped(zip(keys[:, 0].tolist(), keys[:, 1].tolist()), ends,
+                               np.cumsum([0] + [len(cs) for cs in couplers])),
+        penalty_weight=float(numbers([data.get("penalty_weight", -1.0)])[0]))
 
 
 def combined_to_dict(c: CombinedEmbedding) -> dict:
@@ -548,13 +523,15 @@ def combined_from_dict(data: dict) -> CombinedEmbedding:
             f"inconsistent combined-embedding payload: k={c.k} but "
             f"{len(c.encodings)} encodings, rbm_partition k={c.rbm_partition.k}, "
             f"base_partition k={c.base_partition.k}")
-    rbm = c.rbm_partition
+    rbm, n = c.rbm_partition, c.rbm_partition.n_logical
     for r, enc in enumerate(c.encodings):
-        if enc.n_logical != rbm.n_logical or enc.logical_edges.keys() != rbm.logical_edges:
+        keys = np.array(list(enc.logical_edges), dtype=np.int64).reshape(-1, 2)
+        if (enc.n_logical != n or keys.size and keys.max() >= n  # then codes could alias
+                or not np.array_equal(np.sort(keys[:, 0] * n + keys[:, 1]), rbm.edge_codes)):
             raise FormatError(
                 f"inconsistent combined-embedding payload: encoding {r} has "
-                f"{enc.n_logical} units and {len(enc.logical_edges)} logical edges, "
-                f"rbm_partition {rbm.n_logical} and {len(rbm.logical_edges)}, or "
+                f"{enc.n_logical} units and {len(keys)} logical edges, "
+                f"rbm_partition {n} and {rbm.edge_codes.size}, or "
                 f"other edges")
     return c
 

@@ -30,11 +30,11 @@ from .decode import build_qac_problem, decode_majority, decode_rbm, decode_sqa_r
 from .embedding import combine_qac_rbm, partition_replicas
 from .errors import InvalidParameterError
 from .ising import replicate
-from .jsonio import dumps, integer, loader
+from .jsonio import dumps, integer, loader, numbers
 from .planted import GeneratorParams, build_loop_cover, generate_instance
 from .samplers import (AnnealParams, NoiseModel, noise_from_dict,
                        noise_to_dict, sample_sa)
-from .topology import build_pegasus
+from .topology import build_pegasus, edge_rows
 
 #: Hardware-scale (m=16) embedding sizes reported for reference, keyed by
 #: study structure: (linear terms, quadratic terms).  Desk-scale runs log
@@ -176,7 +176,7 @@ def _scaling_structures(cfg: ExperimentConfig):
     for ki, k in enumerate(cfg.k_values):
         part = partition_replicas(g, k)
         methods = {"rbm": partial(_rbm, part),
-                   "sqa": partial(_repeat, k, dict(part.iso_maps[0]))}
+                   "sqa": partial(_repeat, k, dict(enumerate(part.images[0].tolist())))}
         cells = [((ki, bi), k, cfg.scaling_bias, beta)
                  for bi, beta in enumerate(cfg.beta_grid)]
         yield f"k{k}", part, methods, cells
@@ -212,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells: list[MethodCell] = []
     sizes: dict[str, dict] = {}
     for key, part, methods, grid in structures(cfg):
-        cover = build_loop_cover(part.n_logical, part.logical_edges)
+        cover = build_loop_cover(part.n_logical, edge_rows(part.edge_codes, part.n_logical))
         quad_counts: list[int] = []
         for path, k, (large, small), beta in grid:
             per_method: dict[str, list[dict]] = {name: [] for name in methods}
@@ -426,24 +426,30 @@ def _listed(value):
     return value
 
 
+def _floats(values) -> tuple[float, ...]:
+    """A list field of JSON numbers as floats; TypeError for anything else,
+    where ``float()`` would take a bool or parse a string."""
+    return tuple(map(float, numbers(_listed(values))))
+
+
 @loader("experiment config", keys=tuple(config_to_dict(ExperimentConfig())))
 def config_from_dict(data: dict) -> ExperimentConfig:
     noise = data.get("noise")
+    p_large, beta, alpha = _floats([data.get("p_large", 0.08), data.get("beta", 1.0),
+                                    data.get("alpha", -1.0)])
     return ExperimentConfig(
         study=data.get("study", "qac_comparison"),
         graph_m=integer(data.get("graph_m", 4)),
         k=integer(data.get("k", 4)),
         k_values=tuple(integer(k) for k in _listed(data.get("k_values", (2, 4, 8)))),
-        bias_sets=tuple(tuple(float(x) for x in _listed(b)) for b in
+        bias_sets=tuple(_floats(b) for b in
                         _listed(data.get("bias_sets", ((9, 2), (10, 2), (11, 2))))),
-        scaling_bias=tuple(float(x) for x in _listed(data.get("scaling_bias", (10, 2)))),
-        p_large=float(data.get("p_large", 0.08)),
-        beta=float(data.get("beta", 1.0)),
-        beta_grid=tuple(float(b) for b in _listed(data.get("beta_grid",
-                                                           (0.7, 0.8, 0.9, 1.0)))),
+        scaling_bias=_floats(data.get("scaling_bias", (10, 2))),
+        p_large=p_large, beta=beta,
+        beta_grid=_floats(data.get("beta_grid", (0.7, 0.8, 0.9, 1.0))),
         instances_per_cell=integer(data.get("instances_per_cell", 10)),
         num_reads=integer(data.get("num_reads", 100)),
         sweeps=integer(data.get("sweeps", 1000)),
-        alpha=float(data.get("alpha", -1.0)),
+        alpha=alpha,
         noise=None if noise is None else noise_from_dict(noise),
         seed=integer(data.get("seed", 0)))

@@ -255,17 +255,18 @@ def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProbl
     if n_l > partition.n_logical:
         raise EmbeddingInfeasibleError(
             f"problem has {n_l} variables but regions admit {partition.n_logical}")
-    pairs = list(zip(p.j_first.tolist(), p.j_second.tolist()))
-    if not partition.logical_edges.issuperset(pairs):
-        missing = sorted(set(pairs) - partition.logical_edges)
-        raise EmbeddingInfeasibleError(
-            f"region structure lacks couplers for logical edges {missing[:5]}")
+    codes = p.j_first * partition.n_logical + p.j_second
+    missing = np.sort(codes[~np.isin(codes, partition.edge_codes)])
+    if missing.size:
+        a, b = np.divmod(missing[:5], partition.n_logical)
+        raise EmbeddingInfeasibleError(f"region structure lacks couplers for logical "
+                                       f"edges {list(zip(a.tolist(), b.tolist()))}")
 
     base = np.arange(k)[:, None] * n_l  # replica-major: replica r's terms, then r + 1's
     rep = IsingProblem(k * n_l, (base + p.h_index).ravel(), np.tile(p.h_value, k),
                        (base + p.j_first).ravel(), (base + p.j_second).ravel(),
                        np.tile(p.j_value, k))
-    placement = {r * n_l + v: partition.iso_maps[r][v] for r in range(k) for v in range(n_l)}
+    placement = dict(enumerate(partition.images[:, :n_l].ravel().tolist()))
     return ReplicatedProblem(problem=rep, k=k, n_logical=n_l, placement=placement)
 
 

@@ -7,20 +7,22 @@ index order, scheduled by levels: spin j's level is one more than the
 highest level among its neighbours i < j (0 if it has none).  The states are
 stored spin by spin, one row of all reads per spin, in update order, so a
 level is a contiguous block of rows.  A level makes one gemv per degree for
-its local fields, then one accept test and flip of all its rows, in place.
-Spins of a level share no coupler, and when a level runs, every lower
-neighbour of its spins has been updated and no higher neighbour has, so
-each spin sees the same state, and draws the same uniform, as in the
-one-spin-at-a-time sweep: it is still that sequential sweep, with identical
-reads.  Each read consumes its own PCG64 substream keyed by (seed, read
-index), so its initial state and its uniforms do not depend on the batch
-size or the chunking.  Its local fields do, in the last bit: a field is a
-row of a gemv over all reads, and with OpenBLAS a row's last bit can depend
-on the row count once a spin has 4 or more neighbours.  So a read is
-reproduced exactly by a call with the same num_reads; a call with another
-count gives the same read unless a one-bit field difference flips one of
-its accept tests.  Noise perturbs the problem the chains see; reported
-energies are always evaluated on the clean problem.
+its local fields, then one accept test and flip of all its rows, in place:
+the new spin is the sign of (u - exp(-d_e / T)) * s, taken by `np.copysign`,
+and the exponent is floored at -700 unless a uniform is exactly 0.0, the
+only one that floor could change a test for.  Spins of a level share no
+coupler, and when a level runs, every lower neighbour of its spins has been
+updated and no higher neighbour has, so each spin sees the same state, and
+draws the same uniform, as in the one-spin-at-a-time sweep: it is still
+that sequential sweep, with identical reads.  Each read consumes its own
+PCG64 substream keyed by (seed, read index), so its initial state and its
+uniforms do not depend on the batch size or the chunking.  Its local fields
+do, in the last bit: a field is a row of a gemv over all reads, and with
+OpenBLAS a row's last bit can depend on the row count once a spin has 4 or
+more neighbours.  So a read is reproduced exactly by a call with the same
+num_reads; a call with another count gives the same read unless a one-bit
+field difference flips one of its accept tests.  Noise perturbs the problem
+the chains see; reported energies are always evaluated on the clean problem.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import rng
 from .errors import (DimensionMismatchError, FormatError,
                      InvalidParameterError)
 from .ising import IsingProblem, as_spins, energies, problem_hash
-from .jsonio import integer, integers, loader, read_json
+from .jsonio import integer, integers, loader, numbers, read_json
 
 log = logging.getLogger(__name__)
 
@@ -159,12 +161,11 @@ def noise_to_dict(nm: NoiseModel) -> dict:
 
 @loader("noise", keys=tuple(noise_to_dict(NoiseModel())))
 def noise_from_dict(data: dict) -> NoiseModel:
+    sigma_h, sigma_j = numbers([data.get("sigma_h", 0.0), data.get("sigma_j", 0.0)])
     return NoiseModel(
-        sigma_h=float(data.get("sigma_h", 0.0)),
-        sigma_j=float(data.get("sigma_j", 0.0)),
+        sigma_h=float(sigma_h), sigma_j=float(sigma_j),
         chip_seed=integer(data.get("chip_seed", 0)),
-        region_bias=tuple((frozenset(integers(rb["qubits"])),
-                           float(rb["delta"]))
+        region_bias=tuple((frozenset(integers(rb["qubits"])), float(numbers([rb["delta"]])[0]))
                           for rb in data.get("region_bias", ())))
 
 
@@ -196,16 +197,17 @@ class SampleSet:
 
 
 def _temperature_ladder(p: IsingProblem, params: AnnealParams) -> np.ndarray:
-    scale = [abs(v) for v in p.h.values()] + [abs(v) for v in p.j.values()]
-    site = {}
-    for i, v in p.h.items():
-        site[i] = site.get(i, 0.0) + abs(v)
-    for (a, b), v in p.j.items():
-        site[a] = site.get(a, 0.0) + abs(v)
-        site[b] = site.get(b, 0.0) + abs(v)
-    t_hot = params.t_hot if params.t_hot is not None else max(list(site.values()) + [1.0])
+    """The geometric ladder from t_hot down to t_cold.  By default t_hot is
+    the largest site weight, at least 1, and t_cold 5% of the smallest |h|
+    or |J|, at least 1e-6 (1e-2 without terms).  A site's weight is its |h|
+    plus the |J| of each of its couplers, added in stored term order."""
+    hv, jv = np.abs(p.h_value), np.abs(p.j_value)
+    ends = np.concatenate([p.h_index, np.stack([p.j_first, p.j_second], axis=1).ravel()])
+    site = np.bincount(ends, weights=np.concatenate([hv, np.repeat(jv, 2)]))
+    scale = np.concatenate([hv, jv])
+    t_hot = params.t_hot if params.t_hot is not None else max(float(site.max(initial=0)), 1.0)
     t_cold = params.t_cold if params.t_cold is not None else \
-        max(0.05 * min(scale), 1e-6) if scale else 1e-2
+        max(0.05 * float(scale.min()), 1e-6) if scale.size else 1e-2
     if not t_hot > t_cold > 0:
         raise InvalidParameterError(f"derived schedule invalid: ({t_hot}, {t_cold})")
     if params.sweeps == 1:
@@ -316,8 +318,11 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
     of its lower neighbours and the old values of its higher ones, as in a
     sweep over spins 0..n-1.  It draws the same uniform, uniforms[r, t, j],
     and tests it against the same number: 2 * s * local is -d_e exactly for
-    s = +-1, and `np.exp` gets a contiguous float64 operand.  So the reads
-    are that sweep's.
+    s = +-1, and `np.exp` gets a contiguous float64 operand.  The exponent is
+    floored at -700 unless the sweep chunk's uniforms hold an exact 0.0,
+    which no other uniform can tell from the unfloored one, and a spin flips
+    by `np.copysign(1, (u - exp) * s)`, negative exactly where u < exp.  So
+    the reads are that sweep's.
     """
     n, reads = p.n, params.num_reads
     order, states, labelled, levels = _sweep_plan(p, reads)
@@ -337,6 +342,10 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
             width = min(chunk, params.sweeps - sweep)
             for r, g in enumerate(gens):
                 g.random(out=uniforms[r, :width])
+            # exp(y) < 2**-53, the smallest nonzero uniform, for y <= -700, so
+            # the floor changes no test unless a uniform is exactly 0; it
+            # keeps np.exp off its slow path for results near underflow
+            floor = -700.0 if uniforms[:, :width].all() else -np.inf
             for t in range(width):
                 temp = temps[sweep + t]
                 # `labelled` is read-major, so `take` fills it in place
@@ -351,8 +360,13 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
                     x *= s
                     x *= 2
                     x /= temp
+                    np.maximum(x, floor, out=x)
                     np.exp(x, out=x)
-                    np.negative(s, out=s, where=u < x)
+                    # u - exp < 0 exactly where the spin flips; times s, its
+                    # sign is the new spin (u == exp gives +-0, which keeps s)
+                    np.subtract(u, x, out=x)
+                    x *= s
+                    np.copysign(1.0, x, out=s)
             sweep += width
     return states.astype(np.int8)[np.argsort(order)].T
 

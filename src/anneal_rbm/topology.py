@@ -3,22 +3,22 @@
 Qubits are addressed by a linear integer id, the lexicographic rank of the
 qubit's coordinate tuple.  Pegasus uses (u, w, k, z) coordinates with the
 standard vendor offset lists; Chimera uses (row, col, shore, k).  A graph
-keeps its ideal node/edge sets plus a defect mask, so coordinates stay valid
-after qubits are disabled.
+keeps its ideal qubits and couplers plus a defect mask, so coordinates stay
+valid after qubits are disabled.
 
 Node ids are non-negative, so an edge (a, b) with a < b has the integer code
 a*N + b, N being one more than the largest id, and sorted codes are sorted
-edges.  Each graph caches its active edges as one sorted int64 code array;
-building, masking, loading and writing graphs, and the partition checks in
-`embedding`, are numpy passes over such arrays, and the frozensets of the
-public fields are built once from them.
+edges.  A graph stores sorted id and code arrays only: building, masking,
+loading and writing graphs, and the partition checks in `embedding`, are
+numpy passes over them.  The sets (``nodes``, ``edges``, ``active_nodes``,
+``active_edges``, ``defect_nodes``, ``defect_edges``) and the ``adjacency``
+dict are views of the arrays, built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -42,93 +42,113 @@ def canonical_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
+def frozen(values) -> np.ndarray:
+    """``values`` as a read-only int64 array."""
+    a = np.asarray(values, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class HardwareGraph:
     """Immutable qubit/coupler topology with a defect mask.
 
-    ``nodes`` and ``edges`` describe the ideal (defect-free) graph;
-    ``defect_nodes`` / ``defect_edges`` mark disabled elements.  All
-    downstream code operates on the active sets.
+    ``node_ids`` and ``ideal_codes`` describe the ideal (defect-free) graph;
+    ``defect_ids`` and ``defect_codes`` mark disabled elements.  Each is a
+    sorted, repeat-free, read-only int64 array, the codes in base
+    ``code_base``.  All downstream code operates on the active elements.
     """
 
     family: str
-    params: dict = field(default_factory=dict)
-    nodes: frozenset[int] = frozenset()
-    edges: frozenset[Edge] = frozenset()
-    defect_nodes: frozenset[int] = frozenset()
-    defect_edges: frozenset[Edge] = frozenset()
+    params: dict
+    node_ids: np.ndarray
+    ideal_codes: np.ndarray
+    defect_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    defect_codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    @cached_property
-    def active_nodes(self) -> frozenset[int]:
-        return self.nodes - self.defect_nodes if self.defect_nodes else self.nodes
+    _ARRAYS = ("node_ids", "ideal_codes", "defect_ids", "defect_codes")
 
-    @cached_property
-    def active_edges(self) -> frozenset[Edge]:
-        if not (self.defect_nodes or self.defect_edges):
-            return self.edges
-        return edge_set(*np.divmod(self.edge_codes, self.code_base))
+    def __post_init__(self):
+        for name in self._ARRAYS:
+            object.__setattr__(self, name, frozen(getattr(self, name)))
+
+    def __eq__(self, other):
+        if not isinstance(other, HardwareGraph):
+            return NotImplemented
+        return (self.family == other.family and self.params == other.params
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in self._ARRAYS))
 
     @cached_property
     def code_base(self) -> int:
         """N of the edge codes a*N + b: one more than the largest node id."""
-        return max(self.nodes, default=-1) + 1
+        return int(self.node_ids[-1]) + 1 if self.node_ids.size else 0
 
     @cached_property
-    def ideal_codes(self) -> np.ndarray:
-        """Sorted int64 codes of ``edges``, the ideal couplers."""
-        return _codes(edge_array(self.edges), self.code_base)
+    def active_ids(self) -> np.ndarray:
+        """Sorted ids of the active qubits."""
+        return np.setdiff1d(self.node_ids, self.defect_ids, assume_unique=True)
 
     @cached_property
     def edge_codes(self) -> np.ndarray:
         """Sorted int64 codes of the active couplers."""
         codes, base = self.ideal_codes, self.code_base
-        if self.defect_edges:
-            codes = codes[~_contains(_codes(edge_array(self.defect_edges), base), codes)]
-        if self.defect_nodes:
-            dead = np.zeros(base, dtype=bool)
-            dead[list(self.defect_nodes)] = True
+        if self.defect_codes.size:
+            codes = codes[~_contains(self.defect_codes, codes)]
+        if self.defect_ids.size:
             a, b = np.divmod(codes, base)
-            codes = codes[~(dead[a] | dead[b])]
+            codes = codes[self.has_nodes(a) & self.has_nodes(b)]
         return codes
 
     @cached_property
-    def _active_mask(self) -> np.ndarray:
-        mask = np.zeros(self.code_base, dtype=bool)
-        mask[list(self.active_nodes)] = True
-        return mask
+    def edge_ranks(self) -> np.ndarray:
+        """The (2, E) ends of the active couplers, in code order, as ranks
+        in ``active_ids``: the couplers of the graph relabelled 0..n-1."""
+        return np.searchsorted(self.active_ids, np.divmod(self.edge_codes, self.code_base))
+
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, ranks): the active neighbours of ``active_ids[i]`` are
+        ``active_ids[ranks[offsets[i]:offsets[i + 1]]]``, sorted."""
+        a, b = self.edge_ranks
+        ends, others = np.concatenate([a, b]), np.concatenate([b, a])
+        offsets = np.zeros(self.active_ids.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.active_ids.size), out=offsets[1:])
+        return offsets, others[np.lexsort((others, ends))]
+
+    # Views of the arrays, built on first read: sets of ids and of (a, b)
+    nodes = cached_property(lambda g: frozenset(g.node_ids.tolist()))
+    edges = cached_property(lambda g: edge_set(g.ideal_codes, g.code_base))
+    defect_nodes = cached_property(lambda g: frozenset(g.defect_ids.tolist()))
+    defect_edges = cached_property(lambda g: edge_set(g.defect_codes, g.code_base))
+    active_nodes = cached_property(lambda g: frozenset(g.active_ids.tolist()))
+    active_edges = cached_property(lambda g: edge_set(g.edge_codes, g.code_base))
+
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Active neighbors per active node, sorted for determinism."""
+        offsets, ranks = self.neighbors
+        ids, cuts = self.active_ids[ranks].tolist(), offsets.tolist()
+        return {v: tuple(ids[i:j]) for v, i, j in zip(self.active_ids.tolist(), cuts, cuts[1:])}
 
     def has_nodes(self, q: np.ndarray) -> np.ndarray:
         """Elementwise: is qubit ``q`` active?  Any integer array."""
-        q = np.asarray(q, dtype=np.int64)
-        inside = (q >= 0) & (q < self.code_base)
-        out = np.zeros(q.shape, dtype=bool)
-        out[inside] = self._active_mask[q[inside]]
-        return out
+        return np.isin(np.asarray(q, dtype=np.int64), self.active_ids)
 
     def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise: is there an active coupler between qubits ``a`` and
         ``b``?  Endpoints in either order; unknown ids have none."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        known = (lo >= 0) & (hi < self.code_base)
-        out = np.zeros(lo.shape, dtype=bool)
-        out[known] = _contains(self.edge_codes, lo[known] * self.code_base + hi[known])
-        return out
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Active neighbors per active node, sorted for determinism."""
-        adj: dict[int, list[int]] = {v: [] for v in self.active_nodes}
-        for a, b in self.active_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        # a code is exact only when both ends are known ids
+        return (self.has_nodes(lo) & self.has_nodes(hi)
+                & _contains(self.edge_codes, lo * self.code_base + hi))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency.get(v, ()))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return canonical_edge(a, b) in self.active_edges
+        return bool(self.has_edges(*canonical_edge(a, b)))
 
 
 def build_pegasus(m: int) -> HardwareGraph:
@@ -163,11 +183,8 @@ def build_pegasus(m: int) -> HardwareGraph:
     cross = (x >= 0) & (z2 < span)
     internal = (np.broadcast_to(lin(0, w, k, z), cross.shape)[cross],
                 lin(1, w2, k2, z2)[cross])
-
-    a, b = (np.concatenate([e.ravel() for e in ends])
-            for ends in zip(external, odd, internal))
-    return _graph("pegasus", {"m": m}, frozenset(range(n)), n,
-                  unique_codes(_codes(np.stack([a, b], axis=1), n)))
+    return HardwareGraph("pegasus", {"m": m}, np.arange(n),
+                         _coupler_codes(n, external, odd, internal))
 
 
 def pegasus_coords(m: int, node: int) -> tuple[int, int, int, int]:
@@ -193,22 +210,15 @@ def build_chimera(rows: int, cols: int, shore: int) -> HardwareGraph:
     if rows < 1 or cols < 1 or shore < 1:
         raise InvalidParameterError(
             f"chimera parameters must be >= 1, got ({rows},{cols},{shore})")
-
+    n = rows * cols * 2 * shore
     lin = partial(chimera_index, cols, shore)
-    nodes = frozenset(range(rows * cols * 2 * shore))
-    edges: set[Edge] = set()
-    for r in range(rows):
-        for c in range(cols):
-            for i in range(shore):
-                for j in range(shore):
-                    edges.add(canonical_edge(lin(r, c, 0, i), lin(r, c, 1, j)))
-                if r + 1 < rows:
-                    edges.add(canonical_edge(lin(r, c, 0, i), lin(r + 1, c, 0, i)))
-                if c + 1 < cols:
-                    edges.add(canonical_edge(lin(r, c, 1, i), lin(r, c + 1, 1, i)))
-    return HardwareGraph(family="chimera",
-                         params={"rows": rows, "cols": cols, "shore": shore},
-                         nodes=nodes, edges=frozenset(edges))
+    r, c, i, j = np.ix_(range(rows), range(cols), range(shore), range(shore))
+    cell = (lin(r, c, 0, i), lin(r, c, 1, j))
+    r, c, i = np.ix_(range(rows), range(cols), range(shore))
+    vertical = (lin(r[:-1], c, 0, i), lin(r[1:], c, 0, i))
+    horizontal = (lin(r, c[:, :-1], 1, i), lin(r, c[:, 1:], 1, i))
+    return HardwareGraph("chimera", {"rows": rows, "cols": cols, "shore": shore},
+                         np.arange(n), _coupler_codes(n, cell, vertical, horizontal))
 
 
 def chimera_index(cols: int, shore: int, r: int, c: int, u: int, k: int) -> int:
@@ -223,11 +233,9 @@ def build_custom(nodes: Iterable[int], edges: Iterable[Edge],
     Used for logical graphs and for interchange with external tools; no
     coordinate structure is implied.
     """
-    node_set = frozenset(int(v) for v in nodes)
-    base = _known_base(node_set)
+    ids = _node_ids(list(nodes))
     pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    return _graph(family, {}, node_set, base,
-                  unique_codes(_codes(_canonical(pairs, node_set), base)))
+    return HardwareGraph(family, {}, ids, _checked_codes(pairs, ids))
 
 
 def apply_defects(g: HardwareGraph, dead_nodes: Iterable[int] = (),
@@ -237,18 +245,20 @@ def apply_defects(g: HardwareGraph, dead_nodes: Iterable[int] = (),
     Masked nodes keep their ids (coordinates remain valid); their incident
     edges drop out of the active sets automatically.
     """
-    node_mask = frozenset(int(v) for v in dead_nodes)
-    edge_mask = frozenset(canonical_edge(*e) for e in dead_edges)
-    unknown = node_mask - g.nodes
-    if unknown:
-        raise InvalidParameterError(f"defect mask names unknown nodes: {sorted(unknown)[:5]}")
-    bad_edges = edge_mask - g.edges
-    if bad_edges:
-        raise InvalidParameterError(f"defect mask names unknown edges: {sorted(bad_edges)[:5]}")
-    masked = replace(g, defect_nodes=g.defect_nodes | node_mask,
-                     defect_edges=g.defect_edges | edge_mask)
-    vars(masked).update(code_base=g.code_base, ideal_codes=g.ideal_codes)
-    return masked
+    ids = np.unique(np.array(list(dead_nodes), dtype=np.int64))
+    unknown = ids[~np.isin(ids, g.node_ids)]
+    if unknown.size:
+        raise InvalidParameterError(f"defect mask names unknown nodes: {unknown[:5].tolist()}")
+    pairs = canonical_edges(np.array(list(dead_edges), dtype=np.int64).reshape(-1, 2))
+    lo, hi = pairs.T
+    known = (np.isin(pairs, g.node_ids).all(axis=1)
+             & _contains(g.ideal_codes, lo * g.code_base + hi))
+    if not known.all():
+        bad = sorted(set(zip(lo[~known].tolist(), hi[~known].tolist())))
+        raise InvalidParameterError(f"defect mask names unknown edges: {bad[:5]}")
+    return HardwareGraph(g.family, g.params, g.node_ids, g.ideal_codes,
+                         np.union1d(g.defect_ids, ids),
+                         np.union1d(g.defect_codes, lo * g.code_base + hi))
 
 
 @dataclass(frozen=True)
@@ -264,36 +274,32 @@ class GraphStats:
 
 
 def graph_stats(g: HardwareGraph) -> GraphStats:
-    """Exact counts over the active node/edge sets."""
-    n = len(g.active_nodes)
-    e = len(g.active_edges)
-    hist: dict[int, int] = {}
-    for v in g.active_nodes:
-        d = g.degree(v)
-        hist[d] = hist.get(d, 0) + 1
+    """Exact counts over the active qubits and couplers."""
+    n, e = g.active_ids.size, g.edge_codes.size
+    hist = {d: c for d, c in enumerate(np.bincount(np.diff(g.neighbors[0])).tolist()) if c}
     avg = 2.0 * e / n if n else 0.0
-    return GraphStats(n, e, dict(sorted(hist.items())), avg)
+    return GraphStats(n, e, hist, avg)
 
 
 def graph_to_dict(g: HardwareGraph) -> dict:
     return {
         "family": g.family,
         "params": dict(g.params),
-        "nodes": sorted(g.nodes),
-        "edges": _edge_list(g.ideal_codes, g.code_base),
+        "nodes": g.node_ids.tolist(),
+        "edges": edge_rows(g.ideal_codes, g.code_base),
         "defects": {
-            "nodes": sorted(g.defect_nodes),
-            "edges": [list(e) for e in sorted(g.defect_edges)],
+            "nodes": g.defect_ids.tolist(),
+            "edges": edge_rows(g.defect_codes, g.code_base),
         },
     }
 
 
 @loader("defect mask")
-def defects_from_dict(data: dict) -> tuple[frozenset[int], frozenset[Edge]]:
-    """Dead nodes and edges of a ``{"nodes": [...], "edges": [[a, b], ...]}``
-    mask; a missing key masks nothing."""
+def defects_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Dead node ids and (E, 2) dead edges of a ``{"nodes": [...], "edges":
+    [[a, b], ...]}`` mask; a missing key masks nothing."""
     pairs = canonical_edges(integer_rows(data.get("edges", []), 2))
-    return frozenset(integers(data.get("nodes", []))), edge_set(*pairs.T)
+    return np.array(integers(data.get("nodes", [])), dtype=np.int64), pairs
 
 
 #: graph family -> the integer parameters its coordinate scheme needs
@@ -306,32 +312,23 @@ def graph_from_dict(data: dict) -> HardwareGraph:
     for key in _FAMILY_PARAMS.get(data["family"], ()):
         if not isinstance(params[key], int):
             raise TypeError(f"{data['family']} parameter {key!r} must be an integer")
-    nodes = frozenset(integers(data["nodes"]))
-    base = _known_base(nodes)
-    pairs = _canonical(integer_rows(data["edges"], 2), nodes)
-    g = _graph(data["family"], params, nodes, base, unique_codes(_codes(pairs, base)))
+    ids = _node_ids(integers(data["nodes"]))
+    g = HardwareGraph(data["family"], params, ids,
+                      _checked_codes(integer_rows(data["edges"], 2), ids))
     return apply_defects(g, *defects_from_dict(data.get("defects", {})))
 
 
 # ---------------------------------------------------------------------------
 # Edge arrays
 
-def _graph(family: str, params: dict, nodes: frozenset[int], base: int,
-           codes: np.ndarray) -> HardwareGraph:
-    """The defect-free graph whose ideal edges have the sorted unique
-    ``codes`` (base ``base``, one more than the largest of ``nodes``), with
-    its code cache already filled."""
-    g = HardwareGraph(family=family, params=params, nodes=nodes,
-                      edges=edge_set(*np.divmod(codes, base)))
-    vars(g).update(code_base=base, ideal_codes=codes)
-    return g
-
-
-def _known_base(nodes: frozenset[int]) -> int:
-    """The code base of a node set; InvalidParameterError for a negative id."""
-    if nodes and min(nodes) < 0:
-        raise InvalidParameterError(f"node ids must be non-negative, got {min(nodes)}")
-    return max(nodes, default=-1) + 1
+def _node_ids(nodes: list) -> np.ndarray:
+    """Sorted unique ids; InvalidParameterError for one outside 0..2**31-1,
+    where the int64 edge codes a*N + b would overflow."""
+    ids = np.unique(np.array(nodes, dtype=np.int64))
+    if ids.size and not 0 <= ids[0] <= ids[-1] < 2**31:
+        raise InvalidParameterError(
+            f"node ids must be non-negative and below 2**31, got {ids[[0, -1]].tolist()}")
+    return ids
 
 
 def canonical_edges(pairs: np.ndarray) -> np.ndarray:
@@ -344,35 +341,28 @@ def canonical_edges(pairs: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=1)
 
 
-def _canonical(pairs: np.ndarray, nodes: frozenset[int]) -> np.ndarray:
-    """canonical_edges of ``pairs``; InvalidParameterError, as build_custom
-    raises it, for an endpoint outside ``nodes`` too."""
+def _checked_codes(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Sorted unique codes of the edges ``pairs`` among the sorted node
+    ``ids``; InvalidParameterError for a self-loop or an unknown endpoint."""
     pairs = canonical_edges(pairs)
-    known = np.zeros(_known_base(nodes) + 1, dtype=bool)  # the last slot: unknown
-    known[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
-    ends = np.where((pairs >= 0) & (pairs < known.size), pairs, -1)
-    unknown = np.flatnonzero(~known[ends].all(axis=1))
+    unknown = np.flatnonzero(~np.isin(pairs, ids).all(axis=1))
     if unknown.size:
         e = tuple(pairs[unknown[0]].tolist())
         raise InvalidParameterError(f"edge {e} references unknown node")
-    return pairs
+    base = int(ids[-1]) + 1 if ids.size else 0
+    return unique_codes(pairs[:, 0] * base + pairs[:, 1])
+
+
+def _coupler_codes(base: int, *pairs) -> np.ndarray:
+    """Sorted unique codes of the couplers (a, b), a < b, of each pair of
+    broadcastable id arrays."""
+    return unique_codes(np.concatenate([(a * base + b).ravel() for a, b in pairs]))
 
 
 def unique_codes(codes: np.ndarray) -> np.ndarray:
     """``codes`` sorted, without repeats (np.unique's result, by one sort)."""
     codes = np.sort(codes)
     return codes[np.r_[True, codes[1:] != codes[:-1]]] if codes.size else codes
-
-
-def edge_array(edges) -> np.ndarray:
-    """A set of edges (a, b) as an (E, 2) int64 array in sorted order."""
-    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                        count=2 * len(edges)).reshape(-1, 2)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
-
-def _codes(pairs: np.ndarray, base: int) -> np.ndarray:
-    return pairs[:, 0] * base + pairs[:, 1]
 
 
 def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -383,11 +373,12 @@ def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return sorted_codes[np.minimum(at, sorted_codes.size - 1)] == codes
 
 
-def edge_set(a: np.ndarray, b: np.ndarray) -> frozenset[Edge]:
-    """The edges (a[i], b[i]) as a set of tuples of ints."""
+def edge_set(codes: np.ndarray, base: int) -> frozenset[Edge]:
+    """The edges of sorted codes of base ``base`` as a set of tuples."""
+    a, b = np.divmod(codes, base)
     return frozenset(zip(a.tolist(), b.tolist()))
 
 
-def _edge_list(codes: np.ndarray, base: int) -> list[list[int]]:
+def edge_rows(codes: np.ndarray, base: int) -> list[list[int]]:
     """Sorted codes as the sorted ``[a, b]`` rows of a payload."""
     return np.stack(np.divmod(codes, base), axis=1).tolist()

@@ -5,8 +5,10 @@ used before its sweeps were scheduled by levels, kept word for word (only
 the name and the indentation of its signature changed, and the wall-clock
 ``timing_s`` entry of its metadata went when the package's did).  Each sweep visits
 spins 0..n-1, one numpy step per spin, so it is the sequential definition
-the level schedule must reproduce read for read.  The package never imports
-this module.
+the level schedule must reproduce read for read.  `temperature_ladder_reference`
+is the per-term loop `samplers._temperature_ladder` was before it became
+one array pass, kept word for word apart from its name; the reference
+annealer uses it.  The package never imports this module.
 """
 
 from __future__ import annotations
@@ -16,10 +18,28 @@ import numpy as np
 from anneal_rbm import rng
 from anneal_rbm.errors import InvalidParameterError
 from anneal_rbm.ising import IsingProblem, energies
-from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
-                                 _temperature_ladder)
+from anneal_rbm.samplers import AnnealParams, NoiseModel, SampleSet
 
 _SWEEP_CHUNK_BUDGET = 4_000_000  # uniforms held in memory at once
+
+
+def temperature_ladder_reference(p: IsingProblem, params: AnnealParams) -> np.ndarray:
+    scale = [abs(v) for v in p.h.values()] + [abs(v) for v in p.j.values()]
+    site = {}
+    for i, v in p.h.items():
+        site[i] = site.get(i, 0.0) + abs(v)
+    for (a, b), v in p.j.items():
+        site[a] = site.get(a, 0.0) + abs(v)
+        site[b] = site.get(b, 0.0) + abs(v)
+    t_hot = params.t_hot if params.t_hot is not None else max(list(site.values()) + [1.0])
+    t_cold = params.t_cold if params.t_cold is not None else \
+        max(0.05 * min(scale), 1e-6) if scale else 1e-2
+    if not t_hot > t_cold > 0:
+        raise InvalidParameterError(f"derived schedule invalid: ({t_hot}, {t_cold})")
+    if params.sweeps == 1:
+        return np.array([t_cold])
+    ratio = (t_cold / t_hot) ** (1.0 / (params.sweeps - 1))
+    return t_hot * ratio ** np.arange(params.sweeps)
 
 
 def sample_sa_reference(p: IsingProblem, params: AnnealParams,
@@ -35,7 +55,7 @@ def sample_sa_reference(p: IsingProblem, params: AnnealParams,
     if p.n < 1:
         raise InvalidParameterError("cannot sample an empty problem")
     annealed = noise.perturb(p, placement) if noise is not None else p
-    temps = _temperature_ladder(annealed, params)
+    temps = temperature_ladder_reference(annealed, params)
 
     # CSR neighbor structure of the annealed problem.
     nbrs: list[list[tuple[int, float]]] = [[] for _ in range(p.n)]

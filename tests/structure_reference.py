@@ -4,15 +4,27 @@ These are the Pegasus builder, the graph payload conversions, the active
 sets, the replica partitioner, the partition verifier and the combined
 construction as `topology` and `embedding` computed them one Python tuple at
 a time, before those modules moved to array passes over sorted edge codes.
-They are kept as they were apart from their names and the package names
-they import; `graph_from_dict_reference` sets the defect fields directly
-instead of checking the payload, `combine_qac_rbm_reference` covers k > 1,
-and `verify_partition_reference` counts a logical edge that an iso map
-collapses onto one qubit as a missing coupler instead of raising.  The tests check that the array passes give equal graphs,
-partitions, reports and payloads.  The package never imports this module.
+They are kept as they were apart from their names, the package names they
+import and the way they construct their results: graphs and partitions
+store id and code arrays, so the loops build their node, edge, iso map and
+logical edge sets as before and hand them to `_graph` and `_partition`,
+which turn them into those arrays.  `graph_from_dict_reference` sets the
+defect fields directly instead of checking the payload,
+`combine_qac_rbm_reference` covers k > 1, and `verify_partition_reference`
+counts a logical edge that an iso map collapses onto one qubit as a missing
+coupler instead of raising.  `build_chimera_reference`,
+`tile_qac_reference` and `pick_representatives_reference` are the Chimera
+builder and the K_{1,3} tiling loops as they were before they too moved to
+array passes, kept the same way.  The tests check that the array passes
+give equal graphs, partitions, tilings, reports and payloads.  The package
+never imports this module.
 """
 
 from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
 
 from anneal_rbm.embedding import (CombinedEmbedding, PartitionReport, QacEncoding,
                                   QacUnit, ReplicaPartition, _GRIDS,
@@ -20,7 +32,26 @@ from anneal_rbm.embedding import (CombinedEmbedding, PartitionReport, QacEncodin
 from anneal_rbm.errors import EmbeddingInfeasibleError, InvalidParameterError
 from anneal_rbm.topology import (PEGASUS_HORIZONTAL_OFFSETS,
                                  PEGASUS_VERTICAL_OFFSETS, Edge, HardwareGraph,
-                                 canonical_edge, pegasus_coords, pegasus_index)
+                                 canonical_edge, chimera_index, pegasus_coords,
+                                 pegasus_index)
+
+
+def _graph(family: str, params: dict, nodes, edges, defect_nodes=(),
+           defect_edges=()) -> HardwareGraph:
+    """The graph with these node and edge sets."""
+    base = max(nodes, default=-1) + 1
+
+    def codes(es):
+        return sorted(a * base + b for a, b in es)
+    return HardwareGraph(family, params, sorted(nodes), codes(edges),
+                         sorted(defect_nodes), codes(defect_edges))
+
+
+def _partition(n: int, iso_maps, logical_edges, meta: dict) -> ReplicaPartition:
+    """The partition with these iso maps (each over 0..n-1) and logical edges."""
+    images = np.array([[iso[v] for v in range(n)] for iso in iso_maps], dtype=np.int64)
+    return ReplicaPartition(images.reshape(len(iso_maps), n),
+                            sorted(a * n + b for a, b in logical_edges), meta)
 
 
 def build_pegasus_reference(m: int) -> HardwareGraph:
@@ -56,8 +87,7 @@ def build_pegasus_reference(m: int) -> HardwareGraph:
                     if z2 < span:
                         edges.add(canonical_edge(lin(0, w, k, z), lin(1, w2, k2, z2)))
 
-    return HardwareGraph(family="pegasus", params={"m": m},
-                         nodes=nodes, edges=frozenset(edges))
+    return _graph("pegasus", {"m": m}, nodes, edges)
 
 
 def active_nodes_reference(g: HardwareGraph) -> frozenset[int]:
@@ -88,13 +118,12 @@ def graph_to_dict_reference(g: HardwareGraph) -> dict:
 def graph_from_dict_reference(data: dict) -> HardwareGraph:
     """The graph a well-formed payload describes (no payload checks)."""
     defects = data.get("defects", {})
-    return HardwareGraph(
-        family=data["family"], params=dict(data.get("params", {})),
-        nodes=frozenset(int(v) for v in data["nodes"]),
-        edges=frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"]),
-        defect_nodes=frozenset(int(v) for v in defects.get("nodes", ())),
-        defect_edges=frozenset(canonical_edge(int(a), int(b))
-                               for a, b in defects.get("edges", ())))
+    return _graph(
+        data["family"], dict(data.get("params", {})),
+        frozenset(int(v) for v in data["nodes"]),
+        frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"]),
+        frozenset(int(v) for v in defects.get("nodes", ())),
+        frozenset(canonical_edge(int(a), int(b)) for a, b in defects.get("edges", ())))
 
 
 def partition_replicas_reference(g: HardwareGraph, k: int) -> ReplicaPartition:
@@ -139,11 +168,8 @@ def partition_replicas_reference(g: HardwareGraph, k: int) -> ReplicaPartition:
                 logical_edges.add(canonical_edge(rank[a], rank[b]))
 
     iso_maps = tuple({rank[c]: mp[c] for c in alive} for mp in maps)
-    regions = tuple(frozenset(im.values()) for im in iso_maps)
     meta = {"m": m, "grid": [gx, gy], "block": {"dx": dx, "dy": dy, "zx": zx, "zy": zy}}
-    return ReplicaPartition(k=k, n_logical=len(alive),
-                            logical_edges=frozenset(logical_edges),
-                            iso_maps=iso_maps, regions=regions, meta=meta)
+    return _partition(len(alive), iso_maps, frozenset(logical_edges), meta)
 
 
 def _iter_block_nodes(m, vert_w, vert_z, horiz_w, horiz_z):
@@ -268,10 +294,102 @@ def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
                                      penalty_weight=penalty_weight))
 
     iso_maps = tuple({u: iso[reps[u]] for u in range(n_units)} for iso in base.iso_maps)
-    regions = tuple(frozenset(im.values()) for im in iso_maps)
-    rbm = ReplicaPartition(k=base.k, n_logical=n_units,
-                           logical_edges=frozenset(inst_edges),
-                           iso_maps=iso_maps, regions=regions,
-                           meta={**base.meta, "representatives": True})
+    rbm = _partition(n_units, iso_maps, frozenset(inst_edges),
+                     {**base.meta, "representatives": True})
     return CombinedEmbedding(k=base.k, encodings=tuple(encodings),
                              rbm_partition=rbm, base_partition=base)
+
+
+def build_chimera_reference(rows: int, cols: int, shore: int) -> HardwareGraph:
+    if rows < 1 or cols < 1 or shore < 1:
+        raise InvalidParameterError(
+            f"chimera parameters must be >= 1, got ({rows},{cols},{shore})")
+
+    lin = partial(chimera_index, cols, shore)
+    nodes = frozenset(range(rows * cols * 2 * shore))
+    edges: set[Edge] = set()
+    for r in range(rows):
+        for c in range(cols):
+            for i in range(shore):
+                for j in range(shore):
+                    edges.add(canonical_edge(lin(r, c, 0, i), lin(r, c, 1, j)))
+                if r + 1 < rows:
+                    edges.add(canonical_edge(lin(r, c, 0, i), lin(r + 1, c, 0, i)))
+                if c + 1 < cols:
+                    edges.add(canonical_edge(lin(r, c, 1, i), lin(r, c + 1, 1, i)))
+    return _graph("chimera", {"rows": rows, "cols": cols, "shore": shore}, nodes, edges)
+
+
+def _greedy_units_reference(g: HardwareGraph, claimed: set[int]) -> list[QacUnit]:
+    units = []
+    for hub in sorted(g.active_nodes):
+        if hub in claimed:
+            continue
+        avail = [nb for nb in g.adjacency[hub] if nb not in claimed]
+        if len(avail) < 3:
+            continue
+        leaves = tuple(avail[:3])
+        claimed.add(hub)
+        claimed.update(leaves)
+        units.append(QacUnit(problem_qubits=leaves, penalty_qubit=hub))
+    return units
+
+
+def _chimera_template_units_reference(g: HardwareGraph) -> tuple[list[QacUnit], set[int]]:
+    rows, cols, shore = (int(g.params[x]) for x in ("rows", "cols", "shore"))
+    claimed: set[int] = set()
+    units: list[QacUnit] = []
+    if shore < 4:
+        return units, claimed
+
+    lin = partial(chimera_index, cols, shore)
+    active, active_edges = g.active_nodes, g.active_edges
+    for r in range(rows):
+        for c in range(cols):
+            for prob_shore in (0, 1):
+                pen = lin(r, c, 1 - prob_shore, 3)
+                probs = tuple(lin(r, c, prob_shore, k) for k in range(3))
+                qubits = probs + (pen,)
+                if not all(q in active for q in qubits):
+                    continue
+                if not all(canonical_edge(q, pen) in active_edges for q in probs):
+                    continue
+                units.append(QacUnit(problem_qubits=probs, penalty_qubit=pen))
+                claimed.update(qubits)
+    return units, claimed
+
+
+def tile_qac_reference(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
+    if g.family == "chimera":
+        units, claimed = _chimera_template_units_reference(g)
+        units += _greedy_units_reference(g, claimed)
+    else:
+        units = _greedy_units_reference(g, set())
+
+    owner: dict[int, int] = {}
+    for idx, unit in enumerate(units):
+        for q in unit.problem_qubits:
+            owner[q] = idx
+    logical_edges: dict[Edge, list[Edge]] = {}
+    for a, b in sorted(g.active_edges):
+        ua, ub = owner.get(a), owner.get(b)
+        if ua is None or ub is None or ua == ub:
+            continue
+        logical_edges.setdefault(canonical_edge(ua, ub), []).append((a, b))
+    return QacEncoding(units=tuple(units),
+                       logical_edges={e: tuple(cs) for e, cs in sorted(logical_edges.items())},
+                       penalty_weight=penalty_weight)
+
+
+def pick_representatives_reference(tiling: QacEncoding, shared: HardwareGraph) -> list[int]:
+    owner = {q: i for i, u in enumerate(tiling.units) for q in u.problem_qubits}
+    reps = []
+    for idx, unit in enumerate(tiling.units):
+        best, best_score = unit.problem_qubits[0], -1
+        for q in unit.problem_qubits:
+            score = sum(1 for nb in shared.adjacency.get(q, ())
+                        if owner.get(nb, idx) != idx)
+            if score > best_score:
+                best, best_score = q, score
+        reps.append(best)
+    return reps

@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from anneal_rbm.cli import main
-from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict
+from anneal_rbm.embedding import ReplicaPartition, combine_qac_rbm, combined_to_dict
 from anneal_rbm.jsonio import dumps, read_json
-from anneal_rbm.topology import build_pegasus, graph_from_dict
+from anneal_rbm.topology import HardwareGraph, build_pegasus, graph_from_dict
 
 
 def run(*argv):
@@ -430,6 +431,9 @@ def _encodings_with(index, **changes):
      {"family": "custom", "nodes": [0, 1], "edges": [[0, 5]]}),
     (["embed", "qac", "--graph", "{bad}"],
      {"family": "custom", "nodes": [-1, 0], "edges": [[-1, 0]]}),
+    # a code a*N + b of ids this large wraps around in int64
+    (["embed", "qac", "--graph", "{bad}"],
+     {"family": "custom", "nodes": [0, 1, 2**40], "edges": [[1, 2**40]]}),
     # the stdlib parses NaN and Infinity, which no payload holds; a sample
     # file's energies and a report's cells took them and ran
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
@@ -456,6 +460,15 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
      {**_COMBINED, "encodings": _encodings_with(0, logical_edges={
          "0" + key: cs for key, cs in _COMBINED["encodings"][0]["logical_edges"].items()})}),
+    # number fields that float() took: a string as its number, a bool as 0 or 1
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"], {"sigma_h": "0.5"}),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"], {"sigma_j": True}),
+    (["sample", "--problem", "{problem}", "--replicate", "{partition}", "--noise", "{bad}"],
+     {"region_bias": [{"qubits": [0], "delta": "2"}]}),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "beta": "1.0"}),
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
+     {"units": [{"problem": [0, 1, 2], "penalty": 3}, {"problem": [4, 5, 6], "penalty": 7}],
+      "logical_edges": {}, "penalty_weight": True}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -471,11 +484,13 @@ def _encodings_with(index, **changes):
         "combined-encoding-0-two-units", "combined-encoding-2-no-edges",
         "combined-partition-k-float", "graph-edge-float", "graph-node-bool",
         "partition-iso-value-float", "defects-node-float", "encoding-qubit-float",
-        "combined-k-float", "graph-edge-unknown-node", "graph-node-negative",
+        "combined-k-float", "graph-edge-unknown-node", "graph-node-negative", "graph-node-huge",
         "samples-energy-nan", "report-cell-infinity", "problem-n-float",
         "noise-region-qubits-float-bool", "problem-j-keys-alias", "problem-j-key-space",
         "problem-h-keys-alias", "problem-h-key-underscore", "problem-h-bool",
-        "problem-j-string", "partition-iso-key-alias", "combined-encoding-key-alias"])
+        "problem-j-string", "partition-iso-key-alias", "combined-encoding-key-alias",
+        "noise-sigma-h-string", "noise-sigma-j-bool", "noise-delta-string",
+        "config-beta-string", "encoding-penalty-weight-bool"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
@@ -492,6 +507,40 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")
     assert not (tmp_path / "out").exists()
+
+
+_SET_VIEWS = {HardwareGraph: ("nodes", "edges", "defect_nodes", "defect_edges", "active_nodes",
+                              "active_edges", "adjacency"),
+              ReplicaPartition: ("logical_edges", "iso_maps", "regions")}
+
+
+def test_replicate_and_decode_rbm_never_build_set_views(tmp_path, monkeypatch):
+    # sampling k copies and decoding them read a partition's arrays only
+    files = {name: str(tmp_path / name) for name in ("g.json", "part.json", "noise.json",
+                                                     "inst", "s.json", "sol.json")}
+    assert run("topology", "build", "--family", "pegasus", "--m", "4",
+               "--out", files["g.json"]) == 0
+    assert run("embed", "partition", "--graph", files["g.json"], "--k", "4",
+               "--out", files["part.json"]) == 0
+    assert run("generate", "--cover-from", files["part.json"], "--seed", "3", "--count", "1",
+               "--out", files["inst"]) == 0
+    (tmp_path / "noise.json").write_text(json.dumps({"sigma_h": 0.05, "sigma_j": 0.02}))
+    built = []
+    for cls, names in _SET_VIEWS.items():
+        for name in names:
+            view = vars(cls)[name]
+            monkeypatch.setattr(cls, name, property(
+                lambda obj, view=view, name=name: built.append(name) or view.func(obj)))
+    instance = str(tmp_path / "inst" / "instance_000.json")
+    assert run("sample", "--problem", instance, "--replicate", files["part.json"],
+               "--noise", files["noise.json"], "--reads", "5", "--sweeps", "5",
+               "--out", files["s.json"]) == 0
+    assert run("decode", "rbm", "--samples", files["s.json"], "--structure", files["part.json"],
+               "--problem", instance, "--out", files["sol.json"]) == 0
+    assert built == []
+    # the patched views still answer, so a stage that read one would show here
+    assert ReplicaPartition(np.arange(2)[None], np.array([1])).logical_edges == {(0, 1)}
+    assert built == ["logical_edges"]
 
 
 @pytest.mark.parametrize("argv, payload", [

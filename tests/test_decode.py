@@ -17,12 +17,9 @@ from problem_helpers import penalty_slot
 
 def synthetic_partition(k: int, n_logical: int) -> ReplicaPartition:
     """Fictitious disjoint regions over consecutive integer qubits."""
-    iso_maps = tuple({v: r * n_logical + v for v in range(n_logical)}
-                     for r in range(k))
-    edges = frozenset((a, a + 1) for a in range(n_logical - 1))
-    return ReplicaPartition(k=k, n_logical=n_logical, logical_edges=edges,
-                            iso_maps=iso_maps,
-                            regions=tuple(frozenset(m.values()) for m in iso_maps))
+    images = np.arange(k * n_logical).reshape(k, n_logical)
+    # the chain (a, a + 1): codes a * n_logical + a + 1
+    return ReplicaPartition(images, np.arange(n_logical - 1) * (n_logical + 1) + 1)
 
 
 def synthetic_samples(reads: np.ndarray, problem=None) -> SampleSet:

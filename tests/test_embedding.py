@@ -83,9 +83,10 @@ def test_partition_infeasible_when_too_small():
 
 def test_verifier_detects_shared_qubit(g4):
     part = partition_replicas(g4, 2)
-    shared = next(iter(part.regions[0]))
-    regions = (part.regions[0], part.regions[1] | {shared})
-    mutated = dataclasses.replace(part, regions=regions)
+    shared = int(part.images[0, 0])
+    images = part.images.copy()
+    images[1, 5] = shared
+    mutated = dataclasses.replace(part, images=images)
     report = verify_partition(mutated, g4)
     assert not report.ok and not report.disjoint
     assert any(str(shared) in f for f in report.failures)
@@ -105,18 +106,20 @@ def test_verifier_reports_a_collapsed_logical_edge(g4):
     # both ends of a logical edge on one qubit: a failed report, not an error
     part = partition_replicas(g4, 2)
     a, b = min(part.logical_edges)
-    maps = (part.iso_maps[0], {**part.iso_maps[1], b: part.iso_maps[1][a]})
-    report = verify_partition(dataclasses.replace(part, iso_maps=maps), g4)
+    images = part.images.copy()
+    images[1, b] = images[1, a]
+    report = verify_partition(dataclasses.replace(part, images=images), g4)
     assert not report.ok and not report.bijective and not report.edges_embedded
     assert f"region 1: logical edge ({a},{b}) has no active coupler" in report.failures
 
 
-def test_verifier_detects_removed_region(g4):
-    part = partition_replicas(g4, 4)
-    mutated = dataclasses.replace(part, regions=part.regions[:3],
-                                  iso_maps=part.iso_maps[:3])
-    report = verify_partition(mutated, g4)
-    assert not report.ok
+def test_loader_refuses_removed_region(g4):
+    # k is the number of iso maps, so only a payload can miss a region
+    data = partition_to_dict(partition_replicas(g4, 4))
+    for bad in ({**data, "regions": data["regions"][:3]},
+                {**data, "regions": data["regions"][:3], "iso_maps": data["iso_maps"][:3]}):
+        with pytest.raises(FormatError, match="k=4 but 3 regions"):
+            partition_from_dict(bad)
 
 
 def test_tile_qac_chimera_cell_matches_template():

@@ -10,16 +10,21 @@ import warnings
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import anneal_rbm.samplers as samplers
+from anneal_rbm import rng
 from anneal_rbm.decode import build_qac_problem
-from anneal_rbm.embedding import logical_graph, tile_qac
-from anneal_rbm.ising import make_problem
+from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
+from anneal_rbm.errors import InvalidParameterError
+from anneal_rbm.ising import make_problem, replicate
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import (AnnealParams, NoiseModel, _spin_levels,
-                                 _sweep_plan, sample_sa)
+                                 _sweep_plan, region_biases, sample_sa)
 from anneal_rbm.topology import build_pegasus
 from conftest import noisy_replicated, pegasus_ball
-from sa_reference import sample_sa_reference
+from sa_reference import sample_sa_reference, temperature_ladder_reference
 
 
 def assert_matches_reference(p, params, noise=None, placement=None):
@@ -167,6 +172,103 @@ def test_strong_fields_at_a_cold_temperature_raise_no_warning():
         warnings.simplefilter("error")
         sample_sa(p, params)
     assert_matches_reference(p, params)
+
+
+@st.composite
+def ladder_problems(draw):
+    """A problem whose terms come in drawn order, with magnitudes far apart
+    so that a site weight depends on the order its terms are added in."""
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from([1.0, -1.0, 1e16, -1e16, 0.1, 0.2, 3.0]) | st.floats(
+        -1e3, 1e3, allow_nan=False).filter(bool)
+    h = draw(st.dictionaries(st.integers(0, n - 1), values, max_size=n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    j = draw(st.dictionaries(pairs, values, max_size=3 * n))
+    return make_problem(n, h, {e: v for e, v in j.items() if e[::-1] not in j or e[0] < e[1]})
+
+
+def assert_ladder_matches_reference(p, params):
+    try:
+        want = temperature_ladder_reference(p, params)
+    except InvalidParameterError:
+        with pytest.raises(InvalidParameterError):
+            samplers._temperature_ladder(p, params)
+        return
+    assert np.array_equal(samplers._temperature_ladder(p, params), want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(ladder_problems(), st.sampled_from([1, 2, 50]))
+def test_temperature_ladder_equals_the_term_loop(p, sweeps):
+    assert_ladder_matches_reference(p, AnnealParams(sweeps=sweeps))
+
+
+def test_temperature_ladder_on_the_noisy_m16_replica_problem(pegasus16):
+    part = partition_replicas(pegasus16, 4)
+    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    rp = replicate(generate_instance(cover, GeneratorParams(seed=5)).problem, part)
+    noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=1,
+                       region_bias=region_biases(part.regions, [0.3, -0.2, 0.1, 0.0]))
+    for p in (rp.problem, noise.perturb(rp.problem, rp.placement)):
+        assert_ladder_matches_reference(p, AnnealParams(sweeps=100))
+
+
+class ForcedUniforms:
+    """A read's generator that starts every spin at +1 and draws its real
+    stream's uniforms, except at the (sweep, spin) slots of ``forced``."""
+
+    def __init__(self, gen, forced):
+        self.gen, self.forced, self.sweep = gen, forced, 0
+
+    def integers(self, low, high, size):
+        return np.ones(size, dtype=np.int64)
+
+    def random(self, size=None, out=None):
+        u = self.gen.random(size, out=out)
+        for (t, spin), value in self.forced.items():
+            if self.sweep <= t < self.sweep + len(u):
+                u[t - self.sweep, spin] = value
+        self.sweep += len(u)
+        return u
+
+
+def force_uniforms(monkeypatch, forced):
+    streams, stream = rng.streams, rng.stream
+    monkeypatch.setattr(rng, "streams", lambda *key: (
+        ForcedUniforms(g, forced) for g in streams(*key)))
+    monkeypatch.setattr(rng, "stream", lambda *key: ForcedUniforms(stream(*key), forced))
+
+
+# at temperature 0.005 and spin +1, spin 0's exponent 2 * h / T is -748,
+# below -745.13 where exp underflows to 0, spin 1's is -720, spin 2's -8 and
+# spin 3's +1600, where exp overflows; spins 4..9 are a coupled chain
+FORCED = make_problem(10, {0: -1.87, 1: -1.8, 2: -0.02, 3: 4.0, 5: 0.3, 8: -0.2},
+                      {(i, i + 1): (-1.0) ** i * 0.7 for i in range(4, 9)})
+TIE = float(np.exp(np.array([-0.02 * 2 / 0.005]))[0])
+
+
+@pytest.mark.parametrize("zeros", [True, False])
+@pytest.mark.parametrize("budget", [samplers._SWEEP_CHUNK_BUDGET, 1])
+def test_forced_uniforms_at_the_exponent_floor(monkeypatch, zeros, budget):
+    # a uniform of exactly 0.0 accepts a flip whose exp(y) is a subnormal
+    # above 0 and refuses one whose exp(y) underflows to 0, so the exponent
+    # floor must not apply in its chunk; a uniform equal to exp(y) refuses,
+    # and an exp that overflows to inf accepts.  The forced slots are in the
+    # first and the last sweep, at 0.01 and 0.005 in the 6-sweep anneal.
+    monkeypatch.setattr(samplers, "_SWEEP_CHUNK_BUDGET", budget)
+    forced = {(t, 2): TIE for t in (0, 5)}
+    if zeros:
+        forced.update({(t, spin): 0.0 for t in (0, 5) for spin in (0, 1)})
+    force_uniforms(monkeypatch, forced)
+    flipped = [1, -1 if zeros else 1]
+    for sweeps in (6, 1):  # one sweep runs at t_cold, from all spins +1
+        params = AnnealParams(num_reads=8, sweeps=sweeps, seed=19 + sweeps,
+                              t_hot=0.01, t_cold=0.005)
+        reads = sample_sa(FORCED, params).reads
+        assert_matches_reference(FORCED, params)
+        assert (reads[:, :2] == flipped).all()
+        if sweeps == 1:
+            assert (reads[:, 2:4] == [1, -1]).all()
 
 
 def edge_arrays(p):

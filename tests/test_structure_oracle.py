@@ -12,18 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anneal_rbm.embedding import (combine_qac_rbm, partition_replicas,
-                                  partition_to_dict, verify_partition)
+from anneal_rbm.embedding import (_pick_representatives, combine_qac_rbm,
+                                  partition_replicas, partition_to_dict, tile_qac,
+                                  verify_partition)
 from anneal_rbm.errors import ContractError
 from anneal_rbm.ising import make_problem, problem_hash, problem_to_dict, replicate
 from anneal_rbm.jsonio import dumps
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
-from anneal_rbm.topology import (apply_defects, build_pegasus, canonical_edge,
-                                 graph_from_dict, graph_to_dict)
+from anneal_rbm.topology import (apply_defects, build_chimera, build_pegasus,
+                                 canonical_edge, graph_from_dict, graph_to_dict)
 from structure_reference import (active_edges_reference, active_nodes_reference,
-                                 build_pegasus_reference, combine_qac_rbm_reference,
-                                 graph_from_dict_reference, graph_to_dict_reference,
-                                 partition_replicas_reference,
+                                 build_chimera_reference, build_pegasus_reference,
+                                 combine_qac_rbm_reference, graph_from_dict_reference,
+                                 graph_to_dict_reference, partition_replicas_reference,
+                                 pick_representatives_reference, tile_qac_reference,
                                  verify_partition_reference)
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
@@ -39,6 +41,82 @@ def masked_pegasus(draw):
     nodes = r.sample(sorted(g.nodes), draw(st.integers(0, min(12, len(g.nodes)))))
     edges = r.sample(sorted(g.edges), draw(st.integers(0, 20)))
     return apply_defects(g, nodes, edges)
+
+
+@st.composite
+def masked_chimera(draw):
+    """A Chimera graph of up to 3 x 3 cells with a random defect mask."""
+    g = build_chimera(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    r = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nodes = r.sample(sorted(g.nodes), draw(st.integers(0, min(6, len(g.nodes)))))
+    edges = r.sample(sorted(g.edges), draw(st.integers(0, min(6, len(g.edges)))))
+    return apply_defects(g, nodes, edges)
+
+
+def assert_sorted_frozen(a):
+    assert a.dtype == np.int64 and not a.flags.writeable
+    assert np.all(a[1:] > a[:-1])
+
+
+def assert_graph_views_equal_arrays(g):
+    """Each set view of a graph is its arrays, decoded one element at a time."""
+    base = g.code_base
+    for a in (g.node_ids, g.ideal_codes, g.defect_ids, g.defect_codes):
+        assert_sorted_frozen(a)
+    assert base == max(g.node_ids.tolist(), default=-1) + 1
+    assert g.nodes == set(g.node_ids.tolist())
+    assert g.defect_nodes == set(g.defect_ids.tolist())
+    assert g.active_nodes == set(g.active_ids.tolist()) == g.nodes - g.defect_nodes
+    assert g.edges == {divmod(c, base) for c in g.ideal_codes.tolist()}
+    assert g.defect_edges == {divmod(c, base) for c in g.defect_codes.tolist()}
+    assert g.active_edges == {divmod(c, base) for c in g.edge_codes.tolist()}
+    assert g.active_edges == active_edges_reference(g)
+    adjacency = {v: [] for v in g.active_nodes}
+    for a, b in sorted(g.active_edges):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    assert g.adjacency == {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+
+
+@ORACLE
+@given(masked_pegasus() | masked_chimera())
+def test_graph_views_equal_their_arrays(g):
+    assert_graph_views_equal_arrays(g)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 4), (2, 3, 4), (3, 2, 2), (4, 4, 6)])
+def test_build_chimera_equals_reference(shape):
+    g, ref = build_chimera(*shape), build_chimera_reference(*shape)
+    assert g == ref
+    assert graph_to_dict(g) == graph_to_dict_reference(ref)
+
+
+@ORACLE
+@given(masked_pegasus() | masked_chimera())
+def test_tiling_equals_reference(g):
+    tiling = tile_qac(g, penalty_weight=-2.0)
+    assert tiling == tile_qac_reference(g, penalty_weight=-2.0)
+    assert _pick_representatives(tiling, g) == pick_representatives_reference(tiling, g)
+
+
+@ORACLE
+@given(masked_pegasus(), st.sampled_from([1, 2, 4, 8]))
+def test_partition_views_equal_their_arrays(g, k):
+    try:
+        comb = combine_qac_rbm(g, k)
+    except ContractError:
+        return
+    for part in (comb.base_partition, comb.rbm_partition):
+        assert verify_partition(part, g).ok
+        n = part.n_logical
+        assert part.images.shape == (part.k, n) == (k, n)
+        assert part.images.dtype == np.int64 and not part.images.flags.writeable
+        assert_sorted_frozen(part.edge_codes)
+        assert part.logical_edges == {divmod(c, n) for c in part.edge_codes.tolist()}
+        assert part.iso_maps == tuple({v: int(q) for v, q in enumerate(row)}
+                                      for row in part.images)
+        assert part.regions == tuple(frozenset(map(int, row)) for row in part.images)
+        assert_graph_views_equal_arrays(part.logical_graph())
 
 
 def outcome(fn, *args):
@@ -83,15 +161,23 @@ def test_partition_and_report_equal_reference(g, k):
 
 def _corruptions(part, g, r: random.Random):
     """(partition, graph, kind): the intact pair, then pairs that break one
-    claim each: a qubit in two regions, a logical edge whose coupler is
-    dead, a region qubit that is dead, an iso map that sends two logical ids
-    to one qubit, and two dead qubits under a reversed iso map (so the map's
-    order is not the qubits' order)."""
+    claim each: a qubit in two regions (the last iso map sends a logical id
+    to a qubit of region 0), a logical edge whose coupler is dead, a region
+    qubit that is dead, an iso map that sends two logical ids to one qubit,
+    and two dead qubits under a reversed iso map (so the map's order is not
+    the qubits' order)."""
     last = part.k - 1
+
+    def with_last_map(row):
+        images = part.images.copy()
+        images[last] = row
+        return dataclasses.replace(part, images=images)
+
     q = r.choice(sorted(part.regions[0]))
     yield part, g, "intact"
-    yield dataclasses.replace(
-        part, regions=part.regions[:last] + (part.regions[last] | {q},)), g, "shared"
+    shared = part.images[last].copy()
+    shared[r.randrange(part.n_logical)] = q
+    yield with_last_map(shared), g, "shared"
     if part.logical_edges:
         a, b = r.choice(sorted(part.logical_edges))
         iso = part.iso_maps[r.randrange(part.k)]
@@ -100,12 +186,11 @@ def _corruptions(part, g, r: random.Random):
     yield part, apply_defects(g, [part.iso_maps[last][v]]), "qubit"
     if part.n_logical > 1:
         v, w = r.sample(range(part.n_logical), 2)
-        maps = list(part.iso_maps)
-        maps[last] = {**maps[last], v: maps[last][w]}
-        yield dataclasses.replace(part, iso_maps=tuple(maps)), g, "iso"
-        maps[last] = dict(zip(part.iso_maps[last], reversed(part.iso_maps[last].values())))
+        collapsed = part.images[last].copy()
+        collapsed[v] = collapsed[w]
+        yield with_last_map(collapsed), g, "iso"
         dead = [part.iso_maps[last][v], part.iso_maps[last][w]]
-        yield dataclasses.replace(part, iso_maps=tuple(maps)), apply_defects(g, dead), "reversed"
+        yield with_last_map(part.images[last, ::-1]), apply_defects(g, dead), "reversed"
 
 
 @ORACLE
