@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .decode import (DecodedSolution, QacProblem, build_qac_problem,
                      decode_majority, decode_rbm, decode_sqa_repeat)
-from .embedding import (CombinedEmbedding, QacEncoding, QacUnit,
-                        ReplicaPartition, combine_qac_rbm, logical_graph,
-                        partition_replicas, tile_qac, verify_partition)
+from .embedding import (CombinedEmbedding, QacEncoding, ReplicaPartition,
+                        combine_qac_rbm, partition_replicas, tile_qac,
+                        verify_partition)
 from .errors import (ContractError, DimensionMismatchError,
                      EmbeddingInfeasibleError, FormatError,
                      InvalidParameterError)

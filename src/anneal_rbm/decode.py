@@ -21,8 +21,9 @@ import numpy as np
 from .embedding import QacEncoding, ReplicaPartition
 from .errors import (ContractError, DimensionMismatchError,
                      InvalidParameterError)
-from .ising import IsingProblem, energies, make_problem
+from .ising import IsingProblem, energies
 from .samplers import SampleSet
+from .topology import frozen
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,12 @@ class QacProblem:
     """Physical problem realizing a logical one on a K_{1,3} encoding.
 
     Dense variable layout is unit-major: variables 4u..4u+2 are unit u's
-    problem qubits, 4u+3 its penalty hub.  ``placement`` maps dense variables
-    to hardware qubits.
+    problem qubits, 4u+3 its penalty hub.  ``placement`` is a read-only (n,)
+    int64 array whose entry v is the hardware qubit hosting dense variable v.
     """
 
     problem: IsingProblem
-    n_logical: int
-    alpha: float
-    placement: dict[int, int]
+    placement: np.ndarray
 
 
 def build_qac_problem(logical: IsingProblem, enc: QacEncoding,
@@ -79,49 +78,38 @@ def build_qac_problem(logical: IsingProblem, enc: QacEncoding,
     exactly 3x the logical energy, whatever the coupler multiplicities, which
     keeps the penalty scale comparable across encodings.  Penalty couplers
     carry ``alpha`` (= 0 disables the penalty and decouples the hubs).
+
+    Terms are stored in this order: the h terms in the logical order, each
+    on copies 0..2; each logical J term's couplers, in the logical order and
+    then the encoding's; then the penalty couplers by (unit, copy).
     """
     if alpha > 0:
         raise InvalidParameterError(f"penalty weight must be <= 0, got {alpha}")
-    if logical.n > enc.n_logical:
-        raise ContractError(
-            f"logical problem has {logical.n} variables, encoding only {enc.n_logical} units")
-    missing = [e for e in logical.j if e not in enc.logical_edges]
-    if missing:
-        raise ContractError(
-            f"encoding lacks logical edges {sorted(missing)[:5]}")
+    n, u = logical.n, enc.n_logical
+    if n > u:
+        raise ContractError(f"logical problem has {n} variables, encoding only {u} units")
+    codes = logical.j_first * u + logical.j_second
+    missing = np.sort(codes[~np.isin(codes, enc.edge_codes)])
+    if missing.size:
+        a, b = np.divmod(missing[:5], u)
+        raise ContractError(f"encoding lacks logical edges {list(zip(a.tolist(), b.tolist()))}")
 
-    n_phys = 4 * logical.n
-    h: dict[int, float] = {}
-    j: dict[tuple[int, int], float] = {}
-    placement: dict[int, int] = {}
-    qubit_to_var: dict[int, int] = {}
-    for u in range(logical.n):
-        unit = enc.units[u]
-        for copy, q in enumerate(unit.problem_qubits):
-            placement[4 * u + copy] = q
-            qubit_to_var[q] = 4 * u + copy
-        placement[4 * u + 3] = unit.penalty_qubit
-        qubit_to_var[unit.penalty_qubit] = 4 * u + 3
-
-    for i, v in logical.h.items():
-        for copy in range(3):
-            h[4 * i + copy] = v
-
-    for (a, b), v in logical.j.items():
-        couplers = enc.logical_edges[(a, b)]
-        share = 3.0 * v / len(couplers)
-        for qa, qb in couplers:
-            va, vb = qubit_to_var[qa], qubit_to_var[qb]
-            key = (va, vb) if va < vb else (vb, va)
-            j[key] = j.get(key, 0.0) + share
-
+    problem_vars = 4 * np.arange(n)[:, None] + np.arange(3)  # (unit, copy)
+    hi, hv = problem_vars[logical.h_index].ravel(), np.repeat(logical.h_value, 3)
+    # the couplers of J term t are rows start[t]:start[t] + count[t]
+    at = np.searchsorted(enc.edge_codes, codes)
+    start, count = enc.offsets[at], np.diff(enc.offsets)[at]
+    rows = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    slot = enc.slots(enc.couplers[rows])  # problem qubit s is variable s + s // 3
+    first, second = np.sort(slot + slot // 3, axis=1).T
+    jv = np.repeat(3.0 * logical.j_value / count, count)
     if alpha != 0:
-        for u in range(logical.n):
-            for copy in range(3):
-                j[(4 * u + copy, 4 * u + 3)] = alpha
-
-    return QacProblem(problem=make_problem(n_phys, h, j),
-                      n_logical=logical.n, alpha=alpha, placement=placement)
+        first = np.concatenate([first, problem_vars.ravel()])
+        second = np.concatenate([second, np.repeat(4 * np.arange(n) + 3, 3)])
+        jv = np.concatenate([jv, np.full(3 * n, float(alpha))])
+    jk = jv != 0  # a share can underflow to zero, which a problem does not store
+    return QacProblem(IsingProblem(4 * n, hi, hv, first[jk], second[jk], jv[jk]),
+                      frozen(np.c_[enc.problem, enc.penalty][:n].ravel()))
 
 
 def decode_majority(samples: SampleSet, enc: QacEncoding,

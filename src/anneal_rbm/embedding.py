@@ -10,9 +10,9 @@ n_logical) array and its logical edges as sorted codes a*n_logical + b, as
 are views of those arrays, built on first read.
 
 QAC tilings cover a graph with vertex-disjoint K_{1,3} units (three problem
-qubits plus one penalty hub).  The combined construction produces k regions
-that each carry the same logical graph twice over: once as one-qubit-per-node
-(for replication) and once as one-unit-per-node (for penalty encoding).
+qubits plus one penalty hub), stored as arrays too.  The combined construction
+gives k regions that each carry the same logical graph twice over: once as
+one-qubit-per-node (replication) and once as one-unit-per-node (penalty code).
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
 from .jsonio import index_keys, integer, integer_rows, integers, loader, numbers
-from .topology import (Edge, HardwareGraph, build_custom, canonical_edges,
-                       chimera_index, edge_rows, edge_set, frozen, graph_from_dict,
-                       unique_codes)
+from .topology import (HardwareGraph, canonical_edges, chimera_index, edge_rows,
+                       edge_set, frozen, graph_from_dict, unique_codes)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
@@ -231,79 +230,115 @@ def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
         region_edge_counts=[ind.size for ind in pulled], failures=failures)
 
 
-@dataclass(frozen=True)
-class QacUnit:
-    """One logical qubit: three problem qubits plus the penalty hub."""
-
-    problem_qubits: tuple[int, int, int]
-    penalty_qubit: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QacEncoding:
     """Vertex-disjoint K_{1,3} cover of (part of) a hardware graph.
 
-    ``units[i]`` hosts logical qubit ``i``; ``logical_edges`` maps a logical
-    pair to every physical coupler joining the two problem-qubit triples.
+    Unit i hosts logical qubit i: ``problem[i]`` are its three problem
+    qubits and ``penalty[i]`` its hub, u units in all.  ``edge_codes`` are
+    the sorted codes a*u + b (a < b) of the coupled logical pairs, and pair
+    i's couplers are the rows ``offsets[i]:offsets[i + 1]`` of the (E, 2)
+    ``couplers``.  These read-only int64 arrays are checked when made: the
+    4u qubit ids are non-negative and distinct, no pair repeats, and each
+    pair's couplers, at least one, join a problem qubit of unit a to one of
+    unit b, each coupler given once.
     """
 
-    units: tuple[QacUnit, ...]
-    logical_edges: dict[Edge, tuple[Edge, ...]]
+    problem: np.ndarray
+    penalty: np.ndarray
+    edge_codes: np.ndarray
+    couplers: np.ndarray
+    offsets: np.ndarray
     penalty_weight: float = -1.0
 
-    @property
-    def n_logical(self) -> int:
-        return len(self.units)
+    _ARRAYS = ("problem", "penalty", "edge_codes", "couplers", "offsets")
+
+    def __post_init__(self):
+        for name in self._ARRAYS:
+            object.__setattr__(self, name, frozen(getattr(self, name)))
+        failure = _encoding_failure(self)
+        if failure:
+            raise InvalidParameterError(f"invalid QAC encoding: {failure}")
+
+    def __eq__(self, other):
+        if not isinstance(other, QacEncoding):
+            return NotImplemented
+        return self.penalty_weight == other.penalty_weight and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self._ARRAYS)
+
+    n_logical = property(lambda e: e.penalty.size)
+
+    def slots(self, qubits) -> np.ndarray:
+        """Each qubit's index s in ``problem.ravel()``, so that it is
+        problem qubit s % 3 of unit s // 3, or -1 for a qubit that is none."""
+        flat = self.problem.ravel()
+        order = np.argsort(flat)
+        s = np.r_[order, -1][np.searchsorted(flat, qubits, sorter=order)]  # -1: past the end
+        return np.where(np.r_[flat, -1][s] == qubits, s, -1)
+
+    def logical_graph(self) -> HardwareGraph:
+        """Graph over logical ids: nodes are units, edges the coupled unit pairs."""
+        return HardwareGraph("logical", {}, np.arange(self.n_logical), self.edge_codes)
 
 
-def _owners(units, g: HardwareGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(problem, owner): the units' (u, 3) problem qubits, as ranks in
-    ``g.active_ids``, and for each rank the unit it is a problem qubit of,
-    or -1."""
-    problem = np.array([u.problem_qubits for u in units], dtype=np.int64).reshape(-1, 3)
-    problem = np.searchsorted(g.active_ids, problem)
-    owner = np.full(g.active_ids.size, -1, dtype=np.int64)
-    owner[problem] = np.arange(len(problem))[:, None]
-    return problem, owner
+def _encoding_failure(e: QacEncoding) -> str | None:
+    """The first claim of the QacEncoding docstring that ``e`` breaks."""
+    u, codes, couplers, offsets = e.n_logical, e.edge_codes, e.couplers, e.offsets
+    shapes = [getattr(e, name).shape for name in e._ARRAYS]
+    if shapes != [(u, 3), (u,), (codes.size,), (*couplers.shape[:1], 2), (codes.size + 1,)]:
+        return f"arrays of shapes {shapes}, not (u, 3), (u,), (L,), (E, 2) and (L + 1,)"
+    qubits = np.sort(np.concatenate([e.problem.ravel(), e.penalty]))
+    if qubits.size and (qubits[0] < 0 or (qubits[1:] == qubits[:-1]).any()):
+        return f"its {qubits.size} qubit ids are not non-negative and distinct"
+    a, b = np.divmod(codes, max(u, 1))
+    if ((codes < 0) | (codes >= u * u) | (a >= b)).any() or (np.diff(codes) <= 0).any():
+        return f"its pair codes are not rising codes a*{u} + b with a < b < {u}"
+    sizes = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != len(couplers) or (sizes < 1).any():
+        return f"its offsets do not split the {len(couplers)} couplers into one run per pair"
+    # unit s // 3 holds slot s, and a qubit in no unit has slot -1
+    slot = np.sort(e.slots(couplers), axis=1)
+    pair = np.repeat(np.arange(codes.size), sizes)
+    wrong = (slot[:, 0] // 3 != a[pair]) | (slot[:, 1] // 3 != b[pair])
+    if wrong.any():
+        return (f"coupler {couplers[wrong.argmax()].tolist()} does not join a problem "
+                f"qubit of each unit of its pair")
+    if unique_codes(slot[:, 0] * 3 * u + slot[:, 1]).size < len(couplers):
+        return "a coupler is given twice"
+    return None
 
 
-def _greedy_units(g: HardwareGraph, taken: list[bool]) -> list[QacUnit]:
+def _greedy_units(g: HardwareGraph, taken: list[bool]) -> np.ndarray:
     """Scan active qubits in id order as penalty hubs, claiming K_{1,3}s
     greedily; ``taken[i]`` marks a claimed ``g.active_ids[i]`` and is
-    updated."""
+    updated.  Returns the (u, 4) units: three problem qubits, then the hub."""
     offsets, ranks = (a.tolist() for a in g.neighbors)
-    ids = g.active_ids.tolist()
     units = []
-    for hub in range(len(ids)):
+    for hub in range(len(taken)):
         if taken[hub]:
             continue
         avail = [nb for nb in ranks[offsets[hub]:offsets[hub + 1]] if not taken[nb]]
         if len(avail) < 3:
             continue
-        for i in (hub, *avail[:3]):
+        units.append((*avail[:3], hub))
+        for i in units[-1]:
             taken[i] = True
-        units.append(QacUnit(problem_qubits=tuple(ids[i] for i in avail[:3]),
-                             penalty_qubit=ids[hub]))
-    return units
+    return g.active_ids[np.array(units, dtype=np.int64).reshape(-1, 4)]
 
 
-def _chimera_template_units(g: HardwareGraph) -> tuple[list[QacUnit], np.ndarray]:
-    """Two units per fully working Chimera cell, penalty hubs on wire 3; and
-    the mask, over ``g.active_ids``, of the qubits they claim."""
+def _chimera_template_units(g: HardwareGraph) -> np.ndarray:
+    """The (u, 4) units of two per fully working Chimera cell, penalty hubs
+    on wire 3."""
     rows, cols, shore = (int(g.params[x]) for x in ("rows", "cols", "shore"))
-    taken = np.zeros(g.active_ids.size, dtype=bool)
     if shore < 4:
-        return [], taken
+        return np.zeros((0, 4), dtype=np.int64)
     # cell (r, c) has a unit with problem qubits on each side, in that order
     r, c, side, k = np.ix_(range(rows), range(cols), range(2), range(3))
     probs = chimera_index(cols, shore, r, c, side, k)
     pens = chimera_index(cols, shore, r, c, 1 - side, 3)
     ok = (g.has_nodes(probs).all(-1) & g.has_nodes(pens).all(-1)
           & g.has_edges(probs, pens).all(-1)).ravel()
-    probs, pens = probs.reshape(-1, 3)[ok], pens.ravel()[ok]
-    taken[np.searchsorted(g.active_ids, np.c_[probs, pens])] = True
-    return [QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
-            for qs, q in zip(probs.tolist(), pens.tolist())], taken
+    return np.c_[probs.reshape(-1, 3)[ok], pens.ravel()[ok]]
 
 
 def tile_qac(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
@@ -315,55 +350,38 @@ def tile_qac(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
     hardware couplers between problem-qubit sets of distinct units, each
     unit pair's in sorted order.
     """
-    if g.family == "chimera":
-        units, taken = _chimera_template_units(g)
-        units += _greedy_units(g, taken.tolist())
-    else:
-        units = _greedy_units(g, [False] * g.active_ids.size)
+    units = _chimera_template_units(g) if g.family == "chimera" else np.zeros((0, 4), np.int64)
+    units = np.concatenate([units, _greedy_units(g, np.isin(g.active_ids, units).tolist())])
 
-    _, owner = _owners(units, g)
+    owner = np.full(g.active_ids.size, -1)  # the unit of each active qubit's rank, or -1
+    owner[np.searchsorted(g.active_ids, units[:, :3])] = np.arange(len(units))[:, None]
     ua, ub = owner[g.edge_ranks]
     keep = (ua >= 0) & (ub >= 0) & (ua != ub)
     pair = np.minimum(ua, ub)[keep] * len(units) + np.maximum(ua, ub)[keep]
     order = np.argsort(pair, kind="stable")  # a pair's couplers stay sorted
     pair = pair[order]
     starts = np.flatnonzero(np.diff(pair, prepend=-1))
-    ua, ub = np.divmod(pair[starts], max(len(units), 1))
     ends = np.stack(np.divmod(g.edge_codes, g.code_base), axis=1)[keep][order]
-    return QacEncoding(units=tuple(units),
-                       logical_edges=_grouped(zip(ua.tolist(), ub.tolist()), ends,
-                                              np.r_[starts, pair.size]),
-                       penalty_weight=penalty_weight)
+    return QacEncoding(units[:, :3], units[:, 3], pair[starts], ends,
+                       np.r_[starts, pair.size], penalty_weight)
 
 
-def _grouped(keys, ends: np.ndarray, cuts) -> dict[Edge, tuple[Edge, ...]]:
-    """{key: its couplers}: key i's are the (a, b) rows cuts[i]:cuts[i + 1]
-    of the (E, 2) ``ends``."""
-    rows = list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
-    cuts = np.asarray(cuts).tolist()
-    return {e: tuple(rows[i:j]) for e, i, j in zip(keys, cuts, cuts[1:])}
-
-
-def logical_graph(enc: QacEncoding) -> HardwareGraph:
-    """Graph over logical ids: nodes are units, edges the coupled unit pairs."""
-    return build_custom(range(enc.n_logical), enc.logical_edges.keys(), family="logical")
-
-
-def _pick_representatives(tiling: QacEncoding, shared: HardwareGraph) -> list[int]:
+def _pick_representatives(tiling: QacEncoding, shared: HardwareGraph) -> np.ndarray:
     """One problem qubit per unit, chosen to maximize inter-unit adjacency.
 
     The score of a candidate counts its neighbors that belong to other units'
     problem triples; ties fall to the first, lowest, of a unit's problem
     qubits, keeping the choice deterministic.
     """
-    problem, owner = _owners(tiling.units, shared)
+    problem = np.searchsorted(shared.active_ids, tiling.problem)
+    owner = tiling.slots(shared.active_ids) // 3  # slot -1 is in unit -1
     offsets, ranks = shared.neighbors
     hub = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))  # ranks[i] neighbours hub[i]
     other = owner[ranks]
     score = np.bincount(hub, weights=(other >= 0) & (other != owner[hub]),
                         minlength=offsets.size - 1)
     best = problem[np.arange(len(problem)), np.argmax(score[problem], axis=1)]
-    return shared.active_ids[best].tolist()
+    return shared.active_ids[best]
 
 
 @dataclass(frozen=True)
@@ -394,33 +412,23 @@ def combine_qac_rbm(g: HardwareGraph, k: int = 4,
     base = _whole_graph_partition(g) if k == 1 else partition_replicas(g, k)
     shared = base.logical_graph()
     tiling = tile_qac(shared, penalty_weight=penalty_weight)
-    if not tiling.units:
+    if not tiling.n_logical:
         raise EmbeddingInfeasibleError(
             f"no K_(1,3) unit fits the shared block structure (k={k})")
 
-    reps = np.array(_pick_representatives(tiling, shared), dtype=np.int64)
-    n_units = tiling.n_logical
-    pairs = np.array(list(tiling.logical_edges), dtype=np.int64).reshape(-1, 2)
-    pairs = pairs[shared.has_edges(reps[pairs[:, 0]], reps[pairs[:, 1]])]
-    inst_edges = list(map(tuple, pairs.tolist()))  # sorted, as the keys are
-    couplers = [tiling.logical_edges[e] for e in inst_edges]
-    ends = np.array(list(chain.from_iterable(couplers)), dtype=np.int64).reshape(-1, 2)
-    cuts = np.cumsum([0] + [len(cs) for cs in couplers])
-    problem = np.array([u.problem_qubits for u in tiling.units], dtype=np.int64)
-    penalty = np.array([u.penalty_qubit for u in tiling.units], dtype=np.int64)
-
-    encodings = []
-    for image in base.images:
-        units = tuple(QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
-                      for qs, q in zip(image[problem].tolist(), image[penalty].tolist()))
-        ledges = _grouped(inst_edges, np.sort(image[ends], axis=1), cuts)
-        encodings.append(QacEncoding(units=units, logical_edges=ledges,
-                                     penalty_weight=penalty_weight))
-
-    rbm = ReplicaPartition(base.images[:, reps], pairs[:, 0] * n_units + pairs[:, 1],
-                           {**base.meta, "representatives": True})
-    return CombinedEmbedding(k=base.k, encodings=tuple(encodings),
-                             rbm_partition=rbm, base_partition=base)
+    reps = _pick_representatives(tiling, shared)
+    a, b = np.divmod(tiling.edge_codes, tiling.n_logical)
+    keep = shared.has_edges(reps[a], reps[b])
+    sizes = np.diff(tiling.offsets)
+    ends = tiling.couplers[np.repeat(keep, sizes)]
+    offsets = np.r_[0, np.cumsum(sizes[keep])]
+    codes = tiling.edge_codes[keep]
+    encodings = tuple(QacEncoding(image[tiling.problem], image[tiling.penalty], codes,
+                                  np.sort(image[ends], axis=1), offsets, penalty_weight)
+                      for image in base.images)
+    rbm = ReplicaPartition(base.images[:, reps], codes, {**base.meta, "representatives": True})
+    return CombinedEmbedding(k=base.k, encodings=encodings, rbm_partition=rbm,
+                             base_partition=base)
 
 
 # ---------------------------------------------------------------------------
@@ -473,30 +481,35 @@ def partition_from_dict(data: dict) -> ReplicaPartition:
 
 
 def encoding_to_dict(e: QacEncoding) -> dict:
+    rows, cuts = e.couplers.tolist(), e.offsets.tolist()
     return {
-        "units": [{"problem": list(u.problem_qubits), "penalty": u.penalty_qubit}
-                  for u in e.units],
-        "logical_edges": {f"{a},{b}": list(map(list, cs))
-                          for (a, b), cs in sorted(e.logical_edges.items())},
+        "units": [{"problem": qs, "penalty": q}
+                  for qs, q in zip(e.problem.tolist(), e.penalty.tolist())],
+        "logical_edges": {"{},{}".format(*pair): rows[i:j] for pair, i, j
+                          in zip(edge_rows(e.edge_codes, e.n_logical), cuts, cuts[1:])},
         "penalty_weight": e.penalty_weight,
     }
 
 
 @loader("encoding")
 def encoding_from_dict(data: dict) -> QacEncoding:
-    units = data["units"]
-    problem = integer_rows([u["problem"] for u in units], 3).tolist()
-    penalty = integers([u["penalty"] for u in units])
-    ledges = data["logical_edges"]
+    """An encoding payload; its ``"a,b"`` keys may come in any order, and
+    InvalidParameterError also when one leaves 0..u-1 or the encoding breaks
+    a claim QacEncoding checks."""
+    units, ledges = data["units"], data["logical_edges"]
+    n = len(units)
     keys = canonical_edges(np.array(index_keys(ledges, 2), dtype=np.int64).reshape(-1, 2))
+    if keys.size and not 0 <= keys.min() <= keys.max() < n:  # else codes could alias
+        raise InvalidParameterError(f"a logical pair key leaves 0..{n - 1}")
+    codes = keys[:, 0] * n + keys[:, 1]
+    order = np.argsort(codes, kind="stable").tolist()
     couplers = list(ledges.values())
-    ends = canonical_edges(integer_rows(list(chain.from_iterable(couplers)), 2))
+    couplers = [couplers[i] for i in order]
     return QacEncoding(
-        units=tuple(QacUnit(problem_qubits=tuple(qs), penalty_qubit=q)
-                    for qs, q in zip(problem, penalty)),
-        logical_edges=_grouped(zip(keys[:, 0].tolist(), keys[:, 1].tolist()), ends,
-                               np.cumsum([0] + [len(cs) for cs in couplers])),
-        penalty_weight=float(numbers([data.get("penalty_weight", -1.0)])[0]))
+        integer_rows([u["problem"] for u in units], 3), integers([u["penalty"] for u in units]),
+        codes[order], canonical_edges(integer_rows(list(chain.from_iterable(couplers)), 2)),
+        np.cumsum([0] + [len(cs) for cs in couplers]),
+        float(numbers([data.get("penalty_weight", -1.0)])[0]))
 
 
 def combined_to_dict(c: CombinedEmbedding) -> dict:
@@ -523,16 +536,13 @@ def combined_from_dict(data: dict) -> CombinedEmbedding:
             f"inconsistent combined-embedding payload: k={c.k} but "
             f"{len(c.encodings)} encodings, rbm_partition k={c.rbm_partition.k}, "
             f"base_partition k={c.base_partition.k}")
-    rbm, n = c.rbm_partition, c.rbm_partition.n_logical
+    rbm = c.rbm_partition
     for r, enc in enumerate(c.encodings):
-        keys = np.array(list(enc.logical_edges), dtype=np.int64).reshape(-1, 2)
-        if (enc.n_logical != n or keys.size and keys.max() >= n  # then codes could alias
-                or not np.array_equal(np.sort(keys[:, 0] * n + keys[:, 1]), rbm.edge_codes)):
+        if enc.n_logical != rbm.n_logical or not np.array_equal(enc.edge_codes, rbm.edge_codes):
             raise FormatError(
-                f"inconsistent combined-embedding payload: encoding {r} has "
-                f"{enc.n_logical} units and {len(keys)} logical edges, "
-                f"rbm_partition {n} and {rbm.edge_codes.size}, or "
-                f"other edges")
+                f"inconsistent combined-embedding payload: encoding {r} has {enc.n_logical} "
+                f"units and {enc.edge_codes.size} logical edges, rbm_partition "
+                f"{rbm.n_logical} and {rbm.edge_codes.size}, or other edges")
     return c
 
 

@@ -143,7 +143,7 @@ def _majority(enc, alpha: float, problem, anneal) -> float:
     return decode_majority(anneal(qp.problem, qp.placement), enc, problem)[1].energy
 
 
-def _repeat(k: int, placement: dict[int, int], problem, anneal) -> float:
+def _repeat(k: int, placement, problem, anneal) -> float:
     """Baseline: k separate calls on one region, best read overall."""
     return decode_sqa_repeat([anneal(problem, placement) for _ in range(k)],
                              problem).energy
@@ -176,7 +176,7 @@ def _scaling_structures(cfg: ExperimentConfig):
     for ki, k in enumerate(cfg.k_values):
         part = partition_replicas(g, k)
         methods = {"rbm": partial(_rbm, part),
-                   "sqa": partial(_repeat, k, dict(enumerate(part.images[0].tolist())))}
+                   "sqa": partial(_repeat, k, part.images[0])}
         cells = [((ki, bi), k, cfg.scaling_bias, beta)
                  for bi, beta in enumerate(cfg.beta_grid)]
         yield f"k{k}", part, methods, cells

@@ -10,8 +10,8 @@ comes from `energies`, so equal configurations of equal problems have equal
 energies.
 
 Variables are dense ids 0..n-1.  Replicated problems keep dense ids too and
-carry a placement map back to physical qubits, which is what the decoder and
-the noise model need.
+carry a placement array, the physical qubit of each variable, which is what
+the decoder and the noise model need.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, EmbeddingInfeasibleError,
                      InvalidParameterError)
 from .jsonio import index_keys, integer, loader, numbers
+from .topology import frozen
 
 if TYPE_CHECKING:  # pragma: no cover
     from .embedding import ReplicaPartition
@@ -234,14 +235,14 @@ class ReplicatedProblem:
     """k disjoint copies of a problem, one per replica region.
 
     Dense variable layout is replica-major: variable ``r * n_logical + v`` is
-    logical variable ``v`` of replica ``r``.  ``placement`` maps each dense
-    variable to the physical qubit that hosts it.
+    logical variable ``v`` of replica ``r``, and the read-only int64 array
+    ``placement`` holds the physical qubit hosting each dense variable.
     """
 
     problem: IsingProblem
     k: int
     n_logical: int
-    placement: dict[int, int]
+    placement: np.ndarray
 
 
 def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProblem:
@@ -266,8 +267,8 @@ def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProbl
     rep = IsingProblem(k * n_l, (base + p.h_index).ravel(), np.tile(p.h_value, k),
                        (base + p.j_first).ravel(), (base + p.j_second).ravel(),
                        np.tile(p.j_value, k))
-    placement = dict(enumerate(partition.images[:, :n_l].ravel().tolist()))
-    return ReplicatedProblem(problem=rep, k=k, n_logical=n_l, placement=placement)
+    return ReplicatedProblem(problem=rep, k=k, n_logical=n_l,
+                             placement=frozen(partition.images[:, :n_l].ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -100,16 +100,14 @@ class NoiseModel:
             if not np.isfinite(delta):
                 raise InvalidParameterError(f"region bias delta must be finite, got {delta}")
 
-    def perturb(self, p: IsingProblem,
-                placement: dict[int, int] | None) -> IsingProblem:
-        """The problem as the hardware sees it."""
-        if placement is None:
-            if self.region_bias:
-                raise InvalidParameterError(
-                    "placement map required when region_bias is nonempty")
-            placement = {v: v for v in range(p.n)}
-        qubit = np.fromiter((placement[v] for v in range(p.n)),
-                            dtype=np.int64, count=p.n)
+    def perturb(self, p: IsingProblem, placement: np.ndarray | None) -> IsingProblem:
+        """The problem as the hardware sees it, variable v sitting on qubit
+        ``placement[v]`` (on qubit v without a placement)."""
+        if placement is None and self.region_bias:
+            raise InvalidParameterError("placement required when region_bias is nonempty")
+        qubit = np.arange(p.n) if placement is None else np.asarray(placement, dtype=np.int64)
+        if qubit.shape != (p.n,):
+            raise DimensionMismatchError(f"placement of shape {qubit.shape} for {p.n} variables")
 
         off = np.zeros(p.n)
         if self.sigma_h:
@@ -373,7 +371,7 @@ def _anneal(p: IsingProblem, temps: np.ndarray, params: AnnealParams) -> np.ndar
 
 def sample_sa(p: IsingProblem, params: AnnealParams,
               noise: NoiseModel | None = None,
-              placement: dict[int, int] | None = None) -> SampleSet:
+              placement: np.ndarray | None = None) -> SampleSet:
     """Run num_reads independent Metropolis anneals of `sweeps` full sweeps.
 
     The chains anneal the noise-perturbed problem when a noise model is

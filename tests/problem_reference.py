@@ -5,7 +5,11 @@ validation, and the functions below are `make_problem`, `terms`,
 `gauge_transform`, `replicate`, `problem_to_dict` and `problem_hash` as they
 ran over its ``h`` and ``j`` dicts one term at a time, before a problem
 stored its term arrays.  They are kept word for word apart from their names
-and the package names they import.  The tests check that the array-native
+and the package names they import.  `build_qac_problem_reference` is
+`decode.build_qac_problem` as it ran over an encoding's dict form (see
+`structure_reference.encoding_reference`) before it became array passes,
+kept the same way; its result is `QacProblemReference`, the old
+`QacProblem` with its placement dict.  The tests check that the array-native
 problem gives equal term arrays in equal order, equal dict views, equal
 payloads and digests, and refuses exactly what this validation refuses.  The
 package never imports this module.
@@ -23,9 +27,11 @@ from typing import Mapping
 import numpy as np
 
 from anneal_rbm.embedding import ReplicaPartition
-from anneal_rbm.errors import EmbeddingInfeasibleError, InvalidParameterError
-from anneal_rbm.ising import Pair, ReplicatedProblem, as_spins
+from anneal_rbm.errors import (ContractError, EmbeddingInfeasibleError,
+                               InvalidParameterError)
+from anneal_rbm.ising import IsingProblem, Pair, ReplicatedProblem, as_spins, make_problem
 from anneal_rbm.topology import canonical_edge
+from structure_reference import QacEncodingReference
 
 
 @dataclass(frozen=True)
@@ -148,3 +154,73 @@ def problem_hash_reference(p: ProblemReference) -> str:
     payload = {"n": p.n, "h": {str(i): v for i, v in p.h.items()},
                "J": {f"{a},{b}": v for (a, b), v in p.j.items()}}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class QacProblemReference:
+    """Physical problem realizing a logical one on a K_{1,3} encoding.
+
+    Dense variable layout is unit-major: variables 4u..4u+2 are unit u's
+    problem qubits, 4u+3 its penalty hub.  ``placement`` maps dense variables
+    to hardware qubits.
+    """
+
+    problem: IsingProblem
+    n_logical: int
+    alpha: float
+    placement: dict[int, int]
+
+
+def build_qac_problem_reference(logical: IsingProblem, enc: QacEncodingReference,
+                                alpha: float = -1.0) -> QacProblemReference:
+    """Spread a logical problem over an encoding's units.
+
+    Each logical bias h_i goes on all three problem qubits of unit i; each
+    logical coupling J_ij is split as 3*J_ij / multiplicity over the physical
+    couplers of that logical edge.  A fully aligned physical state then has
+    exactly 3x the logical energy, whatever the coupler multiplicities, which
+    keeps the penalty scale comparable across encodings.  Penalty couplers
+    carry ``alpha`` (= 0 disables the penalty and decouples the hubs).
+    """
+    if alpha > 0:
+        raise InvalidParameterError(f"penalty weight must be <= 0, got {alpha}")
+    if logical.n > enc.n_logical:
+        raise ContractError(
+            f"logical problem has {logical.n} variables, encoding only {enc.n_logical} units")
+    missing = [e for e in logical.j if e not in enc.logical_edges]
+    if missing:
+        raise ContractError(
+            f"encoding lacks logical edges {sorted(missing)[:5]}")
+
+    n_phys = 4 * logical.n
+    h: dict[int, float] = {}
+    j: dict[tuple[int, int], float] = {}
+    placement: dict[int, int] = {}
+    qubit_to_var: dict[int, int] = {}
+    for u in range(logical.n):
+        unit = enc.units[u]
+        for copy, q in enumerate(unit.problem_qubits):
+            placement[4 * u + copy] = q
+            qubit_to_var[q] = 4 * u + copy
+        placement[4 * u + 3] = unit.penalty_qubit
+        qubit_to_var[unit.penalty_qubit] = 4 * u + 3
+
+    for i, v in logical.h.items():
+        for copy in range(3):
+            h[4 * i + copy] = v
+
+    for (a, b), v in logical.j.items():
+        couplers = enc.logical_edges[(a, b)]
+        share = 3.0 * v / len(couplers)
+        for qa, qb in couplers:
+            va, vb = qubit_to_var[qa], qubit_to_var[qb]
+            key = (va, vb) if va < vb else (vb, va)
+            j[key] = j.get(key, 0.0) + share
+
+    if alpha != 0:
+        for u in range(logical.n):
+            for copy in range(3):
+                j[(4 * u + copy, 4 * u + 3)] = alpha
+
+    return QacProblemReference(problem=make_problem(n_phys, h, j),
+                               n_logical=logical.n, alpha=alpha, placement=placement)

@@ -16,19 +16,25 @@ coupler instead of raising.  `build_chimera_reference`,
 `tile_qac_reference` and `pick_representatives_reference` are the Chimera
 builder and the K_{1,3} tiling loops as they were before they too moved to
 array passes, kept the same way.  The tests check that the array passes
-give equal graphs, partitions, tilings, reports and payloads.  The package
-never imports this module.
+give equal graphs, partitions, tilings, reports and payloads.
+
+Encodings store unit and coupler arrays too, so the tiling loops build
+`QacUnit`s and logical edge dicts as before and hand them to `qac_encoding`;
+`QacEncodingReference` is that dict form, and `encoding_reference` rebuilds
+it from an encoding's arrays for the loops that read an encoding.  The
+package never imports this module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from anneal_rbm.embedding import (CombinedEmbedding, PartitionReport, QacEncoding,
-                                  QacUnit, ReplicaPartition, _GRIDS,
-                                  _pick_representatives, tile_qac)
+                                  ReplicaPartition, _GRIDS, _pick_representatives,
+                                  tile_qac)
 from anneal_rbm.errors import EmbeddingInfeasibleError, InvalidParameterError
 from anneal_rbm.topology import (PEGASUS_HORIZONTAL_OFFSETS,
                                  PEGASUS_VERTICAL_OFFSETS, Edge, HardwareGraph,
@@ -52,6 +58,48 @@ def _partition(n: int, iso_maps, logical_edges, meta: dict) -> ReplicaPartition:
     images = np.array([[iso[v] for v in range(n)] for iso in iso_maps], dtype=np.int64)
     return ReplicaPartition(images.reshape(len(iso_maps), n),
                             sorted(a * n + b for a, b in logical_edges), meta)
+
+
+@dataclass(frozen=True)
+class QacUnit:
+    """One logical qubit: three problem qubits plus the penalty hub."""
+
+    problem_qubits: tuple[int, int, int]
+    penalty_qubit: int
+
+
+@dataclass(frozen=True)
+class QacEncodingReference:
+    """An encoding as units and a dict from each logical pair to its couplers."""
+
+    units: tuple[QacUnit, ...]
+    logical_edges: dict[Edge, tuple[Edge, ...]]
+    penalty_weight: float = -1.0
+
+    @property
+    def n_logical(self) -> int:
+        return len(self.units)
+
+
+def qac_encoding(units, logical_edges, penalty_weight: float = -1.0) -> QacEncoding:
+    """The encoding with these units and these couplers per logical pair."""
+    n, pairs = len(units), sorted(logical_edges)
+    couplers = [c for e in pairs for c in logical_edges[e]]
+    return QacEncoding(np.array([u.problem_qubits for u in units], dtype=np.int64).reshape(n, 3),
+                       [u.penalty_qubit for u in units], [a * n + b for a, b in pairs],
+                       np.array(couplers, dtype=np.int64).reshape(-1, 2),
+                       np.cumsum([0] + [len(logical_edges[e]) for e in pairs]), penalty_weight)
+
+
+def encoding_reference(enc: QacEncoding) -> QacEncodingReference:
+    """The dict form of an encoding's arrays."""
+    rows = list(map(tuple, enc.couplers.tolist()))
+    cuts = enc.offsets.tolist()
+    a, b = np.divmod(enc.edge_codes, max(enc.n_logical, 1))
+    return QacEncodingReference(
+        tuple(QacUnit(tuple(qs), q) for qs, q in zip(enc.problem.tolist(), enc.penalty.tolist())),
+        {e: tuple(rows[i:j]) for e, i, j in zip(zip(a.tolist(), b.tolist()), cuts, cuts[1:])},
+        enc.penalty_weight)
 
 
 def build_pegasus_reference(m: int) -> HardwareGraph:
@@ -270,12 +318,13 @@ def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
     """The combined construction for k > 1 (k = 1 uses the whole graph)."""
     base = partition_replicas_reference(g, k)
     shared = base.logical_graph()
-    tiling = tile_qac(shared, penalty_weight=penalty_weight)
+    tiled = tile_qac(shared, penalty_weight=penalty_weight)
+    tiling = encoding_reference(tiled)
     if not tiling.units:
         raise EmbeddingInfeasibleError(
             f"no K_(1,3) unit fits the shared block structure (k={k})")
 
-    reps = _pick_representatives(tiling, shared)
+    reps = _pick_representatives(tiled, shared).tolist()
     shared_edges = active_edges_reference(shared)
     n_units = tiling.n_logical
     inst_edges = set()
@@ -290,8 +339,7 @@ def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
                       for u in tiling.units)
         ledges = {e: tuple(canonical_edge(iso[a], iso[b]) for a, b in tiling.logical_edges[e])
                   for e in sorted(inst_edges)}
-        encodings.append(QacEncoding(units=units, logical_edges=ledges,
-                                     penalty_weight=penalty_weight))
+        encodings.append(qac_encoding(units, ledges, penalty_weight))
 
     iso_maps = tuple({u: iso[reps[u]] for u in range(n_units)} for iso in base.iso_maps)
     rbm = _partition(n_units, iso_maps, frozenset(inst_edges),
@@ -376,12 +424,13 @@ def tile_qac_reference(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEnc
         if ua is None or ub is None or ua == ub:
             continue
         logical_edges.setdefault(canonical_edge(ua, ub), []).append((a, b))
-    return QacEncoding(units=tuple(units),
-                       logical_edges={e: tuple(cs) for e, cs in sorted(logical_edges.items())},
-                       penalty_weight=penalty_weight)
+    return qac_encoding(tuple(units),
+                        {e: tuple(cs) for e, cs in sorted(logical_edges.items())},
+                        penalty_weight)
 
 
-def pick_representatives_reference(tiling: QacEncoding, shared: HardwareGraph) -> list[int]:
+def pick_representatives_reference(tiling: QacEncodingReference,
+                                   shared: HardwareGraph) -> list[int]:
     owner = {q: i for i, u in enumerate(tiling.units) for q in u.problem_qubits}
     reps = []
     for idx, unit in enumerate(tiling.units):

@@ -13,8 +13,7 @@ from anneal_rbm import rng as rbm_rng
 from anneal_rbm.cli import main as cli_main
 from anneal_rbm.decode import (build_qac_problem, decode_majority, decode_rbm,
                                decode_sqa_repeat)
-from anneal_rbm.embedding import (QacEncoding, QacUnit, combine_qac_rbm,
-                                  partition_replicas, tile_qac,
+from anneal_rbm.embedding import (combine_qac_rbm, partition_replicas, tile_qac,
                                   verify_partition)
 from anneal_rbm.experiments import gsp
 from anneal_rbm.ising import energies, energy, make_problem, replicate
@@ -25,6 +24,7 @@ from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
 from anneal_rbm.topology import (apply_defects, build_chimera, build_pegasus,
                                  graph_stats)
 from conftest import pegasus_ball, spins
+from structure_reference import QacUnit, qac_encoding
 
 
 def announce(criterion: str, ok: bool):
@@ -163,13 +163,13 @@ def test_c07_decode_oracles():
     for perm in ((1, 1, -1), (1, -1, 1), (-1, 1, 1)):
         for pen in (-1, 1):
             vals = {}
-            unit0, unit1 = cell.units
-            for q, v in zip(unit0.problem_qubits, perm):
+            (problem0, problem1), (hub0, hub1) = cell.problem.tolist(), cell.penalty.tolist()
+            for q, v in zip(problem0, perm):
                 vals[q] = v
-            vals[unit0.penalty_qubit] = pen
-            for q in (*unit1.problem_qubits, unit1.penalty_qubit):
+            vals[hub0] = pen
+            for q in (*problem1, hub1):
                 vals[q] = 1
-            read = np.array([[vals[qp.placement[v]] for v in range(8)]], dtype=np.int8)
+            read = np.array([[vals[q] for q in qp.placement.tolist()]], dtype=np.int8)
             ss = SampleSet(reads=read, energies=energies(qp.problem, read),
                            sampler="synthetic")
             votes, _ = decode_majority(ss, cell, pair)
@@ -182,7 +182,7 @@ def test_c07_decode_oracles():
 def test_c08_penalty_bookkeeping():
     ok = True
     for alpha in (-0.25, -1.0, -3.0):
-        enc = QacEncoding(units=(QacUnit((0, 1, 2), 3),), logical_edges={})
+        enc = qac_encoding((QacUnit((0, 1, 2), 3),), {})
         qp = build_qac_problem(make_problem(1), enc, alpha=alpha)
         for flip_slot in range(3):
             agree = spins(-1, -1, -1, -1)
@@ -199,7 +199,7 @@ def test_c09_bias_mitigation_property():
     g = build_pegasus(4)
     part = partition_replicas(g, 4)
     cover = build_loop_cover(part.n_logical, part.logical_edges)
-    placement0 = dict(part.iso_maps[0])
+    placement0 = part.images[0]
     energy_wins = gsp_wins = 0
     for rep in range(reps):
         draw = rbm_rng.stream(777, 50, rep)

@@ -339,6 +339,21 @@ _PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
 _COMBINED = json.loads(dumps(combined_to_dict(combine_qac_rbm(build_pegasus(4), 4))))
 
 
+#: encoding 0 of _COMBINED: 9 units; unit 0 (problem qubits 9, 168, 171, hub 6)
+#: and unit 2 (21, 180, 183) are coupled by [21, 168] and [21, 171], unit 1
+#: is (15, 174, 177, hub 12), and [39, 171] couples units 0 and 5
+_ENCODING = _COMBINED["encodings"][0]
+
+
+def _encoding_with(units=(), pairs=()):
+    """_ENCODING with the units ``{index: unit}`` and the logical edges
+    ``{"a,b": couplers}`` replaced or added."""
+    data = json.loads(json.dumps(_ENCODING))
+    data["units"] = [dict(units).get(i, unit) for i, unit in enumerate(data["units"])]
+    data["logical_edges"].update(pairs)
+    return data
+
+
 def _encodings_with(index, **changes):
     encodings = list(_COMBINED["encodings"])
     encodings[index] = {**encodings[index], **changes}
@@ -469,6 +484,27 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
      {"units": [{"problem": [0, 1, 2], "penalty": 3}, {"problem": [4, 5, 6], "penalty": 7}],
       "logical_edges": {}, "penalty_weight": True}),
+    # encodings that break a claim QacEncoding checks; {pair02} couples
+    # units 0 and 2, so the builder reads their couplers.  The first two
+    # raised KeyError and ZeroDivisionError, and the others annealed a
+    # problem other than the encoding's
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with(pairs={"0,2": [[21, 168], [21, 999]]})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(pairs={"0,2": []})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with({1: {"problem": [15, 174, 9], "penalty": 12}})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with({0: {"problem": [9, 168, 171], "penalty": 9}})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with(pairs={"0,2": [[21, 168], [6, 168]]})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with(pairs={"0,2": [[21, 168], [39, 171]]})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with(pairs={"0,2": [[21, 168], [21, 168]]})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with({8: {**_ENCODING["units"][8], "penalty": -1}})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
+     _encoding_with(pairs={"0,500": [[21, 168]]})),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -490,19 +526,24 @@ def _encodings_with(index, **changes):
         "problem-h-keys-alias", "problem-h-key-underscore", "problem-h-bool",
         "problem-j-string", "partition-iso-key-alias", "combined-encoding-key-alias",
         "noise-sigma-h-string", "noise-sigma-j-bool", "noise-delta-string",
-        "config-beta-string", "encoding-penalty-weight-bool"])
+        "config-beta-string", "encoding-penalty-weight-bool",
+        "encoding-coupler-unknown-qubit", "encoding-no-couplers", "encoding-qubit-in-two-units",
+        "encoding-hub-is-own-problem-qubit", "encoding-intra-unit-coupler",
+        "encoding-other-pair-coupler", "encoding-repeated-coupler", "encoding-negative-qubit",
+        "encoding-key-beyond-units"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
-    partition = tmp_path / "part.json"
+    partition, pair02 = tmp_path / "part.json", tmp_path / "p02.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
     uncoupled.write_text(json.dumps({"n": 2, "h": {"0": 1.0}, "J": {}}))
     # one read of the 8 qubits that 2 spins take in k=4 copies or in 4-qubit units
     reads8.write_text(json.dumps({"reads": ["+" * 8]}))
     partition.write_text(json.dumps(_PARTITION))
+    pair02.write_text(json.dumps({"n": 3, "h": {}, "J": {"0,2": 1.0}}))
     argv = [arg.format(bad=bad, problem=problem, uncoupled=uncoupled, reads8=reads8,
-                       partition=partition)
+                       partition=partition, pair02=pair02)
             for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")

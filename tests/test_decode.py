@@ -3,8 +3,7 @@ import pytest
 
 from anneal_rbm.decode import (build_qac_problem, decode_majority, decode_rbm,
                                decode_sqa_repeat)
-from anneal_rbm.embedding import (QacEncoding, QacUnit, ReplicaPartition,
-                                  logical_graph, partition_replicas, tile_qac)
+from anneal_rbm.embedding import ReplicaPartition, partition_replicas, tile_qac
 from anneal_rbm.errors import (ContractError, DimensionMismatchError,
                                InvalidParameterError)
 from anneal_rbm.ising import energies, energy, make_problem, replicate
@@ -13,6 +12,7 @@ from anneal_rbm.samplers import SampleSet
 from anneal_rbm.topology import build_chimera, build_pegasus
 from conftest import spins
 from problem_helpers import penalty_slot
+from structure_reference import QacUnit, qac_encoding
 
 
 def synthetic_partition(k: int, n_logical: int) -> ReplicaPartition:
@@ -99,13 +99,13 @@ UNIT0 = QacUnit(problem_qubits=(0, 1, 2), penalty_qubit=3)
 
 
 def test_build_qac_single_unit_example():
-    enc = QacEncoding(units=(UNIT0,), logical_edges={})
+    enc = qac_encoding((UNIT0,), {})
     qp = build_qac_problem(make_problem(1, {0: 1.0}, {}), enc, alpha=-1.0)
     assert energy(qp.problem, spins(-1, -1, -1, -1)) == -6.0
 
 
 def test_build_qac_alpha_zero_decouples_penalty():
-    enc = QacEncoding(units=(UNIT0,), logical_edges={})
+    enc = qac_encoding((UNIT0,), {})
     qp = build_qac_problem(make_problem(1, {0: 1.0}, {}), enc, alpha=0.0)
     touched = set(qp.problem.h)
     for a, b in qp.problem.j:
@@ -114,13 +114,13 @@ def test_build_qac_alpha_zero_decouples_penalty():
 
 
 def test_build_qac_rejects_positive_alpha():
-    enc = QacEncoding(units=(UNIT0,), logical_edges={})
+    enc = qac_encoding((UNIT0,), {})
     with pytest.raises(InvalidParameterError):
         build_qac_problem(make_problem(1, {0: 1.0}, {}), enc, alpha=0.5)
 
 
 def test_build_qac_rejects_missing_logical_edge():
-    enc = QacEncoding(units=(UNIT0, QacUnit((4, 5, 6), 7)), logical_edges={})
+    enc = qac_encoding((UNIT0, QacUnit((4, 5, 6), 7)), {})
     with pytest.raises(ContractError):
         build_qac_problem(make_problem(2, {}, {(0, 1): 1.0}), enc)
 
@@ -134,15 +134,14 @@ def test_aligned_physical_energy_is_three_times_logical():
     assert energy(qp.problem, up) == 3 * energy(logical, spins(1, 1))
     assert energy(qp.problem, down) == 3 * energy(logical, spins(-1, -1))
     # multiplicity 1: same invariant
-    enc1 = QacEncoding(units=(UNIT0, QacUnit((4, 5, 6), 7)),
-                       logical_edges={(0, 1): ((0, 4),)})
+    enc1 = qac_encoding((UNIT0, QacUnit((4, 5, 6), 7)), {(0, 1): ((0, 4),)})
     qp1 = build_qac_problem(logical, enc1, alpha=0.0)
     assert energy(qp1.problem, up) == 3 * energy(logical, spins(1, 1))
 
 
 def test_penalty_flip_costs_two_alpha():
     for alpha in (-0.5, -1.0, -2.0):
-        enc = QacEncoding(units=(UNIT0,), logical_edges={})
+        enc = qac_encoding((UNIT0,), {})
         qp = build_qac_problem(make_problem(1), enc, alpha=alpha)
         agree = energy(qp.problem, spins(-1, -1, -1, -1))
         disagree = energy(qp.problem, spins(1, -1, -1, -1))
@@ -152,12 +151,10 @@ def test_penalty_flip_costs_two_alpha():
 def _cell_reads(enc, unit_values):
     """Physical read from per-unit (p1, p2, p3, penalty) tuples."""
     vals = {}
-    for unit, (a, b, c, pen) in zip(enc.units, unit_values):
-        q1, q2, q3 = unit.problem_qubits
-        vals.update({q1: a, q2: b, q3: c, unit.penalty_qubit: pen})
-    qp = build_qac_problem(make_problem(len(enc.units)), enc, alpha=0.0)
-    return np.array([[vals[qp.placement[v]] for v in range(4 * len(enc.units))]],
-                    dtype=np.int8)
+    for qubits, values in zip(np.c_[enc.problem, enc.penalty].tolist(), unit_values):
+        vals.update(zip(qubits, values))
+    qp = build_qac_problem(make_problem(enc.n_logical), enc, alpha=0.0)
+    return np.array([[vals[q] for q in qp.placement.tolist()]], dtype=np.int8)
 
 
 def test_majority_vote_ignores_penalty():
@@ -306,7 +303,7 @@ def test_decode_rbm_returns_the_planted_energy_at_inexact_biases():
 
 def test_decode_majority_returns_the_planted_energy_at_inexact_biases():
     enc = tile_qac(build_pegasus(4))
-    inst = _inexact_instance(enc.n_logical, logical_graph(enc).active_edges)
+    inst = _inexact_instance(enc.n_logical, enc.logical_graph().active_edges)
     qp = build_qac_problem(inst.problem, enc)
     reads = _random_reads(2, 30, qp.problem.n)
     reads[11] = np.repeat(inst.planted, 4)  # every qubit of unit u holds s_u

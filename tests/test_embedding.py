@@ -1,11 +1,11 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from anneal_rbm.embedding import (combine_qac_rbm, combined_from_dict,
+from anneal_rbm.embedding import (QacEncoding, combine_qac_rbm, combined_from_dict,
                                   combined_to_dict, encoding_from_dict,
-                                  encoding_to_dict, logical_graph,
-                                  partition_from_dict, partition_replicas,
+                                  encoding_to_dict, partition_from_dict, partition_replicas,
                                   partition_to_dict, structure_from_dict,
                                   tile_qac, verify_partition)
 from anneal_rbm.errors import (EmbeddingInfeasibleError, FormatError,
@@ -126,43 +126,40 @@ def test_tile_qac_chimera_cell_matches_template():
     enc = tile_qac(build_chimera(1, 1, 4))
     assert enc.n_logical == 2
     # one unit's problem triple per shore, penalty hubs on wire 3 of the other
-    layouts = sorted((tuple(u.problem_qubits), u.penalty_qubit) for u in enc.units)
-    assert layouts == [((0, 1, 2), 7), ((4, 5, 6), 3)]
-    assert list(enc.logical_edges) == [(0, 1)]
-    assert len(enc.logical_edges[(0, 1)]) == 9
+    assert enc.problem.tolist() == [[0, 1, 2], [4, 5, 6]] and enc.penalty.tolist() == [7, 3]
+    assert enc.edge_codes.tolist() == [1]  # the pair (0, 1), coded 0*2 + 1
+    assert enc.offsets.tolist() == [0, 9] and enc.couplers.shape == (9, 2)
 
 
 def test_tile_qac_star_alone():
     enc = tile_qac(build_custom(range(4), [(0, 1), (0, 2), (0, 3)]))
     assert enc.n_logical == 1
-    assert enc.logical_edges == {}
+    assert enc.edge_codes.size == enc.couplers.size == 0 and enc.offsets.tolist() == [0]
 
 
 def test_tile_qac_two_joined_stars():
     enc = tile_qac(two_stars_graph())
     assert enc.n_logical == 2
-    assert list(enc.logical_edges) == [(0, 1)]
-    assert len(enc.logical_edges[(0, 1)]) == 1
+    assert enc.edge_codes.tolist() == [1] and enc.offsets.tolist() == [0, 1]
 
 
 def test_tile_qac_units_disjoint_and_hubs_adjacent(g4):
     enc = tile_qac(g4)
     seen = set()
-    for unit in enc.units:
-        qubits = set(unit.problem_qubits) | {unit.penalty_qubit}
+    for problem, hub in zip(enc.problem.tolist(), enc.penalty.tolist()):
+        qubits = set(problem) | {hub}
         assert len(qubits) == 4
         assert not (qubits & seen)
         seen |= qubits
-        for q in unit.problem_qubits:
-            assert g4.has_edge(unit.penalty_qubit, q)
+        for q in problem:
+            assert g4.has_edge(hub, q)
 
 
 def test_logical_graph_empty_and_cell():
-    from anneal_rbm.embedding import QacEncoding
-    empty = QacEncoding(units=(), logical_edges={})
-    lg = logical_graph(empty)
+    empty = QacEncoding(np.zeros((0, 3)), [], [], np.zeros((0, 2)), [0])
+    lg = empty.logical_graph()
     assert len(lg.nodes) == 0 and len(lg.edges) == 0
-    cell = logical_graph(tile_qac(build_chimera(1, 1, 4)))
+    cell = tile_qac(build_chimera(1, 1, 4)).logical_graph()
     assert len(cell.nodes) == 2 and len(cell.edges) == 1
 
 
@@ -179,23 +176,19 @@ def test_combined_k4_structure(g4):
     report = verify_partition(comb.rbm_partition, g4)
     assert report.ok, report.failures
     # every instance edge is realizable in every encoding
-    inst_edges = comb.rbm_partition.logical_edges
     for enc in comb.encodings:
-        assert set(enc.logical_edges) == set(inst_edges)
-        for e, couplers in enc.logical_edges.items():
-            assert couplers
+        assert np.array_equal(enc.edge_codes, comb.rbm_partition.edge_codes)
+        assert (np.diff(enc.offsets) > 0).all()
     # representatives are problem qubits of their unit
-    for r, enc in enumerate(comb.encodings):
-        iso = comb.rbm_partition.iso_maps[r]
-        for u in range(enc.n_logical):
-            assert iso[u] in enc.units[u].problem_qubits
+    for enc, image in zip(comb.encodings, comb.rbm_partition.images):
+        assert (enc.problem == image[:, None]).any(axis=1).all()
 
 
 def test_combined_logical_graphs_isomorphic_across_regions(g4):
     comb = combine_qac_rbm(g4, 4)
     shapes = set()
     for enc in comb.encodings:
-        lg = logical_graph(enc)
+        lg = enc.logical_graph()
         s = graph_stats(lg)
         shapes.add((s.num_nodes, s.num_edges))
     assert len(shapes) == 1
@@ -211,6 +204,60 @@ def test_encoding_serialization_round_trip():
     enc = tile_qac(build_chimera(1, 2, 4))
     again = encoding_from_dict(encoding_to_dict(enc))
     assert again == enc
+
+
+def test_encoding_arrays_are_read_only_int64():
+    enc = tile_qac(build_chimera(1, 2, 4))
+    for name in ("problem", "penalty", "edge_codes", "couplers", "offsets"):
+        a = getattr(enc, name)
+        assert a.dtype == np.int64 and not a.flags.writeable, name
+
+
+def test_encoding_loader_takes_pair_keys_in_any_order():
+    enc = tile_qac(build_chimera(1, 2, 4))
+    data = encoding_to_dict(enc)
+    assert len(data["logical_edges"]) > 1
+    reversed_keys = dict(reversed(data["logical_edges"].items()))
+    assert encoding_from_dict({**data, "logical_edges": reversed_keys}) == enc
+
+
+def test_encoding_loader_refuses_keys_beyond_its_units(g4):
+    # on 9 units "0,11" would code as 0*9 + 11 = 1*9 + 2, the pair (1, 2)
+    data = encoding_to_dict(combine_qac_rbm(g4, 4).encodings[0])
+    assert len(data["units"]) == 9
+    ledges = {("0,11" if key == "1,2" else key): cs for key, cs in data["logical_edges"].items()}
+    with pytest.raises(InvalidParameterError, match="leaves 0..8"):
+        encoding_from_dict({**data, "logical_edges": ledges})
+
+
+def _two_units(**changes):
+    """Units (0, 1, 2; hub 3) and (4, 5, 6; hub 7) coupled by (0, 4) and
+    (1, 5), with ``changes`` made to the arrays."""
+    arrays = {"problem": [[0, 1, 2], [4, 5, 6]], "penalty": [3, 7], "edge_codes": [1],
+              "couplers": [[0, 4], [1, 5]], "offsets": [0, 2], **changes}
+    return QacEncoding(**arrays)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"penalty": [3, 7, 8]}, "shapes"),
+    ({"couplers": [0, 4]}, "shapes"),
+    ({"penalty": [3, -7]}, "not non-negative"),
+    ({"penalty": [3, 0]}, "not non-negative and distinct"),
+    ({"problem": [[0, 1, 2], [4, 5, 1]]}, "not non-negative and distinct"),
+    ({"edge_codes": [2]}, "pair codes"),  # the pair (1, 0)
+    ({"edge_codes": [0]}, "pair codes"),  # the pair (0, 0)
+    ({"edge_codes": [5]}, "pair codes"),  # the pair (2, 1) of a 2-unit encoding
+    ({"offsets": [0, 1]}, "offsets"),
+    ({"edge_codes": [], "offsets": [0]}, "offsets"),
+    ({"couplers": [[0, 4], [1, 9]]}, r"coupler \[1, 9\]"),
+    ({"couplers": [[0, 4], [3, 5]]}, r"coupler \[3, 5\]"),
+    ({"couplers": [[0, 4], [0, 1]]}, r"coupler \[0, 1\]"),
+    ({"couplers": [[0, 4], [4, 0]]}, "given twice"),
+])
+def test_encoding_refuses_each_broken_claim(changes, message):
+    _two_units()  # the unchanged arrays are an encoding
+    with pytest.raises(InvalidParameterError, match=message):
+        _two_units(**changes)
 
 
 def test_combined_serialization_round_trip(g4):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anneal_rbm import ising
 from anneal_rbm.decode import build_qac_problem
-from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
+from anneal_rbm.embedding import partition_replicas, tile_qac
 from anneal_rbm.errors import (DimensionMismatchError,
                                EmbeddingInfeasibleError, InvalidParameterError)
 from anneal_rbm.ising import (IsingProblem, as_spins, energies, energy,
@@ -167,7 +167,7 @@ def m16_replica(pegasus16):
 @pytest.fixture(scope="module")
 def noisy_qac():
     enc = tile_qac(build_pegasus(8))
-    cover = build_loop_cover(enc.n_logical, sorted(logical_graph(enc).active_edges))
+    cover = build_loop_cover(enc.n_logical, sorted(enc.logical_graph().active_edges))
     qp = build_qac_problem(generate_instance(cover, GeneratorParams(seed=6)).problem, enc)
     return NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=2).perturb(qp.problem,
                                                                        qp.placement)
@@ -373,7 +373,7 @@ def test_replicate_rejects_oversized_problem(p2_partition):
 def test_replicate_placement_lands_in_regions(p2_partition):
     p = _small_problem(p2_partition)
     rp = replicate(p, p2_partition)
-    for var, qubit in rp.placement.items():
+    for var, qubit in enumerate(rp.placement.tolist()):
         assert qubit in p2_partition.regions[replica_of(rp, var)]
 
 

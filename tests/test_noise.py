@@ -7,10 +7,11 @@ workbench perturbs.
 
 import math
 
+import numpy as np
 import pytest
 
 from anneal_rbm.decode import build_qac_problem
-from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
+from anneal_rbm.embedding import partition_replicas, tile_qac
 from anneal_rbm.errors import InvalidParameterError
 from anneal_rbm.ising import make_problem, replicate
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
@@ -51,7 +52,7 @@ def test_replicated_with_overlapping_region_bias():
 
 def test_qac_problem():
     enc = tile_qac(build_pegasus(2))
-    g = logical_graph(enc)
+    g = enc.logical_graph()
     cover = build_loop_cover(enc.n_logical, sorted(g.active_edges))
     inst = generate_instance(cover, GeneratorParams(seed=4))
     qp = build_qac_problem(inst.problem, enc, alpha=-1.0)
@@ -63,9 +64,8 @@ def test_placement_that_reverses_every_coupler():
     # a coupler's stream is keyed by its qubits in ascending order, whatever
     # the order of its spins
     p, placement, _ = replicated()
-    top = max(placement.values())
     assert_matches_reference(NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=5), p,
-                             {v: top - q for v, q in placement.items()})
+                             placement.max() - placement)
 
 
 def test_no_placement():
@@ -87,20 +87,20 @@ def test_one_noise_source(sigma_h, sigma_j, biased):
 def test_no_couplers():
     p = make_problem(5, {0: 1.0, 3: -2.0}, {})
     assert_matches_reference(NoiseModel(sigma_h=0.1, sigma_j=0.1, chip_seed=1),
-                             p, {v: 10 * v + 1 for v in range(5)})
+                             p, 10 * np.arange(5) + 1)
 
 
 def test_single_spin():
     assert_matches_reference(NoiseModel(sigma_h=0.1, sigma_j=0.1, chip_seed=-1),
-                             make_problem(1, {}, {}), {0: 3})
+                             make_problem(1, {}, {}), np.array([3]))
 
 
 def test_fields_cancelled_by_bias_are_dropped_like_the_loop():
     # h[0] + delta == 0 exactly: both versions drop the key
     p = make_problem(2, {0: -0.5, 1: 1.0}, {(0, 1): 1.0})
     noise = NoiseModel(region_bias=region_biases([[0]], [0.5]))
-    assert_matches_reference(noise, p, {0: 0, 1: 1})
-    assert 0 not in noise.perturb(p, {0: 0, 1: 1}).h
+    assert_matches_reference(noise, p, np.arange(2))
+    assert 0 not in noise.perturb(p, np.arange(2)).h
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -4,7 +4,8 @@
 `gauge_transform`, `problem_to_dict` and `problem_hash` must give exactly the
 term arrays of the loops in `problem_reference`, in the same order, the same
 dict views in the same key order, the same payload bytes and the same digest,
-and must refuse exactly what those loops refuse.
+and must refuse exactly what those loops refuse.  `build_qac_problem` must
+give the term arrays, in order, and the placement of its loop.
 """
 
 import copy
@@ -18,17 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anneal_rbm.embedding import partition_replicas
-from anneal_rbm.errors import InvalidParameterError
+from anneal_rbm.decode import build_qac_problem
+from anneal_rbm.embedding import combine_qac_rbm, partition_replicas
+from anneal_rbm.errors import ContractError, InvalidParameterError
 from anneal_rbm.ising import (IsingProblem, gauge_transform, make_problem,
                               problem_hash, problem_to_dict, replicate)
 from anneal_rbm.jsonio import dumps
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
-from anneal_rbm.topology import build_pegasus
-from problem_reference import (ProblemReference, gauge_transform_reference,
-                               make_problem_reference, problem_hash_reference,
-                               problem_to_dict_reference, replicate_reference,
-                               terms_reference)
+from anneal_rbm.samplers import NoiseModel
+from anneal_rbm.topology import build_pegasus, edge_rows
+from problem_reference import (ProblemReference, build_qac_problem_reference,
+                               gauge_transform_reference, make_problem_reference,
+                               problem_hash_reference, problem_to_dict_reference,
+                               replicate_reference, terms_reference)
+from structure_reference import encoding_reference
 
 TERM_FIELDS = ("h_index", "h_value", "j_first", "j_second", "j_value")
 BIG = sys.float_info.max
@@ -193,7 +197,7 @@ def test_replicate_and_gauge_match_reference(case, t):
     rep, rep_want = replicate(p, P2), replicate_reference(want, P2)
     assert_same(rep.problem, rep_want.problem)
     assert (rep.k, rep.n_logical) == (rep_want.k, rep_want.n_logical)
-    assert list(rep.placement.items()) == list(rep_want.placement.items())
+    assert dict(enumerate(rep.placement.tolist())) == rep_want.placement
     gauge = np.array(t.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
                      dtype=np.int8)
     assert_same(gauge_transform(p, gauge), gauge_transform_reference(want, gauge))
@@ -208,7 +212,50 @@ def test_m16_replica_problem_matches_reference(pegasus16):
     rep, rep_want = replicate(logical, part), replicate_reference(want_logical, part)
     assert rep.problem.n == 5376 and len(rep.problem.j_value) == 35384
     assert_same(rep.problem, rep_want.problem)
-    assert list(rep.placement.items()) == list(rep_want.placement.items())
+    assert dict(enumerate(rep.placement.tolist())) == rep_want.placement
     gauge = np.random.default_rng(2).choice(np.array([-1, 1], dtype=np.int8), rep.problem.n)
     assert_same(gauge_transform(rep.problem, gauge),
                 gauge_transform_reference(rep_want.problem, gauge))
+
+
+@pytest.fixture(scope="module", params=[8, 16], ids=["m8", "m16"])
+def combined(request, pegasus16):
+    return combine_qac_rbm(pegasus16 if request.param == 16 else build_pegasus(8), 4)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, -0.3])
+def test_build_qac_problem_equals_reference(combined, alpha):
+    part = combined.rbm_partition
+    cover = build_loop_cover(part.n_logical, edge_rows(part.edge_codes, part.n_logical))
+    planted = generate_instance(cover, GeneratorParams(seed=9)).problem
+    # noise puts h terms on every variable and inexact values on the couplers
+    logical = NoiseModel(sigma_h=0.1, sigma_j=0.05, chip_seed=4).perturb(planted, None)
+    assert logical.h_index.size == logical.n
+    half = logical.n // 2  # a problem on the first units only
+    head = make_problem(half, {i: v for i, v in logical.h.items() if i < half},
+                        {e: v for e, v in logical.j.items() if e[1] < half})
+    for enc in combined.encodings:
+        enc_reference = encoding_reference(enc)
+        for p in (logical, head):
+            got = build_qac_problem(p, enc, alpha)
+            want = build_qac_problem_reference(p, enc_reference, alpha)
+            assert got.problem.n == want.problem.n == 4 * p.n
+            for name in TERM_FIELDS:
+                g, w = getattr(got.problem, name), getattr(want.problem, name)
+                assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
+            assert got.placement.dtype == np.int64 and not got.placement.flags.writeable
+            assert dict(enumerate(got.placement.tolist())) == want.placement
+
+
+def test_build_qac_problem_refuses_what_the_reference_refuses(combined):
+    enc = combined.encodings[0]
+    n = enc.n_logical
+    absent = next((a, b) for a in range(n) for b in range(a + 1, n)
+                  if a * n + b not in set(enc.edge_codes.tolist()))
+    for p, alpha in ((make_problem(n, {}, {absent: 1.0}), -1.0),
+                     (make_problem(n + 1), -1.0), (make_problem(n), 0.5)):
+        with pytest.raises(ContractError) as got:
+            build_qac_problem(p, enc, alpha)
+        with pytest.raises(ContractError) as want:
+            build_qac_problem_reference(p, encoding_reference(enc), alpha)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)

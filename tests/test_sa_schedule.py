@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import anneal_rbm.samplers as samplers
 from anneal_rbm import rng
 from anneal_rbm.decode import build_qac_problem
-from anneal_rbm.embedding import logical_graph, partition_replicas, tile_qac
+from anneal_rbm.embedding import partition_replicas, tile_qac
 from anneal_rbm.errors import InvalidParameterError
 from anneal_rbm.ising import make_problem, replicate
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
@@ -42,7 +42,7 @@ def planted_ball(size=18, seed=5):
 
 def noisy_qac():
     enc = tile_qac(build_pegasus(2))
-    g = logical_graph(enc)
+    g = enc.logical_graph()
     cover = build_loop_cover(enc.n_logical, sorted(g.active_edges))
     inst = generate_instance(cover, GeneratorParams(seed=4))
     qp = build_qac_problem(inst.problem, enc, alpha=-1.0)

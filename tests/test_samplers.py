@@ -154,6 +154,15 @@ def test_noise_requires_placement_for_region_bias():
         nm.perturb(make_problem(2, {}, {(0, 1): 1.0}), None)
 
 
+@pytest.mark.parametrize("placement", [np.arange(2), np.arange(4), np.arange(3)[None]],
+                         ids=["short", "long", "2-d"])
+def test_noise_refuses_a_placement_that_is_not_one_qubit_per_variable(placement):
+    # a short placement dict used to raise a bare KeyError
+    nm = NoiseModel(sigma_h=0.1, chip_seed=1)
+    with pytest.raises(DimensionMismatchError, match="placement of shape"):
+        nm.perturb(make_problem(3, {}, {(0, 1): 1.0}), placement)
+
+
 def test_noise_never_touches_reported_energies():
     p = make_problem(2, {}, {(0, 1): -2.0})
     nm = NoiseModel(sigma_h=0.5, sigma_j=0.3, chip_seed=5)

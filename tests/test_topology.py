@@ -101,9 +101,9 @@ def test_apply_defects_unknown_id_rejected():
 def test_defective_coupler_breaks_tiling_unit():
     from anneal_rbm.embedding import tile_qac
     star = build_custom(range(4), [(0, 1), (0, 2), (0, 3)])
-    assert len(tile_qac(star).units) == 1
+    assert tile_qac(star).n_logical == 1
     broken = apply_defects(star, [], [(0, 2)])
-    assert len(tile_qac(broken).units) == 0
+    assert tile_qac(broken).n_logical == 0
 
 
 def test_graph_stats_empty():
