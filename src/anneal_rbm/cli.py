@@ -49,13 +49,13 @@ def _fingerprint(value):
     return value
 
 
-def _count(text: str) -> int:
+def _count(text: str, low: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
 
 
@@ -159,8 +159,8 @@ def _cmd_embed(ns) -> int:
 
 def _cmd_generate(ns) -> int:
     graph = _load_structure(ns.cover_from, "graph")
-    a, b = graph.edge_ranks.tolist()  # active qubits relabelled 0..n-1 in id order
-    cover = build_loop_cover(graph.active_ids.size, zip(a, b))
+    # active qubits relabelled 0..n-1 in id order
+    cover = build_loop_cover(graph.active_ids.size, graph.edge_ranks.T)
     try:
         large, small = (float(x) for x in ns.bias.split(","))
     except ValueError as exc:
@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     sx = sub.add_parser("solve-exact", help="exhaustive minimum for small problems")
     sx.add_argument("--problem", required=True)
     sx.add_argument("--cap", type=int, default=24)
-    sx.add_argument("--max-minimizers", dest="max_minimizers", type=int, default=64)
+    sx.add_argument("--max-minimizers", dest="max_minimizers", default=64,
+                    type=lambda text: _count(text, 0))
     sx.set_defaults(func=_cmd_solve_exact)
 
     dec = sub.add_parser("decode", help="decode physical samples to logical solutions")

@@ -153,14 +153,14 @@ def _region_failures(p: ReplicaPartition) -> dict[str, list[str]]:
     injective, so a bijection from 0..n_logical-1 onto its region
     (``bijective``).
     """
-    qubits = np.unique(p.images)
+    qubits = unique_codes(p.images.ravel())
     disjoint: list[str] = []
     bijective: list[str] = []
     if qubits.size == p.images.size:  # no qubit is named twice
         return {"disjoint": disjoint, "bijective": bijective}
     first = np.full(qubits.size, -1)  # the first region holding each qubit
     for r, row in enumerate(p.images):
-        at = np.unique(np.searchsorted(qubits, row))
+        at = unique_codes(np.searchsorted(qubits, row))
         if at.size < p.n_logical:
             bijective.append(f"region {r}: iso map is not injective")
         shared = at[first[at] >= 0]
@@ -226,7 +226,7 @@ def verify_partition(p: ReplicaPartition, g: HardwareGraph) -> PartitionReport:
         ok=ok, k=p.k, disjoint=disjoint, bijective=bijective,
         nodes_active=nodes_active, edges_embedded=edges_embedded,
         induced_symmetric=induced_symmetric,
-        region_node_counts=[np.unique(row).size for row in p.images],
+        region_node_counts=[unique_codes(row).size for row in p.images],
         region_edge_counts=[ind.size for ind in pulled], failures=failures)
 
 
@@ -441,7 +441,7 @@ def partition_to_dict(p: ReplicaPartition) -> dict:
         "n_logical": p.n_logical,
         "logical_edges": edge_rows(p.edge_codes, p.n_logical),
         "iso_maps": [dict(zip(keys, row)) for row in p.images.tolist()],
-        "regions": [np.unique(row).tolist() for row in p.images],
+        "regions": [unique_codes(row).tolist() for row in p.images],
         "meta": p.meta,
     }
 
@@ -474,7 +474,7 @@ def partition_from_dict(data: dict) -> ReplicaPartition:
         failures = [f for claim in _region_failures(p).values() for f in claim]
         failures += [f"region {r}: iso map image differs from region set"
                      for r, (reg, row) in enumerate(zip(regions, images))
-                     if not np.array_equal(np.unique(integers(reg)), np.unique(row))]
+                     if not np.array_equal(unique_codes(integers(reg)), unique_codes(row))]
     if failures:
         raise FormatError("inconsistent partition payload: " + "; ".join(failures[:3]))
     return p

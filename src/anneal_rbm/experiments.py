@@ -34,7 +34,7 @@ from .jsonio import dumps, integer, loader, numbers
 from .planted import GeneratorParams, build_loop_cover, generate_instance
 from .samplers import (AnnealParams, NoiseModel, noise_from_dict,
                        noise_to_dict, sample_sa)
-from .topology import build_pegasus, edge_rows
+from .topology import build_pegasus
 
 #: Hardware-scale (m=16) embedding sizes reported for reference, keyed by
 #: study structure: (linear terms, quadratic terms).  Desk-scale runs log
@@ -212,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells: list[MethodCell] = []
     sizes: dict[str, dict] = {}
     for key, part, methods, grid in structures(cfg):
-        cover = build_loop_cover(part.n_logical, edge_rows(part.edge_codes, part.n_logical))
+        cover = build_loop_cover(part.n_logical, part.logical_graph().edge_ranks.T)
         quad_counts: list[int] = []
         for path, k, (large, small), beta in grid:
             per_method: dict[str, list[dict]] = {name: [] for name in methods}

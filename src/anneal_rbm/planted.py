@@ -7,65 +7,71 @@ added, is used exactly once.  Each original edge therefore lies in one or two
 loops.  Selected loops become frustrated ferromagnetic clauses (one coupling
 sign-flipped), gauge-transformed so an arbitrary planted configuration is a
 ground state of the summed problem.
+
+Edges are int64 codes a*n + b (a < b), a loop cover is one vertex array cut
+by offsets, and an instance's clauses are arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
 from . import rng
 from .errors import ContractError, InvalidParameterError
-from .ising import IsingProblem, as_spins, energy, make_problem
-from .topology import Edge, canonical_edge
+from .ising import IsingProblem, _canonical, as_spins, energy
+from .topology import canonical_edges, frozen, unique_codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multigraph:
-    """Simple base graph plus parallel duplicates of some of its edges."""
+    """Simple base graph plus parallel duplicates of some of its edges:
+    ``codes`` holds the sorted base edge codes, then the sorted codes of the
+    ``n_added`` duplicated edges, as a read-only int64 array."""
 
     n: int
-    edges: tuple[Edge, ...]
-    added: tuple[Edge, ...]
+    codes: np.ndarray
+    n_added: int = 0
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+    added = property(lambda mg: mg.codes[mg.codes.size - mg.n_added:])
+
+    def degrees(self) -> np.ndarray:
+        return np.bincount(np.concatenate(np.divmod(self.codes, self.n)), minlength=self.n)
 
 
-def _adjacency(n: int, edges: Iterable[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for ns in adj:
-        ns.sort()
-    return adj
+def _incidence(n: int, codes: np.ndarray) -> tuple[list, list, list]:
+    """CSR incidence of the edges ``codes`` as lists: vertex v meets edge
+    ``edge[j]`` towards ``other[j]`` for j in ``offsets[v]:offsets[v + 1]``,
+    ordered by neighbour, then by edge id."""
+    a, b = np.divmod(codes, n)
+    ends, other, edge = np.r_[a, b], np.r_[b, a], np.tile(np.arange(a.size), 2)
+    order = np.lexsort((edge, other, ends))
+    offsets = np.r_[0, np.cumsum(np.bincount(ends, minlength=n))]
+    return offsets.tolist(), other[order].tolist(), edge[order].tolist()
 
 
-def eulerian_augment(n: int, edges: Iterable[Edge]) -> Multigraph:
+def eulerian_augment(n: int, pairs: np.ndarray) -> Multigraph:
     """Make every vertex degree even by duplicating existing edges only.
 
+    ``pairs`` is an (E, 2) array of edges in 0..n-1, either end first.
     Odd-degree vertices are paired greedily by shortest-path distance; the
     symmetric difference of the pairing paths is duplicated.  The symmetric
     difference keeps each edge's multiplicity at most 2 and never adds a
     parallel pair that would cancel out.
     """
-    base = sorted({canonical_edge(a, b) for a, b in edges})
-    for a, b in base:
-        if not (0 <= a < n and 0 <= b < n):
-            raise InvalidParameterError(f"edge ({a},{b}) out of range for n={n}")
-    adj = _adjacency(n, base)
-    odd = [v for v in range(n) if len(adj[v]) % 2 == 1]
+    pairs = canonical_edges(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+    bad = pairs[(pairs[:, 0] < 0) | (pairs[:, 1] >= n)].tolist()
+    if bad:
+        a, b = min(bad)
+        raise InvalidParameterError(f"edge ({a},{b}) out of range for n={n}")
+    base = unique_codes(pairs[:, 0] * n + pairs[:, 1])
+    offsets, nbrs, _ = _incidence(n, base)
+    odd = [v for v in range(n) if (offsets[v + 1] - offsets[v]) % 2]
 
-    tjoin: set[Edge] = set()
+    tjoin: set[int] = set()
     remaining = set(odd)
     for src in odd:
         if src not in remaining:
@@ -82,7 +88,7 @@ def eulerian_augment(n: int, edges: Iterable[Edge]) -> Multigraph:
         while level and mate is None:
             found = []
             for v in level:
-                for w in adj[v]:
+                for w in nbrs[offsets[v]:offsets[v + 1]]:
                     if w not in parent:
                         parent[w] = v
                         found.append(w)
@@ -94,47 +100,52 @@ def eulerian_augment(n: int, edges: Iterable[Edge]) -> Multigraph:
         remaining.discard(mate)
         v = mate
         while v != src:
-            tjoin ^= {canonical_edge(v, parent[v])}
-            v = parent[v]
+            u = parent[v]
+            tjoin ^= {min(u, v) * n + max(u, v)}
+            v = u
 
-    added = tuple(sorted(tjoin))
-    mg = Multigraph(n=n, edges=tuple(base) + added, added=added)
-    if any(d % 2 for d in mg.degrees()):
+    mg = Multigraph(n, frozen(np.r_[base, sorted(tjoin)]), len(tjoin))
+    if (mg.degrees() % 2).any():
         raise ContractError("augmentation failed to even all degrees")
     return mg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopCover:
     """Cycles covering a multigraph so each multiedge is used exactly once.
 
-    A loop is a cyclic vertex sequence (v0, ..., v_{L-1}); its edges are the
-    consecutive pairs including the wrap-around.  Original graph edges appear
-    in one loop, duplicated edges in two.
+    Loop i is the cyclic vertex sequence ``nodes[offsets[i]:offsets[i + 1]]``;
+    its edges are the consecutive pairs including the wrap-around, and
+    ``edge_codes[j]`` is the code of the edge leaving position j, all as
+    read-only int64 arrays.  Original graph edges appear in one loop,
+    duplicated edges in two.
     """
 
     n: int
-    loops: tuple[tuple[int, ...], ...]
-    base_edges: frozenset[Edge]
+    nodes: np.ndarray
+    offsets: np.ndarray
 
-    def loop_edges(self, index: int) -> list[Edge]:
-        loop = self.loops[index]
-        return [canonical_edge(loop[i], loop[(i + 1) % len(loop)]) for i in range(len(loop))]
+    lengths = cached_property(lambda c: np.diff(c.offsets))
 
-    def multiplicity(self) -> dict[Edge, int]:
-        counts: Counter[Edge] = Counter()
-        for i in range(len(self.loops)):
-            counts.update(self.loop_edges(i))
-        return dict(counts)
+    @cached_property
+    def edge_codes(self) -> np.ndarray:
+        following = np.arange(1, self.nodes.size + 1)
+        following[self.offsets[1:] - 1] = self.offsets[:-1]
+        a, b = self.nodes, self.nodes[following]
+        return frozen(np.minimum(a, b) * self.n + np.maximum(a, b))
 
 
-def _normalize_loop(loop: Sequence[int]) -> tuple[int, ...]:
-    """Canonical rotation/direction so equal cycles serialize identically:
-    the smallest of the loop's rotations in either direction.  A simple
-    cycle's vertices are distinct, so that rotation starts at its minimum."""
-    m = loop.index(min(loop))
-    forward = tuple(loop[m:]) + tuple(loop[:m])
-    return min(forward, forward[:1] + forward[:0:-1])
+def _normalize_loops(nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each loop as the smallest of its rotations in either direction, so
+    equal cycles serialize identically.  A simple cycle's vertices are
+    distinct: that rotation starts at its minimum, then its smaller neighbour."""
+    lengths, starts = np.diff(offsets), offsets[:-1]
+    loop = np.repeat(np.arange(lengths.size), lengths)
+    low = np.lexsort((nodes, loop))[starts] - starts
+    step = np.where(nodes[starts + (low - 1) % lengths]
+                    < nodes[starts + (low + 1) % lengths], -1, 1)
+    j = np.arange(nodes.size) - starts[loop]
+    return nodes[starts[loop] + (low[loop] + step[loop] * j) % lengths[loop]]
 
 
 def decompose_loops(mg: Multigraph) -> LoopCover:
@@ -144,41 +155,31 @@ def decompose_loops(mg: Multigraph) -> LoopCover:
     Every multigraph edge lands in exactly one loop; parallel pairs surface as
     2-cycles when both copies meet in the walk.
     """
-    if any(d % 2 for d in mg.degrees()):
+    if (mg.degrees() % 2).any():
         raise ContractError("loop decomposition requires all degrees even")
 
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(mg.n)]
-    for eid, (a, b) in enumerate(mg.edges):
-        incidence[a].append((eid, b))
-        incidence[b].append((eid, a))
-    for lst in incidence:
-        lst.sort(key=lambda t: (t[1], t[0]))
-
-    used = [False] * len(mg.edges)
-    cursor = [0] * mg.n
-    loops: list[tuple[int, ...]] = []
+    offsets, other, edge = _incidence(mg.n, mg.codes)
+    used = [False] * mg.codes.size
+    cursor = offsets[:-1]
+    nodes: list[int] = []
+    cuts = [0]
 
     for start in range(mg.n):
-        if cursor[start] >= len(incidence[start]):
-            continue
-        if all(used[eid] for eid, _ in incidence[start]):
+        if cursor[start] == offsets[start + 1]:
             continue
         # Hierholzer: walk until stuck, backtrack emitting the circuit.
         stack = [start]
         circuit: list[int] = []
         while stack:
             v = stack[-1]
-            advanced = False
-            while cursor[v] < len(incidence[v]):
-                eid, w = incidence[v][cursor[v]]
-                if used[eid]:
-                    cursor[v] += 1
-                    continue
-                used[eid] = True
-                stack.append(w)
-                advanced = True
-                break
-            if not advanced:
+            c, end = cursor[v], offsets[v + 1]
+            while c < end and used[edge[c]]:
+                c += 1
+            cursor[v] = c
+            if c < end:
+                used[edge[c]] = True
+                stack.append(other[c])
+            else:
                 circuit.append(stack.pop())
         circuit.reverse()
 
@@ -187,9 +188,9 @@ def decompose_loops(mg: Multigraph) -> LoopCover:
         path = [circuit[0]]
         for v in circuit[1:]:
             if v in pos:
-                cycle = path[pos[v]:]
-                if len(cycle) >= 2:
-                    loops.append(_normalize_loop(cycle))
+                if len(path) - pos[v] >= 2:
+                    nodes += path[pos[v]:]
+                    cuts.append(len(nodes))
                 for u in path[pos[v] + 1:]:
                     del pos[u]
                 del path[pos[v] + 1:]
@@ -199,17 +200,16 @@ def decompose_loops(mg: Multigraph) -> LoopCover:
         if len(path) != 1:
             raise ContractError("euler circuit did not close")
 
-    cover = LoopCover(n=mg.n, loops=tuple(loops),
-                      base_edges=frozenset(canonical_edge(a, b)
-                                           for a, b in set(mg.edges)))
-    if Counter(e for i in range(len(loops)) for e in cover.loop_edges(i)) != Counter(mg.edges):
+    cuts = frozen(cuts)
+    cover = LoopCover(mg.n, frozen(_normalize_loops(frozen(nodes), cuts)), cuts)
+    if not np.array_equal(np.sort(cover.edge_codes), np.sort(mg.codes)):
         raise ContractError("loops do not cover the multigraph edges exactly once")
     return cover
 
 
-def build_loop_cover(n: int, edges: Iterable[Edge]) -> LoopCover:
-    """Eulerian augmentation followed by loop decomposition."""
-    return decompose_loops(eulerian_augment(n, edges))
+def build_loop_cover(n: int, pairs: np.ndarray) -> LoopCover:
+    """Eulerian augmentation of the (E, 2) edges ``pairs``, then loop decomposition."""
+    return decompose_loops(eulerian_augment(n, pairs))
 
 
 @dataclass(frozen=True)
@@ -238,34 +238,45 @@ class GeneratorParams:
 
 
 @dataclass(frozen=True)
-class Clause:
-    """One selected loop: shared magnitude and the frustrated edge position."""
-
-    loop_index: int
-    magnitude: float
-    flip_pos: int | None  # None for 2-cycles, kept purely ferromagnetic
-
-
-@dataclass(frozen=True)
 class PlantedInstance:
+    """Clause i is loop ``clause_loops[i]`` of ``cover`` with magnitude
+    ``magnitudes[i]``, its coupling at loop position ``flips[i]`` flipped (-1
+    for a 2-cycle, kept purely ferromagnetic); the three arrays are read-only."""
+
     problem: IsingProblem
     planted: np.ndarray
     params: GeneratorParams
-    clauses: tuple[Clause, ...]
+    clause_loops: np.ndarray
+    magnitudes: np.ndarray
+    flips: np.ndarray
     planted_energy: float
     cover: LoopCover | None = field(default=None, repr=False)
 
 
-def _clause_contributions(cover: LoopCover, clause: Clause,
-                          planted: np.ndarray) -> dict[Edge, float]:
-    """Per-coupler contribution of one clause, in the planted gauge."""
-    edges = cover.loop_edges(clause.loop_index)
-    out: dict[Edge, float] = {}
-    for pos, (a, b) in enumerate(edges):
-        ferro = -clause.magnitude * float(planted[a]) * float(planted[b])
-        value = -ferro if pos == clause.flip_pos else ferro
-        out[(a, b)] = out.get((a, b), 0.0) + value
-    return out
+def _clause_positions(cover: LoopCover, loops: np.ndarray):
+    """(clause, pos, a, b) per position of each of ``loops`` in turn: its
+    clause, its position in the loop and the ends of the edge leaving it."""
+    lengths = cover.lengths[loops]
+    clause = np.repeat(np.arange(loops.size), lengths)
+    pos = np.arange(clause.size) - (np.cumsum(lengths) - lengths)[clause]
+    return (clause, pos, *np.divmod(cover.edge_codes[cover.offsets[loops][clause] + pos],
+                                    cover.n))
+
+
+def clause_couplers(cover: LoopCover, planted: np.ndarray, loops: np.ndarray,
+                    magnitudes: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, values): the couplers of the clauses, in the planted gauge.
+
+    Each loop position contributes the ferromagnetic -magnitude * s_a * s_b,
+    negated at the flip position.  Contributions are summed per edge code,
+    left to right, codes in the order of their first contribution (a sum can
+    be an exact zero)."""
+    clause, pos, a, b = _clause_positions(cover, loops)
+    ferro = -magnitudes[clause] * planted[a] * planted[b]
+    value = np.where(pos == flips[clause], -ferro, ferro)
+    codes, first, group = np.unique(a * cover.n + b, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # codes in the order of their first position
+    return codes[order], np.bincount(group, weights=value)[order]
 
 
 def generate_instance(cover: LoopCover, params: GeneratorParams,
@@ -279,7 +290,7 @@ def generate_instance(cover: LoopCover, params: GeneratorParams,
     2-cycles stay ferromagnetic (a flip would cancel the coupler entirely).
     Randomness is split per (seed, stream, loop), so instances are bit-stable.
     """
-    n_loops = len(cover.loops)
+    n_loops = cover.lengths.size
     if n_loops == 0:
         raise InvalidParameterError("loop cover has no loops to select from")
     n_select = math.ceil(params.beta * n_loops)
@@ -294,31 +305,26 @@ def generate_instance(cover: LoopCover, params: GeneratorParams,
     planted = as_spins(planted, cover.n)
 
     pick = rng.stream(params.seed, rng.STREAM_SELECT)
-    selected = sorted(int(i) for i in pick.choice(n_loops, size=n_select, replace=False))
+    selected = frozen(np.sort(pick.choice(n_loops, size=n_select, replace=False)))
+    magnitudes, flips = [], []
+    for length, loop_rng in zip(cover.lengths[selected].tolist(),
+                                rng.streams(params.seed, rng.STREAM_LOOP, selected)):
+        magnitudes.append(params.bias_large if loop_rng.random() < params.p_large
+                          else params.bias_small)
+        flips.append(int(loop_rng.integers(length)) if length >= 3 else -1)
+    magnitudes, flips = frozen(magnitudes, np.float64), frozen(flips)
 
-    clauses: list[Clause] = []
-    coupler: dict[Edge, float] = {}
-    for idx, loop_rng in zip(selected, rng.streams(params.seed, rng.STREAM_LOOP,
-                                                   selected)):
-        magnitude = params.bias_large if loop_rng.random() < params.p_large \
-            else params.bias_small
-        length = len(cover.loops[idx])
-        flip = int(loop_rng.integers(length)) if length >= 3 else None
-        clause = Clause(loop_index=idx, magnitude=magnitude, flip_pos=flip)
-        clauses.append(clause)
-        for e, v in _clause_contributions(cover, clause, planted).items():
-            coupler[e] = coupler.get(e, 0.0) + v
-
+    codes, values = clause_couplers(cover, planted, selected, magnitudes, flips)
     # the planted state breaks only the flipped couplings, so its energy is
     # about -sum |J|, which a problem must keep finite
-    scale = sum(map(abs, coupler.values()))
+    scale = sum(map(abs, values.tolist()))
     if not math.isfinite(scale):
         raise InvalidParameterError(f"planted energy is not finite: sum of |J| is {scale}")
-    problem = make_problem(cover.n, {}, coupler)
-    planted_energy = energy(problem, planted)
+    none = np.zeros(0, dtype=np.int64)
+    problem = _canonical(cover.n, none, none.astype(float), *np.divmod(codes, cover.n), values)
     return PlantedInstance(problem=problem, planted=planted, params=params,
-                           clauses=tuple(clauses),
-                           planted_energy=planted_energy, cover=cover)
+                           clause_loops=selected, magnitudes=magnitudes, flips=flips,
+                           planted_energy=energy(problem, planted), cover=cover)
 
 
 def clause_minimum(length: int, magnitude: float, flipped: bool) -> float:
@@ -353,58 +359,49 @@ def verify_planted(inst: PlantedInstance, brute_cap: int = 24) -> PlantedReport:
     """
     failures: list[str] = []
     clause_failures: list[tuple[int, str]] = []
-
-    if inst.cover is None:
-        failures.append("instance carries no loop cover; clause checks skipped")
-        rebuilt = None
-    else:
-        rebuilt = {}
-        for clause in inst.clauses:
-            edges = inst.cover.loop_edges(clause.loop_index)
-            violated = []
-            for pos, (a, b) in enumerate(edges):
-                ferro = -clause.magnitude * float(inst.planted[a]) * float(inst.planted[b])
-                value = -ferro if pos == clause.flip_pos else ferro
-                rebuilt[(a, b)] = rebuilt.get((a, b), 0.0) + value
-                if value * inst.planted[a] * inst.planted[b] > 0:
-                    violated.append(pos)
-            # the planted configuration attains the clause minimum exactly
-            # when it violates nothing but the flipped coupling
-            expect = [] if clause.flip_pos is None else [clause.flip_pos]
-            if violated != expect:
-                clause_failures.append(
-                    (clause.loop_index,
-                     f"planted violates couplings at {violated}, expected {expect}"))
-
     coupler_consistent = True
-    if rebuilt is not None:
-        rebuilt = {e: v for e, v in rebuilt.items() if v != 0}
-        if rebuilt != inst.problem.j:
-            coupler_consistent = False
-            bad = sorted(set(rebuilt) ^ set(inst.problem.j))[:3]
-            bad += sorted(e for e in set(rebuilt) & set(inst.problem.j)
-                          if rebuilt[e] != inst.problem.j[e])[:3]
-            for e in bad[:3]:
-                owners = [c.loop_index for c in inst.clauses
-                          if inst.cover is not None
-                          and e in inst.cover.loop_edges(c.loop_index)]
-                failures.append(f"coupler {e} disagrees with clauses; loops {owners}")
+    cover, loops, s, p = inst.cover, inst.clause_loops, inst.planted, inst.problem
 
-    brute_checked = False
+    if cover is None:
+        failures.append("instance carries no loop cover; clause checks skipped")
+    else:
+        clause, pos, a, b = _clause_positions(cover, loops)
+        flipped = pos == inst.flips[clause]
+        ferro = -inst.magnitudes[clause] * s[a] * s[b]
+        # the planted configuration attains the clause minimum exactly when
+        # it violates nothing but the flipped coupling
+        violated = np.where(flipped, -ferro, ferro) * s[a] * s[b] > 0
+        outside = (inst.flips < -1) | (inst.flips >= cover.lengths[loops])  # flips nothing
+        for i in np.union1d(clause[violated != flipped], np.flatnonzero(outside)).tolist():
+            expect = [] if inst.flips[i] == -1 else [int(inst.flips[i])]
+            clause_failures.append((int(loops[i]), f"planted violates couplings at "
+                                    f"{pos[(clause == i) & violated].tolist()}, expected {expect}"))
+
+        # rebuilt and stored couplers, keyed by codes of one base
+        base = max(cover.n, p.n)
+        codes, values = clause_couplers(cover, s, loops, inst.magnitudes, inst.flips)
+        ra, rb = np.divmod(codes[values != 0], cover.n)
+        rebuilt = dict(zip((ra * base + rb).tolist(), values[values != 0].tolist()))
+        stored = dict(zip((p.j_first * base + p.j_second).tolist(), p.j_value.tolist()))
+        bad = sorted(rebuilt.keys() ^ stored.keys())[:3]
+        bad += sorted(e for e in rebuilt.keys() & stored.keys() if rebuilt[e] != stored[e])[:3]
+        coupler_consistent = not bad
+        for e in bad[:3]:
+            owners = loops[unique_codes(clause[a * base + b == e])].tolist()
+            failures.append(f"coupler {divmod(e, base)} disagrees with clauses; loops {owners}")
+
     brute_min: float | None = None
-    if inst.problem.n <= brute_cap:
+    if p.n <= brute_cap:
         from .samplers import solve_exact
-        sol = solve_exact(inst.problem, cap=brute_cap)
-        brute_checked = True
-        brute_min = sol.min_energy
+        brute_min = solve_exact(p, cap=brute_cap).min_energy
         if brute_min != inst.planted_energy:
             failures.append(
                 f"brute-force minimum {brute_min} != planted energy {inst.planted_energy}")
 
-    ok = (not failures and not clause_failures and coupler_consistent)
-    return PlantedReport(ok=ok, clause_failures=clause_failures,
+    return PlantedReport(ok=not failures and not clause_failures and coupler_consistent,
+                         clause_failures=clause_failures,
                          coupler_consistent=coupler_consistent,
-                         brute_checked=brute_checked, brute_min=brute_min,
+                         brute_checked=brute_min is not None, brute_min=brute_min,
                          planted_energy=inst.planted_energy, failures=failures)
 
 
@@ -424,9 +421,9 @@ def instance_to_dict(inst: PlantedInstance) -> dict:
             "beta": inst.params.beta,
             "seed": inst.params.seed,
         },
-        "loop_count": len(inst.cover.loops) if inst.cover is not None else len(inst.clauses),
-        "clauses": [{"loop": c.loop_index, "magnitude": c.magnitude,
-                     "flip": c.flip_pos} for c in inst.clauses],
+        "loop_count": (inst.clause_loops if inst.cover is None else inst.cover.lengths).size,
+        "clauses": [{"loop": loop, "magnitude": m, "flip": None if flip < 0 else flip}
+                    for loop, m, flip in zip(inst.clause_loops.tolist(),
+                                             inst.magnitudes.tolist(), inst.flips.tolist())],
         "planted_energy": inst.planted_energy,
     }
-

@@ -109,24 +109,25 @@ class NoiseModel:
         if qubit.shape != (p.n,):
             raise DimensionMismatchError(f"placement of shape {qubit.shape} for {p.n} variables")
 
-        off = np.zeros(p.n)
-        if self.sigma_h:
-            off += _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_H, qubit),
-                            self.sigma_h, p.n)
-        for qubits, delta in self.region_bias:
-            off[np.isin(qubit, np.fromiter(qubits, dtype=np.int64))] += delta
-        # each h term moves by its offset in place, and a moved spin without
-        # one gains a term after them, in index order
-        added = np.setdiff1d(np.flatnonzero(off), p.h_index, assume_unique=True)
-        hi = np.concatenate([p.h_index, added])
-        hv = np.concatenate([p.h_value + off[p.h_index], off[added]])
+        with np.errstate(over="ignore"):  # IsingProblem refuses a term that overflows
+            off = np.zeros(p.n)
+            if self.sigma_h:
+                off += _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_H, qubit),
+                                self.sigma_h, p.n)
+            for qubits, delta in self.region_bias:
+                off[np.isin(qubit, np.fromiter(qubits, dtype=np.int64))] += delta
+            # each h term moves by its offset in place, and a moved spin
+            # without one gains a term after them, in index order
+            added = np.setdiff1d(np.flatnonzero(off), p.h_index, assume_unique=True)
+            hi = np.concatenate([p.h_index, added])
+            hv = np.concatenate([p.h_value + off[p.h_index], off[added]])
 
-        jv = p.j_value
-        if self.sigma_j and jv.size:
-            # each coupler's qubits in increasing order
-            couplers = np.sort(qubit[np.stack([p.j_first, p.j_second], axis=1)], axis=1)
-            jv = jv * (1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
-                                                  couplers), self.sigma_j, jv.size))
+            jv = p.j_value
+            if self.sigma_j and jv.size:
+                # each coupler's qubits in increasing order
+                couplers = np.sort(qubit[np.stack([p.j_first, p.j_second], axis=1)], axis=1)
+                jv = jv * (1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
+                                                      couplers), self.sigma_j, jv.size))
         # p is canonical, so dropping exact zeros is all make_problem would do
         hk, jk = hv != 0, jv != 0
         return IsingProblem(p.n, hi[hk], hv[hk], p.j_first[jk], p.j_second[jk], jv[jk])

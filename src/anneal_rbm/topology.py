@@ -42,9 +42,9 @@ def canonical_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def frozen(values) -> np.ndarray:
-    """``values`` as a read-only int64 array."""
-    a = np.asarray(values, dtype=np.int64)
+def frozen(values, dtype=np.int64) -> np.ndarray:
+    """``values`` as a read-only array, int64 unless ``dtype`` says otherwise."""
+    a = np.asarray(values, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -245,7 +245,7 @@ def apply_defects(g: HardwareGraph, dead_nodes: Iterable[int] = (),
     Masked nodes keep their ids (coordinates remain valid); their incident
     edges drop out of the active sets automatically.
     """
-    ids = np.unique(np.array(list(dead_nodes), dtype=np.int64))
+    ids = unique_codes(np.array(list(dead_nodes), dtype=np.int64))
     unknown = ids[~np.isin(ids, g.node_ids)]
     if unknown.size:
         raise InvalidParameterError(f"defect mask names unknown nodes: {unknown[:5].tolist()}")
@@ -324,7 +324,7 @@ def graph_from_dict(data: dict) -> HardwareGraph:
 def _node_ids(nodes: list) -> np.ndarray:
     """Sorted unique ids; InvalidParameterError for one outside 0..2**31-1,
     where the int64 edge codes a*N + b would overflow."""
-    ids = np.unique(np.array(nodes, dtype=np.int64))
+    ids = unique_codes(np.array(nodes, dtype=np.int64))
     if ids.size and not 0 <= ids[0] <= ids[-1] < 2**31:
         raise InvalidParameterError(
             f"node ids must be non-negative and below 2**31, got {ids[[0, -1]].tolist()}")

@@ -63,6 +63,18 @@ def two_stars_graph():
     return build_custom(range(8), edges)
 
 
+def loop_tuples(cover) -> tuple[tuple[int, ...], ...]:
+    """The loops of a cover as vertex tuples."""
+    cuts = cover.offsets.tolist()
+    return tuple(tuple(cover.nodes[i:j].tolist()) for i, j in zip(cuts, cuts[1:]))
+
+
+def edge_tuples(codes, n: int) -> list[tuple[int, int]]:
+    """Edge codes a*n + b as (a, b) tuples, in order."""
+    a, b = np.divmod(np.asarray(codes), n)
+    return list(zip(a.tolist(), b.tolist()))
+
+
 def spins(*values) -> np.ndarray:
     return np.array(values, dtype=np.int8)
 

@@ -7,7 +7,8 @@ odd vertex it pairs, so it is the definition the level-stopped BFS must
 reproduce edge for edge.  `normalize_loop_reference` is the scan over every
 rotation and direction that `planted._normalize_loop` ran before it rotated
 to the minimum vertex, also kept word for word.  The package never imports
-this module.
+this module.  It takes `Multigraph` and `_adjacency` from
+`planted_reference`, the per-edge generator's own tuple forms.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from anneal_rbm.errors import ContractError, InvalidParameterError
-from anneal_rbm.planted import Multigraph, _adjacency
 from anneal_rbm.topology import Edge, canonical_edge
+from planted_reference import Multigraph, _adjacency
 
 
 def eulerian_augment_reference(n: int, edges: Iterable[Edge]) -> Multigraph:

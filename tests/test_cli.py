@@ -95,6 +95,27 @@ def test_sample_problem_whose_coefficients_overflow_when_summed_exits_4(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("noise", ["sigma_j", "sigma_h"])
+def test_sample_noise_that_overflows_exits_4(tmp_path, capsys, noise):
+    # a coupler factor overflows in a multiply, an h offset in an add
+    graph, part, inst = tmp_path / "g.json", tmp_path / "part.json", tmp_path / "inst"
+    assert run("topology", "build", "--family", "pegasus", "--m", "2", "--out", str(graph)) == 0
+    assert run("embed", "partition", "--graph", str(graph), "--k", "2", "--out", str(part)) == 0
+    assert run("generate", "--cover-from", str(part), "--seed", "7", "--count", "1",
+               "--out", str(inst)) == 0
+    region = json.loads(part.read_text())["regions"][0]
+    model = {"sigma_j": 1e308} if noise == "sigma_j" else {
+        "sigma_h": 1e308, "region_bias": [{"qubits": region, "delta": 1.7e308}]}
+    (tmp_path / "noise.json").write_text(json.dumps(model))
+    out = tmp_path / "s.json"
+    assert run("sample", "--problem", str(inst / "instance_000.json"), "--replicate", str(part),
+               "--noise", str(tmp_path / "noise.json"), "--reads", "2", "--sweeps", "2",
+               "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("contract:")
+    assert not out.exists()
+
+
 def test_decode_sqa_of_the_planted_read_gives_the_planted_energy(tmp_path):
     # 9.7 and 2.3 are not dyadic, so the planted energy the instance file
     # states is met only by the same sum in the same order
@@ -222,6 +243,17 @@ def test_solve_exact_cli(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["min_energy"] == -1.0
     assert out["num_minimizers"] == 2
+    assert run("solve-exact", "--problem", str(problem), "--max-minimizers", "0") == 0
+    assert json.loads(capsys.readouterr().out)["minimizers"] == []
+
+
+def test_solve_exact_negative_max_minimizers_exits_2(tmp_path, capsys):
+    # a negative bound used to slice the minimizer list from its end
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
+    assert run("solve-exact", "--problem", str(problem), "--max-minimizers", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-minimizers" in captured.err
 
 
 def test_embed_qac_and_sample_qac_decode(tmp_path):

@@ -19,70 +19,68 @@ from anneal_rbm.planted import (GeneratorParams, Multigraph,
                                 verify_planted)
 from anneal_rbm.samplers import solve_exact
 from anneal_rbm.topology import build_pegasus
-from conftest import connected_graph, pegasus_ball, spins
+from conftest import connected_graph, edge_tuples, loop_tuples, pegasus_ball, spins
 
 
 def test_augment_even_graph_unchanged():
     ring = [(0, 1), (1, 2), (2, 3), (0, 3)]
     mg = eulerian_augment(4, ring)
-    assert mg.added == ()
-    assert sorted(mg.edges) == sorted(ring)
+    assert mg.added.size == 0
+    assert sorted(edge_tuples(mg.codes, 4)) == sorted(ring)
 
 
 def test_augment_path_doubles_both_edges():
     mg = eulerian_augment(3, [(0, 1), (1, 2)])
-    assert sorted(mg.added) == [(0, 1), (1, 2)]
+    assert edge_tuples(mg.added, 3) == [(0, 1), (1, 2)]
 
 
 def test_augment_cycle_with_chord_adds_exactly_the_chord():
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
     mg = eulerian_augment(4, edges)
-    assert mg.added == ((0, 2),)
+    assert edge_tuples(mg.added, 4) == [(0, 2)]
     # no single-parallel augmentation other than the chord fixes parity:
     # vertices 0 and 2 are the odd ones, and (0,2) is the only edge joining them
-    odd = [v for v, d in enumerate(Multigraph(4, tuple(edges), ()).degrees()) if d % 2]
+    base = Multigraph(4, np.array([a * 4 + b for a, b in sorted(edges)]))
+    odd = [v for v, d in enumerate(base.degrees()) if d % 2]
     assert odd == [0, 2]
 
 
 def test_augment_multiplicity_never_exceeds_two():
     n, edges = pegasus_ball(2, 20)
     cover = build_loop_cover(n, edges)
-    mult = cover.multiplicity()
-    assert all(1 <= mult[e] <= 2 for e in cover.base_edges)
+    mult = Counter(edge_tuples(cover.edge_codes, n))
+    assert all(1 <= mult[e] <= 2 for e in edges)
 
 
 def test_decompose_single_cycle():
     mg = eulerian_augment(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     cover = decompose_loops(mg)
-    assert cover.loops == ((0, 1, 2, 3),)
+    assert loop_tuples(cover) == ((0, 1, 2, 3),)
 
 
 def test_decompose_figure_eight():
     # two triangles sharing vertex 0
     mg = eulerian_augment(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
     cover = decompose_loops(mg)
-    assert len(cover.loops) == 2
-    assert sorted(len(l) for l in cover.loops) == [3, 3]
+    assert cover.lengths.size == 2
+    assert cover.lengths.tolist() == [3, 3]
 
 
 def test_decompose_doubled_path_yields_two_cycles():
     cover = build_loop_cover(3, [(0, 1), (1, 2)])
-    assert sorted(cover.loops) == [(0, 1), (1, 2)]
+    assert sorted(loop_tuples(cover)) == [(0, 1), (1, 2)]
 
 
 def test_decompose_uses_every_multiedge_once():
     n, edges = pegasus_ball(2, 16)
     mg = eulerian_augment(n, edges)
     cover = decompose_loops(mg)
-    used = Counter()
-    for i in range(len(cover.loops)):
-        used.update(cover.loop_edges(i))
-    assert used == Counter(mg.edges)
+    assert Counter(cover.edge_codes.tolist()) == Counter(mg.codes.tolist())
 
 
 def test_decompose_rejects_odd_degrees():
     with pytest.raises(ContractError):
-        decompose_loops(Multigraph(3, ((0, 1), (1, 2)), ()))
+        decompose_loops(Multigraph(3, np.array([0 * 3 + 1, 1 * 3 + 2])))
 
 
 def test_generator_params_validation():
@@ -123,28 +121,28 @@ def test_beta_selects_ceil_fraction():
     import math
     n, edges = pegasus_ball(2, 18)
     cover = build_loop_cover(n, edges)
-    total = len(cover.loops)
+    total = cover.lengths.size
     for beta in (0.3, 0.7, 1.0):
         inst = generate_instance(cover, GeneratorParams(beta=beta, seed=1))
-        assert len(inst.clauses) == math.ceil(beta * total)
+        assert inst.clause_loops.size == math.ceil(beta * total)
     full = generate_instance(cover, GeneratorParams(beta=1.0, seed=1))
-    assert len(full.clauses) == total
+    assert full.clause_loops.tolist() == list(range(total))
 
 
 def test_beta_one_covers_every_edge():
     n, edges = pegasus_ball(2, 18)
     cover = build_loop_cover(n, edges)
     inst = generate_instance(cover, GeneratorParams(beta=1.0, seed=2))
-    touched = set()
-    for c in inst.clauses:
-        touched.update(cover.loop_edges(c.loop_index))
-    assert touched == set(cover.base_edges)
+    loops = loop_tuples(cover)
+    touched = {(min(a, b), max(a, b)) for i in inst.clause_loops.tolist()
+               for a, b in zip(loops[i], loops[i][1:] + loops[i][:1])}
+    assert touched == set(edges)
 
 
 def test_two_cycles_are_never_flipped():
     cover = build_loop_cover(3, [(0, 1), (1, 2)])
     inst = generate_instance(cover, GeneratorParams(beta=1.0, seed=3))
-    assert all(c.flip_pos is None for c in inst.clauses)
+    assert inst.flips.tolist() == [-1, -1]
     # both couplers ferromagnetic in the planted gauge: satisfied by planted
     for (a, b), v in inst.problem.j.items():
         assert v * inst.planted[a] * inst.planted[b] < 0
@@ -155,9 +153,9 @@ def test_planted_energy_is_sum_of_clause_minima():
     n, edges = pegasus_ball(2, 18)
     cover = build_loop_cover(n, edges)
     inst = generate_instance(cover, GeneratorParams(beta=0.8, seed=9))
-    expected = sum(clause_minimum(len(cover.loops[c.loop_index]), c.magnitude,
-                                  c.flip_pos is not None)
-                   for c in inst.clauses)
+    expected = sum(clause_minimum(length, m, flip >= 0) for length, m, flip
+                   in zip(cover.lengths[inst.clause_loops].tolist(),
+                          inst.magnitudes.tolist(), inst.flips.tolist()))
     assert inst.planted_energy == expected
 
 
@@ -169,7 +167,8 @@ def test_determinism_bit_identical():
     b = generate_instance(cover, params)
     assert a.problem == b.problem
     assert np.array_equal(a.planted, b.planted)
-    assert a.clauses == b.clauses
+    for name in ("clause_loops", "magnitudes", "flips"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_clause_draws_come_from_the_loop_stream():
@@ -179,12 +178,13 @@ def test_clause_draws_come_from_the_loop_stream():
     cover = build_loop_cover(n, edges)
     params = GeneratorParams(beta=0.7, p_large=0.5, seed=2**40 + 3)
     inst = generate_instance(cover, params)
-    for clause in inst.clauses:
-        loop_rng = rng.stream(params.seed, rng.STREAM_LOOP, clause.loop_index)
+    for loop, magnitude, flip in zip(inst.clause_loops.tolist(), inst.magnitudes.tolist(),
+                                     inst.flips.tolist()):
+        loop_rng = rng.stream(params.seed, rng.STREAM_LOOP, loop)
         large = loop_rng.random() < params.p_large
-        assert clause.magnitude == (params.bias_large if large else params.bias_small)
-        length = len(cover.loops[clause.loop_index])
-        assert clause.flip_pos == (int(loop_rng.integers(length)) if length >= 3 else None)
+        assert magnitude == (params.bias_large if large else params.bias_small)
+        length = int(cover.lengths[loop])
+        assert flip == (int(loop_rng.integers(length)) if length >= 3 else -1)
 
 
 def test_gauge_correctness():
@@ -202,8 +202,8 @@ def test_gauge_correctness():
 def test_cover_contract_on_random_graphs(case):
     n, edges = case
     cover = build_loop_cover(n, edges)
-    mult = cover.multiplicity()
-    assert set(cover.base_edges) == set(edges)
+    mult = Counter(edge_tuples(cover.edge_codes, n))
+    assert set(mult) == set(edges)
     assert all(1 <= mult[tuple(e)] <= 2 for e in edges)
     degree = [0] * n
     for (a, b), m in mult.items():
@@ -228,13 +228,13 @@ def test_frustrated_ring_minimum_matches_formula(length, magnitude):
 def test_magnitude_frequency_tracks_p_large():
     g = build_pegasus(4)
     part = partition_replicas(g, 2)
-    cover = build_loop_cover(part.n_logical, part.logical_edges)
+    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
     magnitudes = []
     seed = 0
     while len(magnitudes) < 600:
         inst = generate_instance(cover, GeneratorParams(
             bias_large=9, bias_small=2, p_large=0.08, beta=1.0, seed=seed))
-        magnitudes += [c.magnitude for c in inst.clauses]
+        magnitudes += inst.magnitudes.tolist()
         seed += 1
     freq = sum(1 for m in magnitudes if m == 9) / len(magnitudes)
     assert 0.04 <= freq <= 0.13
