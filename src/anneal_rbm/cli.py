@@ -292,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     physical.add_argument("--qac", help="encoding or combined file: sample the "
                                         "penalty-encoded problem")
     smp.add_argument("--alpha", type=float, default=-1.0)
-    smp.add_argument("--reads", type=int, default=100)
-    smp.add_argument("--sweeps", type=int, default=1000)
+    smp.add_argument("--reads", type=_count, default=100)
+    smp.add_argument("--sweeps", type=_count, default=1000)
     smp.add_argument("--noise", help="noise model file")
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--out", required=True)

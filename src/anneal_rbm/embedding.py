@@ -4,10 +4,10 @@ Replica partitions split a Pegasus graph into k congruent axis-aligned
 coordinate blocks whose induced subgraphs are isomorphic by construction (the
 isomorphism maps are tile translations).  Defects anywhere are excised from
 every block through those maps, so the shared logical structure stays valid
-on real, defective hardware.  A partition stores its iso maps as one (k,
-n_logical) array and its logical edges as sorted codes a*n_logical + b, as
-`topology` stores a graph; ``logical_edges``, ``iso_maps`` and ``regions``
-are views of those arrays, built on first read.
+on real, defective hardware.  A partition is its iso maps as one (k,
+n_logical) array, whose row r is region r, and its logical edges as sorted
+codes a*n_logical + b, as `topology` stores a graph.  Partition files keep
+their ``iso_maps`` and ``regions`` keys, written from that array.
 
 QAC tilings cover a graph with vertex-disjoint K_{1,3} units (three problem
 qubits plus one penalty hub), stored as arrays too.  The combined construction
@@ -18,7 +18,6 @@ one-qubit-per-node (replication) and once as one-unit-per-node (penalty code).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
 from .jsonio import index_keys, integer, integer_rows, integers, loader, numbers
 from .topology import (HardwareGraph, canonical_edges, chimera_index, edge_rows,
-                       edge_set, frozen, graph_from_dict, unique_codes)
+                       frozen, graph_from_dict, unique_codes)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
@@ -60,12 +59,6 @@ class ReplicaPartition:
 
     k = property(lambda p: p.images.shape[0])
     n_logical = property(lambda p: p.images.shape[1])
-    # Views of the arrays, built on first read: the logical edge set, and
-    # per region its iso map dict and its qubit set
-    logical_edges = cached_property(lambda p: edge_set(p.edge_codes, p.n_logical))
-    iso_maps = cached_property(
-        lambda p: tuple(dict(enumerate(row)) for row in p.images.tolist()))
-    regions = cached_property(lambda p: tuple(frozenset(row) for row in p.images.tolist()))
 
     def logical_graph(self) -> HardwareGraph:
         return HardwareGraph("logical", {}, np.arange(self.n_logical), self.edge_codes)

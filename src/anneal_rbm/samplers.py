@@ -140,13 +140,15 @@ def _normals(gens, sigma: float, count: int) -> np.ndarray:
 
 
 def region_biases(regions, deltas) -> tuple[tuple[frozenset[int], float], ...]:
-    """Pair replica regions with constant linear offsets."""
+    """Pair replica regions, such as the rows of a partition's ``images``,
+    with constant linear offsets; each region becomes a set of Python ints."""
     regions = list(regions)
     deltas = list(deltas)
     if len(regions) != len(deltas):
         raise InvalidParameterError(
             f"{len(regions)} regions but {len(deltas)} bias deltas")
-    return tuple((frozenset(r), float(d)) for r, d in zip(regions, deltas))
+    return tuple((frozenset(np.fromiter(r, dtype=np.int64).tolist()), float(d))
+                 for r, d in zip(regions, deltas))
 
 
 def noise_to_dict(nm: NoiseModel) -> dict:

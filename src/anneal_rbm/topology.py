@@ -8,11 +8,10 @@ valid after qubits are disabled.
 
 Node ids are non-negative, so an edge (a, b) with a < b has the integer code
 a*N + b, N being one more than the largest id, and sorted codes are sorted
-edges.  A graph stores sorted id and code arrays only: building, masking,
-loading and writing graphs, and the partition checks in `embedding`, are
-numpy passes over them.  The sets (``nodes``, ``edges``, ``active_nodes``,
-``active_edges``, ``defect_nodes``, ``defect_edges``) and the ``adjacency``
-dict are views of the arrays, built on first read.
+edges.  A graph is its sorted id and code arrays and nothing else: building,
+masking, loading and writing graphs, and the partition checks in `embedding`,
+are numpy passes over them, and a qubit's neighbours are read from the CSR
+``neighbors``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError
-from .jsonio import integer_rows, integers, loader
+from .jsonio import integer, integer_rows, integers, loader
 
 Edge = tuple[int, int]
 
@@ -116,21 +115,6 @@ class HardwareGraph:
         np.cumsum(np.bincount(ends, minlength=self.active_ids.size), out=offsets[1:])
         return offsets, others[np.lexsort((others, ends))]
 
-    # Views of the arrays, built on first read: sets of ids and of (a, b)
-    nodes = cached_property(lambda g: frozenset(g.node_ids.tolist()))
-    edges = cached_property(lambda g: edge_set(g.ideal_codes, g.code_base))
-    defect_nodes = cached_property(lambda g: frozenset(g.defect_ids.tolist()))
-    defect_edges = cached_property(lambda g: edge_set(g.defect_codes, g.code_base))
-    active_nodes = cached_property(lambda g: frozenset(g.active_ids.tolist()))
-    active_edges = cached_property(lambda g: edge_set(g.edge_codes, g.code_base))
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Active neighbors per active node, sorted for determinism."""
-        offsets, ranks = self.neighbors
-        ids, cuts = self.active_ids[ranks].tolist(), offsets.tolist()
-        return {v: tuple(ids[i:j]) for v, i, j in zip(self.active_ids.tolist(), cuts, cuts[1:])}
-
     def has_nodes(self, q: np.ndarray) -> np.ndarray:
         """Elementwise: is qubit ``q`` active?  Any integer array."""
         return np.isin(np.asarray(q, dtype=np.int64), self.active_ids)
@@ -143,12 +127,6 @@ class HardwareGraph:
         # a code is exact only when both ends are known ids
         return (self.has_nodes(lo) & self.has_nodes(hi)
                 & _contains(self.edge_codes, lo * self.code_base + hi))
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency.get(v, ()))
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.has_edges(*canonical_edge(a, b)))
 
 
 def build_pegasus(m: int) -> HardwareGraph:
@@ -310,8 +288,7 @@ _FAMILY_PARAMS = {"pegasus": ("m",), "chimera": ("rows", "cols", "shore")}
 def graph_from_dict(data: dict) -> HardwareGraph:
     params = dict(data.get("params", {}))
     for key in _FAMILY_PARAMS.get(data["family"], ()):
-        if not isinstance(params[key], int):
-            raise TypeError(f"{data['family']} parameter {key!r} must be an integer")
+        integer(params[key])
     ids = _node_ids(integers(data["nodes"]))
     g = HardwareGraph(data["family"], params, ids,
                       _checked_codes(integer_rows(data["edges"], 2), ids))
@@ -371,12 +348,6 @@ def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(codes), dtype=bool)
     at = np.searchsorted(sorted_codes, codes)
     return sorted_codes[np.minimum(at, sorted_codes.size - 1)] == codes
-
-
-def edge_set(codes: np.ndarray, base: int) -> frozenset[Edge]:
-    """The edges of sorted codes of base ``base`` as a set of tuples."""
-    a, b = np.divmod(codes, base)
-    return frozenset(zip(a.tolist(), b.tolist()))
 
 
 def edge_rows(codes: np.ndarray, base: int) -> list[list[int]]:

@@ -17,12 +17,13 @@ def pegasus_ball(m: int, size: int, start: int | None = None):
     internal couplers).
     """
     g = build_pegasus(m)
-    if start is None:
-        start = max(g.active_nodes, key=lambda v: (g.degree(v), -v))
+    neighbours = adjacency(g)
+    if start is None:  # the highest degree, then the lowest id
+        start = int(g.active_ids[np.argmax(np.diff(g.neighbors[0]))])
     order = [start]
     seen = {start}
     for v in order:
-        for nb in g.adjacency[v]:
+        for nb in neighbours[v]:
             if nb not in seen and len(order) < size:
                 seen.add(nb)
                 order.append(nb)
@@ -30,7 +31,7 @@ def pegasus_ball(m: int, size: int, start: int | None = None):
             break
     nodes = sorted(seen)
     relabel = {q: i for i, q in enumerate(nodes)}
-    edges = [(relabel[a], relabel[b]) for a, b in sorted(g.active_edges)
+    edges = [(relabel[a], relabel[b]) for a, b in active_edges(g)
              if a in seen and b in seen]
     return len(nodes), edges
 
@@ -39,11 +40,11 @@ def noisy_replicated():
     """A planted instance on the two replicas of Pegasus m=4, with chip noise
     and a different bias offset on each replica: (problem, noise, placement)."""
     part = partition_replicas(build_pegasus(4), 2)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     inst = generate_instance(cover, GeneratorParams(seed=3))
     rp = replicate(inst.problem, part)
     noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=11,
-                       region_bias=region_biases(part.regions, [0.3, -0.2]))
+                       region_bias=region_biases(part.images, [0.3, -0.2]))
     return rp.problem, noise, rp.placement
 
 
@@ -73,6 +74,38 @@ def edge_tuples(codes, n: int) -> list[tuple[int, int]]:
     """Edge codes a*n + b as (a, b) tuples, in order."""
     a, b = np.divmod(np.asarray(codes), n)
     return list(zip(a.tolist(), b.tolist()))
+
+
+def id_set(ids) -> frozenset[int]:
+    """An id array as a set of ints."""
+    return frozenset(np.asarray(ids).tolist())
+
+
+def active_edges(g) -> list[tuple[int, int]]:
+    """The active couplers of a graph as sorted (a, b) tuples, a < b."""
+    return edge_tuples(g.edge_codes, g.code_base)
+
+
+def adjacency(g) -> dict[int, tuple[int, ...]]:
+    """The sorted active neighbours of each active qubit of a graph."""
+    offsets, ranks = g.neighbors
+    ids, cuts = g.active_ids[ranks].tolist(), offsets.tolist()
+    return {v: tuple(ids[i:j]) for v, i, j in zip(g.active_ids.tolist(), cuts, cuts[1:])}
+
+
+def logical_edges(part) -> list[tuple[int, int]]:
+    """The logical edges of a partition as sorted (a, b) tuples, a < b."""
+    return edge_tuples(part.edge_codes, part.n_logical)
+
+
+def iso_maps(part) -> tuple[dict[int, int], ...]:
+    """Per region of a partition, its map from logical id to qubit."""
+    return tuple(dict(enumerate(row)) for row in part.images.tolist())
+
+
+def regions(part) -> tuple[frozenset[int], ...]:
+    """Per region of a partition, its set of qubits: a row of ``images``."""
+    return tuple(map(frozenset, part.images.tolist()))
 
 
 def spins(*values) -> np.ndarray:

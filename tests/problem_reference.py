@@ -9,10 +9,11 @@ and the package names they import.  `build_qac_problem_reference` is
 `decode.build_qac_problem` as it ran over an encoding's dict form (see
 `structure_reference.encoding_reference`) before it became array passes,
 kept the same way; its result is `QacProblemReference`, the old
-`QacProblem` with its placement dict.  The tests check that the array-native
-problem gives equal term arrays in equal order, equal dict views, equal
-payloads and digests, and refuses exactly what this validation refuses.  The
-package never imports this module.
+`QacProblem` with its placement dict.  `replicate_reference` reads a
+partition's logical edges and iso maps through the `conftest` helpers.  The
+tests check that the array-native problem gives equal term arrays in equal
+order, equal dict views, equal payloads and digests, and refuses exactly
+what this validation refuses.  The package never imports this module.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from anneal_rbm.errors import (ContractError, EmbeddingInfeasibleError,
                                InvalidParameterError)
 from anneal_rbm.ising import IsingProblem, Pair, ReplicatedProblem, as_spins, make_problem
 from anneal_rbm.topology import canonical_edge
+from conftest import iso_maps, logical_edges
 from structure_reference import QacEncodingReference
 
 
@@ -118,7 +120,8 @@ def replicate_reference(p: ProblemReference, partition: "ReplicaPartition") -> R
     if n_l > partition.n_logical:
         raise EmbeddingInfeasibleError(
             f"problem has {n_l} variables but regions admit {partition.n_logical}")
-    missing = [e for e in p.j if e not in partition.logical_edges]
+    edges = set(logical_edges(partition))
+    missing = [e for e in p.j if e not in edges]
     if missing:
         raise EmbeddingInfeasibleError(
             f"region structure lacks couplers for logical edges {sorted(missing)[:5]}")
@@ -127,7 +130,7 @@ def replicate_reference(p: ProblemReference, partition: "ReplicaPartition") -> R
     j: dict[Pair, float] = {}
     placement: dict[int, int] = {}
     for r in range(partition.k):
-        iso = partition.iso_maps[r]
+        iso = iso_maps(partition)[r]
         base = r * n_l
         for v in range(n_l):
             placement[base + v] = iso[v]

@@ -8,11 +8,12 @@ They are kept as they were apart from their names, the package names they
 import and the way they construct their results: graphs and partitions
 store id and code arrays, so the loops build their node, edge, iso map and
 logical edge sets as before and hand them to `_graph` and `_partition`,
-which turn them into those arrays.  `graph_from_dict_reference` sets the
-defect fields directly instead of checking the payload,
-`combine_qac_rbm_reference` covers k > 1, and `verify_partition_reference`
-counts a logical edge that an iso map collapses onto one qubit as a missing
-coupler instead of raising.  `build_chimera_reference`,
+which turn them into those arrays; they read a graph's or a partition's
+sets through the `conftest` helpers, which decode those arrays.
+`graph_from_dict_reference` sets the defect fields directly instead of
+checking the payload, `combine_qac_rbm_reference` covers k > 1, and
+`verify_partition_reference` counts a logical edge that an iso map collapses
+onto one qubit as a missing coupler instead of raising.  `build_chimera_reference`,
 `tile_qac_reference` and `pick_representatives_reference` are the Chimera
 builder and the K_{1,3} tiling loops as they were before they too moved to
 array passes, kept the same way.  The tests check that the array passes
@@ -40,6 +41,7 @@ from anneal_rbm.topology import (PEGASUS_HORIZONTAL_OFFSETS,
                                  PEGASUS_VERTICAL_OFFSETS, Edge, HardwareGraph,
                                  canonical_edge, chimera_index, pegasus_coords,
                                  pegasus_index)
+from conftest import adjacency, edge_tuples, id_set, iso_maps, regions
 
 
 def _graph(family: str, params: dict, nodes, edges, defect_nodes=(),
@@ -138,15 +140,20 @@ def build_pegasus_reference(m: int) -> HardwareGraph:
     return _graph("pegasus", {"m": m}, nodes, edges)
 
 
+def _edge_set(g: HardwareGraph, codes) -> frozenset[Edge]:
+    """A graph's edge codes as a set of (a, b) tuples."""
+    return frozenset(edge_tuples(codes, g.code_base))
+
+
 def active_nodes_reference(g: HardwareGraph) -> frozenset[int]:
-    return g.nodes - g.defect_nodes
+    return id_set(g.node_ids) - id_set(g.defect_ids)
 
 
 def active_edges_reference(g: HardwareGraph) -> frozenset[Edge]:
-    dead = g.defect_nodes
+    dead, dead_edges = id_set(g.defect_ids), _edge_set(g, g.defect_codes)
     return frozenset(
-        e for e in g.edges
-        if e not in g.defect_edges and e[0] not in dead and e[1] not in dead
+        e for e in _edge_set(g, g.ideal_codes)
+        if e not in dead_edges and e[0] not in dead and e[1] not in dead
     )
 
 
@@ -154,11 +161,11 @@ def graph_to_dict_reference(g: HardwareGraph) -> dict:
     return {
         "family": g.family,
         "params": dict(g.params),
-        "nodes": sorted(g.nodes),
-        "edges": [list(e) for e in sorted(g.edges)],
+        "nodes": sorted(id_set(g.node_ids)),
+        "edges": [list(e) for e in sorted(_edge_set(g, g.ideal_codes))],
         "defects": {
-            "nodes": sorted(g.defect_nodes),
-            "edges": [list(e) for e in sorted(g.defect_edges)],
+            "nodes": sorted(id_set(g.defect_ids)),
+            "edges": [list(e) for e in sorted(_edge_set(g, g.defect_codes))],
         },
     }
 
@@ -210,7 +217,7 @@ def partition_replicas_reference(g: HardwareGraph, k: int) -> ReplicaPartition:
 
     active_edges = active_edges_reference(g)
     logical_edges = set()
-    for a, b in g.edges:
+    for a, b in _edge_set(g, g.ideal_codes):
         if a in alive_set and b in alive_set:
             if all(canonical_edge(mp[a], mp[b]) in active_edges for mp in maps):
                 logical_edges.add(canonical_edge(rank[a], rank[b]))
@@ -232,13 +239,14 @@ def _iter_block_nodes(m, vert_w, vert_z, horiz_w, horiz_z):
 
 
 def region_failures_reference(p: ReplicaPartition) -> dict[str, list[str]]:
+    regs, isos = regions(p), iso_maps(p)
     structural: list[str] = []
-    if not p.k == len(p.regions) == len(p.iso_maps):
-        structural.append(f"k={p.k} but {len(p.regions)} regions / {len(p.iso_maps)} iso maps")
+    if not p.k == len(regs) == len(isos):
+        structural.append(f"k={p.k} but {len(regs)} regions / {len(isos)} iso maps")
 
     disjoint: list[str] = []
     seen: dict[int, int] = {}
-    for r, reg in enumerate(p.regions):
+    for r, reg in enumerate(regs):
         for q in reg:
             if q in seen:
                 disjoint.append(f"qubit {q} shared by regions {seen[q]} and {r}")
@@ -246,14 +254,14 @@ def region_failures_reference(p: ReplicaPartition) -> dict[str, list[str]]:
                 seen[q] = r
 
     bijective: list[str] = []
-    for r, iso in enumerate(p.iso_maps):
+    for r, iso in enumerate(isos):
         if set(iso.keys()) != set(range(p.n_logical)):
             bijective.append(f"region {r}: iso map domain is not 0..{p.n_logical - 1}")
             continue
         image = set(iso.values())
         if len(image) != p.n_logical:
             bijective.append(f"region {r}: iso map is not injective")
-        elif r < len(p.regions) and image != set(p.regions[r]):
+        elif r < len(regs) and image != set(regs[r]):
             bijective.append(f"region {r}: iso map image differs from region set")
     return {"structural": structural, "disjoint": disjoint, "bijective": bijective}
 
@@ -262,10 +270,11 @@ def verify_partition_reference(p: ReplicaPartition, g: HardwareGraph) -> Partiti
     found = region_failures_reference(p)
     failures = [f for claim in found.values() for f in claim]
     structural, disjoint, bijective = (not claim for claim in found.values())
+    isos = iso_maps(p)
 
     active_nodes = active_nodes_reference(g)
     nodes_active = True
-    for r, iso in enumerate(p.iso_maps):
+    for r, iso in enumerate(isos):
         dead = sorted(q for q in iso.values() if q not in active_nodes)
         if dead:
             nodes_active = False
@@ -273,10 +282,10 @@ def verify_partition_reference(p: ReplicaPartition, g: HardwareGraph) -> Partiti
 
     edges_embedded = True
     active_edges = active_edges_reference(g)
-    for r, iso in enumerate(p.iso_maps):
+    for r, iso in enumerate(isos):
         if set(iso.keys()) != set(range(p.n_logical)):
             continue
-        for a, b in sorted(p.logical_edges):
+        for a, b in sorted(edge_tuples(p.edge_codes, p.n_logical)):
             if iso[a] == iso[b] or canonical_edge(iso[a], iso[b]) not in active_edges:
                 edges_embedded = False
                 failures.append(f"region {r}: logical edge ({a},{b}) has no active coupler")
@@ -284,7 +293,7 @@ def verify_partition_reference(p: ReplicaPartition, g: HardwareGraph) -> Partiti
     induced_symmetric = True
     region_edge_counts: list[int] = []
     pulled: list[frozenset[Edge]] | None = []
-    for r, iso in enumerate(p.iso_maps):
+    for r, iso in enumerate(isos):
         if set(iso.keys()) != set(range(p.n_logical)):
             pulled = None
             break
@@ -309,7 +318,7 @@ def verify_partition_reference(p: ReplicaPartition, g: HardwareGraph) -> Partiti
         ok=ok, k=p.k, disjoint=disjoint, bijective=bijective,
         nodes_active=nodes_active, edges_embedded=edges_embedded,
         induced_symmetric=induced_symmetric,
-        region_node_counts=[len(reg) for reg in p.regions],
+        region_node_counts=[len(reg) for reg in regions(p)],
         region_edge_counts=region_edge_counts, failures=failures)
 
 
@@ -333,7 +342,7 @@ def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
             inst_edges.add(canonical_edge(ua, ub))
 
     encodings = []
-    for iso in base.iso_maps:
+    for iso in iso_maps(base):
         units = tuple(QacUnit(problem_qubits=tuple(iso[q] for q in u.problem_qubits),
                               penalty_qubit=iso[u.penalty_qubit])
                       for u in tiling.units)
@@ -341,8 +350,8 @@ def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
                   for e in sorted(inst_edges)}
         encodings.append(qac_encoding(units, ledges, penalty_weight))
 
-    iso_maps = tuple({u: iso[reps[u]] for u in range(n_units)} for iso in base.iso_maps)
-    rbm = _partition(n_units, iso_maps, frozenset(inst_edges),
+    rbm_maps = tuple({u: iso[reps[u]] for u in range(n_units)} for iso in iso_maps(base))
+    rbm = _partition(n_units, rbm_maps, frozenset(inst_edges),
                      {**base.meta, "representatives": True})
     return CombinedEmbedding(k=base.k, encodings=tuple(encodings),
                              rbm_partition=rbm, base_partition=base)
@@ -370,10 +379,11 @@ def build_chimera_reference(rows: int, cols: int, shore: int) -> HardwareGraph:
 
 def _greedy_units_reference(g: HardwareGraph, claimed: set[int]) -> list[QacUnit]:
     units = []
-    for hub in sorted(g.active_nodes):
+    neighbours = adjacency(g)
+    for hub in sorted(id_set(g.active_ids)):
         if hub in claimed:
             continue
-        avail = [nb for nb in g.adjacency[hub] if nb not in claimed]
+        avail = [nb for nb in neighbours[hub] if nb not in claimed]
         if len(avail) < 3:
             continue
         leaves = tuple(avail[:3])
@@ -391,7 +401,7 @@ def _chimera_template_units_reference(g: HardwareGraph) -> tuple[list[QacUnit], 
         return units, claimed
 
     lin = partial(chimera_index, cols, shore)
-    active, active_edges = g.active_nodes, g.active_edges
+    active, active_edges = id_set(g.active_ids), _edge_set(g, g.edge_codes)
     for r in range(rows):
         for c in range(cols):
             for prob_shore in (0, 1):
@@ -419,7 +429,7 @@ def tile_qac_reference(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEnc
         for q in unit.problem_qubits:
             owner[q] = idx
     logical_edges: dict[Edge, list[Edge]] = {}
-    for a, b in sorted(g.active_edges):
+    for a, b in sorted(_edge_set(g, g.edge_codes)):
         ua, ub = owner.get(a), owner.get(b)
         if ua is None or ub is None or ua == ub:
             continue
@@ -432,11 +442,12 @@ def tile_qac_reference(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEnc
 def pick_representatives_reference(tiling: QacEncodingReference,
                                    shared: HardwareGraph) -> list[int]:
     owner = {q: i for i, u in enumerate(tiling.units) for q in u.problem_qubits}
+    neighbours = adjacency(shared)
     reps = []
     for idx, unit in enumerate(tiling.units):
         best, best_score = unit.problem_qubits[0], -1
         for q in unit.problem_qubits:
-            score = sum(1 for nb in shared.adjacency.get(q, ())
+            score = sum(1 for nb in neighbours.get(q, ())
                         if owner.get(nb, idx) != idx)
             if score > best_score:
                 best, best_score = q, score

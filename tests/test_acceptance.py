@@ -23,7 +23,7 @@ from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
                                  region_biases, sample_sa)
 from anneal_rbm.topology import (apply_defects, build_chimera, build_pegasus,
                                  graph_stats)
-from conftest import pegasus_ball, spins
+from conftest import iso_maps, logical_edges, pegasus_ball, regions, spins
 from structure_reference import QacUnit, qac_encoding
 
 
@@ -33,7 +33,7 @@ def announce(criterion: str, ok: bool):
 
 
 def test_c01_topology_exactness():
-    ok = all(len(build_pegasus(m).nodes) == 24 * m * (m - 1) for m in (2, 3, 4, 16))
+    ok = all(build_pegasus(m).node_ids.size == 24 * m * (m - 1) for m in (2, 3, 4, 16))
     cell = graph_stats(build_chimera(1, 1, 4))
     ok = ok and (cell.num_nodes, cell.num_edges) == (8, 16)
     announce("C1 topology exactness", ok)
@@ -47,7 +47,8 @@ def test_c02_partition_validity_with_defects():
         report = verify_partition(part, g)
         ok = ok and report.ok and report.induced_symmetric
         # inject single-qubit defects inside two different regions
-        victims = [sorted(part.regions[0])[3], sorted(part.regions[-1])[7]]
+        isos, regs = iso_maps(part), regions(part)
+        victims = [sorted(regs[0])[3], sorted(regs[-1])[7]]
         defective = apply_defects(g, victims)
         dpart = partition_replicas(defective, k)
         dreport = verify_partition(dpart, defective)
@@ -55,10 +56,10 @@ def test_c02_partition_validity_with_defects():
         # every victim's orbit is excised from every region
         for victim in victims:
             for r in range(k):
-                inv = {q: v for v, q in part.iso_maps[r].items()}
+                inv = {q: v for v, q in isos[r].items()}
                 if victim in inv:
-                    orbit = {part.iso_maps[s][inv[victim]] for s in range(k)}
-                    assert not orbit & set().union(*dpart.regions)
+                    orbit = {isos[s][inv[victim]] for s in range(k)}
+                    assert not orbit & set().union(*regions(dpart))
         ok = ok and dpart.n_logical < part.n_logical
     announce("C2 partition validity and symmetric defect excision", ok)
 
@@ -109,7 +110,7 @@ def test_c05_loop_cover_contract():
     g = build_pegasus(4)
     for k in (2, 4):
         part = partition_replicas(g, k)
-        cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+        cover = build_loop_cover(part.n_logical, logical_edges(part))
         codes, mult = np.unique(cover.edge_codes, return_counts=True)
         assert np.array_equal(codes, part.edge_codes)
         assert ((1 <= mult) & (mult <= 2)).all()
@@ -122,7 +123,7 @@ def test_c05_loop_cover_contract():
 def test_c06_magnitude_statistics():
     g = build_pegasus(4)
     part = partition_replicas(g, 2)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     magnitudes = []
     seed = 1000
     while len(magnitudes) < 2000:
@@ -195,14 +196,14 @@ def test_c09_bias_mitigation_property():
     reads, sweeps = 50, 60
     g = build_pegasus(4)
     part = partition_replicas(g, 4)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     placement0 = part.images[0]
     energy_wins = gsp_wins = 0
     for rep in range(reps):
         draw = rbm_rng.stream(777, 50, rep)
         deltas = [float(d) for d in draw.uniform(-6.0, 6.0, 4)]
         noise = NoiseModel(sigma_h=0.1, sigma_j=0.02, chip_seed=77700 + rep,
-                           region_bias=region_biases(part.regions, deltas))
+                           region_bias=region_biases(part.images, deltas))
         rbm_results, sqa_results = [], []
         for _ in range(instances):
             inst = generate_instance(cover, GeneratorParams(

@@ -2,13 +2,12 @@ import hashlib
 import json
 import math
 
-import numpy as np
 import pytest
 
 from anneal_rbm.cli import main
-from anneal_rbm.embedding import ReplicaPartition, combine_qac_rbm, combined_to_dict
+from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict
 from anneal_rbm.jsonio import dumps, read_json
-from anneal_rbm.topology import HardwareGraph, build_pegasus, graph_from_dict
+from anneal_rbm.topology import build_pegasus, graph_from_dict
 
 
 def run(*argv):
@@ -20,7 +19,7 @@ def test_topology_build_pegasus(tmp_path):
     assert run("topology", "build", "--family", "pegasus", "--m", "2",
                "--out", str(out)) == 0
     g = graph_from_dict(read_json(str(out)))
-    assert len(g.nodes) == 48
+    assert g.node_ids.size == 48
     payload = json.loads(out.read_text())
     assert payload["meta"]["tool"] == "anneal-rbm"
     assert "config_hash" in payload["meta"]
@@ -43,7 +42,7 @@ def test_topology_build_with_defects(tmp_path):
     assert run("topology", "build", "--family", "pegasus", "--m", "2",
                "--defects", str(mask), "--out", str(out)) == 0
     g = graph_from_dict(read_json(str(out)))
-    assert len(g.active_nodes) == 46
+    assert g.active_ids.size == 46
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -58,6 +57,16 @@ def test_generate_count_below_one_exits_2(tmp_path, capsys, count):
     assert run("generate", "--cover-from", str(graph), "--count", count,
                "--out", str(out)) == 2
     assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--reads", "--sweeps"])
+@pytest.mark.parametrize("count", ["0", "-2", "two"])
+def test_sample_count_below_one_exits_2(tmp_path, capsys, flag, count):
+    problem, out = tmp_path / "p.json", tmp_path / "s.json"
+    problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
+    assert run("sample", "--problem", str(problem), flag, count, "--out", str(out)) == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -582,38 +591,16 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     assert not (tmp_path / "out").exists()
 
 
-_SET_VIEWS = {HardwareGraph: ("nodes", "edges", "defect_nodes", "defect_edges", "active_nodes",
-                              "active_edges", "adjacency"),
-              ReplicaPartition: ("logical_edges", "iso_maps", "regions")}
-
-
-def test_replicate_and_decode_rbm_never_build_set_views(tmp_path, monkeypatch):
-    # sampling k copies and decoding them read a partition's arrays only
-    files = {name: str(tmp_path / name) for name in ("g.json", "part.json", "noise.json",
-                                                     "inst", "s.json", "sol.json")}
-    assert run("topology", "build", "--family", "pegasus", "--m", "4",
-               "--out", files["g.json"]) == 0
-    assert run("embed", "partition", "--graph", files["g.json"], "--k", "4",
-               "--out", files["part.json"]) == 0
-    assert run("generate", "--cover-from", files["part.json"], "--seed", "3", "--count", "1",
-               "--out", files["inst"]) == 0
-    (tmp_path / "noise.json").write_text(json.dumps({"sigma_h": 0.05, "sigma_j": 0.02}))
-    built = []
-    for cls, names in _SET_VIEWS.items():
-        for name in names:
-            view = vars(cls)[name]
-            monkeypatch.setattr(cls, name, property(
-                lambda obj, view=view, name=name: built.append(name) or view.func(obj)))
-    instance = str(tmp_path / "inst" / "instance_000.json")
-    assert run("sample", "--problem", instance, "--replicate", files["part.json"],
-               "--noise", files["noise.json"], "--reads", "5", "--sweeps", "5",
-               "--out", files["s.json"]) == 0
-    assert run("decode", "rbm", "--samples", files["s.json"], "--structure", files["part.json"],
-               "--problem", instance, "--out", files["sol.json"]) == 0
-    assert built == []
-    # the patched views still answer, so a stage that read one would show here
-    assert ReplicaPartition(np.arange(2)[None], np.array([1])).logical_edges == {(0, 1)}
-    assert built == ["logical_edges"]
+@pytest.mark.parametrize("family, params", [
+    ("pegasus", {"m": True}), ("chimera", {"rows": 1, "cols": 1, "shore": True})],
+    ids=["pegasus-m-bool", "chimera-shore-bool"])
+def test_graph_family_param_not_an_integer_exits_4(tmp_path, capsys, family, params):
+    # a bool passed as an integer: {"m": true} loaded as m=1 and printed its stats
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_GRAPH, "family": family, "params": params}))
+    assert run("topology", "stats", str(bad)) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("contract:")
 
 
 @pytest.mark.parametrize("argv, payload", [

@@ -10,7 +10,7 @@ from anneal_rbm.ising import energies, energy, make_problem, replicate
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import SampleSet
 from anneal_rbm.topology import build_chimera, build_pegasus
-from conftest import spins
+from conftest import active_edges, logical_edges, spins
 from problem_helpers import penalty_slot
 from structure_reference import QacUnit, qac_encoding
 
@@ -266,7 +266,7 @@ def test_decode_sqa_rejects_empty_and_mismatched():
 def test_rbm_decode_on_real_pipeline():
     g = build_pegasus(2)
     part = partition_replicas(g, 2)
-    edges = sorted(part.logical_edges)[:3]
+    edges = logical_edges(part)[:3]
     p = make_problem(part.n_logical, {}, {e: -2.0 for e in edges})
     rp = replicate(p, part)
     from anneal_rbm.samplers import AnnealParams, sample_sa
@@ -292,7 +292,7 @@ def _random_reads(seed, reads, n):
 
 def test_decode_rbm_returns_the_planted_energy_at_inexact_biases():
     part = partition_replicas(build_pegasus(4), 2)
-    inst = _inexact_instance(part.n_logical, part.logical_edges)
+    inst = _inexact_instance(part.n_logical, logical_edges(part))
     rp = replicate(inst.problem, part)
     reads = _random_reads(1, 30, rp.problem.n)
     reads[17, part.n_logical:] = inst.planted
@@ -303,7 +303,7 @@ def test_decode_rbm_returns_the_planted_energy_at_inexact_biases():
 
 def test_decode_majority_returns_the_planted_energy_at_inexact_biases():
     enc = tile_qac(build_pegasus(4))
-    inst = _inexact_instance(enc.n_logical, enc.logical_graph().active_edges)
+    inst = _inexact_instance(enc.n_logical, active_edges(enc.logical_graph()))
     qp = build_qac_problem(inst.problem, enc)
     reads = _random_reads(2, 30, qp.problem.n)
     reads[11] = np.repeat(inst.planted, 4)  # every qubit of unit u holds s_u
@@ -314,7 +314,7 @@ def test_decode_majority_returns_the_planted_energy_at_inexact_biases():
 
 def test_decode_sqa_returns_the_planted_energy_at_inexact_biases():
     part = partition_replicas(build_pegasus(4), 2)
-    inst = _inexact_instance(part.n_logical, part.logical_edges)
+    inst = _inexact_instance(part.n_logical, logical_edges(part))
     sets = [_random_reads(seed, 30, inst.problem.n) for seed in (3, 4, 5)]
     sets[1][23] = inst.planted
     sol = decode_sqa_repeat([synthetic_samples(r, inst.problem) for r in sets],

@@ -13,7 +13,7 @@ from anneal_rbm.errors import (EmbeddingInfeasibleError, FormatError,
 from anneal_rbm.topology import (apply_defects, build_chimera, build_custom,
                                  build_pegasus, canonical_edge, graph_stats,
                                  graph_to_dict)
-from conftest import two_stars_graph
+from conftest import active_edges, id_set, iso_maps, logical_edges, regions, two_stars_graph
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +35,15 @@ def test_partition_p2_k2_isomorphism_by_explicit_edge_check():
     g = build_pegasus(2)
     part = partition_replicas(g, 2)
     assert part.k == 2
-    assert part.regions[0].isdisjoint(part.regions[1])
+    first, second = regions(part)
+    assert first.isdisjoint(second)
     # pull back each region's induced active edges; the sets must coincide
     pulled = []
-    for iso in part.iso_maps:
+    for iso in iso_maps(part):
         inv = {q: v for v, q in iso.items()}
         pulled.append({canonical_edge(inv[a], inv[b])
-                       for a, b in g.active_edges if a in inv and b in inv})
-    assert pulled[0] == pulled[1] == set(part.logical_edges)
+                       for a, b in active_edges(g) if a in inv and b in inv})
+    assert pulled[0] == pulled[1] == set(logical_edges(part))
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
@@ -51,18 +52,19 @@ def test_partition_p4_verifies(g4, k):
     report = verify_partition(part, g4)
     assert report.ok, report.failures
     assert report.induced_symmetric
-    assert len(set().union(*part.regions)) == sum(len(r) for r in part.regions)
+    regs = regions(part)
+    assert len(set().union(*regs)) == sum(len(r) for r in regs)
 
 
 def test_partition_union_within_active_nodes(g4):
     part = partition_replicas(g4, 2)
-    for region in part.regions:
-        assert region <= g4.active_nodes
+    for region in regions(part):
+        assert region <= id_set(g4.active_ids)
 
 
 def test_partition_defect_excised_from_all_regions(g4):
     clean = partition_replicas(g4, 4)
-    victim = sorted(clean.regions[2])[5]
+    victim = sorted(regions(clean)[2])[5]
     defective = apply_defects(g4, [victim])
     part = partition_replicas(defective, 4)
     report = verify_partition(part, defective)
@@ -70,10 +72,11 @@ def test_partition_defect_excised_from_all_regions(g4):
     assert report.induced_symmetric
     assert part.n_logical == clean.n_logical - 1
     # the victim's image is gone from every region, not just region 2
-    inv = {q: v for v, q in clean.iso_maps[2].items()}
+    isos = iso_maps(clean)
+    inv = {q: v for v, q in isos[2].items()}
     logical_victim = inv[victim]
     for r in range(4):
-        assert clean.iso_maps[r][logical_victim] not in set().union(*part.regions)
+        assert isos[r][logical_victim] not in set().union(*regions(part))
 
 
 def test_partition_infeasible_when_too_small():
@@ -94,8 +97,9 @@ def test_verifier_detects_shared_qubit(g4):
 
 def test_verifier_detects_missing_edge(g4):
     part = partition_replicas(g4, 2)
-    a, b = min(part.logical_edges)
-    dead = canonical_edge(part.iso_maps[1][a], part.iso_maps[1][b])
+    a, b = min(logical_edges(part))
+    iso = iso_maps(part)[1]
+    dead = canonical_edge(iso[a], iso[b])
     broken = apply_defects(g4, [], [dead])
     report = verify_partition(part, broken)
     assert not report.ok and not report.edges_embedded
@@ -105,7 +109,7 @@ def test_verifier_detects_missing_edge(g4):
 def test_verifier_reports_a_collapsed_logical_edge(g4):
     # both ends of a logical edge on one qubit: a failed report, not an error
     part = partition_replicas(g4, 2)
-    a, b = min(part.logical_edges)
+    a, b = min(logical_edges(part))
     images = part.images.copy()
     images[1, b] = images[1, a]
     report = verify_partition(dataclasses.replace(part, images=images), g4)
@@ -152,15 +156,15 @@ def test_tile_qac_units_disjoint_and_hubs_adjacent(g4):
         assert not (qubits & seen)
         seen |= qubits
         for q in problem:
-            assert g4.has_edge(hub, q)
+            assert g4.has_edges(hub, q)
 
 
 def test_logical_graph_empty_and_cell():
     empty = QacEncoding(np.zeros((0, 3)), [], [], np.zeros((0, 2)), [0])
     lg = empty.logical_graph()
-    assert len(lg.nodes) == 0 and len(lg.edges) == 0
+    assert lg.node_ids.size == 0 and lg.ideal_codes.size == 0
     cell = tile_qac(build_chimera(1, 1, 4)).logical_graph()
-    assert len(cell.nodes) == 2 and len(cell.edges) == 1
+    assert cell.node_ids.size == 2 and cell.ideal_codes.size == 1
 
 
 def test_combined_k1_reduces_to_whole_graph_tiling(g4):

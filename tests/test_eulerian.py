@@ -17,7 +17,8 @@ from anneal_rbm.planted import _normalize_loops, build_loop_cover, eulerian_augm
 from anneal_rbm.topology import apply_defects, build_chimera
 
 import eulerian_reference
-from conftest import connected_graph, edge_tuples, loop_tuples, pegasus_ball
+from conftest import (active_edges, connected_graph, edge_tuples, logical_edges, loop_tuples,
+                      pegasus_ball)
 from eulerian_reference import eulerian_augment_reference, normalize_loop_reference
 
 
@@ -31,21 +32,21 @@ def assert_matches_reference(n, edges):
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_m16_partitions(pegasus16, k):
     part = partition_replicas(pegasus16, k)
-    mg = assert_matches_reference(part.n_logical, sorted(part.logical_edges))
+    mg = assert_matches_reference(part.n_logical, logical_edges(part))
     assert mg.n_added
 
 
 def test_m16_combined_structure(pegasus16):
     part = combine_qac_rbm(pegasus16, 4).rbm_partition
-    assert assert_matches_reference(part.n_logical, sorted(part.logical_edges)).n_added
+    assert assert_matches_reference(part.n_logical, logical_edges(part)).n_added
 
 
 def test_chimera_with_defects():
     g = build_chimera(6, 6, 4)
-    g = apply_defects(g, [0, 37, 90], sorted(g.edges)[5:200:17])
-    active = sorted(g.active_nodes)
+    g = apply_defects(g, [0, 37, 90], edge_tuples(g.ideal_codes, g.code_base)[5:200:17])
+    active = g.active_ids.tolist()
     relabel = {q: i for i, q in enumerate(active)}
-    edges = [(relabel[a], relabel[b]) for a, b in sorted(g.active_edges)]
+    edges = [(relabel[a], relabel[b]) for a, b in active_edges(g)]
     assert assert_matches_reference(len(active), edges).n_added
 
 
@@ -94,6 +95,6 @@ def test_normalized_loop_is_the_smallest_rotation(loop):
 
 def test_m16_loop_cover_equals_the_scanned_normalization(pegasus16):
     part = partition_replicas(pegasus16, 4)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     loops = loop_tuples(cover)
     assert loops == tuple(map(normalize_loop_reference, loops))

@@ -16,7 +16,7 @@ from anneal_rbm.ising import (IsingProblem, as_spins, energies, energy,
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import NoiseModel, solve_exact
 from anneal_rbm.topology import build_pegasus
-from conftest import spins
+from conftest import active_edges, logical_edges, regions, spins
 from energy_reference import energy_reference, solve_exact_reference
 from problem_helpers import extract_replica, from_triples, replica_of, to_triples
 
@@ -160,14 +160,14 @@ def _assert_energies_match_reference(p, read_counts, seed=0):
 @pytest.fixture(scope="module")
 def m16_replica(pegasus16):
     part = partition_replicas(pegasus16, 4)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     return replicate(generate_instance(cover, GeneratorParams(seed=5)).problem, part)
 
 
 @pytest.fixture(scope="module")
 def noisy_qac():
     enc = tile_qac(build_pegasus(8))
-    cover = build_loop_cover(enc.n_logical, sorted(enc.logical_graph().active_edges))
+    cover = build_loop_cover(enc.n_logical, active_edges(enc.logical_graph()))
     qp = build_qac_problem(generate_instance(cover, GeneratorParams(seed=6)).problem, enc)
     return NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=2).perturb(qp.problem,
                                                                        qp.placement)
@@ -233,7 +233,7 @@ def test_energies_do_not_depend_on_dict_order():
     # a planted instance's couplers are stored in loop order, and a file
     # round trip sorts them
     part = partition_replicas(build_pegasus(4), 2)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     p = generate_instance(cover, GeneratorParams(bias_large=9.7, bias_small=2.3,
                                                  seed=1)).problem
     q = problem_from_dict(problem_to_dict(p))
@@ -307,7 +307,7 @@ def p2_partition():
 
 
 def _small_problem(partition, n_vars=6, n_edges=4):
-    edges = sorted(partition.logical_edges)[:n_edges]
+    edges = logical_edges(partition)[:n_edges]
     n = max([n_vars] + [max(e) + 1 for e in edges])
     return make_problem(n, {0: 1.0}, {e: -2.0 for e in edges})
 
@@ -348,7 +348,7 @@ def test_replicate_k1_is_identity_up_to_relabeling():
     from anneal_rbm.embedding import _whole_graph_partition
     g = build_pegasus(2)
     part = _whole_graph_partition(g)
-    edges = sorted(part.logical_edges)[:5]
+    edges = logical_edges(part)[:5]
     p = make_problem(part.n_logical, {1: -1.0}, {e: 2.0 for e in edges})
     rp = replicate(p, part)
     assert rp.problem == p
@@ -356,9 +356,9 @@ def test_replicate_k1_is_identity_up_to_relabeling():
 
 
 def test_replicate_rejects_missing_coupler(p2_partition):
+    edges = set(logical_edges(p2_partition))
     absent = next((a, b) for a in range(p2_partition.n_logical)
-                  for b in range(a + 1, p2_partition.n_logical)
-                  if (a, b) not in p2_partition.logical_edges)
+                  for b in range(a + 1, p2_partition.n_logical) if (a, b) not in edges)
     bogus = make_problem(p2_partition.n_logical, {}, {absent: 1.0})
     with pytest.raises(EmbeddingInfeasibleError):
         replicate(bogus, p2_partition)
@@ -374,7 +374,7 @@ def test_replicate_placement_lands_in_regions(p2_partition):
     p = _small_problem(p2_partition)
     rp = replicate(p, p2_partition)
     for var, qubit in enumerate(rp.placement.tolist()):
-        assert qubit in p2_partition.regions[replica_of(rp, var)]
+        assert qubit in regions(p2_partition)[replica_of(rp, var)]
 
 
 def test_problem_json_round_trip():

@@ -24,6 +24,7 @@ from anneal_rbm.samplers import (AnnealParams, NoiseModel, noise_from_dict,
 from anneal_rbm.topology import (apply_defects, build_chimera, build_pegasus,
                                  defects_from_dict, graph_from_dict,
                                  graph_to_dict)
+from conftest import edge_tuples
 
 
 def _payloads():
@@ -37,7 +38,8 @@ def _payloads():
             "mean_best": -8.0, "mean_planted": -8.0, "mean_normalized": 1.0, "gsp": 1.0,
             "records": [{"instance": 0, "best": -8.0, "planted": -8.0}]}
     payloads = {
-        "graph": (graph_from_dict, graph_to_dict(apply_defects(g2, [1], [min(g2.edges)]))),
+        "graph": (graph_from_dict, graph_to_dict(apply_defects(g2, [1], edge_tuples(
+            g2.ideal_codes, g2.code_base)[:1]))),
         "defects": (defects_from_dict, {"nodes": [1, 2], "edges": [[0, 3]]}),
         "problem": (problem_from_dict, problem_to_dict(problem)),
         "partition": (partition_from_dict, partition_to_dict(part)),

@@ -17,6 +17,7 @@ from anneal_rbm.ising import make_problem, replicate
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.samplers import NoiseModel, region_biases
 from anneal_rbm.topology import build_pegasus
+from conftest import active_edges, logical_edges
 from noise_reference import perturb_reference
 
 
@@ -29,10 +30,10 @@ def assert_matches_reference(noise, p, placement):
 
 def replicated():
     part = partition_replicas(build_pegasus(4), 2)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     inst = generate_instance(cover, GeneratorParams(seed=3))
     rp = replicate(inst.problem, part)
-    return rp.problem, rp.placement, part.regions
+    return rp.problem, rp.placement, part.images
 
 
 def overlapping_bias(regions):
@@ -53,7 +54,7 @@ def test_replicated_with_overlapping_region_bias():
 def test_qac_problem():
     enc = tile_qac(build_pegasus(2))
     g = enc.logical_graph()
-    cover = build_loop_cover(enc.n_logical, sorted(g.active_edges))
+    cover = build_loop_cover(enc.n_logical, active_edges(g))
     inst = generate_instance(cover, GeneratorParams(seed=4))
     qp = build_qac_problem(inst.problem, enc, alpha=-1.0)
     assert_matches_reference(NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=12),

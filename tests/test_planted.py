@@ -19,7 +19,8 @@ from anneal_rbm.planted import (GeneratorParams, Multigraph,
                                 verify_planted)
 from anneal_rbm.samplers import solve_exact
 from anneal_rbm.topology import build_pegasus
-from conftest import connected_graph, edge_tuples, loop_tuples, pegasus_ball, spins
+from conftest import (connected_graph, edge_tuples, logical_edges, loop_tuples, pegasus_ball,
+                      spins)
 
 
 def test_augment_even_graph_unchanged():
@@ -228,7 +229,7 @@ def test_frustrated_ring_minimum_matches_formula(length, magnitude):
 def test_magnitude_frequency_tracks_p_large():
     g = build_pegasus(4)
     part = partition_replicas(g, 2)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     magnitudes = []
     seed = 0
     while len(magnitudes) < 600:

@@ -115,7 +115,7 @@ def test_m16_combined_structure(pegasus16):
 
 def test_chimera_with_defects():
     g = build_chimera(6, 6, 4)
-    g = apply_defects(g, [0, 37, 90], sorted(g.edges)[5:200:17])
+    g = apply_defects(g, [0, 37, 90], edge_tuples(g.ideal_codes, g.code_base)[5:200:17])
     cover, want = assert_cover_matches(g.active_ids.size, g.edge_ranks.T)
     assert_instances_match(cover, want)
 

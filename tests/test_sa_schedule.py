@@ -23,7 +23,7 @@ from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_insta
 from anneal_rbm.samplers import (AnnealParams, NoiseModel, _spin_levels,
                                  _sweep_plan, region_biases, sample_sa)
 from anneal_rbm.topology import build_pegasus
-from conftest import noisy_replicated, pegasus_ball
+from conftest import active_edges, logical_edges, noisy_replicated, pegasus_ball
 from sa_reference import sample_sa_reference, temperature_ladder_reference
 
 
@@ -43,7 +43,7 @@ def planted_ball(size=18, seed=5):
 def noisy_qac():
     enc = tile_qac(build_pegasus(2))
     g = enc.logical_graph()
-    cover = build_loop_cover(enc.n_logical, sorted(g.active_edges))
+    cover = build_loop_cover(enc.n_logical, active_edges(g))
     inst = generate_instance(cover, GeneratorParams(seed=4))
     qp = build_qac_problem(inst.problem, enc, alpha=-1.0)
     return qp.problem, NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=12), qp.placement
@@ -205,10 +205,10 @@ def test_temperature_ladder_equals_the_term_loop(p, sweeps):
 
 def test_temperature_ladder_on_the_noisy_m16_replica_problem(pegasus16):
     part = partition_replicas(pegasus16, 4)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     rp = replicate(generate_instance(cover, GeneratorParams(seed=5)).problem, part)
     noise = NoiseModel(sigma_h=0.05, sigma_j=0.02, chip_seed=1,
-                       region_bias=region_biases(part.regions, [0.3, -0.2, 0.1, 0.0]))
+                       region_bias=region_biases(part.images, [0.3, -0.2, 0.1, 0.0]))
     for p in (rp.problem, noise.perturb(rp.problem, rp.placement)):
         assert_ladder_matches_reference(p, AnnealParams(sweeps=100))
 

@@ -17,7 +17,7 @@ from anneal_rbm.samplers import (AnnealParams, NoiseModel, SampleSet,
                                  region_biases, sample_sa, sampleset_from_dict,
                                  sampleset_to_dict, solve_exact)
 from anneal_rbm.topology import build_pegasus
-from conftest import noisy_replicated, pegasus_ball
+from conftest import logical_edges, noisy_replicated, pegasus_ball
 from noise_reference import perturb_reference
 
 
@@ -126,8 +126,8 @@ def test_noise_region_bias_delta_exact():
     g = build_pegasus(4)
     part = partition_replicas(g, 2)
     deltas = [0.25, -0.5]
-    nm = NoiseModel(chip_seed=1, region_bias=region_biases(part.regions, deltas))
-    edges = sorted(part.logical_edges)[:4]
+    nm = NoiseModel(chip_seed=1, region_bias=region_biases(part.images, deltas))
+    edges = logical_edges(part)[:4]
     p = make_problem(part.n_logical, {}, {e: -2.0 for e in edges})
     rp = replicate(p, part)
     pert = nm.perturb(rp.problem, rp.placement)
@@ -137,6 +137,16 @@ def test_noise_region_bias_delta_exact():
         assert pert.h.get(n_l + v, 0.0) == -0.5
         # identical logical variable, different regions: offsets differ by the delta
         assert pert.h.get(v, 0.0) - pert.h.get(n_l + v, 0.0) == 0.75
+
+
+def test_region_biases_from_partition_images_round_trip():
+    # the rows of images are int64 arrays; a region of np.int64 ids made
+    # dumps raise TypeError
+    part = partition_replicas(build_pegasus(4), 2)
+    nm = NoiseModel(sigma_h=0.05, chip_seed=1, region_bias=region_biases(part.images, [0.5, -1]))
+    assert [sorted(q) for q, _ in nm.region_bias] == np.sort(part.images, axis=1).tolist()
+    assert all(type(v) is int for q, _ in nm.region_bias for v in q)
+    assert noise_from_dict(json.loads(dumps(noise_to_dict(nm)))) == nm
 
 
 def test_noise_drops_couplers_that_underflow_to_zero():

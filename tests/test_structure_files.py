@@ -16,6 +16,7 @@ import random
 
 from anneal_rbm.cli import main
 from anneal_rbm.topology import build_chimera, build_pegasus
+from conftest import edge_tuples
 
 
 def _sha256(path) -> str:
@@ -26,8 +27,9 @@ def defect_mask(g, seed: int, qubits: int, couplers: int) -> dict:
     """A reproducible mask of ``qubits`` dead qubits and ``couplers`` dead
     couplers of the ideal graph ``g``."""
     r = random.Random(seed)
-    return {"nodes": sorted(r.sample(sorted(g.nodes), qubits)),
-            "edges": [list(e) for e in sorted(r.sample(sorted(g.edges), couplers))]}
+    return {"nodes": sorted(r.sample(g.node_ids.tolist(), qubits)),
+            "edges": [list(e) for e in
+                      sorted(r.sample(edge_tuples(g.ideal_codes, g.code_base), couplers))]}
 
 
 def graph_file(tmp_path, build, mask: dict | None = None):

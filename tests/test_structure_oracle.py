@@ -21,6 +21,8 @@ from anneal_rbm.jsonio import dumps
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.topology import (apply_defects, build_chimera, build_pegasus,
                                  canonical_edge, graph_from_dict, graph_to_dict)
+from conftest import (active_edges, adjacency, edge_tuples, id_set, iso_maps, logical_edges,
+                      regions)
 from structure_reference import (active_edges_reference, active_nodes_reference,
                                  build_chimera_reference, build_pegasus_reference,
                                  combine_qac_rbm_reference, encoding_reference,
@@ -39,8 +41,8 @@ def masked_pegasus(draw):
     m = draw(st.integers(2, 6))
     g = build_pegasus(m)
     r = random.Random(draw(st.integers(0, 2**32 - 1)))
-    nodes = r.sample(sorted(g.nodes), draw(st.integers(0, min(12, len(g.nodes)))))
-    edges = r.sample(sorted(g.edges), draw(st.integers(0, 20)))
+    nodes = r.sample(g.node_ids.tolist(), draw(st.integers(0, min(12, g.node_ids.size))))
+    edges = r.sample(edge_tuples(g.ideal_codes, g.code_base), draw(st.integers(0, 20)))
     return apply_defects(g, nodes, edges)
 
 
@@ -49,8 +51,9 @@ def masked_chimera(draw):
     """A Chimera graph of up to 3 x 3 cells with a random defect mask."""
     g = build_chimera(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4)))
     r = random.Random(draw(st.integers(0, 2**32 - 1)))
-    nodes = r.sample(sorted(g.nodes), draw(st.integers(0, min(6, len(g.nodes)))))
-    edges = r.sample(sorted(g.edges), draw(st.integers(0, min(6, len(g.edges)))))
+    nodes = r.sample(g.node_ids.tolist(), draw(st.integers(0, min(6, g.node_ids.size))))
+    edges = r.sample(edge_tuples(g.ideal_codes, g.code_base),
+                     draw(st.integers(0, min(6, g.ideal_codes.size))))
     return apply_defects(g, nodes, edges)
 
 
@@ -59,30 +62,19 @@ def assert_sorted_frozen(a):
     assert np.all(a[1:] > a[:-1])
 
 
-def assert_graph_views_equal_arrays(g):
-    """Each set view of a graph is its arrays, decoded one element at a time."""
-    base = g.code_base
-    for a in (g.node_ids, g.ideal_codes, g.defect_ids, g.defect_codes):
-        assert_sorted_frozen(a)
-    assert base == max(g.node_ids.tolist(), default=-1) + 1
-    assert g.nodes == set(g.node_ids.tolist())
-    assert g.defect_nodes == set(g.defect_ids.tolist())
-    assert g.active_nodes == set(g.active_ids.tolist()) == g.nodes - g.defect_nodes
-    assert g.edges == {divmod(c, base) for c in g.ideal_codes.tolist()}
-    assert g.defect_edges == {divmod(c, base) for c in g.defect_codes.tolist()}
-    assert g.active_edges == {divmod(c, base) for c in g.edge_codes.tolist()}
-    assert g.active_edges == active_edges_reference(g)
-    adjacency = {v: [] for v in g.active_nodes}
-    for a, b in sorted(g.active_edges):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    assert g.adjacency == {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-
-
 @ORACLE
 @given(masked_pegasus() | masked_chimera())
-def test_graph_views_equal_their_arrays(g):
-    assert_graph_views_equal_arrays(g)
+def test_graph_arrays_equal_reference(g):
+    for a in (g.node_ids, g.ideal_codes, g.defect_ids, g.defect_codes):
+        assert_sorted_frozen(a)
+    assert g.code_base == max(g.node_ids.tolist(), default=-1) + 1
+    assert id_set(g.active_ids) == active_nodes_reference(g)
+    assert set(active_edges(g)) == active_edges_reference(g)
+    neighbours = {v: [] for v in active_nodes_reference(g)}
+    for a, b in sorted(active_edges_reference(g)):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    assert adjacency(g) == {v: tuple(sorted(ns)) for v, ns in neighbours.items()}
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 4), (2, 3, 4), (3, 2, 2), (4, 4, 6)])
@@ -103,7 +95,7 @@ def test_tiling_equals_reference(g):
 
 @ORACLE
 @given(masked_pegasus(), st.sampled_from([1, 2, 4, 8]))
-def test_partition_views_equal_their_arrays(g, k):
+def test_partition_arrays_are_sound(g, k):
     try:
         comb = combine_qac_rbm(g, k)
     except ContractError:
@@ -114,11 +106,12 @@ def test_partition_views_equal_their_arrays(g, k):
         assert part.images.shape == (part.k, n) == (k, n)
         assert part.images.dtype == np.int64 and not part.images.flags.writeable
         assert_sorted_frozen(part.edge_codes)
-        assert part.logical_edges == {divmod(c, n) for c in part.edge_codes.tolist()}
-        assert part.iso_maps == tuple({v: int(q) for v, q in enumerate(row)}
-                                      for row in part.images)
-        assert part.regions == tuple(frozenset(map(int, row)) for row in part.images)
-        assert_graph_views_equal_arrays(part.logical_graph())
+        lg = part.logical_graph()
+        for a in (lg.node_ids, lg.ideal_codes, lg.defect_ids, lg.defect_codes):
+            assert_sorted_frozen(a)
+        assert lg.node_ids.tolist() == list(range(n)) and lg.code_base == n
+        assert np.array_equal(lg.edge_codes, part.edge_codes)
+        assert set(active_edges(lg)) == active_edges_reference(lg)
 
 
 def outcome(fn, *args):
@@ -144,8 +137,8 @@ def test_graph_round_trip_equals_reference(g):
     data = json.loads(dumps(payload))
     loaded = graph_from_dict(data)
     assert loaded == graph_from_dict_reference(data) == g
-    assert loaded.active_nodes == active_nodes_reference(g) == g.active_nodes
-    assert loaded.active_edges == active_edges_reference(g) == g.active_edges
+    assert id_set(loaded.active_ids) == active_nodes_reference(g) == id_set(g.active_ids)
+    assert set(active_edges(loaded)) == active_edges_reference(g) == set(active_edges(g))
     assert graph_to_dict(loaded) == payload
 
 
@@ -175,23 +168,24 @@ def _corruptions(part, g, r: random.Random):
         images[last] = row
         return dataclasses.replace(part, images=images)
 
-    q = r.choice(sorted(part.regions[0]))
+    q = r.choice(sorted(regions(part)[0]))
     yield part, g, "intact"
     shared = part.images[last].copy()
     shared[r.randrange(part.n_logical)] = q
     yield with_last_map(shared), g, "shared"
-    if part.logical_edges:
-        a, b = r.choice(sorted(part.logical_edges))
-        iso = part.iso_maps[r.randrange(part.k)]
+    isos = iso_maps(part)
+    if part.edge_codes.size:
+        a, b = r.choice(logical_edges(part))
+        iso = isos[r.randrange(part.k)]
         yield part, apply_defects(g, [], [canonical_edge(iso[a], iso[b])]), "coupler"
     v = r.randrange(part.n_logical)
-    yield part, apply_defects(g, [part.iso_maps[last][v]]), "qubit"
+    yield part, apply_defects(g, [isos[last][v]]), "qubit"
     if part.n_logical > 1:
         v, w = r.sample(range(part.n_logical), 2)
         collapsed = part.images[last].copy()
         collapsed[v] = collapsed[w]
         yield with_last_map(collapsed), g, "iso"
-        dead = [part.iso_maps[last][v], part.iso_maps[last][w]]
+        dead = [isos[last][v], isos[last][w]]
         yield with_last_map(part.images[last, ::-1]), apply_defects(g, dead), "reversed"
 
 
@@ -223,7 +217,7 @@ def test_each_corruption_is_reported():
 def m16_replica_problem():
     g = build_pegasus(16)
     part = partition_replicas(g, 4)
-    cover = build_loop_cover(part.n_logical, sorted(part.logical_edges))
+    cover = build_loop_cover(part.n_logical, logical_edges(part))
     return replicate(generate_instance(cover, GeneratorParams(seed=5)).problem, part).problem
 
 

@@ -1,25 +1,27 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anneal_rbm.errors import InvalidParameterError
+from anneal_rbm.errors import FormatError, InvalidParameterError
 from anneal_rbm.jsonio import read_json, write_json
 from anneal_rbm.topology import (apply_defects, build_chimera, build_custom,
                                  build_pegasus, graph_from_dict, graph_stats,
                                  graph_to_dict, pegasus_coords, pegasus_index)
+from conftest import active_edges, edge_tuples, id_set
 
 
 def test_pegasus_node_counts():
-    assert len(build_pegasus(2).nodes) == 48
-    assert len(build_pegasus(16).nodes) == 5760
+    assert build_pegasus(2).node_ids.size == 48
+    assert build_pegasus(16).node_ids.size == 5760
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=2, max_value=8))
 def test_pegasus_node_count_formula(m):
-    assert len(build_pegasus(m).nodes) == 24 * m * (m - 1)
+    assert build_pegasus(m).node_ids.size == 24 * m * (m - 1)
 
 
 def test_pegasus_rejects_small_m():
@@ -34,10 +36,10 @@ def test_pegasus_max_degree_is_15():
 
 def test_pegasus_m16_with_133_dead_qubits_has_5627_active():
     g = build_pegasus(16)
-    mask = sorted(g.nodes)[::43][:133]
+    mask = g.node_ids.tolist()[::43][:133]
     assert len(mask) == 133
     masked = apply_defects(g, mask)
-    assert len(masked.active_nodes) == 5627
+    assert masked.active_ids.size == 5627
 
 
 def test_pegasus_coordinate_round_trip():
@@ -61,7 +63,7 @@ def test_chimera_two_cells_vertical():
 
 def test_chimera_k11():
     g = build_chimera(1, 1, 1)
-    assert (len(g.nodes), len(g.edges)) == (2, 1)
+    assert (g.node_ids.size, g.ideal_codes.size) == (2, 1)
 
 
 def test_chimera_rejects_bad_params():
@@ -76,17 +78,18 @@ def test_apply_defects_empty_mask_is_identity():
 
 def test_apply_defects_node_removes_incident_edges():
     g = build_pegasus(2)
-    node = max(g.active_nodes, key=g.degree)
-    d = g.degree(node)
+    degrees = np.diff(g.neighbors[0])
+    node, d = int(g.active_ids[degrees.argmax()]), int(degrees.max())
     masked = apply_defects(g, [node])
-    assert len(masked.active_edges) == len(g.active_edges) - d
-    assert node not in masked.active_nodes
+    assert masked.edge_codes.size == g.edge_codes.size - d
+    assert node not in id_set(masked.active_ids)
 
 
 def test_apply_defects_idempotent():
     g = build_pegasus(2)
-    once = apply_defects(g, [3, 5], [tuple(sorted(next(iter(g.edges))))])
-    twice = apply_defects(once, [3, 5], [tuple(sorted(next(iter(g.edges))))])
+    edge = edge_tuples(g.ideal_codes, g.code_base)[0]
+    once = apply_defects(g, [3, 5], [edge])
+    twice = apply_defects(once, [3, 5], [edge])
     assert once == twice
 
 
@@ -114,13 +117,14 @@ def test_graph_stats_empty():
 
 def test_edges_only_connect_active_nodes():
     g = apply_defects(build_pegasus(2), [10, 20])
-    for a, b in g.active_edges:
-        assert a in g.active_nodes and b in g.active_nodes
+    active = id_set(g.active_ids)
+    for a, b in active_edges(g):
+        assert a in active and b in active
 
 
 def test_serialization_round_trip_bit_exact(tmp_path):
     base = build_pegasus(2)
-    g = apply_defects(base, [1, 2], [min(base.edges)])
+    g = apply_defects(base, [1, 2], [edge_tuples(base.ideal_codes, base.code_base)[0]])
     path = tmp_path / "g.json"
     write_json(graph_to_dict(g), str(path))
     g2 = graph_from_dict(read_json(str(path)))
@@ -136,3 +140,12 @@ def test_graph_dict_schema():
     assert set(d) == {"family", "params", "nodes", "edges", "defects"}
     assert d["defects"] == {"nodes": [], "edges": []}
     assert graph_from_dict(json.loads(json.dumps(d))) == g
+
+
+@pytest.mark.parametrize("g, params", [(build_pegasus(2), {"m": True}),
+                                       (build_chimera(1, 1, 1), {"rows": 1, "cols": 1,
+                                                                 "shore": True})])
+def test_graph_family_params_must_be_json_integers(g, params):
+    # a bool is an int to isinstance: {"m": true} loaded as m=1
+    with pytest.raises(FormatError):
+        graph_from_dict({**graph_to_dict(g), "params": params})
