@@ -49,14 +49,25 @@ def _fingerprint(value):
     return value
 
 
-def _count(text: str, low: int = 1) -> int:
+def _count(text: str, low: int = 1, high: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
     return value
+
+
+# streams take their seed modulo 2**64, so a seed outside 0..2**64 - 1 would
+# draw what one inside draws, under a different meta seed
+_SEED_MAX = 2**64 - 1
+
+
+def _seed(text: str) -> int:
+    return _count(text, 0, _SEED_MAX)
 
 
 def _config_hash(ns: argparse.Namespace) -> str:
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--shore", type=int)
     tb.add_argument("--defects", help="JSON defect mask {nodes:[], edges:[[a,b]]}")
     tb.add_argument("--out", required=True)
-    tb.add_argument("--seed", type=int, default=None)
+    tb.add_argument("--seed", type=_seed, default=None)
     tb.set_defaults(func=_cmd_topology_build)
     ts = topo_sub.add_parser("stats", help="print node/edge/degree statistics")
     ts.add_argument("graph")
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--graph", required=True)
     emb.add_argument("--k", type=int, default=4)
     emb.add_argument("--out", required=True)
-    emb.add_argument("--seed", type=int, default=None)
+    emb.add_argument("--seed", type=_seed, default=None)
     emb.set_defaults(func=_cmd_embed)
 
     gen = sub.add_parser("generate", help="generate planted frustrated-loop instances")
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--bias", default="10,2", help="LARGE,SMALL magnitudes")
     gen.add_argument("--p", type=float, default=0.08,
                      help="probability of the large magnitude per loop")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--count", type=_count, default=10)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=_cmd_generate)
@@ -295,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--reads", type=_count, default=100)
     smp.add_argument("--sweeps", type=_count, default=1000)
     smp.add_argument("--noise", help="noise model file")
-    smp.add_argument("--seed", type=int, default=0)
+    smp.add_argument("--seed", type=_seed, default=0)
     smp.add_argument("--out", required=True)
     smp.set_defaults(func=_cmd_sample)
 
     sx = sub.add_parser("solve-exact", help="exhaustive minimum for small problems")
     sx.add_argument("--problem", required=True)
-    sx.add_argument("--cap", type=int, default=24)
+    sx.add_argument("--cap", type=lambda text: _count(text, 0), default=24)
     sx.add_argument("--max-minimizers", dest="max_minimizers", default=64,
                     type=lambda text: _count(text, 0))
     sx.set_defaults(func=_cmd_solve_exact)
@@ -318,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--include-penalty", action="store_true",
                      help="let the penalty hub vote (ties fall back to problem qubits)")
     dec.add_argument("--out", required=True)
-    dec.add_argument("--seed", type=int, default=None)
+    dec.add_argument("--seed", type=_seed, default=None)
     dec.set_defaults(func=_cmd_decode)
 
     exp = sub.add_parser("experiment", help="run a full study from a config file")
     exp.add_argument("study", choices=("qac", "scaling"))
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    exp.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     exp.set_defaults(func=_cmd_experiment)
 
     rep = sub.add_parser("report", help="re-render an experiment report")
@@ -342,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.command == "generate" and ns.seed + ns.count - 1 > _SEED_MAX:
+            parser.error(f"generate --seed {ns.seed} --count {ns.count}: instance i "
+                         f"is drawn with seed --seed + i, which must stay <= {_SEED_MAX}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

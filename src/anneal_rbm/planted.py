@@ -306,13 +306,14 @@ def generate_instance(cover: LoopCover, params: GeneratorParams,
 
     pick = rng.stream(params.seed, rng.STREAM_SELECT)
     selected = frozen(np.sort(pick.choice(n_loops, size=n_select, replace=False)))
-    magnitudes, flips = [], []
-    for length, loop_rng in zip(cover.lengths[selected].tolist(),
-                                rng.streams(params.seed, rng.STREAM_LOOP, selected)):
-        magnitudes.append(params.bias_large if loop_rng.random() < params.p_large
-                          else params.bias_small)
-        flips.append(int(loop_rng.integers(length)) if length >= 3 else -1)
-    magnitudes, flips = frozen(magnitudes, np.float64), frozen(flips)
+    # each loop's stream draws random() and then, for a loop of length >= 3,
+    # integers(length); a shorter loop's pick is drawn last and dropped
+    lengths = cover.lengths[selected]
+    uniforms, picks = rng.random_then_integers(params.seed, rng.STREAM_LOOP,
+                                               selected, lengths)
+    magnitudes = frozen(np.where(uniforms < params.p_large, params.bias_large,
+                                 params.bias_small), np.float64)
+    flips = frozen(np.where(lengths >= 3, picks, -1))
 
     codes, values = clause_couplers(cover, planted, selected, magnitudes, flips)
     # the planted state breaks only the flipped couplings, so its energy is

@@ -80,9 +80,12 @@ class NoiseModel:
 
     Qubit q's offset is one normal draw from the stream (chip_seed,
     STREAM_NOISE_H, q), and the factor of a coupler on qubits qa < qb one
-    from (chip_seed, STREAM_NOISE_J, qa, qb).  `perturb` seeds all of a
-    call's streams in one batch (`rng.streams`); its values equal those of
-    building each keyed stream alone with `rng.stream`.
+    from (chip_seed, STREAM_NOISE_J, qa, qb).  `perturb` takes all of a
+    call's draws from `rng.normals`, which computes each stream's first
+    PCG64 word in array passes and maps it through numpy's ziggurat fast
+    path; the ~1.5% of keys that leave it draw from generators built by
+    `rng.streams`.  Its values equal those of building each keyed stream
+    alone with `rng.stream` and drawing from it.
     """
 
     sigma_h: float = 0.0
@@ -112,8 +115,7 @@ class NoiseModel:
         with np.errstate(over="ignore"):  # IsingProblem refuses a term that overflows
             off = np.zeros(p.n)
             if self.sigma_h:
-                off += _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_H, qubit),
-                                self.sigma_h, p.n)
+                off += rng.normals(self.chip_seed, rng.STREAM_NOISE_H, qubit, self.sigma_h)
             for qubits, delta in self.region_bias:
                 off[np.isin(qubit, np.fromiter(qubits, dtype=np.int64))] += delta
             # each h term moves by its offset in place, and a moved spin
@@ -126,17 +128,11 @@ class NoiseModel:
             if self.sigma_j and jv.size:
                 # each coupler's qubits in increasing order
                 couplers = np.sort(qubit[np.stack([p.j_first, p.j_second], axis=1)], axis=1)
-                jv = jv * (1.0 + _normals(rng.streams(self.chip_seed, rng.STREAM_NOISE_J,
-                                                      couplers), self.sigma_j, jv.size))
+                jv = jv * (1.0 + rng.normals(self.chip_seed, rng.STREAM_NOISE_J,
+                                             couplers, self.sigma_j))
         # p is canonical, so dropping exact zeros is all make_problem would do
         hk, jk = hv != 0, jv != 0
         return IsingProblem(p.n, hi[hk], hv[hk], p.j_first[jk], p.j_second[jk], jv[jk])
-
-
-def _normals(gens, sigma: float, count: int) -> np.ndarray:
-    """One N(0, sigma) draw from each generator, in order."""
-    return np.fromiter((g.normal(0.0, sigma) for g in gens),
-                       dtype=np.float64, count=count)
 
 
 def region_biases(regions, deltas) -> tuple[tuple[frozenset[int], float], ...]:

@@ -70,6 +70,39 @@ def test_sample_count_below_one_exits_2(tmp_path, capsys, flag, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
+@pytest.mark.parametrize("argv", [
+    ["topology", "build", "--family", "pegasus", "--m", "2"],
+    ["embed", "partition", "--graph", "g.json"],
+    ["generate", "--cover-from", "g.json"],
+    ["sample", "--problem", "p.json"],
+    ["decode", "sqa", "--samples", "s.json", "--problem", "p.json"],
+    ["experiment", "scaling", "--config", "c.json"],
+], ids=lambda argv: argv[0])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, argv, seed):
+    # streams take seeds modulo 2**64: -1 would alias 2**64 - 1
+    out = tmp_path / "out"
+    assert run(*argv, "--seed", seed, "--out", str(out)) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_seeds_must_stay_within_64_bits(tmp_path, capsys):
+    # instance i is drawn with seed --seed + i
+    graph, out = tmp_path / "g.json", tmp_path / "inst"
+    assert run("topology", "build", "--family", "pegasus", "--m", "2",
+               "--out", str(graph)) == 0
+    capsys.readouterr()
+    assert run("generate", "--cover-from", str(graph), "--seed", str(2**64 - 1),
+               "--count", "2", "--out", str(out)) == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("generate", "--cover-from", str(graph), "--seed", str(2**64 - 2),
+               "--count", "2", "--out", str(out)) == 0
+    seeds = [read_json(str(out / f"instance_{i:03d}.json"))["params"]["seed"] for i in (0, 1)]
+    assert seeds == [2**64 - 2, 2**64 - 1]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bias", ["inf,2", "1e308,1e307"])
 def test_generate_non_finite_coefficients_exit_4(tmp_path, capsys, bias):
@@ -263,6 +296,16 @@ def test_solve_exact_negative_max_minimizers_exits_2(tmp_path, capsys):
     assert run("solve-exact", "--problem", str(problem), "--max-minimizers", "-1") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--max-minimizers" in captured.err
+
+
+@pytest.mark.parametrize("cap", ["-1", "ten"])
+def test_solve_exact_bad_cap_exits_2(tmp_path, capsys, cap):
+    # a negative cap used to exit 4 with "capped at n<=-1"
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
+    assert run("solve-exact", "--problem", str(problem), "--cap", cap) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--cap" in captured.err
 
 
 def test_embed_qac_and_sample_qac_decode(tmp_path):
