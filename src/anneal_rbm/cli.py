@@ -26,7 +26,7 @@ from .errors import ContractError, FormatError, InvalidParameterError
 from .experiments import (config_from_dict, emit_report, report_from_dict,
                           run_experiment)
 from .ising import problem_from_dict, replicate
-from .jsonio import dumps, read_json, write_json
+from .jsonio import SEED_MAX, dumps, read_json, write_json
 from .planted import (GeneratorParams, build_loop_cover, generate_instance,
                       instance_to_dict)
 from .samplers import (AnnealParams, import_samples, noise_from_dict,
@@ -61,13 +61,8 @@ def _count(text: str, low: int = 1, high: int | None = None) -> int:
     return value
 
 
-# streams take their seed modulo 2**64, so a seed outside 0..2**64 - 1 would
-# draw what one inside draws, under a different meta seed
-_SEED_MAX = 2**64 - 1
-
-
 def _seed(text: str) -> int:
-    return _count(text, 0, _SEED_MAX)
+    return _count(text, 0, SEED_MAX)
 
 
 def _config_hash(ns: argparse.Namespace) -> str:
@@ -353,9 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        if ns.command == "generate" and ns.seed + ns.count - 1 > _SEED_MAX:
+        if ns.command == "generate" and ns.seed + ns.count - 1 > SEED_MAX:
             parser.error(f"generate --seed {ns.seed} --count {ns.count}: instance i "
-                         f"is drawn with seed --seed + i, which must stay <= {_SEED_MAX}")
+                         f"is drawn with seed --seed + i, which must stay <= {SEED_MAX}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -10,20 +10,23 @@ codes a*n_logical + b, as `topology` stores a graph.  Partition files keep
 their ``iso_maps`` and ``regions`` keys, written from that array.
 
 QAC tilings cover a graph with vertex-disjoint K_{1,3} units (three problem
-qubits plus one penalty hub), stored as arrays too.  The combined construction
-gives k regions that each carry the same logical graph twice over: once as
+qubits plus one penalty hub), stored as arrays too; the penalty weight is the
+annealing run's alpha, not part of a tiling.  The combined construction gives
+k regions that each carry the same logical graph twice over: once as
 one-qubit-per-node (replication) and once as one-unit-per-node (penalty code).
+It stores those two forms only, not the block partition they come from, which
+for k > 1 is what `partition_replicas` returns for the same graph and k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
-from .jsonio import index_keys, integer, integer_rows, integers, loader, numbers
+from .jsonio import index_keys, integer, integer_rows, integers, loader
 from .topology import (HardwareGraph, canonical_edges, chimera_index, edge_rows,
                        frozen, graph_from_dict, unique_codes)
 
@@ -45,7 +48,6 @@ class ReplicaPartition:
 
     images: np.ndarray
     edge_codes: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "images", frozen(self.images))
@@ -54,7 +56,7 @@ class ReplicaPartition:
     def __eq__(self, other):
         if not isinstance(other, ReplicaPartition):
             return NotImplemented
-        return (self.meta == other.meta and np.array_equal(self.images, other.images)
+        return (np.array_equal(self.images, other.images)
                 and np.array_equal(self.edge_codes, other.edge_codes))
 
     k = property(lambda p: p.images.shape[0])
@@ -113,14 +115,13 @@ def partition_replicas(g: HardwareGraph, k: int) -> ReplicaPartition:
     keep = np.ones(ra.size, dtype=bool)
     for mp in maps:
         keep &= g.has_edges(mp[ra], mp[rb])
-    meta = {"m": m, "grid": [gx, gy], "block": {"dx": dx, "dy": dy, "zx": zx, "zy": zy}}
-    return ReplicaPartition(maps, ra[keep] * n + rb[keep], meta)
+    return ReplicaPartition(maps, ra[keep] * n + rb[keep])
 
 
 def _whole_graph_partition(g: HardwareGraph) -> ReplicaPartition:
     """Trivial k=1 partition: one region spanning all active qubits."""
     a, b = g.edge_ranks
-    return ReplicaPartition(g.active_ids[None], a * g.active_ids.size + b, {"grid": [1, 1]})
+    return ReplicaPartition(g.active_ids[None], a * g.active_ids.size + b)
 
 
 @dataclass
@@ -242,7 +243,6 @@ class QacEncoding:
     edge_codes: np.ndarray
     couplers: np.ndarray
     offsets: np.ndarray
-    penalty_weight: float = -1.0
 
     _ARRAYS = ("problem", "penalty", "edge_codes", "couplers", "offsets")
 
@@ -256,8 +256,8 @@ class QacEncoding:
     def __eq__(self, other):
         if not isinstance(other, QacEncoding):
             return NotImplemented
-        return self.penalty_weight == other.penalty_weight and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in self._ARRAYS)
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self._ARRAYS)
 
     n_logical = property(lambda e: e.penalty.size)
 
@@ -334,7 +334,7 @@ def _chimera_template_units(g: HardwareGraph) -> np.ndarray:
     return np.c_[probs.reshape(-1, 3)[ok], pens.ravel()[ok]]
 
 
-def tile_qac(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
+def tile_qac(g: HardwareGraph) -> QacEncoding:
     """Greedy maximal vertex-disjoint K_{1,3} tiling of the active graph.
 
     On Chimera the per-cell template is applied first (two logical qubits per
@@ -355,8 +355,7 @@ def tile_qac(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
     pair = pair[order]
     starts = np.flatnonzero(np.diff(pair, prepend=-1))
     ends = np.stack(np.divmod(g.edge_codes, g.code_base), axis=1)[keep][order]
-    return QacEncoding(units[:, :3], units[:, 3], pair[starts], ends,
-                       np.r_[starts, pair.size], penalty_weight)
+    return QacEncoding(units[:, :3], units[:, 3], pair[starts], ends, np.r_[starts, pair.size])
 
 
 def _pick_representatives(tiling: QacEncoding, shared: HardwareGraph) -> np.ndarray:
@@ -383,17 +382,15 @@ class CombinedEmbedding:
 
     Each region carries an isomorphic copy of the instance graph; a node is
     representable either as one qubit (``rbm_partition``) or as one K_{1,3}
-    unit (``encodings[r]``).
+    unit (``encodings[r]``).  Its payload holds these three fields only.
     """
 
     k: int
     encodings: tuple[QacEncoding, ...]
     rbm_partition: ReplicaPartition
-    base_partition: ReplicaPartition
 
 
-def combine_qac_rbm(g: HardwareGraph, k: int = 4,
-                    penalty_weight: float = -1.0) -> CombinedEmbedding:
+def combine_qac_rbm(g: HardwareGraph, k: int = 4) -> CombinedEmbedding:
     """Build k disjoint regions each admitting the same QAC-able instance graph.
 
     The shared block structure is tiled with K_{1,3} units once, in canonical
@@ -404,7 +401,7 @@ def combine_qac_rbm(g: HardwareGraph, k: int = 4,
     """
     base = _whole_graph_partition(g) if k == 1 else partition_replicas(g, k)
     shared = base.logical_graph()
-    tiling = tile_qac(shared, penalty_weight=penalty_weight)
+    tiling = tile_qac(shared)
     if not tiling.n_logical:
         raise EmbeddingInfeasibleError(
             f"no K_(1,3) unit fits the shared block structure (k={k})")
@@ -417,11 +414,10 @@ def combine_qac_rbm(g: HardwareGraph, k: int = 4,
     offsets = np.r_[0, np.cumsum(sizes[keep])]
     codes = tiling.edge_codes[keep]
     encodings = tuple(QacEncoding(image[tiling.problem], image[tiling.penalty], codes,
-                                  np.sort(image[ends], axis=1), offsets, penalty_weight)
+                                  np.sort(image[ends], axis=1), offsets)
                       for image in base.images)
-    rbm = ReplicaPartition(base.images[:, reps], codes, {**base.meta, "representatives": True})
-    return CombinedEmbedding(k=base.k, encodings=encodings, rbm_partition=rbm,
-                             base_partition=base)
+    return CombinedEmbedding(k=base.k, encodings=encodings,
+                             rbm_partition=ReplicaPartition(base.images[:, reps], codes))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +431,6 @@ def partition_to_dict(p: ReplicaPartition) -> dict:
         "logical_edges": edge_rows(p.edge_codes, p.n_logical),
         "iso_maps": [dict(zip(keys, row)) for row in p.images.tolist()],
         "regions": [unique_codes(row).tolist() for row in p.images],
-        "meta": p.meta,
     }
 
 
@@ -462,8 +457,7 @@ def partition_from_dict(data: dict) -> ReplicaPartition:
             continue
         images[r] = integers([iso[v] for v in domain])
     if not failures:
-        p = ReplicaPartition(images, unique_codes(pairs[:, 0] * n + pairs[:, 1]),
-                             dict(data.get("meta", {})))
+        p = ReplicaPartition(images, unique_codes(pairs[:, 0] * n + pairs[:, 1]))
         failures = [f for claim in _region_failures(p).values() for f in claim]
         failures += [f"region {r}: iso map image differs from region set"
                      for r, (reg, row) in enumerate(zip(regions, images))
@@ -480,11 +474,11 @@ def encoding_to_dict(e: QacEncoding) -> dict:
                   for qs, q in zip(e.problem.tolist(), e.penalty.tolist())],
         "logical_edges": {"{},{}".format(*pair): rows[i:j] for pair, i, j
                           in zip(edge_rows(e.edge_codes, e.n_logical), cuts, cuts[1:])},
-        "penalty_weight": e.penalty_weight,
     }
 
 
-@loader("encoding")
+# the CLI adds "meta" to every file it writes
+@loader("encoding", keys=("units", "logical_edges", "meta"))
 def encoding_from_dict(data: dict) -> QacEncoding:
     """An encoding payload; its ``"a,b"`` keys may come in any order, and
     InvalidParameterError also when one leaves 0..u-1 or the encoding breaks
@@ -501,8 +495,7 @@ def encoding_from_dict(data: dict) -> QacEncoding:
     return QacEncoding(
         integer_rows([u["problem"] for u in units], 3), integers([u["penalty"] for u in units]),
         codes[order], canonical_edges(integer_rows(list(chain.from_iterable(couplers)), 2)),
-        np.cumsum([0] + [len(cs) for cs in couplers]),
-        float(numbers([data.get("penalty_weight", -1.0)])[0]))
+        np.cumsum([0] + [len(cs) for cs in couplers]))
 
 
 def combined_to_dict(c: CombinedEmbedding) -> dict:
@@ -510,25 +503,22 @@ def combined_to_dict(c: CombinedEmbedding) -> dict:
         "k": c.k,
         "encodings": [encoding_to_dict(e) for e in c.encodings],
         "rbm_partition": partition_to_dict(c.rbm_partition),
-        "base_partition": partition_to_dict(c.base_partition),
     }
 
 
-@loader("combined-embedding")
+@loader("combined-embedding", keys=("k", "encodings", "rbm_partition", "meta"))
 def combined_from_dict(data: dict) -> CombinedEmbedding:
     """A combined payload; FormatError also when its ``k``, its number of
-    encodings and its two partitions' ``k`` disagree, or when an encoding's
+    encodings and its partition's ``k`` disagree, or when an encoding's
     units or logical edges are not ``rbm_partition``'s logical ids and edges."""
     c = CombinedEmbedding(
         k=integer(data["k"]),
         encodings=tuple(encoding_from_dict(e) for e in data["encodings"]),
-        rbm_partition=partition_from_dict(data["rbm_partition"]),
-        base_partition=partition_from_dict(data["base_partition"]))
-    if not c.k == len(c.encodings) == c.rbm_partition.k == c.base_partition.k:
+        rbm_partition=partition_from_dict(data["rbm_partition"]))
+    if not c.k == len(c.encodings) == c.rbm_partition.k:
         raise FormatError(
             f"inconsistent combined-embedding payload: k={c.k} but "
-            f"{len(c.encodings)} encodings, rbm_partition k={c.rbm_partition.k}, "
-            f"base_partition k={c.base_partition.k}")
+            f"{len(c.encodings)} encodings, rbm_partition k={c.rbm_partition.k}")
     rbm = c.rbm_partition
     for r, enc in enumerate(c.encodings):
         if enc.n_logical != rbm.n_logical or not np.array_equal(enc.edge_codes, rbm.edge_codes):
@@ -542,7 +532,7 @@ def combined_from_dict(data: dict) -> CombinedEmbedding:
 # Structure files.  A flag that names a structure file accepts the file of
 # its own kind or a combined one, and a graph flag a partition too; the keys
 # below tell the kinds apart.  Only a combined payload holds these keys:
-_COMBINED_KEYS = frozenset(("encodings", "rbm_partition", "base_partition"))
+_COMBINED_KEYS = frozenset(("encodings", "rbm_partition"))
 _ROLES = ("graph", "partition", "encoding")
 
 

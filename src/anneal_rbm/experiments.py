@@ -30,7 +30,7 @@ from .decode import build_qac_problem, decode_majority, decode_rbm, decode_sqa_r
 from .embedding import combine_qac_rbm, partition_replicas
 from .errors import InvalidParameterError
 from .ising import replicate
-from .jsonio import dumps, integer, loader, numbers
+from .jsonio import dumps, integer, loader, numbers, seed
 from .planted import GeneratorParams, build_loop_cover, generate_instance
 from .samplers import (AnnealParams, NoiseModel, noise_from_dict,
                        noise_to_dict, sample_sa)
@@ -221,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                                       p_large=cfg.p_large, beta=beta,
                                       seed=_derived_seed(cfg.seed, gen_tag, *path, ii))
                 inst = generate_instance(cover, gen)
-                quad_counts.append(len(inst.problem.j))
+                quad_counts.append(inst.problem.j_value.size)
                 anneal = _annealer(cfg, anneal_tag, *path, ii)
                 for name, method in methods.items():
                     per_method[name].append({
@@ -452,4 +452,4 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         sweeps=integer(data.get("sweeps", 1000)),
         alpha=alpha,
         noise=None if noise is None else noise_from_dict(noise),
-        seed=integer(data.get("seed", 0)))
+        seed=seed(data.get("seed", 0)))

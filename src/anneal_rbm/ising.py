@@ -9,6 +9,10 @@ every energy and every partial sum of one.  Every energy the package computes
 comes from `energies`, so equal configurations of equal problems have equal
 energies.
 
+A problem is its term arrays, kept in the order they are given; ``==``
+compares ``n`` and the terms in canonical order, h by index and J by pair,
+which is also the order `energies` sums and `problem_to_dict` writes them in.
+
 Variables are dense ids 0..n-1.  Replicated problems keep dense ids too and
 carry a placement array, the physical qubit of each variable, which is what
 the decoder and the noise model need.
@@ -20,9 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -47,9 +49,9 @@ class IsingProblem:
 
     Coefficients are finite and never zero, no index or pair repeats, and the
     sum of their magnitudes is finite.  The terms keep the order they are
-    given in, which is the order of the ``h`` and ``j`` views and the order
-    the annealer sums each local field in.  The arrays are read-only copies,
-    and ``==`` compares the views, so it ignores that order.
+    given in, which is the order the annealer sums each local field in.  The
+    arrays are read-only copies, and ``==`` compares the terms in canonical
+    order, so it ignores the stored one.
     """
 
     n: int
@@ -99,31 +101,26 @@ class IsingProblem:
             raise InvalidParameterError(
                 f"sum of |h| and |J| is {hs + js}; it must be finite")
 
-    @cached_property
-    def h(self) -> Mapping[int, float]:
-        """Read-only dict {index: value} of the h terms, in stored order."""
-        return MappingProxyType(dict(zip(self.h_index.tolist(), self.h_value.tolist())))
-
-    @cached_property
-    def j(self) -> Mapping[Pair, float]:
-        """Read-only dict {(first, second): value} of the J terms, in stored order."""
-        return MappingProxyType(dict(zip(zip(self.j_first.tolist(), self.j_second.tolist()),
-                                         self.j_value.tolist())))
-
     def __eq__(self, other):
         if not isinstance(other, IsingProblem):
             return NotImplemented
-        return self.n == other.n and self.h == other.h and self.j == other.j
+        return self.n == other.n and all(
+            map(np.array_equal, _sorted_terms(self), _sorted_terms(other)))
 
     def __reduce__(self):
-        # through the constructor: the cached views do not pickle, and an
-        # unpickled array would be writable
+        # through the constructor: an unpickled array would be writable
         return IsingProblem, (self.n, self.h_index, self.h_value, self.j_first,
                               self.j_second, self.j_value)
 
 
 _TERM_FIELDS = {"h_index": np.intp, "h_value": np.float64, "j_first": np.intp,
                 "j_second": np.intp, "j_value": np.float64}
+
+
+def _sorted_terms(p: IsingProblem) -> tuple[np.ndarray, ...]:
+    """The five term arrays with h sorted by index and J by pair."""
+    ho, jo = np.argsort(p.h_index), np.lexsort((p.j_second, p.j_first))
+    return (p.h_index[ho], p.h_value[ho], p.j_first[jo], p.j_second[jo], p.j_value[jo])
 
 
 def _refuse(bad: np.ndarray, message) -> None:
@@ -193,11 +190,10 @@ def energies(p: IsingProblem, states: np.ndarray) -> np.ndarray:
     # spin rows, and a row of +1 at index n: h term i is h_i s_i s_n
     st = np.ones((p.n + 1, reads), dtype=np.int8)
     st[:p.n] = states.T  # +-1 products are exact
-    hi, hv, ii, jj, jv = p.h_index, p.h_value, p.j_first, p.j_second, p.j_value
-    ho, jo = np.argsort(hi), np.lexsort((jj, ii))
-    first = np.concatenate([hi[ho], ii[jo]])
-    second = np.concatenate([np.full(len(hi), p.n), jj[jo]])
-    value = np.concatenate([hv[ho], jv[jo]])[:, None]
+    hi, hv, ii, jj, jv = _sorted_terms(p)
+    first = np.concatenate([hi, ii])
+    second = np.concatenate([np.full(len(hi), p.n), jj])
+    value = np.concatenate([hv, jv])[:, None]
 
     # blocks of `width` reads (and the zero column) by `rows` terms (and the sums row)
     width = max(1, min(reads, _ENERGY_BUDGET // 2))
@@ -277,12 +273,11 @@ def replicate(p: IsingProblem, partition: "ReplicaPartition") -> ReplicatedProbl
 def problem_to_dict(p: IsingProblem) -> dict:
     """The problem's payload: h keyed by ``"i"``, J by ``"a,b"``, each
     sorted by index."""
-    ho, jo = np.argsort(p.h_index), np.lexsort((p.j_second, p.j_first))
+    hi, hv, a, b, jv = _sorted_terms(p)
     return {
         "n": p.n,
-        "h": dict(zip(map(str, p.h_index[ho].tolist()), p.h_value[ho].tolist())),
-        "J": dict(zip(map("{},{}".format, p.j_first[jo].tolist(), p.j_second[jo].tolist()),
-                      p.j_value[jo].tolist())),
+        "h": dict(zip(map(str, hi.tolist()), hv.tolist())),
+        "J": dict(zip(map("{},{}".format, a.tolist(), b.tolist()), jv.tolist())),
     }
 
 

@@ -180,6 +180,19 @@ def integer(value) -> int:
     return value
 
 
+# streams take their seed modulo 2**64, so a seed outside 0..SEED_MAX would
+# draw what one inside draws, under a different recorded seed
+SEED_MAX = 2**64 - 1
+
+
+def seed(value) -> int:
+    """``value`` if it is a JSON integer in 0..SEED_MAX, else TypeError or
+    ValueError."""
+    if not 0 <= integer(value) <= SEED_MAX:
+        raise ValueError(f"a seed must lie in 0..{SEED_MAX}, got {value}")
+    return value
+
+
 def integers(values) -> list:
     """``values`` if it is a JSON list of integers, else TypeError; checked
     by the types of its items, so a long id list costs one C-level pass."""

@@ -328,16 +328,6 @@ def generate_instance(cover: LoopCover, params: GeneratorParams,
                            planted_energy=energy(problem, planted), cover=cover)
 
 
-def clause_minimum(length: int, magnitude: float, flipped: bool) -> float:
-    """Analytic minimum of one loop clause.
-
-    A frustrated cycle must violate at least one coupling, each violation
-    costing 2 * magnitude, so the best achievable is -(L-2) * magnitude; an
-    unfrustrated (ferromagnetic) clause reaches -L * magnitude.
-    """
-    return -(length - 2) * magnitude if flipped else -length * magnitude
-
-
 @dataclass
 class PlantedReport:
     ok: bool

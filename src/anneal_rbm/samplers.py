@@ -36,7 +36,7 @@ from . import rng
 from .errors import (DimensionMismatchError, FormatError,
                      InvalidParameterError)
 from .ising import IsingProblem, as_spins, energies, problem_hash
-from .jsonio import integer, integers, loader, numbers, read_json
+from .jsonio import integers, loader, numbers, read_json, seed
 
 log = logging.getLogger(__name__)
 
@@ -161,7 +161,7 @@ def noise_from_dict(data: dict) -> NoiseModel:
     sigma_h, sigma_j = numbers([data.get("sigma_h", 0.0), data.get("sigma_j", 0.0)])
     return NoiseModel(
         sigma_h=float(sigma_h), sigma_j=float(sigma_j),
-        chip_seed=integer(data.get("chip_seed", 0)),
+        chip_seed=seed(data.get("chip_seed", 0)),
         region_bias=tuple((frozenset(integers(rb["qubits"])), float(numbers([rb["delta"]])[0]))
                           for rb in data.get("region_bias", ())))
 

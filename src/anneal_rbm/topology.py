@@ -34,13 +34,6 @@ PEGASUS_VERTICAL_OFFSETS = (2, 2, 2, 2, 6, 6, 6, 6, 10, 10, 10, 10)
 PEGASUS_HORIZONTAL_OFFSETS = (6, 6, 6, 6, 10, 10, 10, 10, 2, 2, 2, 2)
 
 
-def canonical_edge(a: int, b: int) -> Edge:
-    """Order an edge's endpoints; self-loops are rejected."""
-    if a == b:
-        raise InvalidParameterError(f"self-loop on node {a}")
-    return (a, b) if a < b else (b, a)
-
-
 def frozen(values, dtype=np.int64) -> np.ndarray:
     """``values`` as a read-only array, int64 unless ``dtype`` says otherwise."""
     a = np.asarray(values, dtype=dtype)
@@ -310,7 +303,7 @@ def _node_ids(nodes: list) -> np.ndarray:
 
 def canonical_edges(pairs: np.ndarray) -> np.ndarray:
     """An (E, 2) array of edge endpoints with the lower id first;
-    InvalidParameterError, as canonical_edge raises it, for a self-loop."""
+    InvalidParameterError for a self-loop."""
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     loops = np.flatnonzero(lo == hi)
     if loops.size:

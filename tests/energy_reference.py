@@ -17,6 +17,7 @@ import numpy as np
 from anneal_rbm.errors import InvalidParameterError
 from anneal_rbm.ising import IsingProblem, as_spins
 from anneal_rbm.samplers import _EXACT_HARD_CAP, ExactSolution
+from problem_helpers import h_terms, j_terms
 
 
 def energy_reference(p: IsingProblem, s: np.ndarray) -> float:
@@ -24,9 +25,9 @@ def energy_reference(p: IsingProblem, s: np.ndarray) -> float:
     s = as_spins(s, p.n)
     total = 0.0
     sf = s.astype(np.float64)
-    for i, v in p.h.items():
+    for i, v in h_terms(p).items():
         total += v * sf[i]
-    for (a, b), v in p.j.items():
+    for (a, b), v in j_terms(p).items():
         total += v * sf[a] * sf[b]
     return float(total)
 
@@ -51,8 +52,8 @@ def solve_exact_reference(p: IsingProblem, cap: int = 24,
     best = np.inf
     keep: list[np.ndarray] = []
     count = 0
-    h_items = list(p.h.items())
-    j_items = list(p.j.items())
+    h_items = list(h_terms(p).items())
+    j_items = list(j_terms(p).items())
     for base in range(0, total, chunk):
         codes = np.arange(base, min(base + chunk, total), dtype=np.uint64)
         e = np.zeros(codes.shape[0])

@@ -17,8 +17,9 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from anneal_rbm.errors import ContractError, InvalidParameterError
-from anneal_rbm.topology import Edge, canonical_edge
+from anneal_rbm.topology import Edge
 from planted_reference import Multigraph, _adjacency
+from problem_helpers import canonical_edge
 
 
 def eulerian_augment_reference(n: int, edges: Iterable[Edge]) -> Multigraph:

@@ -14,6 +14,7 @@ from anneal_rbm import rng
 from anneal_rbm.errors import InvalidParameterError
 from anneal_rbm.ising import IsingProblem, make_problem
 from anneal_rbm.samplers import NoiseModel
+from problem_helpers import h_terms, j_terms
 
 
 def perturb_reference(self: NoiseModel, p: IsingProblem,
@@ -25,7 +26,7 @@ def perturb_reference(self: NoiseModel, p: IsingProblem,
                 "placement map required when region_bias is nonempty")
         placement = {v: v for v in range(p.n)}
 
-    h: dict[int, float] = dict(p.h)
+    h: dict[int, float] = h_terms(p)
     for v in range(p.n):
         q = placement[v]
         off = 0.0
@@ -39,7 +40,7 @@ def perturb_reference(self: NoiseModel, p: IsingProblem,
             h[v] = h.get(v, 0.0) + off
 
     j: dict[tuple[int, int], float] = {}
-    for (a, b), val in p.j.items():
+    for (a, b), val in j_terms(p).items():
         if self.sigma_j:
             qa, qb = sorted((placement[a], placement[b]))
             factor = 1.0 + float(rng.stream(self.chip_seed, rng.STREAM_NOISE_J,

@@ -34,7 +34,8 @@ import numpy as np
 from anneal_rbm import rng
 from anneal_rbm.errors import ContractError, InvalidParameterError
 from anneal_rbm.ising import IsingProblem, as_spins, energy, make_problem
-from anneal_rbm.topology import Edge, canonical_edge
+from anneal_rbm.topology import Edge
+from problem_helpers import canonical_edge, j_terms
 
 
 @dataclass(frozen=True)
@@ -392,11 +393,11 @@ def verify_planted(inst: PlantedInstance, brute_cap: int = 24) -> PlantedReport:
     coupler_consistent = True
     if rebuilt is not None:
         rebuilt = {e: v for e, v in rebuilt.items() if v != 0}
-        if rebuilt != inst.problem.j:
+        stored = j_terms(inst.problem)
+        if rebuilt != stored:
             coupler_consistent = False
-            bad = sorted(set(rebuilt) ^ set(inst.problem.j))[:3]
-            bad += sorted(e for e in set(rebuilt) & set(inst.problem.j)
-                          if rebuilt[e] != inst.problem.j[e])[:3]
+            bad = sorted(set(rebuilt) ^ set(stored))[:3]
+            bad += sorted(e for e in set(rebuilt) & set(stored) if rebuilt[e] != stored[e])[:3]
             for e in bad[:3]:
                 owners = [c.loop_index for c in inst.clauses
                           if inst.cover is not None

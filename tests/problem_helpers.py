@@ -1,18 +1,35 @@
-"""Problem helpers only the tests use: a plain-text triple format, one
-replica of a replicated problem, and the variable layouts of replicated and
+"""Problem helpers only the tests use: a problem's terms as dicts, the
+ordered pair of an edge's ends, a plain-text triple format, one replica of a
+replicated problem, and the variable layouts of replicated and
 penalty-encoded problems.  The package never imports this module."""
 
 from __future__ import annotations
 
-from anneal_rbm.errors import FormatError
-from anneal_rbm.ising import IsingProblem, ReplicatedProblem, make_problem
-from anneal_rbm.topology import canonical_edge
+from anneal_rbm.errors import FormatError, InvalidParameterError
+from anneal_rbm.ising import IsingProblem, Pair, ReplicatedProblem, make_problem
+
+
+def h_terms(p: IsingProblem) -> dict[int, float]:
+    """The h terms as a dict {index: value}, in stored order."""
+    return dict(zip(p.h_index.tolist(), p.h_value.tolist()))
+
+
+def j_terms(p: IsingProblem) -> dict[Pair, float]:
+    """The J terms as a dict {(first, second): value}, in stored order."""
+    return dict(zip(zip(p.j_first.tolist(), p.j_second.tolist()), p.j_value.tolist()))
+
+
+def canonical_edge(a: int, b: int) -> Pair:
+    """Order an edge's endpoints; self-loops are rejected."""
+    if a == b:
+        raise InvalidParameterError(f"self-loop on node {a}")
+    return (a, b) if a < b else (b, a)
 
 
 def to_triples(p: IsingProblem) -> str:
     """One ``i j value`` line per term, ``i i`` for h."""
-    lines = [f"{i} {i} {v!r}" for i, v in sorted(p.h.items())]
-    lines += [f"{a} {b} {v!r}" for (a, b), v in sorted(p.j.items())]
+    lines = [f"{i} {i} {v!r}" for i, v in sorted(h_terms(p).items())]
+    lines += [f"{a} {b} {v!r}" for (a, b), v in sorted(j_terms(p).items())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -43,8 +60,8 @@ def from_triples(text: str, n: int | None = None) -> IsingProblem:
 def extract_replica(rp: ReplicatedProblem, replica: int) -> IsingProblem:
     """Restrict a replicated problem to one replica and relabel to 0..n-1."""
     base = replica * rp.n_logical
-    h = {i - base: v for i, v in rp.problem.h.items() if base <= i < base + rp.n_logical}
-    j = {(a - base, b - base): v for (a, b), v in rp.problem.j.items()
+    h = {i - base: v for i, v in h_terms(rp.problem).items() if base <= i < base + rp.n_logical}
+    j = {(a - base, b - base): v for (a, b), v in j_terms(rp.problem).items()
          if base <= a and b < base + rp.n_logical}
     return make_problem(rp.n_logical, h, j)
 

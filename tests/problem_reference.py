@@ -10,10 +10,12 @@ and the package names they import.  `build_qac_problem_reference` is
 `structure_reference.encoding_reference`) before it became array passes,
 kept the same way; its result is `QacProblemReference`, the old
 `QacProblem` with its placement dict.  `replicate_reference` reads a
-partition's logical edges and iso maps through the `conftest` helpers.  The
-tests check that the array-native problem gives equal term arrays in equal
-order, equal dict views, equal payloads and digests, and refuses exactly
-what this validation refuses.  The package never imports this module.
+partition's logical edges and iso maps through the `conftest` helpers, and
+`build_qac_problem_reference` a problem's terms through the `problem_helpers`
+ones.  The tests check that the array-native problem gives equal term arrays
+in equal order, equal term dicts, equal payloads and digests, and refuses
+exactly what this validation refuses.  The package never imports this
+module.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from anneal_rbm.embedding import ReplicaPartition
 from anneal_rbm.errors import (ContractError, EmbeddingInfeasibleError,
                                InvalidParameterError)
 from anneal_rbm.ising import IsingProblem, Pair, ReplicatedProblem, as_spins, make_problem
-from anneal_rbm.topology import canonical_edge
 from conftest import iso_maps, logical_edges
+from problem_helpers import canonical_edge, h_terms, j_terms
 from structure_reference import QacEncodingReference
 
 
@@ -190,7 +192,7 @@ def build_qac_problem_reference(logical: IsingProblem, enc: QacEncodingReference
     if logical.n > enc.n_logical:
         raise ContractError(
             f"logical problem has {logical.n} variables, encoding only {enc.n_logical} units")
-    missing = [e for e in logical.j if e not in enc.logical_edges]
+    missing = [e for e in j_terms(logical) if e not in enc.logical_edges]
     if missing:
         raise ContractError(
             f"encoding lacks logical edges {sorted(missing)[:5]}")
@@ -208,11 +210,11 @@ def build_qac_problem_reference(logical: IsingProblem, enc: QacEncodingReference
         placement[4 * u + 3] = unit.penalty_qubit
         qubit_to_var[unit.penalty_qubit] = 4 * u + 3
 
-    for i, v in logical.h.items():
+    for i, v in h_terms(logical).items():
         for copy in range(3):
             h[4 * i + copy] = v
 
-    for (a, b), v in logical.j.items():
+    for (a, b), v in j_terms(logical).items():
         couplers = enc.logical_edges[(a, b)]
         share = 3.0 * v / len(couplers)
         for qa, qb in couplers:

@@ -19,16 +19,17 @@ from anneal_rbm import rng
 from anneal_rbm.errors import InvalidParameterError
 from anneal_rbm.ising import IsingProblem, energies
 from anneal_rbm.samplers import AnnealParams, NoiseModel, SampleSet
+from problem_helpers import h_terms, j_terms
 
 _SWEEP_CHUNK_BUDGET = 4_000_000  # uniforms held in memory at once
 
 
 def temperature_ladder_reference(p: IsingProblem, params: AnnealParams) -> np.ndarray:
-    scale = [abs(v) for v in p.h.values()] + [abs(v) for v in p.j.values()]
+    scale = [abs(v) for v in h_terms(p).values()] + [abs(v) for v in j_terms(p).values()]
     site = {}
-    for i, v in p.h.items():
+    for i, v in h_terms(p).items():
         site[i] = site.get(i, 0.0) + abs(v)
-    for (a, b), v in p.j.items():
+    for (a, b), v in j_terms(p).items():
         site[a] = site.get(a, 0.0) + abs(v)
         site[b] = site.get(b, 0.0) + abs(v)
     t_hot = params.t_hot if params.t_hot is not None else max(list(site.values()) + [1.0])
@@ -59,13 +60,13 @@ def sample_sa_reference(p: IsingProblem, params: AnnealParams,
 
     # CSR neighbor structure of the annealed problem.
     nbrs: list[list[tuple[int, float]]] = [[] for _ in range(p.n)]
-    for (a, b), v in annealed.j.items():
+    for (a, b), v in j_terms(annealed).items():
         nbrs[a].append((b, v))
         nbrs[b].append((a, v))
     nb_idx = [np.array([i for i, _ in lst], dtype=np.intp) for lst in nbrs]
     nb_val = [np.array([v for _, v in lst]) for lst in nbrs]
     h_vec = np.zeros(p.n)
-    for i, v in annealed.h.items():
+    for i, v in h_terms(annealed).items():
         h_vec[i] = v
 
     reads = params.num_reads

@@ -39,9 +39,9 @@ from anneal_rbm.embedding import (CombinedEmbedding, PartitionReport, QacEncodin
 from anneal_rbm.errors import EmbeddingInfeasibleError, InvalidParameterError
 from anneal_rbm.topology import (PEGASUS_HORIZONTAL_OFFSETS,
                                  PEGASUS_VERTICAL_OFFSETS, Edge, HardwareGraph,
-                                 canonical_edge, chimera_index, pegasus_coords,
-                                 pegasus_index)
+                                 chimera_index, pegasus_coords, pegasus_index)
 from conftest import adjacency, edge_tuples, id_set, iso_maps, regions
+from problem_helpers import canonical_edge
 
 
 def _graph(family: str, params: dict, nodes, edges, defect_nodes=(),
@@ -55,11 +55,11 @@ def _graph(family: str, params: dict, nodes, edges, defect_nodes=(),
                          sorted(defect_nodes), codes(defect_edges))
 
 
-def _partition(n: int, iso_maps, logical_edges, meta: dict) -> ReplicaPartition:
+def _partition(n: int, iso_maps, logical_edges) -> ReplicaPartition:
     """The partition with these iso maps (each over 0..n-1) and logical edges."""
     images = np.array([[iso[v] for v in range(n)] for iso in iso_maps], dtype=np.int64)
     return ReplicaPartition(images.reshape(len(iso_maps), n),
-                            sorted(a * n + b for a, b in logical_edges), meta)
+                            sorted(a * n + b for a, b in logical_edges))
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,20 @@ class QacEncodingReference:
 
     units: tuple[QacUnit, ...]
     logical_edges: dict[Edge, tuple[Edge, ...]]
-    penalty_weight: float = -1.0
 
     @property
     def n_logical(self) -> int:
         return len(self.units)
 
 
-def qac_encoding(units, logical_edges, penalty_weight: float = -1.0) -> QacEncoding:
+def qac_encoding(units, logical_edges) -> QacEncoding:
     """The encoding with these units and these couplers per logical pair."""
     n, pairs = len(units), sorted(logical_edges)
     couplers = [c for e in pairs for c in logical_edges[e]]
     return QacEncoding(np.array([u.problem_qubits for u in units], dtype=np.int64).reshape(n, 3),
                        [u.penalty_qubit for u in units], [a * n + b for a, b in pairs],
                        np.array(couplers, dtype=np.int64).reshape(-1, 2),
-                       np.cumsum([0] + [len(logical_edges[e]) for e in pairs]), penalty_weight)
+                       np.cumsum([0] + [len(logical_edges[e]) for e in pairs]))
 
 
 def encoding_reference(enc: QacEncoding) -> QacEncodingReference:
@@ -100,8 +99,7 @@ def encoding_reference(enc: QacEncoding) -> QacEncodingReference:
     a, b = np.divmod(enc.edge_codes, max(enc.n_logical, 1))
     return QacEncodingReference(
         tuple(QacUnit(tuple(qs), q) for qs, q in zip(enc.problem.tolist(), enc.penalty.tolist())),
-        {e: tuple(rows[i:j]) for e, i, j in zip(zip(a.tolist(), b.tolist()), cuts, cuts[1:])},
-        enc.penalty_weight)
+        {e: tuple(rows[i:j]) for e, i, j in zip(zip(a.tolist(), b.tolist()), cuts, cuts[1:])})
 
 
 def build_pegasus_reference(m: int) -> HardwareGraph:
@@ -223,8 +221,7 @@ def partition_replicas_reference(g: HardwareGraph, k: int) -> ReplicaPartition:
                 logical_edges.add(canonical_edge(rank[a], rank[b]))
 
     iso_maps = tuple({rank[c]: mp[c] for c in alive} for mp in maps)
-    meta = {"m": m, "grid": [gx, gy], "block": {"dx": dx, "dy": dy, "zx": zx, "zy": zy}}
-    return _partition(len(alive), iso_maps, frozenset(logical_edges), meta)
+    return _partition(len(alive), iso_maps, frozenset(logical_edges))
 
 
 def _iter_block_nodes(m, vert_w, vert_z, horiz_w, horiz_z):
@@ -322,12 +319,11 @@ def verify_partition_reference(p: ReplicaPartition, g: HardwareGraph) -> Partiti
         region_edge_counts=region_edge_counts, failures=failures)
 
 
-def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
-                              penalty_weight: float = -1.0) -> CombinedEmbedding:
+def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4) -> CombinedEmbedding:
     """The combined construction for k > 1 (k = 1 uses the whole graph)."""
     base = partition_replicas_reference(g, k)
     shared = base.logical_graph()
-    tiled = tile_qac(shared, penalty_weight=penalty_weight)
+    tiled = tile_qac(shared)
     tiling = encoding_reference(tiled)
     if not tiling.units:
         raise EmbeddingInfeasibleError(
@@ -348,13 +344,11 @@ def combine_qac_rbm_reference(g: HardwareGraph, k: int = 4,
                       for u in tiling.units)
         ledges = {e: tuple(canonical_edge(iso[a], iso[b]) for a, b in tiling.logical_edges[e])
                   for e in sorted(inst_edges)}
-        encodings.append(qac_encoding(units, ledges, penalty_weight))
+        encodings.append(qac_encoding(units, ledges))
 
     rbm_maps = tuple({u: iso[reps[u]] for u in range(n_units)} for iso in iso_maps(base))
-    rbm = _partition(n_units, rbm_maps, frozenset(inst_edges),
-                     {**base.meta, "representatives": True})
-    return CombinedEmbedding(k=base.k, encodings=tuple(encodings),
-                             rbm_partition=rbm, base_partition=base)
+    rbm = _partition(n_units, rbm_maps, frozenset(inst_edges))
+    return CombinedEmbedding(k=base.k, encodings=tuple(encodings), rbm_partition=rbm)
 
 
 def build_chimera_reference(rows: int, cols: int, shore: int) -> HardwareGraph:
@@ -417,7 +411,7 @@ def _chimera_template_units_reference(g: HardwareGraph) -> tuple[list[QacUnit], 
     return units, claimed
 
 
-def tile_qac_reference(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEncoding:
+def tile_qac_reference(g: HardwareGraph) -> QacEncoding:
     if g.family == "chimera":
         units, claimed = _chimera_template_units_reference(g)
         units += _greedy_units_reference(g, claimed)
@@ -434,9 +428,7 @@ def tile_qac_reference(g: HardwareGraph, penalty_weight: float = -1.0) -> QacEnc
         if ua is None or ub is None or ua == ub:
             continue
         logical_edges.setdefault(canonical_edge(ua, ub), []).append((a, b))
-    return qac_encoding(tuple(units),
-                        {e: tuple(cs) for e, cs in sorted(logical_edges.items())},
-                        penalty_weight)
+    return qac_encoding(tuple(units), {e: tuple(cs) for e, cs in sorted(logical_edges.items())})
 
 
 def pick_representatives_reference(tiling: QacEncodingReference,

@@ -6,7 +6,9 @@ import pytest
 
 from anneal_rbm.cli import main
 from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict
+from anneal_rbm.experiments import config_from_dict
 from anneal_rbm.jsonio import dumps, read_json
+from anneal_rbm.samplers import noise_from_dict
 from anneal_rbm.topology import build_pegasus, graph_from_dict
 
 
@@ -488,8 +490,10 @@ def _encodings_with(index, **changes):
     # combined file can be at fault
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
      {**_COMBINED, "encodings": _encodings_with(1, units=5)}),
+    # a key no stage reads is refused by name, here a copy of the block
+    # partition with a malformed region list
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
-     {**_COMBINED, "base_partition": {**_COMBINED["base_partition"], "regions": 3}}),
+     {**_COMBINED, "base_partition": {**_COMBINED["rbm_partition"], "regions": 3}}),
     (["decode", "qac", "--samples", "{reads8}", "--structure", "{bad}",
       "--problem", "{uncoupled}"],
      {**_COMBINED, "encodings": _COMBINED["encodings"][:1]}),
@@ -565,6 +569,8 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{problem}", "--replicate", "{partition}", "--noise", "{bad}"],
      {"region_bias": [{"qubits": [0], "delta": "2"}]}),
     (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "beta": "1.0"}),
+    # an encoding's penalty weight is the run's alpha, so the key is refused
+    # by name, as any key the loader does not read
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
      {"units": [{"problem": [0, 1, 2], "penalty": 3}, {"problem": [4, 5, 6], "penalty": 7}],
       "logical_edges": {}, "penalty_weight": True}),
@@ -589,6 +595,12 @@ def _encodings_with(index, **changes):
      _encoding_with({8: {**_ENCODING["units"][8], "penalty": -1}})),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
      _encoding_with(pairs={"0,500": [[21, 168]]})),
+    # a stream takes its seed modulo 2**64, so -1 drew what 2**64 - 1 draws
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"], {"sigma_h": 0.5, "chip_seed": -1}),
+    (["sample", "--problem", "{problem}", "--noise", "{bad}"],
+     {"sigma_h": 0.5, "chip_seed": 2**64}),
+    (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "seed": -1}),
+    (["experiment", "qac", "--config", "{bad}"], {**_TINY, "seed": 2**64}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -614,7 +626,8 @@ def _encodings_with(index, **changes):
         "encoding-coupler-unknown-qubit", "encoding-no-couplers", "encoding-qubit-in-two-units",
         "encoding-hub-is-own-problem-qubit", "encoding-intra-unit-coupler",
         "encoding-other-pair-coupler", "encoding-repeated-coupler", "encoding-negative-qubit",
-        "encoding-key-beyond-units"])
+        "encoding-key-beyond-units", "noise-chip-seed-negative", "noise-chip-seed-2**64",
+        "config-seed-negative", "config-seed-2**64"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
@@ -632,6 +645,12 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_64_bits_load(value):
+    assert noise_from_dict({"chip_seed": value}).chip_seed == value
+    assert config_from_dict({"seed": value}).seed == value
 
 
 @pytest.mark.parametrize("family, params", [

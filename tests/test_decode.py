@@ -11,7 +11,7 @@ from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_insta
 from anneal_rbm.samplers import SampleSet
 from anneal_rbm.topology import build_chimera, build_pegasus
 from conftest import active_edges, logical_edges, spins
-from problem_helpers import penalty_slot
+from problem_helpers import h_terms, j_terms, penalty_slot
 from structure_reference import QacUnit, qac_encoding
 
 
@@ -107,8 +107,8 @@ def test_build_qac_single_unit_example():
 def test_build_qac_alpha_zero_decouples_penalty():
     enc = qac_encoding((UNIT0,), {})
     qp = build_qac_problem(make_problem(1, {0: 1.0}, {}), enc, alpha=0.0)
-    touched = set(qp.problem.h)
-    for a, b in qp.problem.j:
+    touched = set(h_terms(qp.problem))
+    for a, b in j_terms(qp.problem):
         touched.update((a, b))
     assert penalty_slot(0) not in touched
 

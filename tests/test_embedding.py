@@ -11,9 +11,9 @@ from anneal_rbm.embedding import (QacEncoding, combine_qac_rbm, combined_from_di
 from anneal_rbm.errors import (EmbeddingInfeasibleError, FormatError,
                                InvalidParameterError)
 from anneal_rbm.topology import (apply_defects, build_chimera, build_custom,
-                                 build_pegasus, canonical_edge, graph_stats,
-                                 graph_to_dict)
+                                 build_pegasus, graph_stats, graph_to_dict)
 from conftest import active_edges, id_set, iso_maps, logical_edges, regions, two_stars_graph
+from problem_helpers import canonical_edge
 
 
 @pytest.fixture(scope="module")
@@ -273,9 +273,27 @@ def test_combined_serialization_round_trip(g4):
 def test_combined_payload_whose_counts_disagree_is_rejected(g4):
     data = combined_to_dict(combine_qac_rbm(g4, 4))
     for bad in ({**data, "k": 2}, {**data, "encodings": data["encodings"][:3]},
-                {**data, "base_partition": partition_to_dict(partition_replicas(g4, 2))}):
+                {**data, "rbm_partition": partition_to_dict(partition_replicas(g4, 2))}):
         with pytest.raises(FormatError, match="inconsistent"):
             combined_from_dict(bad)
+
+
+def test_structure_loaders_name_keys_they_do_not_read(g4):
+    # a key no stage reads is refused by name; the CLI's meta is read by none
+    # but written into every file
+    data = combined_to_dict(combine_qac_rbm(g4, 4))
+    enc = data["encodings"][0]
+    meta = {"tool": "anneal-rbm"}
+    assert combined_from_dict({**data, "meta": meta}) == combined_from_dict(data)
+    assert encoding_from_dict({**enc, "meta": meta}) == encoding_from_dict(enc)
+    unread = r"unknown {} keys \['{}'\]".format
+    with pytest.raises(FormatError, match=unread("combined-embedding", "base_partition")):
+        combined_from_dict({**data, "base_partition": data["rbm_partition"]})
+    weighted = {**enc, "penalty_weight": -1.0}
+    with pytest.raises(FormatError, match=unread("encoding", "penalty_weight")):
+        encoding_from_dict(weighted)
+    with pytest.raises(FormatError, match=unread("encoding", "penalty_weight")):
+        combined_from_dict({**data, "encodings": [weighted, *data["encodings"][1:]]})
 
 
 def test_structure_from_dict_serves_each_role_from_each_file_kind(g4):

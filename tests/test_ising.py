@@ -18,7 +18,8 @@ from anneal_rbm.samplers import NoiseModel, solve_exact
 from anneal_rbm.topology import build_pegasus
 from conftest import active_edges, logical_edges, regions, spins
 from energy_reference import energy_reference, solve_exact_reference
-from problem_helpers import extract_replica, from_triples, replica_of, to_triples
+from problem_helpers import (extract_replica, from_triples, h_terms, j_terms, replica_of,
+                             to_triples)
 
 
 def test_energy_zero_problem():
@@ -52,8 +53,8 @@ def test_spins_must_be_plus_minus_one():
 
 def test_make_problem_canonicalizes():
     p = make_problem(3, {0: 0.0, 1: 2.0}, {(2, 1): 1.5, (0, 2): 0.0})
-    assert p.h == {1: 2.0}
-    assert p.j == {(1, 2): 1.5}
+    assert h_terms(p) == {1: 2.0}
+    assert j_terms(p) == {(1, 2): 1.5}
 
 
 def test_make_problem_rejects_duplicates_and_self_pairs():
@@ -113,7 +114,7 @@ def test_gauge_invariance(case):
 @given(random_problem_and_spins())
 def test_global_flip_invariance_without_fields(case):
     p, s, _ = case
-    p0 = make_problem(p.n, {}, p.j)
+    p0 = make_problem(p.n, {}, j_terms(p))
     assert energy(p0, s) == energy(p0, -s)
 
 
@@ -129,14 +130,15 @@ def _energies_float64(p, states):
     """The float64 gather-and-multiply energies computed before the int8 one."""
     sf = states.astype(np.float64)
     out = np.zeros(states.shape[0])
-    if p.j:
-        ii = np.fromiter((a for a, _ in p.j), dtype=np.intp, count=len(p.j))
-        jj = np.fromiter((b for _, b in p.j), dtype=np.intp, count=len(p.j))
-        jv = np.fromiter(p.j.values(), dtype=np.float64, count=len(p.j))
+    h, j = h_terms(p), j_terms(p)
+    if j:
+        ii = np.fromiter((a for a, _ in j), dtype=np.intp, count=len(j))
+        jj = np.fromiter((b for _, b in j), dtype=np.intp, count=len(j))
+        jv = np.fromiter(j.values(), dtype=np.float64, count=len(j))
         out += (sf[:, ii] * sf[:, jj]) @ jv
-    if p.h:
-        hi = np.fromiter(p.h.keys(), dtype=np.intp, count=len(p.h))
-        hv = np.fromiter(p.h.values(), dtype=np.float64, count=len(p.h))
+    if h:
+        hi = np.fromiter(h.keys(), dtype=np.intp, count=len(h))
+        hv = np.fromiter(h.values(), dtype=np.float64, count=len(h))
         out += sf[:, hi] @ hv
     return out
 
@@ -237,10 +239,10 @@ def test_energies_do_not_depend_on_dict_order():
     p = generate_instance(cover, GeneratorParams(bias_large=9.7, bias_small=2.3,
                                                  seed=1)).problem
     q = problem_from_dict(problem_to_dict(p))
-    assert q == p and list(q.j) != list(p.j)
+    assert q == p and list(j_terms(q)) != list(j_terms(p))
     for problem in (p, _random_coefficients()):
-        shuffled = make_problem(problem.n, dict(reversed(problem.h.items())),
-                                dict(reversed(problem.j.items())))
+        shuffled = make_problem(problem.n, dict(reversed(h_terms(problem).items())),
+                                dict(reversed(j_terms(problem).items())))
         states = _random_states(np.random.default_rng(4), 50, problem.n)
         want = energies(problem_from_dict(problem_to_dict(problem)), states)
         assert np.array_equal(energies(problem, states), want)
@@ -254,7 +256,7 @@ def test_terms_follow_the_dict_order_of_a_loaded_file(tmp_path):
     path.write_text('{"n": 12, "h": {"11": 0.5, "2": -1.25, "10": 3.0}, '
                     '"J": {"10,11": 1.5, "2,3": -0.75, "0,10": 2.0, "2,10": 0.1}}')
     p = problem_from_dict(json.loads(path.read_text()))
-    assert list(p.j) == [(10, 11), (2, 3), (0, 10), (2, 10)]
+    assert list(j_terms(p)) == [(10, 11), (2, 3), (0, 10), (2, 10)]
     hi, hv, ja, jb, jv = p.h_index, p.h_value, p.j_first, p.j_second, p.j_value
     assert hi.tolist() == [11, 2, 10] and hv.tolist() == [0.5, -1.25, 3.0]
     assert ja.tolist() == [10, 2, 0, 2] and jb.tolist() == [11, 3, 10, 10]
@@ -262,7 +264,8 @@ def test_terms_follow_the_dict_order_of_a_loaded_file(tmp_path):
     assert hi.dtype == ja.dtype == jb.dtype == np.intp
     assert hv.dtype == jv.dtype == np.float64
 
-    in_order = make_problem(p.n, dict(sorted(p.h.items())), dict(sorted(p.j.items())))
+    in_order = make_problem(p.n, dict(sorted(h_terms(p).items())),
+                            dict(sorted(j_terms(p).items())))
     states = _random_states(np.random.default_rng(6), 40, p.n)
     got = energies(p, states)
     assert np.array_equal(got, energies(in_order, states))
@@ -316,8 +319,8 @@ def test_replicate_counts(p2_partition):
     p = _small_problem(p2_partition)
     rp = replicate(p, p2_partition)
     assert rp.problem.n == 2 * p.n
-    assert len(rp.problem.j) == 2 * len(p.j)
-    assert len(rp.problem.h) == 2 * len(p.h)
+    assert len(j_terms(rp.problem)) == 2 * len(j_terms(p))
+    assert len(h_terms(rp.problem)) == 2 * len(h_terms(p))
 
 
 def test_replicate_energy_additivity(p2_partition):
@@ -333,7 +336,7 @@ def test_replicate_energy_additivity(p2_partition):
 def test_replicate_no_cross_replica_couplers(p2_partition):
     p = _small_problem(p2_partition)
     rp = replicate(p, p2_partition)
-    for a, b in rp.problem.j:
+    for a, b in j_terms(rp.problem):
         assert replica_of(rp, a) == replica_of(rp, b)
 
 

@@ -12,8 +12,7 @@ from anneal_rbm.embedding import partition_replicas
 from anneal_rbm.errors import ContractError, InvalidParameterError
 from anneal_rbm.ising import energy, gauge_transform, make_problem, problem_from_dict
 from anneal_rbm.jsonio import dumps
-from anneal_rbm.planted import (GeneratorParams, Multigraph,
-                                build_loop_cover, clause_minimum,
+from anneal_rbm.planted import (GeneratorParams, Multigraph, build_loop_cover,
                                 decompose_loops, eulerian_augment,
                                 generate_instance, instance_to_dict,
                                 verify_planted)
@@ -21,6 +20,8 @@ from anneal_rbm.samplers import solve_exact
 from anneal_rbm.topology import build_pegasus
 from conftest import (connected_graph, edge_tuples, logical_edges, loop_tuples, pegasus_ball,
                       spins)
+from planted_reference import clause_minimum
+from problem_helpers import j_terms
 
 
 def test_augment_even_graph_unchanged():
@@ -112,7 +113,7 @@ def test_single_four_loop_instance():
     params = GeneratorParams(bias_large=9, bias_small=2, p_large=0.0,
                              beta=1.0, seed=5)
     inst = generate_instance(cover, params, planted=spins(1, 1, 1, 1))
-    values = sorted(inst.problem.j.values())
+    values = sorted(j_terms(inst.problem).values())
     assert values == [-2.0, -2.0, -2.0, 2.0]
     assert inst.planted_energy == -4.0
     assert solve_exact(inst.problem).min_energy == -4.0
@@ -145,7 +146,7 @@ def test_two_cycles_are_never_flipped():
     inst = generate_instance(cover, GeneratorParams(beta=1.0, seed=3))
     assert inst.flips.tolist() == [-1, -1]
     # both couplers ferromagnetic in the planted gauge: satisfied by planted
-    for (a, b), v in inst.problem.j.items():
+    for (a, b), v in j_terms(inst.problem).items():
         assert v * inst.planted[a] * inst.planted[b] < 0
     assert verify_planted(inst).ok
 
@@ -246,8 +247,8 @@ def test_verify_detects_corrupted_coupler():
     cover = build_loop_cover(n, edges)
     inst = generate_instance(cover, GeneratorParams(beta=1.0, seed=4))
     assert verify_planted(inst).ok
-    e0 = next(iter(inst.problem.j))
-    corrupted_j = dict(inst.problem.j)
+    e0 = next(iter(j_terms(inst.problem)))
+    corrupted_j = j_terms(inst.problem)
     corrupted_j[e0] = corrupted_j[e0] + 1.0
     bad = dataclasses.replace(inst, problem=make_problem(n, {}, corrupted_j))
     report = verify_planted(bad)

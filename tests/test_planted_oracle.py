@@ -22,6 +22,7 @@ from anneal_rbm.ising import _TERM_FIELDS, make_problem
 from anneal_rbm.jsonio import dumps
 from anneal_rbm.topology import apply_defects, build_chimera
 from conftest import connected_graph, edge_tuples, loop_tuples, pegasus_ball
+from problem_helpers import j_terms
 
 
 def assert_cover_matches(n, pairs):
@@ -46,8 +47,8 @@ def damaged(inst, want):
     """(name, instance, reference instance) for the instance as generated
     and for four ways of damaging it."""
     yield "sound", inst, want
-    e0 = next(iter(inst.problem.j))
-    j = dict(inst.problem.j)
+    e0 = next(iter(j_terms(inst.problem)))
+    j = j_terms(inst.problem)
     j[e0] += 1.0
     corrupted = make_problem(inst.problem.n, {}, j)
     yield ("corrupted coupler", dataclasses.replace(inst, problem=corrupted),

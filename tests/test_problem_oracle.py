@@ -3,8 +3,8 @@
 `make_problem`, the validation of `IsingProblem`, `replicate`,
 `gauge_transform`, `problem_to_dict` and `problem_hash` must give exactly the
 term arrays of the loops in `problem_reference`, in the same order, the same
-dict views in the same key order, the same payload bytes and the same digest,
-and must refuse exactly what those loops refuse.  `build_qac_problem` must
+terms as dicts in the same key order, the same payload bytes and the same
+digest, and must refuse exactly what those loops refuse.  `build_qac_problem` must
 give the term arrays, in order, and the placement of its loop.
 """
 
@@ -29,6 +29,7 @@ from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_insta
 from anneal_rbm.samplers import NoiseModel
 from anneal_rbm.topology import build_pegasus, edge_rows
 from conftest import logical_edges
+from problem_helpers import h_terms, j_terms
 from problem_reference import (ProblemReference, build_qac_problem_reference,
                                gauge_transform_reference, make_problem_reference,
                                problem_hash_reference, problem_to_dict_reference,
@@ -45,8 +46,8 @@ def assert_same(got: IsingProblem, want: ProblemReference):
     for name, w in zip(TERM_FIELDS, terms_reference(want)):
         g = getattr(got, name)
         assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
-    assert list(got.h.items()) == list(want.h.items())
-    assert list(got.j.items()) == list(want.j.items())
+    assert list(h_terms(got).items()) == list(want.h.items())
+    assert list(j_terms(got).items()) == list(want.j.items())
     payload, want_payload = problem_to_dict(got), problem_to_dict_reference(want)
     assert [list(payload[k]) for k in ("h", "J")] == [list(want_payload[k]) for k in ("h", "J")]
     assert dumps(payload) == dumps(want_payload)
@@ -144,32 +145,38 @@ def test_stored_arrays_are_read_only_copies():
     hv, jv = np.array([1.0, -2.0]), np.array([0.5])
     p = IsingProblem(3, np.array([2, 0]), hv, np.array([0]), np.array([1]), jv)
     hv[0], jv[0] = 9.0, 9.0
-    assert p.h == {2: 1.0, 0: -2.0} and p.j == {(0, 1): 0.5}
+    assert h_terms(p) == {2: 1.0, 0: -2.0} and j_terms(p) == {(0, 1): 0.5}
     for name in TERM_FIELDS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(p, name)[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, name, np.zeros(1))
-    with pytest.raises(TypeError):
-        p.h[1] = 1.0
-    with pytest.raises(TypeError):
-        p.j[(1, 2)] = 1.0
 
 
 def test_problem_pickles_and_copies_with_read_only_arrays():
     p = make_problem(3, {2: 1.0}, {(1, 2): -2.0, (0, 1): 0.5})
-    assert p.h and p.j  # the views are cached now
     for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
-        assert q == p and list(q.j) == list(p.j)
-        assert not any(getattr(q, name).flags.writeable for name in TERM_FIELDS)
+        assert q == p
+        for name in TERM_FIELDS:  # in stored order, read-only
+            assert getattr(q, name).tolist() == getattr(p, name).tolist()
+            assert not getattr(q, name).flags.writeable
 
 
 def test_equality_ignores_term_order():
     p = make_problem(3, {0: 1.0, 2: -1.0}, {(0, 1): 2.0, (1, 2): -3.0})
     q = make_problem(3, {2: -1.0, 0: 1.0}, {(2, 1): -3.0, (0, 1): 2.0})
     assert p == q and p.j_first.tolist() != q.j_first.tolist()
-    assert p != make_problem(3, {0: 1.0, 2: -1.0}, {(0, 1): 2.0})
-    assert p != make_problem(4, {0: 1.0, 2: -1.0}, {(0, 1): 2.0, (1, 2): -3.0})
+    assert p.h_index.tolist() != q.h_index.tolist()
+    # a change in n, in a value, in which term holds a value, or a missing term
+    for other in [make_problem(3, {0: 1.0, 2: -1.0}, {(0, 1): 2.0}),
+                  make_problem(3, {0: 1.0}, {(0, 1): 2.0, (1, 2): -3.0}),
+                  make_problem(4, {0: 1.0, 2: -1.0}, {(0, 1): 2.0, (1, 2): -3.0}),
+                  make_problem(3, {0: 1.0, 2: -1.5}, {(0, 1): 2.0, (1, 2): -3.0}),
+                  make_problem(3, {0: 1.0, 2: -1.0}, {(0, 1): 2.0, (1, 2): -3.5}),
+                  make_problem(3, {0: -1.0, 2: 1.0}, {(0, 1): 2.0, (1, 2): -3.0}),
+                  make_problem(3, {0: 1.0, 2: -1.0}, {(0, 1): 2.0, (0, 2): -3.0})]:
+        assert p != other and other != p
+    assert p != (3, {0: 1.0, 2: -1.0}, {(0, 1): 2.0, (1, 2): -3.0})
 
 
 _finite = st.integers(-5, 5).filter(bool) | st.floats(-10.0, 10.0).filter(bool)
@@ -208,7 +215,7 @@ def test_m16_replica_problem_matches_reference(pegasus16):
     part = partition_replicas(pegasus16, 4)
     cover = build_loop_cover(part.n_logical, logical_edges(part))
     logical = generate_instance(cover, GeneratorParams(seed=5)).problem
-    want_logical = make_problem_reference(logical.n, logical.h, logical.j)
+    want_logical = make_problem_reference(logical.n, h_terms(logical), j_terms(logical))
     assert_same(logical, want_logical)
     rep, rep_want = replicate(logical, part), replicate_reference(want_logical, part)
     assert rep.problem.n == 5376 and len(rep.problem.j_value) == 35384
@@ -233,8 +240,8 @@ def test_build_qac_problem_equals_reference(combined, alpha):
     logical = NoiseModel(sigma_h=0.1, sigma_j=0.05, chip_seed=4).perturb(planted, None)
     assert logical.h_index.size == logical.n
     half = logical.n // 2  # a problem on the first units only
-    head = make_problem(half, {i: v for i, v in logical.h.items() if i < half},
-                        {e: v for e, v in logical.j.items() if e[1] < half})
+    head = make_problem(half, {i: v for i, v in h_terms(logical).items() if i < half},
+                        {e: v for e, v in j_terms(logical).items() if e[1] < half})
     for enc in combined.encodings:
         enc_reference = encoding_reference(enc)
         for p in (logical, head):

@@ -24,6 +24,7 @@ from anneal_rbm.samplers import (AnnealParams, NoiseModel, _spin_levels,
                                  _sweep_plan, region_biases, sample_sa)
 from anneal_rbm.topology import build_pegasus
 from conftest import active_edges, logical_edges, noisy_replicated, pegasus_ball
+from problem_helpers import h_terms, j_terms
 from sa_reference import sample_sa_reference, temperature_ladder_reference
 
 
@@ -69,8 +70,8 @@ def mixed(n=30, seed=2):
 
 def relabeled(p, seed=0):
     perm = np.random.default_rng(seed).permutation(p.n)
-    return make_problem(p.n, {int(perm[i]): v for i, v in p.h.items()},
-                        {(int(perm[a]), int(perm[b])): v for (a, b), v in p.j.items()})
+    return make_problem(p.n, {int(perm[i]): v for i, v in h_terms(p).items()},
+                        {(int(perm[a]), int(perm[b])): v for (a, b), v in j_terms(p).items()})
 
 
 def test_noiseless_planted_instance():
@@ -272,7 +273,7 @@ def test_forced_uniforms_at_the_exponent_floor(monkeypatch, zeros, budget):
 
 
 def edge_arrays(p):
-    ends = np.array(sorted(p.j), dtype=np.intp).reshape(-1, 2)
+    ends = np.array(sorted(j_terms(p)), dtype=np.intp).reshape(-1, 2)
     return ends[:, 0], ends[:, 1]
 
 
@@ -325,7 +326,8 @@ def check_plan(problem, level, budget):
     label = np.argsort(order)
     # level blocks, in level order, tile the labels 0..n-1
     bounds = [first_row(s, states) for s, *_ in levels] + [problem.n]
-    coupled = {(a, b) for a, b in problem.j} | {(b, a) for a, b in problem.j}
+    h_of, j_of = h_terms(problem), j_terms(problem)
+    coupled = {(a, b) for a, b in j_of} | {(b, a) for a, b in j_of}
     gathered, field_buffers = set(), set()
     for lv, (s, x, u, h, steps) in enumerate(levels):
         start, stop = bounds[lv], bounds[lv + 1]
@@ -333,7 +335,7 @@ def check_plan(problem, level, budget):
         assert start < stop and s.shape == (stop - start, reads)
         assert np.all(level[spins] == lv)
         assert not any((int(a), int(b)) in coupled for a in spins for b in spins)
-        assert np.array_equal(h, [[problem.h.get(int(v), 0.0)] for v in spins])
+        assert np.array_equal(h, [[h_of.get(int(v), 0.0)] for v in spins])
         # its uniforms are columns start..stop of `labelled`, one row per spin
         assert first_row(u.T, labelled.T) == start and u.shape == (stop - start, reads)
         # its fields are rows 0..width of the one field buffer, and its steps'
@@ -356,7 +358,7 @@ def check_plan(problem, level, budget):
             # in coupler order
             for spin, row, row_val in zip(order[i:j], nb, nb_val[:, :, 0]):
                 want = [(int(label[b if a == spin else a]), v)
-                        for (a, b), v in problem.j.items() if spin in (a, b)]
+                        for (a, b), v in j_of.items() if spin in (a, b)]
                 assert [(int(q), float(v)) for q, v in zip(row, row_val)] == want
             i = j
     assert len(gathered) == len(field_buffers) == 1
@@ -371,7 +373,7 @@ def test_step_fields_are_the_per_spin_products(problem, monkeypatch):
     p, noise, placement = problem()
     p = noise.perturb(p, placement)
     nbrs = [[] for _ in range(p.n)]
-    for (a, b), v in p.j.items():
+    for (a, b), v in j_terms(p).items():
         nbrs[a].append((b, v))
         nbrs[b].append((a, v))
     reads = 37

@@ -14,8 +14,12 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from anneal_rbm.cli import main
-from anneal_rbm.topology import build_chimera, build_pegasus
+from anneal_rbm.embedding import combine_qac_rbm, partition_replicas, structure_from_dict
+from anneal_rbm.jsonio import read_json
+from anneal_rbm.topology import build_chimera, build_pegasus, graph_from_dict
 from conftest import edge_tuples
 
 
@@ -68,22 +72,22 @@ def qac_file(tmp_path, graph) -> str:
 PINNED_M16 = {
     "graph": "8c39ad9cd107d53f90a217ec908e11c87486ed9c80daa4d8408f10990bb8a57a",
     "partition_k4": "30566fd3cffc1c2bbf4e7b233df3797ed867755a4505c79c70d6a42bcccb6fa4",
-    "combined_k4": "64128c61ca3bdb2d83aab7752bbb742c69b9d336964bae9bf4fcc8122a9a3c03",
+    "combined_k4": "404f57c6415c98328c173ead1db3db6d0e3e3b7d03ff6785c955a9ead4451efd",
 }
 
 PINNED_M6_DEFECTS = {
     "graph": "cd0b2586567d71db6285ccfebbf9116b75284f30cf52e7539bd2a6fec54fe343",
     "partition_k2": "021e60f37499e264fe7bae13aac24adf65e66b308c96796a92fe4243cc2e7442",
-    "combined_k2": "68d63f9702707072f24d0d9fb8d14e6ec4593e9fab1b6c8f34948f9b947ae6ad",
+    "combined_k2": "58761b75cb3630e5b016f624e171f1e70efe9455dec5319626e3f939f74db52f",
     "partition_k4": "fec23841e764ceba4f71d4639d6b347774d28874cd8847fd8712afcf4526e54b",
-    "combined_k4": "64a443cd1cf4a82239edbf095b5aa5b360b96301f918912e1f676c2dcb4f9e93",
+    "combined_k4": "c6a739382f7fc3a6d225a665f2848837b5ee40600f693470afdaba8f433c5336",
     "partition_k8": "2dada7a567028a404c5445b49fd1a5ff571fe396415109632c615876641554b3",
-    "combined_k8": "357e594267c45040cec05d40d144a47a363a8ad69fe3f125ad2164555faf0175",
+    "combined_k8": "7c5b5022662c096b844ba4dce0fcc42c1235f1c3c4e03d548b0e708e0c127cb4",
 }
 
 PINNED_QAC = {
-    "pegasus_m16": "348afdab3802975e824f508c9358ad672f4b8558a1bf369cfdd8039b5069ee9b",
-    "chimera_4x4_defects": "e807aa742ae0f2bf78dc21e1a6e7febe79192edb224f70a804cb43304148deca",
+    "pegasus_m16": "47c7f95f24daee2196770eff5c7e23383ab9deba806ddf2b901eebc79b9b4c75",
+    "chimera_4x4_defects": "2deb414b7e44a3fedc91873433126765d53ae7421bc8f1f0df190db55f6efbc6",
 }
 
 
@@ -94,6 +98,23 @@ def test_m16_structure_files_are_pinned(tmp_path):
 def test_m6_defective_structure_files_are_pinned(tmp_path):
     mask = defect_mask(build_pegasus(6), seed=2024, qubits=12, couplers=20)
     assert structure_files(tmp_path, 6, (2, 4, 8), mask) == PINNED_M6_DEFECTS
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_structure_files_load_as_what_they_were_written_from(tmp_path, k):
+    # a structure's payload holds no meta of its own, so the CLI's meta in
+    # the file leaves what loads equal to what was written
+    mask = defect_mask(build_pegasus(6), seed=2024, qubits=12, couplers=20)
+    graph = graph_file(tmp_path, ["--family", "pegasus", "--m", "6"], mask)
+    g = graph_from_dict(read_json(str(graph)))
+    comb = combine_qac_rbm(g, k)
+    written = {"partition": partition_replicas(g, k), "combined": comb.rbm_partition}
+    for kind, want in written.items():
+        out = tmp_path / f"{kind}.json"
+        assert main(["embed", kind, "--graph", str(graph), "--k", str(k),
+                     "--out", str(out)]) == 0
+        assert structure_from_dict(read_json(str(out)), "partition") == want
+    assert structure_from_dict(read_json(str(out)), "encoding") == comb.encodings[0]
 
 
 def test_qac_encoding_files_are_pinned(tmp_path):

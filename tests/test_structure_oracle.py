@@ -20,9 +20,10 @@ from anneal_rbm.ising import make_problem, problem_hash, problem_to_dict, replic
 from anneal_rbm.jsonio import dumps
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
 from anneal_rbm.topology import (apply_defects, build_chimera, build_pegasus,
-                                 canonical_edge, graph_from_dict, graph_to_dict)
+                                 graph_from_dict, graph_to_dict)
 from conftest import (active_edges, adjacency, edge_tuples, id_set, iso_maps, logical_edges,
                       regions)
+from problem_helpers import canonical_edge
 from structure_reference import (active_edges_reference, active_nodes_reference,
                                  build_chimera_reference, build_pegasus_reference,
                                  combine_qac_rbm_reference, encoding_reference,
@@ -87,8 +88,8 @@ def test_build_chimera_equals_reference(shape):
 @ORACLE
 @given(masked_pegasus() | masked_chimera())
 def test_tiling_equals_reference(g):
-    tiling = tile_qac(g, penalty_weight=-2.0)
-    assert tiling == tile_qac_reference(g, penalty_weight=-2.0)
+    tiling = tile_qac(g)
+    assert tiling == tile_qac_reference(g)
     assert (_pick_representatives(tiling, g).tolist()
             == pick_representatives_reference(encoding_reference(tiling), g))
 
@@ -100,7 +101,9 @@ def test_partition_arrays_are_sound(g, k):
         comb = combine_qac_rbm(g, k)
     except ContractError:
         return
-    for part in (comb.base_partition, comb.rbm_partition):
+    # the block partition the combined structure is derived from, and its own
+    blocks = (partition_replicas(g, k),) if k > 1 else ()
+    for part in (*blocks, comb.rbm_partition):
         assert verify_partition(part, g).ok
         n = part.n_logical
         assert part.images.shape == (part.k, n) == (k, n)
