@@ -31,9 +31,8 @@ from .planted import (GeneratorParams, build_loop_cover, generate_instance,
                       instance_to_dict)
 from .samplers import (AnnealParams, import_samples, noise_from_dict,
                        sampleset_to_dict, sample_sa, solve_exact)
-from .topology import (apply_defects, build_chimera, build_pegasus,
-                       defects_from_dict, graph_from_dict, graph_stats,
-                       graph_to_dict)
+from .topology import (BUILDERS, apply_defects, defects_from_dict, graph_from_dict,
+                       graph_stats, graph_to_dict)
 
 TOOL = "anneal-rbm"
 
@@ -118,15 +117,11 @@ def _physical(problem, method: str | None, structure: str | None, alpha: float):
 # Subcommand handlers
 
 def _cmd_topology_build(ns) -> int:
-    if ns.family == "pegasus":
-        if ns.m is None:
-            raise ContractError("pegasus graphs need --m")
-        g = build_pegasus(ns.m)
-    else:
-        missing = [f for f in ("rows", "cols", "shore") if getattr(ns, f) is None]
-        if missing:
-            raise ContractError(f"chimera graphs need --{' --'.join(missing)}")
-        g = build_chimera(ns.rows, ns.cols, ns.shore)
+    build, names = BUILDERS[ns.family]
+    missing = [name for name in names if getattr(ns, name) is None]
+    if missing:
+        raise ContractError(f"{ns.family} graphs need --{' --'.join(missing)}")
+    g = build(*(getattr(ns, name) for name in names))
     if ns.defects:
         g = apply_defects(g, *defects_from_dict(read_json(ns.defects)))
     _write_payload(graph_to_dict(g), ns.out, ns)
@@ -256,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     topo = sub.add_parser("topology", help="build and inspect hardware graphs")
     topo_sub = topo.add_subparsers(dest="action", required=True)
     tb = topo_sub.add_parser("build", help="construct a hardware graph")
-    tb.add_argument("--family", choices=("pegasus", "chimera"), required=True)
+    tb.add_argument("--family", choices=tuple(BUILDERS), required=True)
     tb.add_argument("--m", type=int, help="pegasus size")
     tb.add_argument("--rows", type=int)
     tb.add_argument("--cols", type=int)

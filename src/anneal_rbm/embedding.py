@@ -434,7 +434,8 @@ def partition_to_dict(p: ReplicaPartition) -> dict:
     }
 
 
-@loader("partition")
+# the CLI adds "meta" to every file it writes
+@loader("partition", keys=("k", "n_logical", "logical_edges", "iso_maps", "regions", "meta"))
 def partition_from_dict(data: dict) -> ReplicaPartition:
     """A partition payload; FormatError also when its ``k`` is not its
     number of regions and of iso maps, a logical edge or an iso map's

@@ -6,6 +6,11 @@ standard vendor offset lists; Chimera uses (row, col, shore, k).  A graph
 keeps its ideal qubits and couplers plus a defect mask, so coordinates stay
 valid after qubits are disabled.
 
+A graph of a builder family (``pegasus``, ``chimera``) is always its
+builder's output plus a mask, so its payload is that recipe: the family, its
+parameters and the mask.  Any other graph is a ``custom`` one, whose payload
+lists its node ids and edges.
+
 Node ids are non-negative, so an edge (a, b) with a < b has the integer code
 a*N + b, N being one more than the largest id, and sorted codes are sorted
 edges.  A graph is its sorted id and code arrays and nothing else: building,
@@ -22,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import FormatError, InvalidParameterError
 from .jsonio import integer, integer_rows, integers, loader
 
 Edge = tuple[int, int]
@@ -32,6 +37,13 @@ Edge = tuple[int, int]
 # they fix the internal-coupler pattern.
 PEGASUS_VERTICAL_OFFSETS = (2, 2, 2, 2, 6, 6, 6, 6, 10, 10, 10, 10)
 PEGASUS_HORIZONTAL_OFFSETS = (6, 6, 6, 6, 10, 10, 10, 10, 2, 2, 2, 2)
+
+# The builders refuse a shape past these, before any array is made, so a
+# graph file or a flag cannot ask for more memory than a host has.  Pegasus
+# stops at m = 209 (1,043,328 qubits, 7,789,992 couplers); a Chimera cell's
+# couplers grow as shore**2, so Chimera can reach the coupler bound first.
+MAX_QUBITS = 2**20
+MAX_COUPLERS = 2**23
 
 
 def frozen(values, dtype=np.int64) -> np.ndarray:
@@ -135,8 +147,8 @@ def build_pegasus(m: int) -> HardwareGraph:
     """
     if m < 2:
         raise InvalidParameterError(f"pegasus size m must be >= 2, got {m}")
-    n = 24 * m * (m - 1)
-    span = m - 1
+    n, span = 24 * m * (m - 1), m - 1
+    _check_size(f"pegasus m={m}", n, 12 * (15 * span**2 + m - 3))
 
     def lin(u, w, k, z):
         return z + span * (k + 12 * (w + m * u))
@@ -182,6 +194,8 @@ def build_chimera(rows: int, cols: int, shore: int) -> HardwareGraph:
         raise InvalidParameterError(
             f"chimera parameters must be >= 1, got ({rows},{cols},{shore})")
     n = rows * cols * 2 * shore
+    _check_size(f"chimera ({rows},{cols},{shore})", n,
+                shore * (rows * cols * shore + (rows - 1) * cols + rows * (cols - 1)))
     lin = partial(chimera_index, cols, shore)
     r, c, i, j = np.ix_(range(rows), range(cols), range(shore), range(shore))
     cell = (lin(r, c, 0, i), lin(r, c, 1, j))
@@ -190,6 +204,19 @@ def build_chimera(rows: int, cols: int, shore: int) -> HardwareGraph:
     horizontal = (lin(r, c[:, :-1], 1, i), lin(r, c[:, 1:], 1, i))
     return HardwareGraph("chimera", {"rows": rows, "cols": cols, "shore": shore},
                          np.arange(n), _coupler_codes(n, cell, vertical, horizontal))
+
+
+def _check_size(shape: str, qubits: int, couplers: int) -> None:
+    """InvalidParameterError for a shape past MAX_QUBITS or MAX_COUPLERS."""
+    if qubits > MAX_QUBITS or couplers > MAX_COUPLERS:
+        raise InvalidParameterError(
+            f"{shape} has {qubits} qubits and {couplers} couplers; the builders "
+            f"stop at {MAX_QUBITS} qubits and {MAX_COUPLERS} couplers")
+
+
+#: builder family -> (builder, the integer parameters it takes, in order)
+BUILDERS = {"pegasus": (build_pegasus, ("m",)),
+            "chimera": (build_chimera, ("rows", "cols", "shore"))}
 
 
 def chimera_index(cols: int, shore: int, r: int, c: int, u: int, k: int) -> int:
@@ -202,8 +229,12 @@ def build_custom(nodes: Iterable[int], edges: Iterable[Edge],
     """Arbitrary graph wrapped in the HardwareGraph interface.
 
     Used for logical graphs and for interchange with external tools; no
-    coordinate structure is implied.
+    coordinate structure is implied.  A builder family's name is refused:
+    a graph so named is its builder's output, and is written as its recipe.
     """
+    if family in BUILDERS:
+        raise InvalidParameterError(
+            f"a custom graph cannot be named {family!r}, which names build_{family}")
     ids = _node_ids(list(nodes))
     pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
     return HardwareGraph(family, {}, ids, _checked_codes(pairs, ids))
@@ -253,19 +284,22 @@ def graph_stats(g: HardwareGraph) -> GraphStats:
 
 
 def graph_to_dict(g: HardwareGraph) -> dict:
-    return {
+    """The recipe of a builder family's graph, or a custom graph's lists,
+    with the defect mask."""
+    payload = {
         "family": g.family,
         "params": dict(g.params),
-        "nodes": g.node_ids.tolist(),
-        "edges": edge_rows(g.ideal_codes, g.code_base),
         "defects": {
             "nodes": g.defect_ids.tolist(),
             "edges": edge_rows(g.defect_codes, g.code_base),
         },
     }
+    if g.family not in BUILDERS:
+        payload.update(nodes=g.node_ids.tolist(), edges=edge_rows(g.ideal_codes, g.code_base))
+    return payload
 
 
-@loader("defect mask")
+@loader("defect mask", keys=("nodes", "edges"))
 def defects_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
     """Dead node ids and (E, 2) dead edges of a ``{"nodes": [...], "edges":
     [[a, b], ...]}`` mask; a missing key masks nothing."""
@@ -273,17 +307,28 @@ def defects_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
     return np.array(integers(data.get("nodes", [])), dtype=np.int64), pairs
 
 
-#: graph family -> the integer parameters its coordinate scheme needs
-_FAMILY_PARAMS = {"pegasus": ("m",), "chimera": ("rows", "cols", "shore")}
-
-
 @loader("graph")
 def graph_from_dict(data: dict) -> HardwareGraph:
-    params = dict(data.get("params", {}))
-    for key in _FAMILY_PARAMS.get(data["family"], ()):
-        integer(params[key])
+    """A graph payload in the form its family is written in."""
+    form = _recipe_from_dict if data["family"] in BUILDERS else _custom_from_dict
+    return form(data)
+
+
+# the CLI adds "meta" to every file it writes
+@loader("graph", keys=("family", "params", "defects", "meta"))
+def _recipe_from_dict(data: dict) -> HardwareGraph:
+    build, names = BUILDERS[data["family"]]
+    params = data["params"]
+    if params.keys() != set(names):
+        raise FormatError(f"{data['family']} params are {list(names)}, got {sorted(params)}")
+    g = build(*(integer(params[name]) for name in names))
+    return apply_defects(g, *defects_from_dict(data.get("defects", {})))
+
+
+@loader("graph", keys=("family", "params", "nodes", "edges", "defects", "meta"))
+def _custom_from_dict(data: dict) -> HardwareGraph:
     ids = _node_ids(integers(data["nodes"]))
-    g = HardwareGraph(data["family"], params, ids,
+    g = HardwareGraph(data["family"], dict(data.get("params", {})), ids,
                       _checked_codes(integer_rows(data["edges"], 2), ids))
     return apply_defects(g, *defects_from_dict(data.get("defects", {})))
 

@@ -11,7 +11,9 @@ logical edge sets as before and hand them to `_graph` and `_partition`,
 which turn them into those arrays; they read a graph's or a partition's
 sets through the `conftest` helpers, which decode those arrays.
 `graph_from_dict_reference` sets the defect fields directly instead of
-checking the payload, `combine_qac_rbm_reference` covers k > 1, and
+checking the payload, and reads a Pegasus or Chimera payload, which holds
+its builder's parameters in place of node and edge lists, through the
+reference builders; `combine_qac_rbm_reference` covers k > 1, and
 `verify_partition_reference` counts a logical edge that an iso map collapses
 onto one qubit as a missing coupler instead of raising.  `build_chimera_reference`,
 `tile_qac_reference` and `pick_representatives_reference` are the Chimera
@@ -169,12 +171,19 @@ def graph_to_dict_reference(g: HardwareGraph) -> dict:
 
 
 def graph_from_dict_reference(data: dict) -> HardwareGraph:
-    """The graph a well-formed payload describes (no payload checks)."""
+    """The graph a well-formed payload describes (no payload checks): a
+    builder family's recipe through its reference builder, or a custom
+    graph's lists."""
     defects = data.get("defects", {})
+    if data["family"] in ("pegasus", "chimera"):
+        build = {"pegasus": build_pegasus_reference, "chimera": build_chimera_reference}
+        ideal = build[data["family"]](**data["params"])
+        nodes, edges = id_set(ideal.node_ids), _edge_set(ideal, ideal.ideal_codes)
+    else:
+        nodes = frozenset(int(v) for v in data["nodes"])
+        edges = frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"])
     return _graph(
-        data["family"], dict(data.get("params", {})),
-        frozenset(int(v) for v in data["nodes"]),
-        frozenset(canonical_edge(int(a), int(b)) for a, b in data["edges"]),
+        data["family"], dict(data.get("params", {})), nodes, edges,
         frozenset(int(v) for v in defects.get("nodes", ())),
         frozenset(canonical_edge(int(a), int(b)) for a, b in defects.get("edges", ())))
 

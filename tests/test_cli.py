@@ -9,7 +9,7 @@ from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict
 from anneal_rbm.experiments import config_from_dict
 from anneal_rbm.jsonio import dumps, read_json
 from anneal_rbm.samplers import noise_from_dict
-from anneal_rbm.topology import build_pegasus, graph_from_dict
+from anneal_rbm.topology import build_pegasus, edge_rows, graph_from_dict
 
 
 def run(*argv):
@@ -259,8 +259,8 @@ def test_pipeline_stage_reruns_are_byte_identical(pipeline, tmp_path):
 #: reproducibility contract: a change to how streams are seeded, noise is
 #: drawn or reads are serialized must leave these bytes alone.
 PINNED_SHA256 = {
-    "instance": "b8bc3582424087b6b6a9595e3b7fea5497f44e642edb0d32751891594665f613",
-    "samples": "dcf5ce68abe109b1f84b3579134820101ed9e7ef4a49ca5ced7bc005819870ce",
+    "instance": "a7d8eb69ce8a967f5e582d8b7f1f883cf69238f74f2ae045b7b2df53a9fe0aa2",
+    "samples": "07144d17c88773f6e6ed0066b7dd935d86ca50dbd3f0feef11f3ffc5df020312",
 }
 
 
@@ -418,7 +418,11 @@ _CELL = {"cell": {"k": 2, "bias": [10.0, 2.0], "beta": 1.0},
          "mean_best": -8.0, "mean_planted": -8.0, "mean_normalized": 1.0, "gsp": 1.0}
 _TINY = {"beta_grid": [1.0], "instances_per_cell": 1, "num_reads": 1, "sweeps": 1}
 _BUILD = ["topology", "build", "--family", "pegasus", "--m", "2"]
-_GRAPH = {"family": "pegasus", "params": {"m": 2}, "nodes": [0, 1], "edges": [[0, 1]]}
+_GRAPH = {"family": "pegasus", "params": {"m": 2}, "defects": {"nodes": [], "edges": []}}
+#: the Pegasus m=2 graph as graph files held it before they held the recipe:
+#: its 48 node ids and its 168 edges listed
+_LISTED_GRAPH = {**_GRAPH, "nodes": list(range(48)),
+                 "edges": edge_rows(build_pegasus(2).ideal_codes, 48)}
 _PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
               "iso_maps": [{"0": 0, "1": 1}, {"0": 2, "1": 3}], "regions": [[0, 1], [2, 3]]}
 #: what `embed combined --graph <pegasus m=4> --k 4` writes, without its meta
@@ -506,7 +510,7 @@ def _encodings_with(index, **changes):
      b'{"beta_grid": [1.0], "instances_per_cell": 1, "num_reads": 1e400, "sweeps": 1}'),
     (["sample", "--problem", "{problem}", "--noise", "{bad}"], b'{"chip_seed": 1e400}'),
     (["embed", "partition", "--graph", "{bad}"],
-     b'{"family": "pegasus", "params": {"m": 2}, "nodes": [1e400], "edges": []}'),
+     b'{"family": "custom", "nodes": [1e400], "edges": []}'),
     # a combined file whose encoding keeps 2 of its units loaded, and
     # generate wrote instances that only sample --qac refused
     (["generate", "--cover-from", "{bad}"],
@@ -601,6 +605,20 @@ def _encodings_with(index, **changes):
      {"sigma_h": 0.5, "chip_seed": 2**64}),
     (["experiment", "scaling", "--config", "{bad}"], {**_TINY, "seed": -1}),
     (["experiment", "qac", "--config", "{bad}"], {**_TINY, "seed": 2**64}),
+    # every loader refuses a key it does not read: a misspelt mask loaded
+    # as no mask, and a graph file passed as a mask marked its listed edges dead
+    (["embed", "partition", "--graph", "{bad}"], {**_GRAPH, "defectz": {"nodes": [0]}}),
+    (_BUILD + ["--defects", "{bad}"], {"nodes": [0], "edgez": []}),
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
+     {**_PARTITION, "regionz": _PARTITION["regions"]}),
+    (_BUILD + ["--defects", "{bad}"], _LISTED_GRAPH),
+    # a builder family's graph is its recipe: no unknown parameter, and no
+    # shape past the builders' cap, which is refused before any array is made
+    (["embed", "partition", "--graph", "{bad}"], {**_GRAPH, "params": {"m": 16, "x": 1}}),
+    (["embed", "partition", "--graph", "{bad}"], {**_GRAPH, "params": {"m": 210}}),
+    (["embed", "qac", "--graph", "{bad}"],
+     {"family": "chimera", "params": {"rows": 1, "cols": 1, "shore": 2897}}),
+    (["topology", "build", "--family", "pegasus", "--m", "210"], {}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -627,7 +645,10 @@ def _encodings_with(index, **changes):
         "encoding-hub-is-own-problem-qubit", "encoding-intra-unit-coupler",
         "encoding-other-pair-coupler", "encoding-repeated-coupler", "encoding-negative-qubit",
         "encoding-key-beyond-units", "noise-chip-seed-negative", "noise-chip-seed-2**64",
-        "config-seed-negative", "config-seed-2**64"])
+        "config-seed-negative", "config-seed-2**64", "graph-defects-key-misspelt",
+        "defects-edges-key-misspelt", "partition-extra-key", "graph-file-as-defects",
+        "pegasus-unknown-param", "pegasus-m-past-cap",
+        "chimera-couplers-past-cap", "build-pegasus-m-past-cap"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
@@ -645,6 +666,17 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")
     assert not (tmp_path / "out").exists()
+
+
+def test_listed_pegasus_graph_file_exits_4_naming_its_lists(tmp_path, capsys):
+    # a graph file written before graph files held the recipe is refused, not
+    # read a second way
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(_LISTED_GRAPH))
+    assert run("embed", "partition", "--graph", str(old), "--k", "2",
+               "--out", str(tmp_path / "part.json")) == 4
+    assert "unknown graph keys ['edges', 'nodes']" in capsys.readouterr().err
+    assert not (tmp_path / "part.json").exists()
 
 
 @pytest.mark.parametrize("value", [0, 2**64 - 1])

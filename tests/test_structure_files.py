@@ -7,7 +7,9 @@ benchmark's fingerprints.  Three cases are pinned, the ideal Pegasus m=16
 graph at k=4 (the benchmark's `pipeline_m16` structures), an m=6 graph with
 a seeded mask of dead qubits and dead couplers at k = 2, 4 and 8, and the
 `embed qac` tilings of the m=16 graph and of a Chimera graph with such a
-mask.
+mask.  A Pegasus or Chimera graph file is its recipe, the builder's family
+and parameters and the defect mask, and loads as that builder's graph with
+the mask applied.
 """
 
 import hashlib
@@ -19,8 +21,9 @@ import pytest
 from anneal_rbm.cli import main
 from anneal_rbm.embedding import combine_qac_rbm, partition_replicas, structure_from_dict
 from anneal_rbm.jsonio import read_json
-from anneal_rbm.topology import build_chimera, build_pegasus, graph_from_dict
+from anneal_rbm.topology import apply_defects, build_chimera, build_pegasus, graph_from_dict
 from conftest import edge_tuples
+from structure_reference import graph_from_dict_reference
 
 
 def _sha256(path) -> str:
@@ -70,24 +73,24 @@ def qac_file(tmp_path, graph) -> str:
 
 
 PINNED_M16 = {
-    "graph": "8c39ad9cd107d53f90a217ec908e11c87486ed9c80daa4d8408f10990bb8a57a",
-    "partition_k4": "30566fd3cffc1c2bbf4e7b233df3797ed867755a4505c79c70d6a42bcccb6fa4",
-    "combined_k4": "404f57c6415c98328c173ead1db3db6d0e3e3b7d03ff6785c955a9ead4451efd",
+    "graph": "c86927aeb77441369adca0112c02938b57d01c2eec4405887ff3f168beef5ed7",
+    "partition_k4": "158e083ead9f621597f43d0f3a57d555e9c3e3410f5571f761926b0b02e36564",
+    "combined_k4": "480eab13c454f432a55a4e340194ed732e01ae265653d4fd559ceecff9a31bc8",
 }
 
 PINNED_M6_DEFECTS = {
-    "graph": "cd0b2586567d71db6285ccfebbf9116b75284f30cf52e7539bd2a6fec54fe343",
-    "partition_k2": "021e60f37499e264fe7bae13aac24adf65e66b308c96796a92fe4243cc2e7442",
-    "combined_k2": "58761b75cb3630e5b016f624e171f1e70efe9455dec5319626e3f939f74db52f",
-    "partition_k4": "fec23841e764ceba4f71d4639d6b347774d28874cd8847fd8712afcf4526e54b",
-    "combined_k4": "c6a739382f7fc3a6d225a665f2848837b5ee40600f693470afdaba8f433c5336",
-    "partition_k8": "2dada7a567028a404c5445b49fd1a5ff571fe396415109632c615876641554b3",
-    "combined_k8": "7c5b5022662c096b844ba4dce0fcc42c1235f1c3c4e03d548b0e708e0c127cb4",
+    "graph": "a84c552d97b15bfdd2e22b9c2cb06f6e344263bf5291fd5ac86470a417bbbf82",
+    "partition_k2": "32f380dc036a6cb0cc2fa1151d6b02e55a74c6676d5156c8c4b25cc22d718ef9",
+    "combined_k2": "7689a94906621199502a78c4623481773d826b1546ce50076c667a7841595590",
+    "partition_k4": "afe6f6ad12109926b1ab7197614b6f36dff2e5c8f53fccc08250262126b4073d",
+    "combined_k4": "b428c432c50ca3c8eb2febc7e967a93367b425ff57bf9166c25505418686027d",
+    "partition_k8": "d1302721ee0406be6faf3b6240e354aa3e79fa23bcb76cf08442244067330bb0",
+    "combined_k8": "b97c65747ea3c2f39b82db5c1eb324bf63643dab7f9f27e2ee1560164b927595",
 }
 
 PINNED_QAC = {
-    "pegasus_m16": "47c7f95f24daee2196770eff5c7e23383ab9deba806ddf2b901eebc79b9b4c75",
-    "chimera_4x4_defects": "2deb414b7e44a3fedc91873433126765d53ae7421bc8f1f0df190db55f6efbc6",
+    "pegasus_m16": "77a74ead9986235cb028c7112cd76219cd517ee9d769024de3563347e46aaf0a",
+    "chimera_4x4_defects": "9d991dea46da1fa63c035abfe173ce0fa137cac739c499a6d4f0717cd8786683",
 }
 
 
@@ -98,6 +101,23 @@ def test_m16_structure_files_are_pinned(tmp_path):
 def test_m6_defective_structure_files_are_pinned(tmp_path):
     mask = defect_mask(build_pegasus(6), seed=2024, qubits=12, couplers=20)
     assert structure_files(tmp_path, 6, (2, 4, 8), mask) == PINNED_M6_DEFECTS
+
+
+@pytest.mark.parametrize("build, ideal, mask", [
+    (["--family", "pegasus", "--m", "2"], build_pegasus(2), None),
+    (["--family", "pegasus", "--m", "6"], build_pegasus(6),
+     defect_mask(build_pegasus(6), seed=2024, qubits=12, couplers=20)),
+    (["--family", "pegasus", "--m", "16"], build_pegasus(16), None),
+    (["--family", "chimera", "--rows", "4", "--cols", "4", "--shore", "4"], build_chimera(4, 4, 4),
+     defect_mask(build_chimera(4, 4, 4), seed=7, qubits=6, couplers=10)),
+], ids=["pegasus-m2", "pegasus-m6-pinned-mask", "pegasus-m16", "chimera-4x4-masked"])
+def test_graph_files_are_recipes_that_load_as_builder_plus_mask(tmp_path, build, ideal, mask):
+    graph = graph_file(tmp_path, build, mask)
+    data = read_json(str(graph))
+    assert sorted(data) == ["defects", "family", "meta", "params"]
+    assert data["defects"] == (mask or {"nodes": [], "edges": []})
+    want = apply_defects(ideal, mask["nodes"], mask["edges"]) if mask else ideal
+    assert graph_from_dict(data) == want == graph_from_dict_reference(data)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])

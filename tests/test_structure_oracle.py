@@ -19,7 +19,7 @@ from anneal_rbm.errors import ContractError
 from anneal_rbm.ising import make_problem, problem_hash, problem_to_dict, replicate
 from anneal_rbm.jsonio import dumps
 from anneal_rbm.planted import GeneratorParams, build_loop_cover, generate_instance
-from anneal_rbm.topology import (apply_defects, build_chimera, build_pegasus,
+from anneal_rbm.topology import (apply_defects, build_chimera, build_custom, build_pegasus,
                                  graph_from_dict, graph_to_dict)
 from conftest import (active_edges, adjacency, edge_tuples, id_set, iso_maps, logical_edges,
                       regions)
@@ -82,7 +82,7 @@ def test_graph_arrays_equal_reference(g):
 def test_build_chimera_equals_reference(shape):
     g, ref = build_chimera(*shape), build_chimera_reference(*shape)
     assert g == ref
-    assert graph_to_dict(g) == graph_to_dict_reference(ref)
+    assert graph_from_dict(json.loads(dumps(graph_to_dict(g)))) == ref
 
 
 @ORACLE
@@ -129,20 +129,40 @@ def outcome(fn, *args):
 def test_build_pegasus_equals_reference(m):
     g, ref = build_pegasus(m), build_pegasus_reference(m)
     assert g == ref
-    assert graph_to_dict(g) == graph_to_dict_reference(ref)
+    assert graph_from_dict(json.loads(dumps(graph_to_dict(g)))) == ref
 
 
-@ORACLE
-@given(masked_pegasus())
-def test_graph_round_trip_equals_reference(g):
-    payload = graph_to_dict(g)
-    assert payload == graph_to_dict_reference(g)
+def _round_trip(g, payload):
+    """Load ``payload``, written for ``g``, as JSON text, and check the
+    graph it loads as against ``g`` and the reference loader."""
     data = json.loads(dumps(payload))
     loaded = graph_from_dict(data)
     assert loaded == graph_from_dict_reference(data) == g
     assert id_set(loaded.active_ids) == active_nodes_reference(g) == id_set(g.active_ids)
     assert set(active_edges(loaded)) == active_edges_reference(g) == set(active_edges(g))
     assert graph_to_dict(loaded) == payload
+
+
+@ORACLE
+@given(masked_pegasus() | masked_chimera())
+def test_graph_round_trip_equals_reference(g):
+    # a builder family's payload is its recipe: the reference loader builds
+    # it with the reference builder and masks it
+    payload = graph_to_dict(g)
+    assert set(payload) == {"family", "params", "defects"}
+    assert payload["defects"] == graph_to_dict_reference(g)["defects"]
+    _round_trip(g, payload)
+
+
+@ORACLE
+@given(masked_pegasus() | masked_chimera())
+def test_custom_graph_round_trip_equals_reference(g):
+    # the same graph under the custom family: its payload lists its ids and edges
+    ideal = build_custom(g.node_ids.tolist(), edge_tuples(g.ideal_codes, g.code_base))
+    custom = apply_defects(ideal, g.defect_ids.tolist(), edge_tuples(g.defect_codes, g.code_base))
+    payload = graph_to_dict(custom)
+    assert payload == graph_to_dict_reference(custom)
+    _round_trip(custom, payload)
 
 
 @ORACLE

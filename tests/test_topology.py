@@ -135,11 +135,46 @@ def test_serialization_round_trip_bit_exact(tmp_path):
 
 
 def test_graph_dict_schema():
-    g = build_chimera(1, 1, 2)
+    # a builder family's graph is its recipe, a custom graph its lists
+    g = apply_defects(build_chimera(1, 1, 2), [3], [(0, 2)])
     d = graph_to_dict(g)
-    assert set(d) == {"family", "params", "nodes", "edges", "defects"}
-    assert d["defects"] == {"nodes": [], "edges": []}
+    assert d == {"family": "chimera", "params": {"rows": 1, "cols": 1, "shore": 2},
+                 "defects": {"nodes": [3], "edges": [[0, 2]]}}
     assert graph_from_dict(json.loads(json.dumps(d))) == g
+    custom = apply_defects(build_custom(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)]), [3], [(0, 2)])
+    d = graph_to_dict(custom)
+    assert d == {"family": "custom", "params": {}, "nodes": [0, 1, 2, 3],
+                 "edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
+                 "defects": {"nodes": [3], "edges": [[0, 2]]}}
+    assert graph_from_dict(json.loads(json.dumps(d))) == custom
+
+
+def test_graph_recipe_refuses_lists_and_unknown_params():
+    d = graph_to_dict(build_pegasus(2))
+    with pytest.raises(FormatError, match=r"unknown graph keys \['edges', 'nodes'\]"):
+        graph_from_dict({**d, "nodes": [0, 1], "edges": [[0, 1]]})
+    with pytest.raises(FormatError, match=r"pegasus params are \['m'\], got \['m', 'x'\]"):
+        graph_from_dict({**d, "params": {"m": 16, "x": 1}})
+    with pytest.raises(FormatError, match=r"unknown graph keys \['defectz'\]"):
+        graph_from_dict({**d, "defectz": {"nodes": [0]}})
+
+
+@pytest.mark.parametrize("family", ["pegasus", "chimera"])
+def test_build_custom_refuses_a_builder_family_name(family):
+    # so every graph named after a builder is that builder's output plus a mask
+    with pytest.raises(InvalidParameterError, match=family):
+        build_custom(range(2), [(0, 1)], family=family)
+
+
+def test_builders_refuse_the_first_shape_past_the_cap():
+    # refused before any array is made: 24*210*209 qubits, 2**18 + 1 two-qubit
+    # cells in a row, and one cell of 2897**2 couplers
+    with pytest.raises(InvalidParameterError, match="1053360 qubits"):
+        build_pegasus(210)
+    with pytest.raises(InvalidParameterError, match="1048580 qubits"):
+        build_chimera(1, 2**18 + 1, 2)
+    with pytest.raises(InvalidParameterError, match="8392609 couplers"):
+        build_chimera(1, 1, 2897)
 
 
 @pytest.mark.parametrize("g, params", [(build_pegasus(2), {"m": True}),
