@@ -21,7 +21,6 @@ the decoder and the noise model need.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -294,5 +293,46 @@ def problem_from_dict(data: dict) -> IsingProblem:
 
 
 def problem_hash(p: IsingProblem) -> str:
-    """sha256 of ``json.dumps(problem_to_dict(p), sort_keys=True)``."""
-    return hashlib.sha256(json.dumps(problem_to_dict(p), sort_keys=True).encode()).hexdigest()
+    """sha256 of ``json.dumps(problem_to_dict(p), sort_keys=True)``, whose
+    bytes are laid out from the term arrays without building the dict."""
+    ids, at = np.unique(np.concatenate([p.h_index, p.j_first, p.j_second]),
+                        return_inverse=True)
+    id_rows, id_rank = _text_rows(map(str, ids.tolist()))
+    h, a, b = np.split(at.ravel(), np.cumsum([p.h_index.size, p.j_first.size]))
+    text = b'{"J": {%s}, "h": {%s}, "n": %d}' % (_items(p.j_value, [a, b], id_rows, id_rank),
+                                                 _items(p.h_value, [h], id_rows, id_rank), p.n)
+    return hashlib.sha256(text).hexdigest()
+
+
+def _text_rows(strings) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII ``strings`` as the rows of a uint8 matrix, padded with NULs,
+    and the rank of each in string order, where a prefix comes first."""
+    table = np.array(list(strings), dtype=np.bytes_)
+    rank = np.empty(table.size, dtype=np.intp)
+    rank[np.argsort(table, kind="stable")] = np.arange(table.size)
+    return table.view(np.uint8).reshape(table.size, table.itemsize), rank
+
+
+def _items(values: np.ndarray, ends: list, id_rows: np.ndarray, id_rank: np.ndarray) -> bytes:
+    """The ``"key": value`` items json.dumps(sort_keys=True) writes for
+    terms keyed by their ids joined by commas, ``ends`` holding each term's
+    ids as rows of ``id_rows``.
+
+    Keys sort as strings.  Since ``,`` sorts before every digit, ``"a,b"``
+    keys sort by the string order of a, then of b, which is one lexsort of
+    id ranks.  A value is written by float repr, once per distinct value.
+    Each item is a row of fixed-width columns padded with NULs, which no
+    item holds, so the items are the nonzero bytes row after row.
+    """
+    if not values.size:
+        return b""
+    order = np.lexsort([id_rank[e] for e in reversed(ends)])
+    distinct, inverse = np.unique(values, return_inverse=True)
+    value_rows = _text_rows(map(repr, distinct.tolist()))[0]
+    columns = [b'"']
+    for e in ends:
+        columns += [id_rows[e[order]], b","]
+    columns[-1:] = [b'": ', value_rows[inverse.ravel()[order]], b", "]
+    rows = np.concatenate([np.broadcast_to(np.frombuffer(c, np.uint8), (values.size, len(c)))
+                           if isinstance(c, bytes) else c for c in columns], axis=1)
+    return rows[rows != 0].tobytes()[:-2]

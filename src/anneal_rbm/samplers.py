@@ -28,6 +28,7 @@ the chains see; reported energies are always evaluated on the clean problem.
 from __future__ import annotations
 
 import logging
+from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -453,19 +454,17 @@ def _code_spins(codes: np.ndarray, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # File bridge: sample import with local re-evaluation, so external samplers
-# never have to be trusted about energies.  A read is written as one string
-# whose character i is spin i, "+" for +1 and "-" for -1; a list of +-1
-# rows, the older form, still imports.
-
-_UP, _DOWN = ord("+"), ord("-")
+# never have to be trusted about energies.  A read is written as the base64
+# of its spins packed 8 to a byte: bit i % 8 of byte i // 8 is 1 where spin i
+# is -1, as in `_code_spins`, and the bits past the last spin are 0.  A list
+# of +-1 rows, the form external samplers write, still imports.
 
 
 def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
-    count, n = ss.reads.shape
-    text = np.where(ss.reads > 0, _UP, _DOWN).astype(np.uint8).tobytes().decode("ascii")
+    bits = np.ascontiguousarray(np.packbits(ss.reads < 0, axis=1, bitorder="little"))
     return {
         "problem_hash": problem_hash(p),
-        "reads": [text[r * n:(r + 1) * n] for r in range(count)],
+        "reads": [b64encode(row).decode("ascii") for row in bits],
         "energies": [float(e) for e in ss.energies],
         "sampler": ss.sampler,
         "params": ss.params,
@@ -473,20 +472,27 @@ def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
 
 
 def _unpack_reads(raw: list, n: int) -> np.ndarray:
-    """(len(raw), n) int8 spins of reads written as "+"/"-" strings."""
+    """(len(raw), n) int8 spins of reads written as base64 bit rows."""
+    width = -(-n // 8)
+    chars = 4 * -(-width // 3)
+    form = f"a read of {n} spins is {chars} base64 characters (a {width}-byte bit row)"
+    rows = []
     for r, text in enumerate(raw):
-        if len(text) != n:
-            raise DimensionMismatchError(f"read {r} has {len(text)} spins, expected {n}")
-    # one byte per character, "?" for a non-ASCII one, so offsets stay spin indices
-    codes = np.frombuffer("".join(raw).encode("ascii", "replace"),
-                          dtype=np.uint8).reshape(len(raw), n)
-    up = codes == _UP
-    bad = np.flatnonzero(~up & (codes != _DOWN))
-    if bad.size:
-        r, i = divmod(int(bad[0]), n)
-        raise InvalidParameterError(
-            f"read {r} spin {i} is {raw[r][i]!r}, must be '+' or '-'")
-    return np.where(up, 1, -1).astype(np.int8)
+        if len(text) != chars:
+            raise DimensionMismatchError(f"read {r} has {len(text)} characters; {form}")
+        try:  # a character outside the alphabet, non-ASCII included, or bad padding
+            row = b64decode(text, validate=True)
+        except ValueError as exc:
+            raise InvalidParameterError(f"read {r} is not base64 ({exc}); {form}") from None
+        if len(row) != width:
+            raise InvalidParameterError(f"read {r} decodes to {len(row)} bytes; {form}")
+        rows.append(row)
+    bits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(raw), width)
+    if n % 8:
+        past = np.flatnonzero(bits[:, -1] >> n % 8)
+        if past.size:
+            raise InvalidParameterError(f"read {past[0]} sets a bit past spin {n - 1}; {form}")
+    return 1 - 2 * np.unpackbits(bits, axis=1, count=n, bitorder="little").view(np.int8)
 
 
 @loader("sample")
@@ -494,9 +500,11 @@ def sampleset_from_dict(data: dict, p: IsingProblem) -> SampleSet:
     raw = data["reads"]
     file_hash = data.get("problem_hash")
     file_energies = data.get("energies")
-    if file_hash is not None and file_hash != problem_hash(p):
-        raise FormatError("sample file was produced for a different problem "
-                          f"(hash {file_hash[:12]}... != {problem_hash(p)[:12]}...)")
+    if file_hash is not None:
+        digest = problem_hash(p)
+        if file_hash != digest:
+            raise FormatError("sample file was produced for a different problem "
+                              f"(hash {file_hash[:12]}... != {digest[:12]}...)")
     if not isinstance(raw, list) or not raw:
         raise FormatError("sample file contains no reads")
     packed = [isinstance(row, str) for row in raw]

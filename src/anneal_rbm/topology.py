@@ -285,7 +285,18 @@ def graph_stats(g: HardwareGraph) -> GraphStats:
 
 def graph_to_dict(g: HardwareGraph) -> dict:
     """The recipe of a builder family's graph, or a custom graph's lists,
-    with the defect mask."""
+    with the defect mask.  InvalidParameterError for a graph named after a
+    builder that is not that builder's graph at its params, which its recipe
+    would load as."""
+    if g.family in BUILDERS:
+        build, names = BUILDERS[g.family]
+        built = (build(*(g.params[name] for name in names))
+                 if g.params.keys() == set(names) else None)
+        if built is None or not (np.array_equal(built.node_ids, g.node_ids)
+                                 and np.array_equal(built.ideal_codes, g.ideal_codes)):
+            raise InvalidParameterError(
+                f"a {g.family} graph with params {g.params} is not build_{g.family}'s "
+                f"graph at them, so its recipe would load as another graph")
     payload = {
         "family": g.family,
         "params": dict(g.params),
@@ -310,6 +321,8 @@ def defects_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
 @loader("graph")
 def graph_from_dict(data: dict) -> HardwareGraph:
     """A graph payload in the form its family is written in."""
+    if not isinstance(data["family"], str):
+        raise FormatError(f"a graph's family must be a JSON string, got {data['family']!r:.60}")
     form = _recipe_from_dict if data["family"] in BUILDERS else _custom_from_dict
     return form(data)
 

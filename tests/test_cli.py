@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -254,13 +255,33 @@ def test_pipeline_stage_reruns_are_byte_identical(pipeline, tmp_path):
     assert a["problem_hash"] == b["problem_hash"]
 
 
+def test_plus_minus_sample_file_exits_4_naming_the_base64_width(pipeline, tmp_path, capsys):
+    # a sample file written before reads were bit rows held one "+"/"-"
+    # character per spin; it is refused, not read a second way
+    instance, samples, _ = pipeline
+    n = 2 * json.loads(instance.read_text())["n"]  # k=2 replicas
+    data = json.loads(samples.read_text())
+    bits = [base64.b64decode(text) for text in data["reads"]]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**data, "reads": [
+        "".join("-" if row[i // 8] >> (i % 8) & 1 else "+" for i in range(n)) for row in bits]}))
+    capsys.readouterr()
+    assert run("decode", "rbm", "--samples", str(old), "--structure",
+               str(tmp_path / "partition.json"), "--problem", str(instance),
+               "--out", str(tmp_path / "old_solution.json")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("contract:")
+    assert f"read 0 has {n} characters; a read of {n} spins is {4 * -(-n // 24)} base64" in err
+    assert not (tmp_path / "old_solution.json").exists()
+
+
 #: sha256 of the instance and of a noisy sample file the m=2 pipeline
-#: writes, whose reads are "+"/"-" strings.  Seeded payloads are part of the
+#: writes, whose reads are base64 bit rows.  Seeded payloads are part of the
 #: reproducibility contract: a change to how streams are seeded, noise is
 #: drawn or reads are serialized must leave these bytes alone.
 PINNED_SHA256 = {
     "instance": "a7d8eb69ce8a967f5e582d8b7f1f883cf69238f74f2ae045b7b2df53a9fe0aa2",
-    "samples": "07144d17c88773f6e6ed0066b7dd935d86ca50dbd3f0feef11f3ffc5df020312",
+    "samples": "207cf317f35eeb496ca6ac30547120a190f954703c5065a65e404f6519ab5f3c",
 }
 
 
@@ -482,13 +503,17 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{problem}", "--noise", "{bad}"],
      {"region_bias": [{"qubits": [0], "delta": float("-inf")}]}),
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
-     {"reads": ["+-", [1, -1]]}),
+     {"reads": ["Ag==", [1, -1]]}),
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
-     {"reads": ["+-", "+"]}),
+     {"reads": ["Ag==", "Ag="]}),
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
-     {"reads": ["+-", "+1"]}),
+     {"reads": ["Ag==", "A-=="]}),
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
-     {"reads": ["+\u2212"]}),
+     {"reads": ["A\u2212=="]}),
+    # a 2-spin read is one byte, whose bits past spin 1 are 0
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"], {"reads": ["BA=="]}),
+    # reads written one "+"/"-" character per spin, before reads were bit rows
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"], {"reads": ["+-"]}),
     # each part of a combined file is checked, not only the part a flag uses;
     # {uncoupled} is a problem every structure carries, so only the
     # combined file can be at fault
@@ -544,7 +569,7 @@ def _encodings_with(index, **changes):
     # the stdlib parses NaN and Infinity, which no payload holds; a sample
     # file's energies and a report's cells took them and ran
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
-     b'{"reads": ["+-"], "energies": [NaN]}'),
+     b'{"reads": ["Ag=="], "energies": [NaN]}'),
     (["report", "render", "--report", "{bad}"],
      json.dumps({"study": "scaling", "cells": [{**_CELL, "method": "rbm",
                                                 "mean_normalized": math.inf}]}).encode()),
@@ -619,6 +644,12 @@ def _encodings_with(index, **changes):
     (["embed", "qac", "--graph", "{bad}"],
      {"family": "chimera", "params": {"rows": 1, "cols": 1, "shore": 2897}}),
     (["topology", "build", "--family", "pegasus", "--m", "210"], {}),
+    # a custom graph's family is a JSON string: null loaded as a graph of
+    # family None, and a list was refused only for being unhashable
+    (["embed", "qac", "--graph", "{bad}"], {"family": None, "nodes": [0, 1], "edges": [[0, 1]]}),
+    (["embed", "qac", "--graph", "{bad}"], {"family": 7, "nodes": [0, 1], "edges": [[0, 1]]}),
+    (["embed", "qac", "--graph", "{bad}"],
+     {"family": ["pegasus"], "nodes": [0, 1], "edges": [[0, 1]]}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -627,7 +658,8 @@ def _encodings_with(index, **changes):
         "qac-int", "iso-maps-lists", "samples-hash-int", "iso-map-missing-key",
         "noise-sigma-h-inf", "noise-sigma-j-nan", "noise-delta-inf",
         "samples-mixed-reads", "samples-short-read", "samples-bad-spin",
-        "samples-non-ascii-spin", "combined-encoding-1-malformed",
+        "samples-non-ascii-spin", "samples-pad-bit-set", "samples-plus-minus-read",
+        "combined-encoding-1-malformed",
         "combined-base-partition-malformed", "combined-k4-one-encoding",
         "combined-rbm-partition-int", "combined-encodings-dict",
         "config-num-reads-1e400", "noise-chip-seed-1e400", "graph-node-1e400",
@@ -648,7 +680,8 @@ def _encodings_with(index, **changes):
         "config-seed-negative", "config-seed-2**64", "graph-defects-key-misspelt",
         "defects-edges-key-misspelt", "partition-extra-key", "graph-file-as-defects",
         "pegasus-unknown-param", "pegasus-m-past-cap",
-        "chimera-couplers-past-cap", "build-pegasus-m-past-cap"])
+        "chimera-couplers-past-cap", "build-pegasus-m-past-cap", "graph-family-null",
+        "graph-family-number", "graph-family-list"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
@@ -656,8 +689,9 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
     uncoupled.write_text(json.dumps({"n": 2, "h": {"0": 1.0}, "J": {}}))
-    # one read of the 8 qubits that 2 spins take in k=4 copies or in 4-qubit units
-    reads8.write_text(json.dumps({"reads": ["+" * 8]}))
+    # one read of the 8 qubits that 2 spins take in k=4 copies or in 4-qubit
+    # units, all +1: one zero byte
+    reads8.write_text(json.dumps({"reads": ["AA=="]}))
     partition.write_text(json.dumps(_PARTITION))
     pair02.write_text(json.dumps({"n": 3, "h": {}, "J": {"0,2": 1.0}}))
     argv = [arg.format(bad=bad, problem=problem, uncoupled=uncoupled, reads8=reads8,

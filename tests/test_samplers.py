@@ -1,3 +1,4 @@
+import base64
 import json
 import logging
 
@@ -241,48 +242,82 @@ def test_export_import_round_trip(tmp_path):
     assert np.array_equal(again.energies, ss.energies)
 
 
-@pytest.mark.parametrize("n", [1, 5376])
+def _bit_row(text: str, n: int) -> list[int]:
+    """Bit i of a base64 read, i in 0..n-1, read one bit at a time: bit
+    i % 8 of byte i // 8."""
+    row = base64.b64decode(text, validate=True)
+    assert len(row) == -(-n // 8)
+    assert all(row[i // 8] >> (i % 8) & 1 == 0 for i in range(n, 8 * len(row)))  # pad bits
+    return [row[i // 8] >> (i % 8) & 1 for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 24, 5376])
 def test_packed_reads_round_trip(n):
     gen = np.random.default_rng(n)
     p = make_problem(n, {0: 0.7}, {(i, i + 1): float(gen.normal()) for i in range(n - 1)})
-    reads = gen.choice(np.array([-1, 1], dtype=np.int8), size=(13, n))
-    ss = SampleSet(reads=reads, energies=energies(p, reads), sampler="x")
-    data = json.loads(dumps(sampleset_to_dict(ss, p)))
-    assert [len(row) for row in data["reads"]] == [n] * 13
-    assert data["reads"][0] == "".join("+" if s > 0 else "-" for s in reads[0])
-    again = sampleset_from_dict(data, p)
-    assert again.reads.dtype == np.int8
-    assert np.array_equal(again.reads, reads)
-    assert np.array_equal(again.energies, ss.energies)
+    for count in (1, 13):
+        reads = gen.choice(np.array([-1, 1], dtype=np.int8), size=(count, n))
+        ss = SampleSet(reads=reads, energies=energies(p, reads), sampler="x")
+        data = json.loads(dumps(sampleset_to_dict(ss, p)))
+        # 4 characters per 3 bytes of one bit per spin
+        assert [len(row) for row in data["reads"]] == [4 * -(-n // 24)] * count
+        for text, read in zip(data["reads"], reads):
+            assert _bit_row(text, n) == [int(s < 0) for s in read]
+        again = sampleset_from_dict(data, p)
+        assert again.reads.dtype == np.int8
+        assert np.array_equal(again.reads, reads)
+        assert np.array_equal(again.energies, ss.energies)
 
 
-def test_list_form_reads_import_like_packed_ones():
-    # files written before reads were packed, and hand-written ones, hold rows
-    p = make_problem(4, {1: 0.3}, {(0, 1): -1.1, (1, 3): 0.7, (2, 3): 2.9})
-    ss = sample_sa(p, AnnealParams(num_reads=6, sweeps=10, seed=4))
-    packed = json.loads(dumps(sampleset_to_dict(ss, p)))
-    rows = {**packed, "reads": ss.reads.tolist()}
-    a, b = sampleset_from_dict(packed, p), sampleset_from_dict(rows, p)
-    assert np.array_equal(a.reads, b.reads) and np.array_equal(a.reads, ss.reads)
-    assert np.array_equal(a.energies, b.energies)
-    assert np.array_equal(a.energies, ss.energies)
+def test_list_form_reads_import_like_packed_ones(tmp_path):
+    # external samplers, and hand-written files, hold rows of +-1
+    for n in (1, 4, 9, 48):
+        p = make_problem(n, {0: 0.3}, {(i, i + 1): 1.1 - i % 3 for i in range(n - 1)})
+        ss = sample_sa(p, AnnealParams(num_reads=6, sweeps=10, seed=4))
+        packed, rows = tmp_path / f"packed{n}.json", tmp_path / f"rows{n}.json"
+        write_json(sampleset_to_dict(ss, p), str(packed))
+        write_json({**read_json(str(packed)), "reads": ss.reads.tolist()}, str(rows))
+        a, b = import_samples(str(packed), p), import_samples(str(rows), p)
+        assert np.array_equal(a.reads, b.reads) and np.array_equal(a.reads, ss.reads)
+        assert np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.energies, ss.energies)
 
 
+# a read of 3 spins is one byte, 4 base64 characters; "Ag==" is +1, -1, +1
 @pytest.mark.parametrize("reads, error, message", [
-    (["+-+", [1, -1, 1]], FormatError, "mixes"),
-    ([[1, -1, 1], "+-+"], FormatError, "mixes"),
-    (["+-+", "+-"], DimensionMismatchError, "read 1 has 2 spins"),
-    (["+-+", "+-+-"], DimensionMismatchError, "read 1 has 4 spins"),
-    (["+-+", "+0+"], InvalidParameterError, "read 1 spin 1 is '0'"),
-    (["+-+", "+ +"], InvalidParameterError, "read 1 spin 1 is ' '"),
-    (["+\u2212+"], InvalidParameterError, "read 0 spin 1 is '\u2212'"),  # not a hyphen
-    (["+-é"], InvalidParameterError, "read 0 spin 2 is 'é'"),
+    (["Ag==", [1, -1, 1]], FormatError, "mixes"),
+    ([[1, -1, 1], "Ag=="], FormatError, "mixes"),
+    (["Ag==", "Ag="], DimensionMismatchError, "read 1 has 3 characters"),
+    (["Ag==", "Ag==="], DimensionMismatchError, "read 1 has 5 characters"),
+    (["Ag==", "Ag0="], InvalidParameterError, "read 1 decodes to 2 bytes"),
+    (["Ag==", "A g="], InvalidParameterError, "read 1 is not base64"),
+    (["A\u2212=="], InvalidParameterError, "read 0 is not base64"),  # not a hyphen
+    (["Agé="], InvalidParameterError, "read 0 is not base64"),
+    (["A-=="], InvalidParameterError, "read 0 is not base64"),  # the URL-safe alphabet's
+    (["A=A="], InvalidParameterError, "read 0 is not base64"),
+    (["Ag"], DimensionMismatchError, "read 0 has 2 characters"),  # no "=" padding
+    (["AgAA"], InvalidParameterError, "read 0 decodes to 3 bytes"),  # padding as data
+    (["Ag==", "CA=="], InvalidParameterError, "read 1 sets a bit past spin 2"),
+    (["Ag==", "gA=="], InvalidParameterError, "read 1 sets a bit past spin 2"),
+    # one "+"/"-" character per spin, the form before reads were bit rows
+    (["+-+"], DimensionMismatchError, "read 0 has 3 characters; a read of 3 spins "
+                                      "is 4 base64 characters"),
 ], ids=["string-then-row", "row-then-string", "short", "long", "digit", "space",
-        "minus-sign", "accent"])
+        "minus-sign", "accent", "url-safe-minus", "padding-inside", "no-padding",
+        "padding-as-data", "pad-bit-3", "pad-bit-7", "plus-minus"])
 def test_import_rejects_malformed_packed_reads(reads, error, message):
     p = make_problem(3, {}, {(0, 1): 1.0})
     with pytest.raises(error, match=message):
         sampleset_from_dict({"reads": reads}, p)
+
+
+def test_plus_minus_read_of_base64_width_is_refused():
+    # at 4 spins a "+"/"-" read is as long as a base64 one: "+" is a base64
+    # character and "-" is not, and "++++" decodes to 3 bytes, not 1
+    p = make_problem(4, {}, {(0, 1): 1.0})
+    for text, message in (("+-+-", "read 0 is not base64"), ("++++", "decodes to 3 bytes")):
+        with pytest.raises(InvalidParameterError, match=message):
+            sampleset_from_dict({"reads": [text]}, p)
 
 
 def test_import_rejects_non_spin_entries(tmp_path):

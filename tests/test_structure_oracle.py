@@ -24,6 +24,7 @@ from anneal_rbm.topology import (apply_defects, build_chimera, build_custom, bui
 from conftest import (active_edges, adjacency, edge_tuples, id_set, iso_maps, logical_edges,
                       regions)
 from problem_helpers import canonical_edge
+from problem_reference import ProblemReference, problem_hash_reference
 from structure_reference import (active_edges_reference, active_nodes_reference,
                                  build_chimera_reference, build_pegasus_reference,
                                  combine_qac_rbm_reference, encoding_reference,
@@ -246,6 +247,30 @@ def m16_replica_problem():
 
 def _hash_by_definition(p) -> str:
     return hashlib.sha256(json.dumps(problem_to_dict(p), sort_keys=True).encode()).hexdigest()
+
+
+# ids whose decimals cross a width, so string and numeric key orders differ
+# ("10,11" sorts before "100,101", "999" after "1000"), and values whose
+# repr is an exponent form, a subnormal or the largest magnitudes
+_WIDE = {(9, 10): 1e16, (99, 100): 1e-05, (999, 1000): -0.1, (10, 11): 5e-324,
+         (100, 101): 1e308, (1, 10): 2.0, (1, 100): -3.0, (2, 10): 0.5, (0, 1000): 1.0,
+         (10, 100): -1e16}
+
+
+@pytest.mark.parametrize("n, h, j", [
+    (3, {}, {(0, 1): 1.0, (1, 2): -0.1}),
+    (3, {0: 1e16, 2: 1e-05}, {}),
+    (1, {0: -0.1}, {}),
+    (0, {}, {}),
+    (1001, {i: v for i, v in zip((9, 10, 99, 100, 999, 1000),
+                                 (1e16, 1e-05, -0.1, 5e-324, 1e308, -7.0))}, {}),
+    (1001, {0: 1.0, 10: -1.0, 100: 2.0}, _WIDE),
+], ids=["empty-h", "empty-j", "n-1", "n-0", "h-crossing-widths", "j-crossing-widths"])
+def test_problem_hash_equals_definition_and_reference(n, h, j):
+    p = make_problem(n, h, j)
+    want = _hash_by_definition(p)
+    assert problem_hash(p) == want
+    assert problem_hash_reference(ProblemReference(n, dict(h), dict(j))) == want
 
 
 def test_problem_hash_is_the_sorted_payload_digest(m16_replica_problem):

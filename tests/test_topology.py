@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anneal_rbm.errors import FormatError, InvalidParameterError
 from anneal_rbm.jsonio import read_json, write_json
-from anneal_rbm.topology import (apply_defects, build_chimera, build_custom,
+from anneal_rbm.topology import (HardwareGraph, apply_defects, build_chimera, build_custom,
                                  build_pegasus, graph_from_dict, graph_stats,
                                  graph_to_dict, pegasus_coords, pegasus_index)
 from conftest import active_edges, edge_tuples, id_set
@@ -157,6 +157,27 @@ def test_graph_recipe_refuses_lists_and_unknown_params():
         graph_from_dict({**d, "params": {"m": 16, "x": 1}})
     with pytest.raises(FormatError, match=r"unknown graph keys \['defectz'\]"):
         graph_from_dict({**d, "defectz": {"nodes": [0]}})
+
+
+@pytest.mark.parametrize("g", [
+    HardwareGraph("pegasus", {"m": 2}, np.arange(3), [1]),
+    HardwareGraph("pegasus", {"m": 3}, build_pegasus(2).node_ids, build_pegasus(2).ideal_codes),
+    HardwareGraph("pegasus", {}, build_pegasus(2).node_ids, build_pegasus(2).ideal_codes),
+    HardwareGraph("chimera", {"rows": 1, "cols": 1, "shore": 2}, np.arange(4),
+                  build_chimera(1, 1, 2).ideal_codes[:-1]),
+], ids=["pegasus-3-qubits", "pegasus-other-m", "pegasus-no-params", "chimera-coupler-missing"])
+def test_graph_to_dict_refuses_a_graph_its_recipe_does_not_build(g):
+    # the recipe would load as the builder's graph, which is not this one
+    with pytest.raises(InvalidParameterError, match="recipe would load as another graph"):
+        graph_to_dict(g)
+
+
+def test_masked_built_graph_round_trips_as_its_recipe():
+    base = build_pegasus(3)
+    g = apply_defects(base, [0, 7, 100], edge_tuples(base.ideal_codes, base.code_base)[5:9])
+    d = json.loads(json.dumps(graph_to_dict(g)))
+    assert sorted(d) == ["defects", "family", "params"]
+    assert graph_from_dict(d) == g
 
 
 @pytest.mark.parametrize("family", ["pegasus", "chimera"])
