@@ -143,12 +143,11 @@ def _cmd_topology_stats(ns) -> int:
 def _cmd_embed(ns) -> int:
     g = _load_graph(ns.graph)
     if ns.structure == "partition":
-        part = partition_replicas(g, ns.k)
-        report = verify_partition(part, g)
+        report = verify_partition(partition_replicas(g, ns.k), g)
         if not report.ok:
             raise ContractError("partition failed verification: "
                                 + "; ".join(report.failures[:3]))
-        _write_payload(partition_to_dict(part), ns.out, ns)
+        _write_payload(partition_to_dict(g, ns.k), ns.out, ns)
     elif ns.structure == "qac":
         enc = tile_qac(g)
         _write_payload(encoding_to_dict(enc), ns.out, ns)

@@ -6,16 +6,19 @@ isomorphism maps are tile translations).  Defects anywhere are excised from
 every block through those maps, so the shared logical structure stays valid
 on real, defective hardware.  A partition is its iso maps as one (k,
 n_logical) array, whose row r is region r, and its logical edges as sorted
-codes a*n_logical + b, as `topology` stores a graph.  Partition files keep
-their ``iso_maps`` and ``regions`` keys, written from that array.
+codes a*n_logical + b, as `topology` stores a graph.  Since it is a pure
+function of the graph and k, a partition file is their recipe: the graph's
+recipe and ``k``, rebuilt by ``partition_replicas`` when loaded.
 
 QAC tilings cover a graph with vertex-disjoint K_{1,3} units (three problem
 qubits plus one penalty hub), stored as arrays too; the penalty weight is the
 annealing run's alpha, not part of a tiling.  The combined construction gives
 k regions that each carry the same logical graph twice over: once as
 one-qubit-per-node (replication) and once as one-unit-per-node (penalty code).
-It stores those two forms only, not the block partition they come from, which
-for k > 1 is what `partition_replicas` returns for the same graph and k.
+Its file stores the encodings and, for each unit, which of its three problem
+qubits hosts the unit's logical qubit under replication (``rbm_slots``), not
+the block partition they come from, which for k > 1 is what
+`partition_replicas` returns for the same graph and k.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
 from .jsonio import index_keys, integer, integer_rows, integers, loader
 from .topology import (HardwareGraph, canonical_edges, chimera_index, edge_rows,
-                       frozen, graph_from_dict, unique_codes)
+                       frozen, graph_from_dict, graph_to_dict, unique_codes)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
@@ -382,7 +385,8 @@ class CombinedEmbedding:
 
     Each region carries an isomorphic copy of the instance graph; a node is
     representable either as one qubit (``rbm_partition``) or as one K_{1,3}
-    unit (``encodings[r]``).  Its payload holds these three fields only.
+    unit (``encodings[r]``).  Its payload holds ``k``, the encodings and the
+    slot of each unit's problem qubit that ``rbm_partition`` picks.
     """
 
     k: int
@@ -423,49 +427,17 @@ def combine_qac_rbm(g: HardwareGraph, k: int = 4) -> CombinedEmbedding:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def partition_to_dict(p: ReplicaPartition) -> dict:
-    keys = list(map(str, range(p.n_logical)))
-    return {
-        "k": p.k,
-        "n_logical": p.n_logical,
-        "logical_edges": edge_rows(p.edge_codes, p.n_logical),
-        "iso_maps": [dict(zip(keys, row)) for row in p.images.tolist()],
-        "regions": [unique_codes(row).tolist() for row in p.images],
-    }
+def partition_to_dict(g: HardwareGraph, k: int) -> dict:
+    """The recipe of ``partition_replicas(g, k)``: the graph's recipe and k."""
+    return {"graph": graph_to_dict(g), "k": k}
 
 
 # the CLI adds "meta" to every file it writes
-@loader("partition", keys=("k", "n_logical", "logical_edges", "iso_maps", "regions", "meta"))
+@loader("partition", keys=("graph", "k", "meta"))
 def partition_from_dict(data: dict) -> ReplicaPartition:
-    """A partition payload; FormatError also when its ``k`` is not its
-    number of regions and of iso maps, a logical edge or an iso map's
-    domain is not within 0..n_logical-1, a region is not its map's image,
-    or the regions break the other graph-independent claims verify_partition
-    checks."""
-    k, n = integer(data["k"]), integer(data["n_logical"])
-    pairs = canonical_edges(integer_rows(data["logical_edges"], 2))
-    maps, regions = data["iso_maps"], data["regions"]
-    failures = []
-    if not k == len(regions) == len(maps):
-        failures.append(f"k={k} but {len(regions)} regions / {len(maps)} iso maps")
-    if pairs.size and not 0 <= pairs.min() <= pairs.max() < n:
-        failures.append(f"a logical edge leaves 0..{n - 1}")
-    images = np.empty((len(maps), n), dtype=np.int64)
-    domain = dict.fromkeys(map(str, range(n)))  # the keys "0".."n-1", as printed
-    for r, iso in enumerate(maps):
-        if iso.keys() != domain.keys():
-            failures.append(f"region {r}: iso map domain is not 0..{n - 1}")
-            continue
-        images[r] = integers([iso[v] for v in domain])
-    if not failures:
-        p = ReplicaPartition(images, unique_codes(pairs[:, 0] * n + pairs[:, 1]))
-        failures = [f for claim in _region_failures(p).values() for f in claim]
-        failures += [f"region {r}: iso map image differs from region set"
-                     for r, (reg, row) in enumerate(zip(regions, images))
-                     if not np.array_equal(unique_codes(integers(reg)), unique_codes(row))]
-    if failures:
-        raise FormatError("inconsistent partition payload: " + "; ".join(failures[:3]))
-    return p
+    """A partition payload, rebuilt by partition_replicas from its graph
+    payload and its ``k``."""
+    return partition_replicas(graph_from_dict(data["graph"]), integer(data["k"]))
 
 
 def encoding_to_dict(e: QacEncoding) -> dict:
@@ -499,41 +471,68 @@ def encoding_from_dict(data: dict) -> QacEncoding:
         np.cumsum([0] + [len(cs) for cs in couplers]))
 
 
+def _slot_partition(encodings, slots: np.ndarray) -> ReplicaPartition:
+    """The partition whose region r hosts logical qubit i on problem qubit
+    ``slots[i]`` of encoding r's unit i, with the encodings' logical edges."""
+    units = np.arange(slots.size)
+    return ReplicaPartition(np.stack([e.problem[units, slots] for e in encodings]),
+                            encodings[0].edge_codes)
+
+
 def combined_to_dict(c: CombinedEmbedding) -> dict:
+    """``k``, the encodings and ``rbm_slots``, which of each unit's three
+    problem qubits hosts its logical qubit under replication.
+    InvalidParameterError for an ``rbm_partition`` that is not one problem
+    qubit of each unit in every region, which its slots would load as
+    another partition."""
+    rbm, first = c.rbm_partition, c.encodings[0]
+    slots = first.slots(rbm.images[0]) % 3  # a qubit in no unit (-1) is refused below
+    if rbm.n_logical != first.n_logical or _slot_partition(c.encodings, slots) != rbm:
+        raise InvalidParameterError(
+            "rbm_partition does not host each logical qubit on a problem qubit "
+            "of its unit, in the same slot in every region")
     return {
         "k": c.k,
         "encodings": [encoding_to_dict(e) for e in c.encodings],
-        "rbm_partition": partition_to_dict(c.rbm_partition),
+        "rbm_slots": slots.tolist(),
     }
 
 
-@loader("combined-embedding", keys=("k", "encodings", "rbm_partition", "meta"))
+@loader("combined-embedding", keys=("k", "encodings", "rbm_slots", "meta"))
 def combined_from_dict(data: dict) -> CombinedEmbedding:
-    """A combined payload; FormatError also when its ``k``, its number of
-    encodings and its partition's ``k`` disagree, or when an encoding's
-    units or logical edges are not ``rbm_partition``'s logical ids and edges."""
-    c = CombinedEmbedding(
-        k=integer(data["k"]),
-        encodings=tuple(encoding_from_dict(e) for e in data["encodings"]),
-        rbm_partition=partition_from_dict(data["rbm_partition"]))
-    if not c.k == len(c.encodings) == c.rbm_partition.k:
-        raise FormatError(
-            f"inconsistent combined-embedding payload: k={c.k} but "
-            f"{len(c.encodings)} encodings, rbm_partition k={c.rbm_partition.k}")
-    rbm = c.rbm_partition
-    for r, enc in enumerate(c.encodings):
-        if enc.n_logical != rbm.n_logical or not np.array_equal(enc.edge_codes, rbm.edge_codes):
+    """A combined payload, whose ``rbm_partition`` is each unit's
+    ``rbm_slots`` problem qubit in every encoding; FormatError also when its
+    ``k`` is not its number of encodings (one or more), an encoding's units
+    or logical edges are not encoding 0's, its slots are not u integers in
+    0..2, or the regions they pick share a qubit."""
+    k = integer(data["k"])
+    encodings = tuple(encoding_from_dict(e) for e in data["encodings"])
+    slots = np.array(integers(data["rbm_slots"]), dtype=np.int64)
+    if not k == len(encodings) >= 1:
+        raise FormatError(f"inconsistent combined-embedding payload: k={k} "
+                          f"but {len(encodings)} encodings")
+    u, codes = encodings[0].n_logical, encodings[0].edge_codes
+    for r, enc in enumerate(encodings):
+        if enc.n_logical != u or not np.array_equal(enc.edge_codes, codes):
             raise FormatError(
                 f"inconsistent combined-embedding payload: encoding {r} has {enc.n_logical} "
-                f"units and {enc.edge_codes.size} logical edges, rbm_partition "
-                f"{rbm.n_logical} and {rbm.edge_codes.size}, or other edges")
-    return c
+                f"units and {enc.edge_codes.size} logical edges, encoding 0 {u} and "
+                f"{codes.size}, or other edges")
+    if slots.size != u or ((slots < 0) | (slots > 2)).any():
+        raise FormatError(f"inconsistent combined-embedding payload: rbm_slots are "
+                          f"{slots.size} integers {slots[:5].tolist()}..., not {u} in 0..2")
+    rbm = _slot_partition(encodings, slots)
+    failures = [f for claim in _region_failures(rbm).values() for f in claim]
+    if failures:
+        raise FormatError("inconsistent combined-embedding payload: " + "; ".join(failures[:3]))
+    return CombinedEmbedding(k=k, encodings=encodings, rbm_partition=rbm)
 
 
 # Structure files.  A flag that names a structure file accepts the file of
 # its own kind or a combined one, and a graph flag a partition too; the keys
-# below tell the kinds apart.  Only a combined payload holds these keys:
-_COMBINED_KEYS = frozenset(("encodings", "rbm_partition"))
+# below tell the kinds apart.
+_COMBINED_KEYS = frozenset(("encodings", "rbm_slots"))
+_PARTITION_KEYS = frozenset(("graph", "k"))  # "k" alone: a listed partition
 _ROLES = ("graph", "partition", "encoding")
 
 
@@ -542,13 +541,13 @@ def structure_from_dict(data: dict, role: str):
     """The hardware graph, replica partition or QAC encoding that a structure
     payload supplies, as ``role`` ("graph", "partition" or "encoding") asks.
 
-    A payload holding any key of a combined file is one, and is loaded and
-    checked whole by combined_from_dict: its partition is ``rbm_partition``,
-    its encoding ``encodings[0]`` and its graph that partition's logical
-    graph.  Otherwise a payload holding ``iso_maps`` is a partition, which
-    supplies itself or its logical graph, and any other payload is read as
-    the role's own kind.  A file that cannot supply the role, such as an
-    encoding read as a graph, raises FormatError.
+    A payload holding ``encodings`` or ``rbm_slots`` is a combined file, and
+    is loaded and checked whole by combined_from_dict: its partition is
+    ``rbm_partition``, its encoding ``encodings[0]`` and its graph that
+    partition's logical graph.  Otherwise a payload holding ``graph`` or
+    ``k`` is a partition, which supplies itself or its logical graph, and any
+    other payload is read as the role's own kind.  A file that cannot supply
+    the role, such as an encoding read as a graph, raises FormatError.
     """
     if role not in _ROLES:
         raise InvalidParameterError(f"role must be one of {_ROLES}, got {role!r}")
@@ -559,7 +558,7 @@ def structure_from_dict(data: dict, role: str):
         part = combined.rbm_partition
     elif role == "encoding":
         return encoding_from_dict(data)
-    elif role == "graph" and "iso_maps" not in data:
+    elif role == "graph" and not _PARTITION_KEYS & data.keys():
         return graph_from_dict(data)
     else:
         part = partition_from_dict(data)

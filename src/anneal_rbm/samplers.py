@@ -472,7 +472,8 @@ def sampleset_to_dict(ss: SampleSet, p: IsingProblem) -> dict:
 
 
 def _unpack_reads(raw: list, n: int) -> np.ndarray:
-    """(len(raw), n) int8 spins of reads written as base64 bit rows."""
+    """(len(raw), n) int8 spins of reads written as base64 bit rows, each
+    the canonical base64 of its bytes, so one read has one text."""
     width = -(-n // 8)
     chars = 4 * -(-width // 3)
     form = f"a read of {n} spins is {chars} base64 characters (a {width}-byte bit row)"
@@ -486,6 +487,9 @@ def _unpack_reads(raw: list, n: int) -> np.ndarray:
             raise InvalidParameterError(f"read {r} is not base64 ({exc}); {form}") from None
         if len(row) != width:
             raise InvalidParameterError(f"read {r} decodes to {len(row)} bytes; {form}")
+        if b64encode(row).decode() != text:  # unused bits of its last data character set
+            raise InvalidParameterError(f"read {r} is not the canonical base64 of its bytes; "
+                                        f"{form}")
         rows.append(row)
     bits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(raw), width)
     if n % 8:

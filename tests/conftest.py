@@ -108,6 +108,15 @@ def regions(part) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, part.images.tolist()))
 
 
+def listed_partition(part) -> dict:
+    """The payload a partition file held before it held the recipe: k, the
+    iso maps keyed by logical id, the regions and the logical edges listed."""
+    return {"k": part.k, "n_logical": part.n_logical,
+            "logical_edges": [list(e) for e in logical_edges(part)],
+            "iso_maps": [{str(v): q for v, q in iso.items()} for iso in iso_maps(part)],
+            "regions": [sorted(reg) for reg in regions(part)]}
+
+
 def spins(*values) -> np.ndarray:
     return np.array(values, dtype=np.int8)
 

@@ -6,11 +6,12 @@ import math
 import pytest
 
 from anneal_rbm.cli import main
-from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict
+from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict, partition_from_dict
 from anneal_rbm.experiments import config_from_dict
 from anneal_rbm.jsonio import dumps, read_json
 from anneal_rbm.samplers import noise_from_dict
 from anneal_rbm.topology import build_pegasus, edge_rows, graph_from_dict
+from conftest import listed_partition
 
 
 def run(*argv):
@@ -149,7 +150,7 @@ def test_sample_noise_that_overflows_exits_4(tmp_path, capsys, noise):
     assert run("embed", "partition", "--graph", str(graph), "--k", "2", "--out", str(part)) == 0
     assert run("generate", "--cover-from", str(part), "--seed", "7", "--count", "1",
                "--out", str(inst)) == 0
-    region = json.loads(part.read_text())["regions"][0]
+    region = partition_from_dict(json.loads(part.read_text())).images[0].tolist()
     model = {"sigma_j": 1e308} if noise == "sigma_j" else {
         "sigma_h": 1e308, "region_bias": [{"qubits": region, "delta": 1.7e308}]}
     (tmp_path / "noise.json").write_text(json.dumps(model))
@@ -280,8 +281,8 @@ def test_plus_minus_sample_file_exits_4_naming_the_base64_width(pipeline, tmp_pa
 #: reproducibility contract: a change to how streams are seeded, noise is
 #: drawn or reads are serialized must leave these bytes alone.
 PINNED_SHA256 = {
-    "instance": "a7d8eb69ce8a967f5e582d8b7f1f883cf69238f74f2ae045b7b2df53a9fe0aa2",
-    "samples": "207cf317f35eeb496ca6ac30547120a190f954703c5065a65e404f6519ab5f3c",
+    "instance": "62a96a3d240a742aa1186f2116aba493487835f823971561f6fe01bc0abe06e6",
+    "samples": "4b7eeb2dc8e760e3253075b1c8462b2df85162b8662dd161b3d52802887114b7",
 }
 
 
@@ -444,10 +445,20 @@ _GRAPH = {"family": "pegasus", "params": {"m": 2}, "defects": {"nodes": [], "edg
 #: its 48 node ids and its 168 edges listed
 _LISTED_GRAPH = {**_GRAPH, "nodes": list(range(48)),
                  "edges": edge_rows(build_pegasus(2).ideal_codes, 48)}
-_PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
-              "iso_maps": [{"0": 0, "1": 1}, {"0": 2, "1": 3}], "regions": [[0, 1], [2, 3]]}
+#: the partition of the Pegasus m=2 graph into k=2 regions of 12 logical
+#: qubits, whose logical edges include (0, 1)
+_PARTITION = {"graph": _GRAPH, "k": 2}
+#: a partition as partition files held it before they held the recipe
+_LISTED_PARTITION = {"k": 2, "n_logical": 2, "logical_edges": [[0, 1]],
+                     "iso_maps": [{"0": 0, "1": 1}, {"0": 2, "1": 3}],
+                     "regions": [[0, 1], [2, 3]]}
+_COMBINED_M4 = combine_qac_rbm(build_pegasus(4), 4)
 #: what `embed combined --graph <pegasus m=4> --k 4` writes, without its meta
-_COMBINED = json.loads(dumps(combined_to_dict(combine_qac_rbm(build_pegasus(4), 4))))
+_COMBINED = json.loads(dumps(combined_to_dict(_COMBINED_M4)))
+#: _COMBINED as combined files held it before they held the slots: its
+#: replica partition listed
+_LISTED_COMBINED = {**{key: value for key, value in _COMBINED.items() if key != "rbm_slots"},
+                    "rbm_partition": listed_partition(_COMBINED_M4.rbm_partition)}
 
 
 #: encoding 0 of _COMBINED: 9 units; unit 0 (problem qubits 9, 168, 171, hub 6)
@@ -490,12 +501,13 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{bad}"], {"n": 2, "h": [], "J": {}}),
     (["generate", "--cover-from", "{bad}"], 5),
     (["sample", "--problem", "{problem}", "--qac", "{bad}"], 5),
-    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
-     {**_PARTITION, "iso_maps": [[0, 1], [2, 3]]}),
+    # a partition file that lists its iso maps, as partition files did
+    # before they held the recipe
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"], _LISTED_PARTITION),
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"],
      {"problem_hash": 5, "reads": [[1, 1]]}),
-    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
-     {**_PARTITION, "iso_maps": [{"0": 0, "1": 1}, {"1": 3}]}),
+    # a partition without its graph
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"], {"k": 2}),
     (["sample", "--problem", "{problem}", "--noise", "{bad}"],
      {"sigma_h": float("inf"), "chip_seed": 1}),
     (["sample", "--problem", "{problem}", "--noise", "{bad}"],
@@ -514,15 +526,17 @@ def _encodings_with(index, **changes):
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"], {"reads": ["BA=="]}),
     # reads written one "+"/"-" character per spin, before reads were bit rows
     (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"], {"reads": ["+-"]}),
+    # "Ah==" decodes to the byte of "Ag==": a read has one text
+    (["decode", "sqa", "--samples", "{bad}", "--problem", "{problem}"], {"reads": ["Ah=="]}),
     # each part of a combined file is checked, not only the part a flag uses;
     # {uncoupled} is a problem every structure carries, so only the
     # combined file can be at fault
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
      {**_COMBINED, "encodings": _encodings_with(1, units=5)}),
     # a key no stage reads is refused by name, here a copy of the block
-    # partition with a malformed region list
+    # partition whose k no partition takes
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
-     {**_COMBINED, "base_partition": {**_COMBINED["rbm_partition"], "regions": 3}}),
+     {**_COMBINED, "base_partition": {**_PARTITION, "k": 3}}),
     (["decode", "qac", "--samples", "{reads8}", "--structure", "{bad}",
       "--problem", "{uncoupled}"],
      {**_COMBINED, "encodings": _COMBINED["encodings"][:1]}),
@@ -545,13 +559,12 @@ def _encodings_with(index, **changes):
     # structure files take JSON integers only; int() truncated each of these
     # to a value that loaded and ran
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
-     {**_COMBINED, "rbm_partition": {**_COMBINED["rbm_partition"], "k": 4.7}}),
+     {**_COMBINED, "rbm_slots": [1.0, *_COMBINED["rbm_slots"][1:]]}),
     (["embed", "qac", "--graph", "{bad}"],
      {"family": "custom", "nodes": [0, 1], "edges": [[0, 1.5]]}),
     (["embed", "qac", "--graph", "{bad}"],
      {"family": "custom", "nodes": [0, True], "edges": [[0, 1]]}),
-    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
-     {**_PARTITION, "iso_maps": [{"0": 0, "1": 1}, {"0": 2.0, "1": 3}]}),
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"], {**_PARTITION, "k": 4.0}),
     (_BUILD + ["--defects", "{bad}"], {"nodes": [1.0]}),
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
      {"units": [{"problem": [0, 1, 2], "penalty": 3},
@@ -586,9 +599,10 @@ def _encodings_with(index, **changes):
     # coefficients that float() took: a bool as 1.0, a string as its number
     (["sample", "--problem", "{bad}"], {"n": 2, "h": {"0": True}, "J": {}}),
     (["sample", "--problem", "{bad}"], {"n": 2, "h": {}, "J": {"0,1": "2.5"}}),
-    # structure files name ids by keys too, parsed by the same rule
+    # structure files name ids by keys too, parsed by the same rule, and a
+    # partition's graph names its parameters exactly
     (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
-     {**_PARTITION, "iso_maps": [{"0": 0, "1": 1}, {"0": 2, "01": 3}]}),
+     {**_PARTITION, "graph": {**_GRAPH, "params": {"m": 2, "M": 2}}}),
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
      {**_COMBINED, "encodings": _encodings_with(0, logical_edges={
          "0" + key: cs for key, cs in _COMBINED["encodings"][0]["logical_edges"].items()})}),
@@ -635,7 +649,7 @@ def _encodings_with(index, **changes):
     (["embed", "partition", "--graph", "{bad}"], {**_GRAPH, "defectz": {"nodes": [0]}}),
     (_BUILD + ["--defects", "{bad}"], {"nodes": [0], "edgez": []}),
     (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
-     {**_PARTITION, "regionz": _PARTITION["regions"]}),
+     {**_PARTITION, "regions": _LISTED_PARTITION["regions"]}),
     (_BUILD + ["--defects", "{bad}"], _LISTED_GRAPH),
     # a builder family's graph is its recipe: no unknown parameter, and no
     # shape past the builders' cap, which is refused before any array is made
@@ -650,6 +664,26 @@ def _encodings_with(index, **changes):
     (["embed", "qac", "--graph", "{bad}"], {"family": 7, "nodes": [0, 1], "edges": [[0, 1]]}),
     (["embed", "qac", "--graph", "{bad}"],
      {"family": ["pegasus"], "nodes": [0, 1], "edges": [[0, 1]]}),
+    # a partition file is a Pegasus graph's recipe and a k that
+    # partition_replicas takes; as a graph flag's input it is a partition too
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"], {**_PARTITION, "k": 3}),
+    (["generate", "--cover-from", "{bad}"], {**_PARTITION, "k": True}),
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
+     {**_PARTITION, "graph": {"family": "chimera", "params": {"rows": 2, "cols": 2, "shore": 4},
+                              "defects": {"nodes": [], "edges": []}}}),
+    (["generate", "--cover-from", "{bad}"],
+     {**_PARTITION, "graph": {"family": "custom", "nodes": [0, 1], "edges": [[0, 1]]}}),
+    (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
+     {**_PARTITION, "graph": _LISTED_GRAPH}),
+    # rbm_slots name one of each unit's three problem qubits
+    (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
+     {**_COMBINED, "rbm_slots": [3, *_COMBINED["rbm_slots"][1:]]}),
+    (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
+     {**_COMBINED, "rbm_slots": [-1, *_COMBINED["rbm_slots"][1:]]}),
+    (["generate", "--cover-from", "{bad}"], {**_COMBINED, "rbm_slots": _COMBINED["rbm_slots"][1:]}),
+    # equal encodings place every region's replica on the same qubits
+    (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
+     {**_COMBINED, "encodings": [_COMBINED["encodings"][0]] * 4}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -659,6 +693,7 @@ def _encodings_with(index, **changes):
         "noise-sigma-h-inf", "noise-sigma-j-nan", "noise-delta-inf",
         "samples-mixed-reads", "samples-short-read", "samples-bad-spin",
         "samples-non-ascii-spin", "samples-pad-bit-set", "samples-plus-minus-read",
+        "samples-non-canonical-tail",
         "combined-encoding-1-malformed",
         "combined-base-partition-malformed", "combined-k4-one-encoding",
         "combined-rbm-partition-int", "combined-encodings-dict",
@@ -681,7 +716,10 @@ def _encodings_with(index, **changes):
         "defects-edges-key-misspelt", "partition-extra-key", "graph-file-as-defects",
         "pegasus-unknown-param", "pegasus-m-past-cap",
         "chimera-couplers-past-cap", "build-pegasus-m-past-cap", "graph-family-null",
-        "graph-family-number", "graph-family-list"])
+        "graph-family-number", "graph-family-list", "partition-k-3", "partition-k-bool",
+        "partition-chimera-graph", "partition-custom-graph", "partition-listed-graph",
+        "combined-slot-3", "combined-slot-negative", "combined-slots-short",
+        "combined-equal-encodings"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
@@ -699,6 +737,28 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
             for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert capsys.readouterr().err.startswith("contract:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, payload, named", [
+    (["sample", "--problem", "{problem}", "--replicate", "{old}"], _LISTED_PARTITION,
+     "unknown partition keys ['iso_maps', 'logical_edges', 'n_logical', 'regions']"),
+    (["generate", "--cover-from", "{old}"], _LISTED_PARTITION,
+     "unknown partition keys ['iso_maps', 'logical_edges', 'n_logical', 'regions']"),
+    (["decode", "rbm", "--samples", "{reads}", "--structure", "{old}", "--problem", "{problem}"],
+     _LISTED_COMBINED, "unknown combined-embedding keys ['rbm_partition']"),
+], ids=["partition-replicate", "partition-cover-from", "combined-decode"])
+def test_listed_structure_files_exit_4_naming_their_lists(tmp_path, capsys, argv, payload,
+                                                          named):
+    # partition and combined files written before they held the recipe and
+    # the slots are refused by the keys they list, not read a second way
+    old, problem, reads = tmp_path / "old.json", tmp_path / "p.json", tmp_path / "r.json"
+    old.write_text(json.dumps(payload))
+    problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
+    reads.write_text(json.dumps({"reads": ["AA=="]}))
+    argv = [arg.format(old=old, problem=problem, reads=reads) for arg in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 4
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from anneal_rbm.embedding import (QacEncoding, combine_qac_rbm, combined_from_di
                                   tile_qac, verify_partition)
 from anneal_rbm.errors import (EmbeddingInfeasibleError, FormatError,
                                InvalidParameterError)
+from anneal_rbm.jsonio import dumps
 from anneal_rbm.topology import (apply_defects, build_chimera, build_custom,
                                  build_pegasus, graph_stats, graph_to_dict)
-from conftest import active_edges, id_set, iso_maps, logical_edges, regions, two_stars_graph
+from conftest import (active_edges, id_set, iso_maps, listed_partition, logical_edges, regions,
+                      two_stars_graph)
 from problem_helpers import canonical_edge
 
 
@@ -117,15 +120,6 @@ def test_verifier_reports_a_collapsed_logical_edge(g4):
     assert f"region 1: logical edge ({a},{b}) has no active coupler" in report.failures
 
 
-def test_loader_refuses_removed_region(g4):
-    # k is the number of iso maps, so only a payload can miss a region
-    data = partition_to_dict(partition_replicas(g4, 4))
-    for bad in ({**data, "regions": data["regions"][:3]},
-                {**data, "regions": data["regions"][:3], "iso_maps": data["iso_maps"][:3]}):
-        with pytest.raises(FormatError, match="k=4 but 3 regions"):
-            partition_from_dict(bad)
-
-
 def test_tile_qac_chimera_cell_matches_template():
     enc = tile_qac(build_chimera(1, 1, 4))
     assert enc.n_logical == 2
@@ -199,9 +193,12 @@ def test_combined_logical_graphs_isomorphic_across_regions(g4):
 
 
 def test_partition_serialization_round_trip(g4):
-    part = partition_replicas(g4, 2)
-    again = partition_from_dict(partition_to_dict(part))
-    assert again == part
+    # the payload is the recipe, the graph's recipe and k, rebuilt when loaded
+    damaged = apply_defects(g4, [5, 77], [(0, 1)])
+    for g in (g4, damaged):
+        data = partition_to_dict(g, 2)
+        assert data == {"graph": graph_to_dict(g), "k": 2}
+        assert partition_from_dict(data) == partition_replicas(g, 2)
 
 
 def test_encoding_serialization_round_trip():
@@ -265,17 +262,42 @@ def test_encoding_refuses_each_broken_claim(changes, message):
 
 
 def test_combined_serialization_round_trip(g4):
-    comb = combine_qac_rbm(g4, 4)
-    again = combined_from_dict(combined_to_dict(comb))
-    assert again == comb
+    # k = 1 takes the whole graph, and on Chimera the per-cell template tiling
+    for comb in (combine_qac_rbm(g4, 4), combine_qac_rbm(g4, 1),
+                 combine_qac_rbm(build_chimera(2, 2, 4), 1)):
+        assert combined_from_dict(json.loads(dumps(combined_to_dict(comb)))) == comb
 
 
 def test_combined_payload_whose_counts_disagree_is_rejected(g4):
     data = combined_to_dict(combine_qac_rbm(g4, 4))
+    slots = data["rbm_slots"]
+    two = combined_to_dict(combine_qac_rbm(g4, 2))
     for bad in ({**data, "k": 2}, {**data, "encodings": data["encodings"][:3]},
-                {**data, "rbm_partition": partition_to_dict(partition_replicas(g4, 2))}):
+                {**data, "k": 0, "encodings": []},
+                {**data, "encodings": [two["encodings"][0], *data["encodings"][1:]]},
+                {**data, "rbm_slots": slots[:-1]}, {**data, "rbm_slots": [3, *slots[1:]]},
+                {**data, "rbm_slots": [-1, *slots[1:]]}):
         with pytest.raises(FormatError, match="inconsistent"):
             combined_from_dict(bad)
+    # two equal encodings pick the same qubits for both regions
+    twice = [data["encodings"][0]] * 2 + data["encodings"][2:]
+    with pytest.raises(FormatError, match="shared by regions 0 and 1"):
+        combined_from_dict({**data, "encodings": twice})
+
+
+def test_combined_payload_names_each_units_replica_slot(g4):
+    comb = combine_qac_rbm(g4, 4)
+    slots = combined_to_dict(comb)["rbm_slots"]
+    assert len(slots) == comb.encodings[0].n_logical and set(slots) <= {0, 1, 2}
+    for enc, image in zip(comb.encodings, comb.rbm_partition.images):
+        assert enc.problem[np.arange(len(slots)), slots].tolist() == image.tolist()
+    # an rbm_partition its slots would not load as is refused, not written
+    images = comb.rbm_partition.images.copy()
+    images[1, 0] = comb.encodings[1].penalty[0]
+    moved = dataclasses.replace(comb, rbm_partition=dataclasses.replace(
+        comb.rbm_partition, images=images))
+    with pytest.raises(InvalidParameterError, match="same slot in every region"):
+        combined_to_dict(moved)
 
 
 def test_structure_loaders_name_keys_they_do_not_read(g4):
@@ -288,7 +310,18 @@ def test_structure_loaders_name_keys_they_do_not_read(g4):
     assert encoding_from_dict({**enc, "meta": meta}) == encoding_from_dict(enc)
     unread = r"unknown {} keys \['{}'\]".format
     with pytest.raises(FormatError, match=unread("combined-embedding", "base_partition")):
-        combined_from_dict({**data, "base_partition": data["rbm_partition"]})
+        combined_from_dict({**data, "base_partition": partition_to_dict(g4, 4)})
+    # partition and combined files as they were before they held the recipe
+    # and the slots: listed iso maps, regions and logical edges
+    listed = listed_partition(partition_replicas(g4, 4))
+    unread_all = r"unknown {} keys \[{}\]".format
+    with pytest.raises(FormatError, match=unread_all(
+            "partition", "'iso_maps', 'logical_edges', 'n_logical', 'regions'")):
+        partition_from_dict(listed)
+    old = {k: v for k, v in data.items() if k != "rbm_slots"}
+    with pytest.raises(FormatError, match=unread("combined-embedding", "rbm_partition")):
+        combined_from_dict({**old, "rbm_partition": listed_partition(
+            combine_qac_rbm(g4, 4).rbm_partition)})
     weighted = {**enc, "penalty_weight": -1.0}
     with pytest.raises(FormatError, match=unread("encoding", "penalty_weight")):
         encoding_from_dict(weighted)
@@ -300,7 +333,7 @@ def test_structure_from_dict_serves_each_role_from_each_file_kind(g4):
     comb = combine_qac_rbm(g4, 4)
     part = partition_replicas(g4, 2)
     enc = tile_qac(build_chimera(1, 2, 4))
-    files = {"graph": graph_to_dict(g4), "partition": partition_to_dict(part),
+    files = {"graph": graph_to_dict(g4), "partition": partition_to_dict(g4, 2),
              "encoding": encoding_to_dict(enc), "combined": combined_to_dict(comb)}
     served = {
         ("graph", "graph"): g4,
@@ -318,10 +351,16 @@ def test_structure_from_dict_serves_each_role_from_each_file_kind(g4):
             else:
                 with pytest.raises(FormatError):
                     structure_from_dict(data, role)
-    # a combined file without its rbm_partition is still read, and refused, as one
-    no_rbm = {k: v for k, v in files["combined"].items() if k != "rbm_partition"}
+    # a combined file without its rbm_slots is still read, and refused, as one
+    no_slots = {k: v for k, v in files["combined"].items() if k != "rbm_slots"}
     for role in ("graph", "partition", "encoding"):
         with pytest.raises(FormatError, match="combined-embedding"):
-            structure_from_dict(no_rbm, role)
+            structure_from_dict(no_slots, role)
+    # a listed partition is read as one for every role but the encoding, and
+    # refused by its keys
+    listed = listed_partition(part)
+    for role in ("graph", "partition"):
+        with pytest.raises(FormatError, match="unknown partition keys"):
+            structure_from_dict(listed, role)
     with pytest.raises(InvalidParameterError):
         structure_from_dict(files["partition"], "region")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from anneal_rbm.embedding import (combine_qac_rbm, combined_from_dict,
                                   combined_to_dict, encoding_from_dict,
                                   encoding_to_dict, partition_from_dict,
-                                  partition_replicas, partition_to_dict,
+                                  partition_to_dict,
                                   tile_qac)
 from anneal_rbm.errors import ContractError, FormatError
 from anneal_rbm.experiments import (ExperimentConfig, config_from_dict,
@@ -30,7 +30,6 @@ from conftest import edge_tuples
 def _payloads():
     """loader name -> (loader of one payload argument, a valid payload)."""
     g2 = build_pegasus(2)
-    part = partition_replicas(g2, 2)
     problem = make_problem(3, {0: 1.0}, {(0, 1): -1.0, (1, 2): 2.0})
     samples = sample_sa(problem, AnnealParams(num_reads=3, sweeps=5, seed=1))
     noise = NoiseModel(0.1, 0.05, 3, region_biases([{0, 1}], [0.5]))
@@ -42,7 +41,7 @@ def _payloads():
             g2.ideal_codes, g2.code_base)[:1]))),
         "defects": (defects_from_dict, {"nodes": [1, 2], "edges": [[0, 3]]}),
         "problem": (problem_from_dict, problem_to_dict(problem)),
-        "partition": (partition_from_dict, partition_to_dict(part)),
+        "partition": (partition_from_dict, partition_to_dict(g2, 2)),
         "encoding": (encoding_from_dict, encoding_to_dict(tile_qac(build_chimera(1, 1, 4)))),
         "combined": (combined_from_dict, combined_to_dict(combine_qac_rbm(build_pegasus(3), 2))),
         "noise": (noise_from_dict, noise_to_dict(noise)),

@@ -299,16 +299,38 @@ def test_list_form_reads_import_like_packed_ones(tmp_path):
     (["AgAA"], InvalidParameterError, "read 0 decodes to 3 bytes"),  # padding as data
     (["Ag==", "CA=="], InvalidParameterError, "read 1 sets a bit past spin 2"),
     (["Ag==", "gA=="], InvalidParameterError, "read 1 sets a bit past spin 2"),
+    # the low 4 bits of "h" and "/" lie past the byte, and decode as nothing:
+    # "Ah==" is the byte of "Ag==", and "A/==" that of "Aw=="
+    (["Ag==", "Ah=="], InvalidParameterError, "read 1 is not the canonical base64 of its "
+                                              "bytes; a read of 3 spins is 4 base64"),
+    (["A/=="], InvalidParameterError, "read 0 is not the canonical base64"),
     # one "+"/"-" character per spin, the form before reads were bit rows
     (["+-+"], DimensionMismatchError, "read 0 has 3 characters; a read of 3 spins "
                                       "is 4 base64 characters"),
 ], ids=["string-then-row", "row-then-string", "short", "long", "digit", "space",
         "minus-sign", "accent", "url-safe-minus", "padding-inside", "no-padding",
-        "padding-as-data", "pad-bit-3", "pad-bit-7", "plus-minus"])
+        "padding-as-data", "pad-bit-3", "pad-bit-7", "non-canonical-tail",
+        "non-canonical-tail-all-set", "plus-minus"])
 def test_import_rejects_malformed_packed_reads(reads, error, message):
     p = make_problem(3, {}, {(0, 1): 1.0})
     with pytest.raises(error, match=message):
         sampleset_from_dict({"reads": reads}, p)
+
+
+@pytest.mark.parametrize("n, canonical, others", [
+    (1, "AQ==", ["AR==", "AX==", "Af=="]),
+    (9, "AQE=", ["AQF=", "AQH="]),
+], ids=["one-byte", "two-bytes"])
+def test_a_read_has_one_base64_text(n, canonical, others):
+    # the decoder drops the unused low bits of the last data character, so
+    # each of these texts decodes to the canonical one's bytes
+    p = make_problem(n, {}, {})
+    assert sampleset_from_dict({"reads": [canonical]}, p).reads[0, 0] == -1
+    for text in others:
+        assert base64.b64decode(text) == base64.b64decode(canonical)
+        with pytest.raises(InvalidParameterError,
+                           match=f"read 0 is not the canonical base64 .*{n} spins"):
+            sampleset_from_dict({"reads": [text]}, p)
 
 
 def test_plus_minus_read_of_base64_width_is_refused():

@@ -9,7 +9,9 @@ a seeded mask of dead qubits and dead couplers at k = 2, 4 and 8, and the
 `embed qac` tilings of the m=16 graph and of a Chimera graph with such a
 mask.  A Pegasus or Chimera graph file is its recipe, the builder's family
 and parameters and the defect mask, and loads as that builder's graph with
-the mask applied.
+the mask applied.  A partition file is a recipe too, the graph's recipe and
+k, and a combined file holds its encodings and the slot of each unit's
+problem qubit that hosts the unit's replica.
 """
 
 import hashlib
@@ -74,18 +76,18 @@ def qac_file(tmp_path, graph) -> str:
 
 PINNED_M16 = {
     "graph": "c86927aeb77441369adca0112c02938b57d01c2eec4405887ff3f168beef5ed7",
-    "partition_k4": "158e083ead9f621597f43d0f3a57d555e9c3e3410f5571f761926b0b02e36564",
-    "combined_k4": "480eab13c454f432a55a4e340194ed732e01ae265653d4fd559ceecff9a31bc8",
+    "partition_k4": "2079662ffa885082b4868cdced9b15df8a7e22e43dc650f236ccec058f8979e4",
+    "combined_k4": "4a16348321a5fc91de969186c0745eef6954df6260709325415b32dbf6f194c0",
 }
 
 PINNED_M6_DEFECTS = {
     "graph": "a84c552d97b15bfdd2e22b9c2cb06f6e344263bf5291fd5ac86470a417bbbf82",
-    "partition_k2": "32f380dc036a6cb0cc2fa1151d6b02e55a74c6676d5156c8c4b25cc22d718ef9",
-    "combined_k2": "7689a94906621199502a78c4623481773d826b1546ce50076c667a7841595590",
-    "partition_k4": "afe6f6ad12109926b1ab7197614b6f36dff2e5c8f53fccc08250262126b4073d",
-    "combined_k4": "b428c432c50ca3c8eb2febc7e967a93367b425ff57bf9166c25505418686027d",
-    "partition_k8": "d1302721ee0406be6faf3b6240e354aa3e79fa23bcb76cf08442244067330bb0",
-    "combined_k8": "b97c65747ea3c2f39b82db5c1eb324bf63643dab7f9f27e2ee1560164b927595",
+    "partition_k2": "be8baeedf8636912070bac4acfe28960f896037df75684a164ea7a12164718e3",
+    "combined_k2": "04c379f5dae5577cdc5041dc627e31c53834d3d32e129212300a606384f6916d",
+    "partition_k4": "8f0726ca9bac05a2a4dafbedfe5d4ded719070af66e24ad55a2096f2b4bbbc4e",
+    "combined_k4": "dd5f6b91ccd109c4bddee42ee68832f385579bc60b3e39bfbf57af4ac4b325e7",
+    "partition_k8": "74c0c003b1310b36158f372ccb0b31f77439f5fe967b6fa0648bed5a55e45fd7",
+    "combined_k8": "0528ed74a305e8499cf3db1d8e25a5633e8d10261c284ce78498ab6edae37946",
 }
 
 PINNED_QAC = {
@@ -120,6 +122,10 @@ def test_graph_files_are_recipes_that_load_as_builder_plus_mask(tmp_path, build,
     assert graph_from_dict(data) == want == graph_from_dict_reference(data)
 
 
+#: the keys of each structure file: a recipe, and the encodings with slots
+KEYS = {"partition": ["graph", "k", "meta"], "combined": ["encodings", "k", "meta", "rbm_slots"]}
+
+
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_structure_files_load_as_what_they_were_written_from(tmp_path, k):
     # a structure's payload holds no meta of its own, so the CLI's meta in
@@ -133,6 +139,7 @@ def test_structure_files_load_as_what_they_were_written_from(tmp_path, k):
         out = tmp_path / f"{kind}.json"
         assert main(["embed", kind, "--graph", str(graph), "--k", str(k),
                      "--out", str(out)]) == 0
+        assert sorted(read_json(str(out))) == KEYS[kind]
         assert structure_from_dict(read_json(str(out)), "partition") == want
     assert structure_from_dict(read_json(str(out)), "encoding") == comb.encodings[0]
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anneal_rbm.embedding import (_pick_representatives, combine_qac_rbm,
-                                  partition_replicas, partition_to_dict, tile_qac,
-                                  verify_partition)
+from anneal_rbm.embedding import (_pick_representatives, combine_qac_rbm, combined_from_dict,
+                                  combined_to_dict, partition_from_dict, partition_replicas,
+                                  partition_to_dict, tile_qac, verify_partition)
 from anneal_rbm.errors import ContractError
 from anneal_rbm.ising import make_problem, problem_hash, problem_to_dict, replicate
 from anneal_rbm.jsonio import dumps
@@ -173,9 +173,15 @@ def test_partition_and_report_equal_reference(g, k):
     assert part == outcome(partition_replicas_reference, g, k)
     if isinstance(part, tuple):
         return
-    assert partition_to_dict(part) == partition_to_dict(partition_replicas_reference(g, k))
+    # the recipe file loads as the reference partition
+    recipe = json.loads(dumps(partition_to_dict(g, k)))
+    assert partition_from_dict(recipe) == partition_replicas_reference(g, k)
     assert verify_partition(part, g) == verify_partition_reference(part, g)
-    assert outcome(combine_qac_rbm, g, k) == outcome(combine_qac_rbm_reference, g, k)
+    comb = outcome(combine_qac_rbm, g, k)
+    assert comb == outcome(combine_qac_rbm_reference, g, k)
+    if not isinstance(comb, tuple):
+        loaded = combined_from_dict(json.loads(dumps(combined_to_dict(comb))))
+        assert loaded.rbm_partition == combine_qac_rbm_reference(g, k).rbm_partition
 
 
 def _corruptions(part, g, r: random.Random):
