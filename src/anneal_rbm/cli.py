@@ -10,6 +10,7 @@ byte-identical payloads.  Exit codes: 0 success, 2 usage, 3 IO failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -240,6 +241,7 @@ def _cmd_report_render(ns) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+@functools.cache  # parse_args keeps no state on the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL,

@@ -11,8 +11,9 @@ function of the graph and k, a partition file is their recipe: the graph's
 recipe and ``k``, rebuilt by ``partition_replicas`` when loaded.
 
 QAC tilings cover a graph with vertex-disjoint K_{1,3} units (three problem
-qubits plus one penalty hub), stored as arrays too; the penalty weight is the
-annealing run's alpha, not part of a tiling.  The combined construction gives
+qubits plus one penalty hub), stored and written as arrays (a loaded coupler's
+unit pair is found from its ends); the penalty weight is the annealing run's
+alpha, not part of a tiling.  The combined construction gives
 k regions that each carry the same logical graph twice over: once as
 one-qubit-per-node (replication) and once as one-unit-per-node (penalty code).
 Its file stores the encodings and, for each unit, which of its three problem
@@ -24,14 +25,13 @@ the block partition they come from, which for k > 1 is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import EmbeddingInfeasibleError, FormatError, InvalidParameterError
-from .jsonio import index_keys, integer, integer_rows, integers, loader
-from .topology import (HardwareGraph, canonical_edges, chimera_index, edge_rows,
-                       frozen, graph_from_dict, graph_to_dict, unique_codes)
+from .jsonio import integer, integer_rows, integers, loader
+from .topology import (HardwareGraph, canonical_edges, chimera_index, frozen, graph_from_dict,
+                       graph_to_dict, unique_codes)
 
 # Block grid (columns x rows) per replica count.
 _GRIDS = {2: (2, 1), 4: (2, 2), 8: (4, 2)}
@@ -267,14 +267,19 @@ class QacEncoding:
     def slots(self, qubits) -> np.ndarray:
         """Each qubit's index s in ``problem.ravel()``, so that it is
         problem qubit s % 3 of unit s // 3, or -1 for a qubit that is none."""
-        flat = self.problem.ravel()
-        order = np.argsort(flat)
-        s = np.r_[order, -1][np.searchsorted(flat, qubits, sorter=order)]  # -1: past the end
-        return np.where(np.r_[flat, -1][s] == qubits, s, -1)
+        return _slots(self.problem, qubits)
 
     def logical_graph(self) -> HardwareGraph:
         """Graph over logical ids: nodes are units, edges the coupled unit pairs."""
         return HardwareGraph("logical", {}, np.arange(self.n_logical), self.edge_codes)
+
+
+def _slots(problem: np.ndarray, qubits) -> np.ndarray:
+    """QacEncoding.slots of the (u, 3) ``problem``."""
+    flat = problem.ravel()
+    order = np.argsort(flat)
+    s = np.r_[order, -1][np.searchsorted(flat, qubits, sorter=order)]  # -1: past the end
+    return np.where(np.r_[flat, -1][s] == qubits, s, -1)
 
 
 def _encoding_failure(e: QacEncoding) -> str | None:
@@ -441,34 +446,30 @@ def partition_from_dict(data: dict) -> ReplicaPartition:
 
 
 def encoding_to_dict(e: QacEncoding) -> dict:
-    rows, cuts = e.couplers.tolist(), e.offsets.tolist()
-    return {
-        "units": [{"problem": qs, "penalty": q}
-                  for qs, q in zip(e.problem.tolist(), e.penalty.tolist())],
-        "logical_edges": {"{},{}".format(*pair): rows[i:j] for pair, i, j
-                          in zip(edge_rows(e.edge_codes, e.n_logical), cuts, cuts[1:])},
-    }
+    """The problem qubits and hub of each unit, and the couplers, as rows."""
+    return {"problem": e.problem.tolist(), "penalty": e.penalty.tolist(),
+            "couplers": e.couplers.tolist()}
 
 
 # the CLI adds "meta" to every file it writes
-@loader("encoding", keys=("units", "logical_edges", "meta"))
+@loader("encoding", keys=("problem", "penalty", "couplers", "meta"))
 def encoding_from_dict(data: dict) -> QacEncoding:
-    """An encoding payload; its ``"a,b"`` keys may come in any order, and
-    InvalidParameterError also when one leaves 0..u-1 or the encoding breaks
-    a claim QacEncoding checks."""
-    units, ledges = data["units"], data["logical_edges"]
-    n = len(units)
-    keys = canonical_edges(np.array(index_keys(ledges, 2), dtype=np.int64).reshape(-1, 2))
-    if keys.size and not 0 <= keys.min() <= keys.max() < n:  # else codes could alias
-        raise InvalidParameterError(f"a logical pair key leaves 0..{n - 1}")
-    codes = keys[:, 0] * n + keys[:, 1]
-    order = np.argsort(codes, kind="stable").tolist()
-    couplers = list(ledges.values())
-    couplers = [couplers[i] for i in order]
-    return QacEncoding(
-        integer_rows([u["problem"] for u in units], 3), integers([u["penalty"] for u in units]),
-        codes[order], canonical_edges(integer_rows(list(chain.from_iterable(couplers)), 2)),
-        np.cumsum([0] + [len(cs) for cs in couplers]))
+    """An encoding payload, a coupler's pair being the two units whose problem
+    qubits it joins: pairs may come in any order, and a pair's couplers keep
+    theirs.  FormatError also for a coupler that does not join problem qubits
+    of two units, InvalidParameterError for a claim QacEncoding checks."""
+    problem = integer_rows(data["problem"], 3)
+    couplers = canonical_edges(integer_rows(data["couplers"], 2))
+    unit = np.sort(_slots(problem, couplers) // 3, axis=1)  # a qubit in no unit: -1
+    bad = np.flatnonzero((unit[:, 0] < 0) | (unit[:, 0] == unit[:, 1]))
+    if bad.size:
+        raise FormatError(f"malformed encoding payload: coupler {couplers[bad[0]].tolist()} "
+                          f"does not join problem qubits of two units")
+    codes = unit[:, 0] * len(problem) + unit[:, 1]
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    return QacEncoding(problem, np.array(integers(data["penalty"]), dtype=np.int64),
+                       codes[order][starts], couplers[order], np.r_[starts, codes.size])
 
 
 def _slot_partition(encodings, slots: np.ndarray) -> ReplicaPartition:
@@ -491,11 +492,8 @@ def combined_to_dict(c: CombinedEmbedding) -> dict:
         raise InvalidParameterError(
             "rbm_partition does not host each logical qubit on a problem qubit "
             "of its unit, in the same slot in every region")
-    return {
-        "k": c.k,
-        "encodings": [encoding_to_dict(e) for e in c.encodings],
-        "rbm_slots": slots.tolist(),
-    }
+    return {"k": c.k, "encodings": [encoding_to_dict(e) for e in c.encodings],
+            "rbm_slots": slots.tolist()}
 
 
 @loader("combined-embedding", keys=("k", "encodings", "rbm_slots", "meta"))
@@ -504,7 +502,7 @@ def combined_from_dict(data: dict) -> CombinedEmbedding:
     ``rbm_slots`` problem qubit in every encoding; FormatError also when its
     ``k`` is not its number of encodings (one or more), an encoding's units
     or logical edges are not encoding 0's, its slots are not u integers in
-    0..2, or the regions they pick share a qubit."""
+    0..2, or two encodings share a qubit (so the regions are disjoint)."""
     k = integer(data["k"])
     encodings = tuple(encoding_from_dict(e) for e in data["encodings"])
     slots = np.array(integers(data["rbm_slots"]), dtype=np.int64)
@@ -521,11 +519,14 @@ def combined_from_dict(data: dict) -> CombinedEmbedding:
     if slots.size != u or ((slots < 0) | (slots > 2)).any():
         raise FormatError(f"inconsistent combined-embedding payload: rbm_slots are "
                           f"{slots.size} integers {slots[:5].tolist()}..., not {u} in 0..2")
-    rbm = _slot_partition(encodings, slots)
-    failures = [f for claim in _region_failures(rbm).values() for f in claim]
-    if failures:
-        raise FormatError("inconsistent combined-embedding payload: " + "; ".join(failures[:3]))
-    return CombinedEmbedding(k=k, encodings=encodings, rbm_partition=rbm)
+    qubits = np.concatenate([np.c_[e.problem, e.penalty].ravel() for e in encodings])
+    order = np.argsort(qubits, kind="stable")
+    shared = np.flatnonzero(np.diff(qubits[order]) == 0)
+    if shared.size:
+        first, again = order[shared[0]:shared[0] + 2] // (4 * u)
+        raise FormatError(f"inconsistent combined-embedding payload: encodings {first} and "
+                          f"{again} share qubit {qubits[order[shared[0]]]}")
+    return CombinedEmbedding(k, encodings, _slot_partition(encodings, slots))
 
 
 # Structure files.  A flag that names a structure file accepts the file of

@@ -397,8 +397,8 @@ def verify_planted(inst: PlantedInstance, brute_cap: int = 24) -> PlantedReport:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (the loop cover itself is derivable from the source graph and
-# is not embedded in instance files)
+# Serialization (an instance file holds neither the loop cover nor the clauses:
+# no stage reads them, and the cover file and the params regenerate them)
 
 def instance_to_dict(inst: PlantedInstance) -> dict:
     from .ising import problem_to_dict
@@ -413,8 +413,5 @@ def instance_to_dict(inst: PlantedInstance) -> dict:
             "seed": inst.params.seed,
         },
         "loop_count": (inst.clause_loops if inst.cover is None else inst.cover.lengths).size,
-        "clauses": [{"loop": loop, "magnitude": m, "flip": None if flip < 0 else flip}
-                    for loop, m, flip in zip(inst.clause_loops.tolist(),
-                                             inst.magnitudes.tolist(), inst.flips.tolist())],
         "planted_energy": inst.planted_energy,
     }

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from anneal_rbm.cli import main
+from anneal_rbm.cli import build_parser, main
 from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict, partition_from_dict
 from anneal_rbm.experiments import config_from_dict
 from anneal_rbm.jsonio import dumps, read_json
@@ -51,6 +51,19 @@ def test_topology_build_with_defects(tmp_path):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run("frobnicate") == 2
+
+
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every call in a process, so a refused call must leave
+    # nothing behind for the next: it samples with the default read count
+    problem, out = tmp_path / "p.json", tmp_path / "s.json"
+    problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
+    argv = ["sample", "--problem", str(problem), "--sweeps", "2", "--out", str(out)]
+    assert run(*argv, "--reads", "0") == 2
+    assert not out.exists()
+    assert run(*argv) == 0
+    assert len(read_json(str(out))["reads"]) == 100
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("count", ["0", "-2", "two"])
@@ -281,8 +294,8 @@ def test_plus_minus_sample_file_exits_4_naming_the_base64_width(pipeline, tmp_pa
 #: reproducibility contract: a change to how streams are seeded, noise is
 #: drawn or reads are serialized must leave these bytes alone.
 PINNED_SHA256 = {
-    "instance": "62a96a3d240a742aa1186f2116aba493487835f823971561f6fe01bc0abe06e6",
-    "samples": "4b7eeb2dc8e760e3253075b1c8462b2df85162b8662dd161b3d52802887114b7",
+    "instance": "40517000d1b16554d74d4defafb798797dbabb5b4ab9844ac8329144ef2d29b4",
+    "samples": "eab69db5266c218771c7816bd6358759ec7f65ee1e22080dd9645c186f89a8a7",
 }
 
 
@@ -467,12 +480,26 @@ _LISTED_COMBINED = {**{key: value for key, value in _COMBINED.items() if key != 
 _ENCODING = _COMBINED["encodings"][0]
 
 
-def _encoding_with(units=(), pairs=()):
-    """_ENCODING with the units ``{index: unit}`` and the logical edges
-    ``{"a,b": couplers}`` replaced or added."""
+def _keyed(enc):
+    """``enc`` as encoding files held it before they held their arrays: a
+    dict per unit, and each unit pair's couplers under an "a,b" key."""
+    cuts, u = enc.offsets.tolist(), enc.n_logical
+    return {"units": [{"problem": qs, "penalty": q}
+                      for qs, q in zip(enc.problem.tolist(), enc.penalty.tolist())],
+            "logical_edges": {"{},{}".format(*divmod(code, u)): enc.couplers[i:j].tolist()
+                              for code, i, j in zip(enc.edge_codes.tolist(), cuts, cuts[1:])}}
+
+
+_KEYED_ENCODING = _keyed(_COMBINED_M4.encodings[0])
+
+
+def _encoding_with(units=(), couplers=()):
+    """_ENCODING with the units ``{index: (problem qubits, hub)}`` replaced
+    and ``couplers`` added."""
     data = json.loads(json.dumps(_ENCODING))
-    data["units"] = [dict(units).get(i, unit) for i, unit in enumerate(data["units"])]
-    data["logical_edges"].update(pairs)
+    for i, (problem, penalty) in dict(units).items():
+        data["problem"][i], data["penalty"][i] = problem, penalty
+    data["couplers"] += couplers
     return data
 
 
@@ -532,7 +559,7 @@ def _encodings_with(index, **changes):
     # {uncoupled} is a problem every structure carries, so only the
     # combined file can be at fault
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
-     {**_COMBINED, "encodings": _encodings_with(1, units=5)}),
+     {**_COMBINED, "encodings": _encodings_with(1, problem=5)}),
     # a key no stage reads is refused by name, here a copy of the block
     # partition whose k no partition takes
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
@@ -553,9 +580,10 @@ def _encodings_with(index, **changes):
     # a combined file whose encoding keeps 2 of its units loaded, and
     # generate wrote instances that only sample --qac refused
     (["generate", "--cover-from", "{bad}"],
-     {**_COMBINED, "encodings": _encodings_with(0, units=_COMBINED["encodings"][0]["units"][:2])}),
+     {**_COMBINED, "encodings": _encodings_with(0, problem=_ENCODING["problem"][:2],
+                                                 penalty=_ENCODING["penalty"][:2], couplers=[])}),
     (["generate", "--cover-from", "{bad}"],
-     {**_COMBINED, "encodings": _encodings_with(2, logical_edges={})}),
+     {**_COMBINED, "encodings": _encodings_with(2, couplers=[])}),
     # structure files take JSON integers only; int() truncated each of these
     # to a value that loaded and ran
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
@@ -567,8 +595,7 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{problem}", "--replicate", "{bad}"], {**_PARTITION, "k": 4.0}),
     (_BUILD + ["--defects", "{bad}"], {"nodes": [1.0]}),
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
-     {"units": [{"problem": [0, 1, 2], "penalty": 3},
-                {"problem": [4, 5, 6.0], "penalty": 7}], "logical_edges": {}}),
+     {"problem": [[0, 1, 2], [4, 5, 6.0]], "penalty": [3, 7], "couplers": []}),
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"], {**_COMBINED, "k": 4.0}),
     # edge codes need listed, non-negative node ids; an edge to an unlisted
     # node used to load and exit 1 with KeyError when the graph was tiled
@@ -599,13 +626,9 @@ def _encodings_with(index, **changes):
     # coefficients that float() took: a bool as 1.0, a string as its number
     (["sample", "--problem", "{bad}"], {"n": 2, "h": {"0": True}, "J": {}}),
     (["sample", "--problem", "{bad}"], {"n": 2, "h": {}, "J": {"0,1": "2.5"}}),
-    # structure files name ids by keys too, parsed by the same rule, and a
-    # partition's graph names its parameters exactly
+    # a partition's graph names its parameters exactly
     (["sample", "--problem", "{problem}", "--replicate", "{bad}"],
      {**_PARTITION, "graph": {**_GRAPH, "params": {"m": 2, "M": 2}}}),
-    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
-     {**_COMBINED, "encodings": _encodings_with(0, logical_edges={
-         "0" + key: cs for key, cs in _COMBINED["encodings"][0]["logical_edges"].items()})}),
     # number fields that float() took: a string as its number, a bool as 0 or 1
     (["sample", "--problem", "{problem}", "--noise", "{bad}"], {"sigma_h": "0.5"}),
     (["sample", "--problem", "{problem}", "--noise", "{bad}"], {"sigma_j": True}),
@@ -615,29 +638,41 @@ def _encodings_with(index, **changes):
     # an encoding's penalty weight is the run's alpha, so the key is refused
     # by name, as any key the loader does not read
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
-     {"units": [{"problem": [0, 1, 2], "penalty": 3}, {"problem": [4, 5, 6], "penalty": 7}],
-      "logical_edges": {}, "penalty_weight": True}),
-    # encodings that break a claim QacEncoding checks; {pair02} couples
-    # units 0 and 2, so the builder reads their couplers.  The first two
-    # raised KeyError and ZeroDivisionError, and the others annealed a
-    # problem other than the encoding's
+     {"problem": [[0, 1, 2], [4, 5, 6]], "penalty": [3, 7], "couplers": [],
+      "penalty_weight": True}),
+    # encodings that break a claim QacEncoding or its loader checks; {pair02}
+    # couples units 0 and 2, so the builder reads their couplers.  An
+    # unknown qubit and a missing pair raised KeyError and ZeroDivisionError
+    # when encodings were keyed by pair, and the others annealed a problem
+    # other than the encoding's
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(couplers=[[21, 999]])),
+    # an encoding without its couplers
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with(pairs={"0,2": [[21, 168], [21, 999]]})),
-    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(pairs={"0,2": []})),
+     {key: value for key, value in _ENCODING.items() if key != "couplers"}),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with({1: {"problem": [15, 174, 9], "penalty": 12}})),
+     _encoding_with({1: ([9, 174, 177], 12)})),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with({0: {"problem": [9, 168, 171], "penalty": 9}})),
+     _encoding_with({0: ([9, 168, 171], 9)})),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(couplers=[[9, 168]])),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(couplers=[[6, 168]])),
+    # the same coupler twice, the second time ends first
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(couplers=[[168, 21]])),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with(pairs={"0,2": [[21, 168], [6, 168]]})),
+     _encoding_with({8: (_ENCODING["problem"][8], -1)})),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with(pairs={"0,2": [[21, 168], [39, 171]]})),
+     _encoding_with(couplers=[[21, 168, 171]])),
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(couplers=[[21, 1.5]])),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with(pairs={"0,2": [[21, 168], [21, 168]]})),
+     _encoding_with({8: (_ENCODING["problem"][8], True)})),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with({8: {**_ENCODING["units"][8], "penalty": -1}})),
+     _encoding_with({8: ([63, 198], 60)})),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with(pairs={"0,500": [[21, 168]]})),
+     {**_ENCODING, "penalty": _ENCODING["penalty"][:-1]}),
+    # encodings as they were before they held their arrays, alone and as
+    # one of a combined file's encodings
+    (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _KEYED_ENCODING),
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
+     {**_COMBINED, "encodings": [*_COMBINED["encodings"][:3], _KEYED_ENCODING]}),
     # a stream takes its seed modulo 2**64, so -1 drew what 2**64 - 1 draws
     (["sample", "--problem", "{problem}", "--noise", "{bad}"], {"sigma_h": 0.5, "chip_seed": -1}),
     (["sample", "--problem", "{problem}", "--noise", "{bad}"],
@@ -684,6 +719,11 @@ def _encodings_with(index, **changes):
     # equal encodings place every region's replica on the same qubits
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
      {**_COMBINED, "encodings": [_COMBINED["encodings"][0]] * 4}),
+    # regions share no qubit: encoding 1's unit 0 takes encoding 0's hub 6,
+    # and each encoding is sound alone
+    (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
+     {**_COMBINED, "encodings": _encodings_with(
+         1, penalty=[6, *_COMBINED["encodings"][1]["penalty"][1:]])}),
 ], ids=["config-list", "config-string-list", "config-string-pair", "noise-list",
         "no-encodings", "report-list", "report-empty", "report-cells-int",
         "report-cell-no-method", "defects-list", "defects-nodes-int",
@@ -705,13 +745,15 @@ def _encodings_with(index, **changes):
         "samples-energy-nan", "report-cell-infinity", "problem-n-float",
         "noise-region-qubits-float-bool", "problem-j-keys-alias", "problem-j-key-space",
         "problem-h-keys-alias", "problem-h-key-underscore", "problem-h-bool",
-        "problem-j-string", "partition-iso-key-alias", "combined-encoding-key-alias",
+        "problem-j-string", "partition-iso-key-alias",
         "noise-sigma-h-string", "noise-sigma-j-bool", "noise-delta-string",
         "config-beta-string", "encoding-penalty-weight-bool",
         "encoding-coupler-unknown-qubit", "encoding-no-couplers", "encoding-qubit-in-two-units",
         "encoding-hub-is-own-problem-qubit", "encoding-intra-unit-coupler",
-        "encoding-other-pair-coupler", "encoding-repeated-coupler", "encoding-negative-qubit",
-        "encoding-key-beyond-units", "noise-chip-seed-negative", "noise-chip-seed-2**64",
+        "encoding-hub-coupler", "encoding-repeated-coupler", "encoding-negative-qubit",
+        "encoding-coupler-three-ids", "encoding-coupler-float", "encoding-penalty-bool",
+        "encoding-problem-row-of-2", "encoding-penalty-short", "encoding-keyed",
+        "combined-keyed-encoding", "noise-chip-seed-negative", "noise-chip-seed-2**64",
         "config-seed-negative", "config-seed-2**64", "graph-defects-key-misspelt",
         "defects-edges-key-misspelt", "partition-extra-key", "graph-file-as-defects",
         "pegasus-unknown-param", "pegasus-m-past-cap",
@@ -719,7 +761,7 @@ def _encodings_with(index, **changes):
         "graph-family-number", "graph-family-list", "partition-k-3", "partition-k-bool",
         "partition-chimera-graph", "partition-custom-graph", "partition-listed-graph",
         "combined-slot-3", "combined-slot-negative", "combined-slots-short",
-        "combined-equal-encodings"])
+        "combined-equal-encodings", "combined-regions-share-a-hub"])
 def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
     uncoupled, reads8 = tmp_path / "u.json", tmp_path / "r.json"
@@ -747,11 +789,18 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
      "unknown partition keys ['iso_maps', 'logical_edges', 'n_logical', 'regions']"),
     (["decode", "rbm", "--samples", "{reads}", "--structure", "{old}", "--problem", "{problem}"],
      _LISTED_COMBINED, "unknown combined-embedding keys ['rbm_partition']"),
-], ids=["partition-replicate", "partition-cover-from", "combined-decode"])
+    (["sample", "--problem", "{problem}", "--qac", "{old}"], _KEYED_ENCODING,
+     "unknown encoding keys ['logical_edges', 'units']"),
+    (["sample", "--problem", "{problem}", "--replicate", "{old}"],
+     {**_COMBINED, "encodings": [_KEYED_ENCODING, *_COMBINED["encodings"][1:]]},
+     "unknown encoding keys ['logical_edges', 'units']"),
+], ids=["partition-replicate", "partition-cover-from", "combined-decode", "encoding-qac",
+        "encoding-in-combined-replicate"])
 def test_listed_structure_files_exit_4_naming_their_lists(tmp_path, capsys, argv, payload,
                                                           named):
-    # partition and combined files written before they held the recipe and
-    # the slots are refused by the keys they list, not read a second way
+    # partition, combined and encoding files written before they held the
+    # recipe, the slots and the arrays are refused by the keys they list,
+    # not read a second way
     old, problem, reads = tmp_path / "old.json", tmp_path / "p.json", tmp_path / "r.json"
     old.write_text(json.dumps(payload))
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))

@@ -214,21 +214,31 @@ def test_encoding_arrays_are_read_only_int64():
         assert a.dtype == np.int64 and not a.flags.writeable, name
 
 
-def test_encoding_loader_takes_pair_keys_in_any_order():
-    enc = tile_qac(build_chimera(1, 2, 4))
+def test_encoding_loader_takes_pair_keys_in_any_order(g4):
+    # a coupler's pair is the units it joins: the pairs may come in any order
+    # and either end first, and each pair's couplers keep their order
+    enc = combine_qac_rbm(g4, 4).encodings[0]
     data = encoding_to_dict(enc)
-    assert len(data["logical_edges"]) > 1
-    reversed_keys = dict(reversed(data["logical_edges"].items()))
-    assert encoding_from_dict({**data, "logical_edges": reversed_keys}) == enc
+    assert sorted(data) == ["couplers", "penalty", "problem"]
+    assert enc.edge_codes.size > 1 and (np.diff(enc.offsets) > 1).any()
+    cuts = enc.offsets.tolist()
+    runs = [data["couplers"][i:j] for i, j in zip(cuts, cuts[1:])]
+    shuffled = [[b, a] for run in reversed(runs) for a, b in run]
+    assert encoding_from_dict({**data, "couplers": shuffled}) == enc
+    # another order within a pair is another encoding
+    swapped = [run[::-1] for run in runs]
+    again = encoding_from_dict({**data, "couplers": [c for run in swapped for c in run]})
+    assert again != enc and np.array_equal(again.edge_codes, enc.edge_codes)
 
 
 def test_encoding_loader_refuses_keys_beyond_its_units(g4):
-    # on 9 units "0,11" would code as 0*9 + 11 = 1*9 + 2, the pair (1, 2)
+    # a coupler joins problem qubits of two units: not a hub (unit 0's is
+    # qubit 6), a qubit in no unit, or two qubits of one unit
     data = encoding_to_dict(combine_qac_rbm(g4, 4).encodings[0])
-    assert len(data["units"]) == 9
-    ledges = {("0,11" if key == "1,2" else key): cs for key, cs in data["logical_edges"].items()}
-    with pytest.raises(InvalidParameterError, match="leaves 0..8"):
-        encoding_from_dict({**data, "logical_edges": ledges})
+    assert data["problem"][0] == [9, 168, 171] and data["penalty"][0] == 6
+    for coupler in ([6, 168], [168, 6], [999, 168], [168, 999], [9, 171]):
+        with pytest.raises(FormatError, match=r"coupler \[\d+, \d+\] does not join"):
+            encoding_from_dict({**data, "couplers": [*data["couplers"], coupler]})
 
 
 def _two_units(**changes):
@@ -281,8 +291,15 @@ def test_combined_payload_whose_counts_disagree_is_rejected(g4):
             combined_from_dict(bad)
     # two equal encodings pick the same qubits for both regions
     twice = [data["encodings"][0]] * 2 + data["encodings"][2:]
-    with pytest.raises(FormatError, match="shared by regions 0 and 1"):
+    with pytest.raises(FormatError, match="encodings 0 and 1 share qubit 6"):
         combined_from_dict({**data, "encodings": twice})
+    # regions share no qubit, a hub included: encoding 3's unit 0 takes
+    # encoding 1's hub, and each encoding is sound alone
+    third = {**data["encodings"][3], "penalty": [*data["encodings"][3]["penalty"]]}
+    third["penalty"][0] = data["encodings"][1]["penalty"][0]
+    encoding_from_dict(third)
+    with pytest.raises(FormatError, match=f"encodings 1 and 3 share qubit {third['penalty'][0]}"):
+        combined_from_dict({**data, "encodings": [*data["encodings"][:3], third]})
 
 
 def test_combined_payload_names_each_units_replica_slot(g4):

@@ -291,3 +291,7 @@ def test_instance_serialization_round_trip():
     problem = problem_from_dict(data)
     assert problem == inst.problem
     assert energy(problem, data["planted"]) == data["planted_energy"] == inst.planted_energy
+    # no clause list, which no stage reads; a file that still holds one loads
+    assert sorted(data) == ["J", "h", "loop_count", "n", "params", "planted", "planted_energy"]
+    clauses = [{"loop": 0, "magnitude": 2.0, "flip": None}]
+    assert problem_from_dict({**data, "clauses": clauses}) == inst.problem

@@ -4,8 +4,9 @@
 workbench builds instances on, augmentation, decomposition, generation,
 serialization and verification must give what it gives: the same edges and
 loops in the same order, the same clauses, the same J terms in the same
-stored order and dtypes, the same planted energy and file bytes, and the
-same verdicts on sound and on damaged instances.
+stored order and dtypes, the same planted energy, the same file bytes less
+the clause list instance files no longer hold, and the same verdicts on
+sound and on damaged instances.
 """
 
 import dataclasses
@@ -94,7 +95,10 @@ def assert_instances_match(cover, want, betas=(1.0, 0.5), seeds=(0, 7)):
                 assert got.dtype == exp.dtype and np.array_equal(got, exp), name
             assert inst.planted_energy == expect.planted_energy
             assert np.array_equal(inst.planted, expect.planted)
-            assert dumps(planted.instance_to_dict(inst)) == dumps(ref.instance_to_dict(expect))
+            # instance files no longer write the clauses, compared as arrays above
+            payload = {key: value for key, value in ref.instance_to_dict(expect).items()
+                       if key != "clauses"}
+            assert dumps(planted.instance_to_dict(inst)) == dumps(payload)
             for name, got, exp in damaged(inst, expect):
                 verdict = report(planted.verify_planted(got))
                 assert verdict == report(ref.verify_planted(exp)), name

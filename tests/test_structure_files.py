@@ -11,7 +11,9 @@ mask.  A Pegasus or Chimera graph file is its recipe, the builder's family
 and parameters and the defect mask, and loads as that builder's graph with
 the mask applied.  A partition file is a recipe too, the graph's recipe and
 k, and a combined file holds its encodings and the slot of each unit's
-problem qubit that hosts the unit's replica.
+problem qubit that hosts the unit's replica.  An encoding is its three
+stored arrays as rows: each unit's problem qubits, each unit's hub and the
+couplers.
 """
 
 import hashlib
@@ -77,22 +79,22 @@ def qac_file(tmp_path, graph) -> str:
 PINNED_M16 = {
     "graph": "c86927aeb77441369adca0112c02938b57d01c2eec4405887ff3f168beef5ed7",
     "partition_k4": "2079662ffa885082b4868cdced9b15df8a7e22e43dc650f236ccec058f8979e4",
-    "combined_k4": "4a16348321a5fc91de969186c0745eef6954df6260709325415b32dbf6f194c0",
+    "combined_k4": "6ddd2aa0d0c35943db5f0ceecaf40631721dd9bb497f3f0c6108fd9f32ad7d71",
 }
 
 PINNED_M6_DEFECTS = {
     "graph": "a84c552d97b15bfdd2e22b9c2cb06f6e344263bf5291fd5ac86470a417bbbf82",
     "partition_k2": "be8baeedf8636912070bac4acfe28960f896037df75684a164ea7a12164718e3",
-    "combined_k2": "04c379f5dae5577cdc5041dc627e31c53834d3d32e129212300a606384f6916d",
+    "combined_k2": "6e021122c331dd9e7454cbbfc10c84bd64963a770f74206e54a4832637c81790",
     "partition_k4": "8f0726ca9bac05a2a4dafbedfe5d4ded719070af66e24ad55a2096f2b4bbbc4e",
-    "combined_k4": "dd5f6b91ccd109c4bddee42ee68832f385579bc60b3e39bfbf57af4ac4b325e7",
+    "combined_k4": "afca8bb29019143e5efe081fb76da09a2dc8e257ad4dbeccb0290aeb9304cfd7",
     "partition_k8": "74c0c003b1310b36158f372ccb0b31f77439f5fe967b6fa0648bed5a55e45fd7",
-    "combined_k8": "0528ed74a305e8499cf3db1d8e25a5633e8d10261c284ce78498ab6edae37946",
+    "combined_k8": "29d67e07d924b99c782835625fa9a85a2087dcda4f8ab017e9a4e09bd938bce5",
 }
 
 PINNED_QAC = {
-    "pegasus_m16": "77a74ead9986235cb028c7112cd76219cd517ee9d769024de3563347e46aaf0a",
-    "chimera_4x4_defects": "9d991dea46da1fa63c035abfe173ce0fa137cac739c499a6d4f0717cd8786683",
+    "pegasus_m16": "55d8734d298d91f44c35411539727c9f0cec50105188ac586aeec5808f4cf83e",
+    "chimera_4x4_defects": "d49503f5aab3cf370b3f53fad18fb81730657a98c9c0fc6947ced0f7d434b017",
 }
 
 
@@ -124,6 +126,8 @@ def test_graph_files_are_recipes_that_load_as_builder_plus_mask(tmp_path, build,
 
 #: the keys of each structure file: a recipe, and the encodings with slots
 KEYS = {"partition": ["graph", "k", "meta"], "combined": ["encodings", "k", "meta", "rbm_slots"]}
+#: the keys of an encoding: its arrays
+ENCODING_KEYS = ["couplers", "penalty", "problem"]
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
@@ -141,6 +145,7 @@ def test_structure_files_load_as_what_they_were_written_from(tmp_path, k):
                      "--out", str(out)]) == 0
         assert sorted(read_json(str(out))) == KEYS[kind]
         assert structure_from_dict(read_json(str(out)), "partition") == want
+    assert [sorted(e) for e in read_json(str(out))["encodings"]] == [ENCODING_KEYS] * k
     assert structure_from_dict(read_json(str(out)), "encoding") == comb.encodings[0]
 
 
