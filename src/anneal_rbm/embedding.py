@@ -16,10 +16,12 @@ unit pair is found from its ends); the penalty weight is the annealing run's
 alpha, not part of a tiling.  The combined construction gives
 k regions that each carry the same logical graph twice over: once as
 one-qubit-per-node (replication) and once as one-unit-per-node (penalty code).
-Its file stores the encodings and, for each unit, which of its three problem
-qubits hosts the unit's logical qubit under replication (``rbm_slots``), not
-the block partition they come from, which for k > 1 is what
-`partition_replicas` returns for the same graph and k.
+Its encodings are translates of encoding 0: the same couplers between the same
+slots of the same units, on other qubits.  Its file stores encoding 0 whole,
+each later encoding as its units and hubs only, and for each unit which of its
+three problem qubits hosts the unit's logical qubit under replication
+(``rbm_slots``), not the block partition they come from, which for k > 1 is
+what `partition_replicas` returns for the same graph and k.
 """
 
 from __future__ import annotations
@@ -282,15 +284,24 @@ def _slots(problem: np.ndarray, qubits) -> np.ndarray:
     return np.where(np.r_[flat, -1][s] == qubits, s, -1)
 
 
+def _qubit_failure(problem: np.ndarray, penalty: np.ndarray) -> str | None:
+    """The QacEncoding claim that the 4u qubit ids are non-negative and
+    distinct, if ``problem`` and ``penalty`` break it."""
+    qubits = np.sort(np.concatenate([problem.ravel(), penalty]))
+    if qubits.size and (qubits[0] < 0 or (qubits[1:] == qubits[:-1]).any()):
+        return f"its {qubits.size} qubit ids are not non-negative and distinct"
+    return None
+
+
 def _encoding_failure(e: QacEncoding) -> str | None:
     """The first claim of the QacEncoding docstring that ``e`` breaks."""
     u, codes, couplers, offsets = e.n_logical, e.edge_codes, e.couplers, e.offsets
     shapes = [getattr(e, name).shape for name in e._ARRAYS]
     if shapes != [(u, 3), (u,), (codes.size,), (*couplers.shape[:1], 2), (codes.size + 1,)]:
         return f"arrays of shapes {shapes}, not (u, 3), (u,), (L,), (E, 2) and (L + 1,)"
-    qubits = np.sort(np.concatenate([e.problem.ravel(), e.penalty]))
-    if qubits.size and (qubits[0] < 0 or (qubits[1:] == qubits[:-1]).any()):
-        return f"its {qubits.size} qubit ids are not non-negative and distinct"
+    failure = _qubit_failure(e.problem, e.penalty)
+    if failure:
+        return failure
     a, b = np.divmod(codes, max(u, 1))
     if ((codes < 0) | (codes >= u * u) | (a >= b)).any() or (np.diff(codes) <= 0).any():
         return f"its pair codes are not rising codes a*{u} + b with a < b < {u}"
@@ -390,8 +401,10 @@ class CombinedEmbedding:
 
     Each region carries an isomorphic copy of the instance graph; a node is
     representable either as one qubit (``rbm_partition``) or as one K_{1,3}
-    unit (``encodings[r]``).  Its payload holds ``k``, the encodings and the
-    slot of each unit's problem qubit that ``rbm_partition`` picks.
+    unit (``encodings[r]``).  Its payload holds ``k``, encoding 0, the units
+    and hubs of each later encoding (which carries encoding 0's couplers in
+    the same slots) and the slot of each unit's problem qubit that
+    ``rbm_partition`` picks.
     """
 
     k: int
@@ -456,9 +469,14 @@ def encoding_to_dict(e: QacEncoding) -> dict:
 def encoding_from_dict(data: dict) -> QacEncoding:
     """An encoding payload, a coupler's pair being the two units whose problem
     qubits it joins: pairs may come in any order, and a pair's couplers keep
-    theirs.  FormatError also for a coupler that does not join problem qubits
-    of two units, InvalidParameterError for a claim QacEncoding checks."""
+    theirs.  InvalidParameterError for a claim QacEncoding checks, the 4u
+    qubit ids being distinct checked first, and FormatError for a coupler
+    that does not join problem qubits of two units."""
     problem = integer_rows(data["problem"], 3)
+    penalty = np.array(integers(data["penalty"]), dtype=np.int64)
+    failure = _qubit_failure(problem, penalty)  # a qubit in two units has two slots
+    if failure:
+        raise InvalidParameterError(f"invalid QAC encoding: {failure}")
     couplers = canonical_edges(integer_rows(data["couplers"], 2))
     unit = np.sort(_slots(problem, couplers) // 3, axis=1)  # a qubit in no unit: -1
     bad = np.flatnonzero((unit[:, 0] < 0) | (unit[:, 0] == unit[:, 1]))
@@ -468,8 +486,31 @@ def encoding_from_dict(data: dict) -> QacEncoding:
     codes = unit[:, 0] * len(problem) + unit[:, 1]
     order = np.argsort(codes, kind="stable")
     starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    return QacEncoding(problem, np.array(integers(data["penalty"]), dtype=np.int64),
-                       codes[order][starts], couplers[order], np.r_[starts, codes.size])
+    return QacEncoding(problem, penalty, codes[order][starts], couplers[order],
+                       np.r_[starts, codes.size])
+
+
+def _translate(first: QacEncoding, slots: np.ndarray, problem: np.ndarray,
+               penalty: np.ndarray) -> QacEncoding:
+    """``first`` moved onto the units ``problem`` and hubs ``penalty``: each
+    coupler joins the problem qubits in the same ``slots`` (``first.slots`` of
+    its couplers) of the same units."""
+    return QacEncoding(problem, penalty, first.edge_codes,
+                       np.sort(problem.ravel()[slots], axis=1), first.offsets)
+
+
+@loader("translated-encoding", keys=("problem", "penalty"))
+def _translate_from_dict(data: dict, r: int, first: QacEncoding,
+                         slots: np.ndarray) -> QacEncoding:
+    """Encoding r of a combined payload, ``first``'s couplers on its own
+    units; FormatError unless it has u units of 3 problem qubits and u hubs."""
+    problem = integer_rows(data["problem"], 3)
+    penalty = np.array(integers(data["penalty"]), dtype=np.int64)
+    if len(problem) != first.n_logical or penalty.size != first.n_logical:
+        raise FormatError(
+            f"inconsistent combined-embedding payload: encoding {r} has {len(problem)} units "
+            f"and {penalty.size} hubs, encoding 0 {first.n_logical} of each")
+    return _translate(first, slots, problem, penalty)
 
 
 def _slot_partition(encodings, slots: np.ndarray) -> ReplicaPartition:
@@ -481,41 +522,50 @@ def _slot_partition(encodings, slots: np.ndarray) -> ReplicaPartition:
 
 
 def combined_to_dict(c: CombinedEmbedding) -> dict:
-    """``k``, the encodings and ``rbm_slots``, which of each unit's three
-    problem qubits hosts its logical qubit under replication.
-    InvalidParameterError for an ``rbm_partition`` that is not one problem
-    qubit of each unit in every region, which its slots would load as
-    another partition."""
+    """``k``, encoding 0 whole and each later encoding as its units and hubs,
+    and ``rbm_slots``, which of each unit's three problem qubits hosts its
+    logical qubit under replication.  InvalidParameterError for a later
+    encoding that is not encoding 0's couplers on its own units, or an
+    ``rbm_partition`` that is not one problem qubit of each unit in every
+    region, which the file would load as other encodings or another
+    partition."""
     rbm, first = c.rbm_partition, c.encodings[0]
+    coupler_slots = first.slots(first.couplers)
+    for r, e in enumerate(c.encodings[1:], 1):
+        if e.n_logical != first.n_logical or e != _translate(first, coupler_slots,
+                                                             e.problem, e.penalty):
+            raise InvalidParameterError(
+                f"encoding {r} is not encoding 0's couplers on its own units")
     slots = first.slots(rbm.images[0]) % 3  # a qubit in no unit (-1) is refused below
     if rbm.n_logical != first.n_logical or _slot_partition(c.encodings, slots) != rbm:
         raise InvalidParameterError(
             "rbm_partition does not host each logical qubit on a problem qubit "
             "of its unit, in the same slot in every region")
-    return {"k": c.k, "encodings": [encoding_to_dict(e) for e in c.encodings],
+    later = [{"problem": e.problem.tolist(), "penalty": e.penalty.tolist()}
+             for e in c.encodings[1:]]
+    return {"k": c.k, "encodings": [encoding_to_dict(first), *later],
             "rbm_slots": slots.tolist()}
 
 
 @loader("combined-embedding", keys=("k", "encodings", "rbm_slots", "meta"))
 def combined_from_dict(data: dict) -> CombinedEmbedding:
-    """A combined payload, whose ``rbm_partition`` is each unit's
-    ``rbm_slots`` problem qubit in every encoding; FormatError also when its
-    ``k`` is not its number of encodings (one or more), an encoding's units
-    or logical edges are not encoding 0's, its slots are not u integers in
-    0..2, or two encodings share a qubit (so the regions are disjoint)."""
-    k = integer(data["k"])
-    encodings = tuple(encoding_from_dict(e) for e in data["encodings"])
+    """A combined payload: encoding 0 is an encoding payload and each later
+    one its units and hubs, carrying encoding 0's couplers in the same slots,
+    and ``rbm_partition`` is each unit's ``rbm_slots`` problem qubit in every
+    encoding.  FormatError also when its ``k`` is not its number of
+    encodings (one or more), a later encoding holds other keys or not
+    encoding 0's number of units, its slots are not u integers in 0..2, or
+    two encodings share a qubit (so the regions are disjoint)."""
+    k, payloads = integer(data["k"]), data["encodings"]
     slots = np.array(integers(data["rbm_slots"]), dtype=np.int64)
-    if not k == len(encodings) >= 1:
+    if not k == len(payloads) >= 1:
         raise FormatError(f"inconsistent combined-embedding payload: k={k} "
-                          f"but {len(encodings)} encodings")
-    u, codes = encodings[0].n_logical, encodings[0].edge_codes
-    for r, enc in enumerate(encodings):
-        if enc.n_logical != u or not np.array_equal(enc.edge_codes, codes):
-            raise FormatError(
-                f"inconsistent combined-embedding payload: encoding {r} has {enc.n_logical} "
-                f"units and {enc.edge_codes.size} logical edges, encoding 0 {u} and "
-                f"{codes.size}, or other edges")
+                          f"but {len(payloads)} encodings")
+    first = encoding_from_dict(payloads[0])
+    coupler_slots = first.slots(first.couplers)
+    encodings = (first, *(_translate_from_dict(e, r, first, coupler_slots)
+                          for r, e in enumerate(payloads[1:], 1)))
+    u = first.n_logical
     if slots.size != u or ((slots < 0) | (slots > 2)).any():
         raise FormatError(f"inconsistent combined-embedding payload: rbm_slots are "
                           f"{slots.size} integers {slots[:5].tolist()}..., not {u} in 0..2")
@@ -523,8 +573,8 @@ def combined_from_dict(data: dict) -> CombinedEmbedding:
     order = np.argsort(qubits, kind="stable")
     shared = np.flatnonzero(np.diff(qubits[order]) == 0)
     if shared.size:
-        first, again = order[shared[0]:shared[0] + 2] // (4 * u)
-        raise FormatError(f"inconsistent combined-embedding payload: encodings {first} and "
+        r, again = order[shared[0]:shared[0] + 2] // (4 * u)
+        raise FormatError(f"inconsistent combined-embedding payload: encodings {r} and "
                           f"{again} share qubit {qubits[order[shared[0]]]}")
     return CombinedEmbedding(k, encodings, _slot_partition(encodings, slots))
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -74,6 +76,15 @@ def edge_tuples(codes, n: int) -> list[tuple[int, int]]:
     """Edge codes a*n + b as (a, b) tuples, in order."""
     a, b = np.divmod(np.asarray(codes), n)
     return list(zip(a.tolist(), b.tolist()))
+
+
+def defect_mask(g, seed: int, qubits: int, couplers: int) -> dict:
+    """A reproducible mask of ``qubits`` dead qubits and ``couplers`` dead
+    couplers of the ideal graph ``g``."""
+    r = random.Random(seed)
+    return {"nodes": sorted(r.sample(g.node_ids.tolist(), qubits)),
+            "edges": [list(e) for e in
+                      sorted(r.sample(edge_tuples(g.ideal_codes, g.code_base), couplers))]}
 
 
 def id_set(ids) -> frozenset[int]:

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from anneal_rbm.cli import build_parser, main
-from anneal_rbm.embedding import combine_qac_rbm, combined_to_dict, partition_from_dict
+from anneal_rbm.embedding import (combine_qac_rbm, combined_to_dict, encoding_to_dict,
+                                  partition_from_dict)
 from anneal_rbm.experiments import config_from_dict
 from anneal_rbm.jsonio import dumps, read_json
 from anneal_rbm.samplers import noise_from_dict
@@ -582,8 +583,9 @@ def _encodings_with(index, **changes):
     (["generate", "--cover-from", "{bad}"],
      {**_COMBINED, "encodings": _encodings_with(0, problem=_ENCODING["problem"][:2],
                                                  penalty=_ENCODING["penalty"][:2], couplers=[])}),
+    # encoding 2 with no units, so none of encoding 0's edges
     (["generate", "--cover-from", "{bad}"],
-     {**_COMBINED, "encodings": _encodings_with(2, couplers=[])}),
+     {**_COMBINED, "encodings": _encodings_with(2, problem=[], penalty=[])}),
     # structure files take JSON integers only; int() truncated each of these
     # to a value that loaded and ran
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
@@ -650,7 +652,7 @@ def _encodings_with(index, **changes):
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
      {key: value for key, value in _ENCODING.items() if key != "couplers"}),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
-     _encoding_with({1: ([9, 174, 177], 12)})),
+     _encoding_with({1: ([15, 174, 9], 12)})),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"],
      _encoding_with({0: ([9, 168, 171], 9)})),
     (["sample", "--problem", "{pair02}", "--qac", "{bad}"], _encoding_with(couplers=[[9, 168]])),
@@ -718,7 +720,8 @@ def _encodings_with(index, **changes):
     (["generate", "--cover-from", "{bad}"], {**_COMBINED, "rbm_slots": _COMBINED["rbm_slots"][1:]}),
     # equal encodings place every region's replica on the same qubits
     (["sample", "--problem", "{uncoupled}", "--replicate", "{bad}"],
-     {**_COMBINED, "encodings": [_COMBINED["encodings"][0]] * 4}),
+     {**_COMBINED, "encodings": [_ENCODING, *[{"problem": _ENCODING["problem"],
+                                               "penalty": _ENCODING["penalty"]}] * 3]}),
     # regions share no qubit: encoding 1's unit 0 takes encoding 0's hub 6,
     # and each encoding is sound alone
     (["sample", "--problem", "{uncoupled}", "--qac", "{bad}"],
@@ -794,13 +797,17 @@ def test_malformed_loader_input_exits_4(tmp_path, capsys, argv, payload):
     (["sample", "--problem", "{problem}", "--replicate", "{old}"],
      {**_COMBINED, "encodings": [_KEYED_ENCODING, *_COMBINED["encodings"][1:]]},
      "unknown encoding keys ['logical_edges', 'units']"),
+    (["sample", "--problem", "{problem}", "--qac", "{old}"],
+     {**_COMBINED, "encodings": [encoding_to_dict(e) for e in _COMBINED_M4.encodings]},
+     "unknown translated-encoding keys ['couplers']"),
 ], ids=["partition-replicate", "partition-cover-from", "combined-decode", "encoding-qac",
-        "encoding-in-combined-replicate"])
+        "encoding-in-combined-replicate", "combined-couplers-in-every-encoding"])
 def test_listed_structure_files_exit_4_naming_their_lists(tmp_path, capsys, argv, payload,
                                                           named):
     # partition, combined and encoding files written before they held the
-    # recipe, the slots and the arrays are refused by the keys they list,
-    # not read a second way
+    # recipe, the slots and the arrays, and combined files written before
+    # their later encodings were translates of encoding 0, are refused by the
+    # keys they list, not read a second way
     old, problem, reads = tmp_path / "old.json", tmp_path / "p.json", tmp_path / "r.json"
     old.write_text(json.dumps(payload))
     problem.write_text(json.dumps({"n": 2, "h": {}, "J": {"0,1": 1.0}}))
@@ -808,6 +815,20 @@ def test_listed_structure_files_exit_4_naming_their_lists(tmp_path, capsys, argv
     argv = [arg.format(old=old, problem=problem, reads=reads) for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out")) == 4
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_encoding_qubit_in_two_units_exits_4_naming_that_claim(tmp_path, capsys):
+    # unit 1 takes unit 0's qubit 9 in place of 177, which coupler [21, 177]
+    # uses: the qubit ids are checked before any coupler is placed in a unit,
+    # so 177 in no unit is not named instead
+    assert _ENCODING["problem"][1] == [15, 174, 177] and [21, 177] in _ENCODING["couplers"]
+    bad, problem = tmp_path / "bad.json", tmp_path / "p.json"
+    bad.write_text(json.dumps(_encoding_with({1: ([15, 174, 9], 12)})))
+    problem.write_text(json.dumps({"n": 3, "h": {}, "J": {"0,2": 1.0}}))
+    assert run("sample", "--problem", str(problem), "--qac", str(bad),
+               "--out", str(tmp_path / "out")) == 4
+    assert "36 qubit ids are not non-negative and distinct" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -14,8 +14,8 @@ from anneal_rbm.errors import (EmbeddingInfeasibleError, FormatError,
 from anneal_rbm.jsonio import dumps
 from anneal_rbm.topology import (apply_defects, build_chimera, build_custom,
                                  build_pegasus, graph_stats, graph_to_dict)
-from conftest import (active_edges, id_set, iso_maps, listed_partition, logical_edges, regions,
-                      two_stars_graph)
+from conftest import (active_edges, defect_mask, id_set, iso_maps, listed_partition,
+                      logical_edges, regions, two_stars_graph)
 from problem_helpers import canonical_edge
 
 
@@ -271,11 +271,35 @@ def test_encoding_refuses_each_broken_claim(changes, message):
         _two_units(**changes)
 
 
-def test_combined_serialization_round_trip(g4):
-    # k = 1 takes the whole graph, and on Chimera the per-cell template tiling
-    for comb in (combine_qac_rbm(g4, 4), combine_qac_rbm(g4, 1),
-                 combine_qac_rbm(build_chimera(2, 2, 4), 1)):
-        assert combined_from_dict(json.loads(dumps(combined_to_dict(comb)))) == comb
+def test_combined_serialization_round_trip(g4, pegasus16):
+    # every graph and k that combine_qac_rbm takes in these tests: k = 1 takes
+    # the whole graph, and on Chimera the per-cell template tiling; the
+    # masked m=4 graph is the CI's and the masked m=6 one the pinned files'
+    m6 = build_pegasus(6)
+    m6_mask = defect_mask(m6, seed=2024, qubits=12, couplers=20)
+    graphs = [(build_pegasus(2), (1,)), (g4, (1, 2, 4)),
+              (apply_defects(g4, [5, 77, 140, 250], [(0, 1), (30, 31)]), (1, 2, 4)),
+              (apply_defects(m6, m6_mask["nodes"], m6_mask["edges"]), (1, 2, 4, 8)),
+              (build_chimera(2, 2, 4), (1,)), (pegasus16, (4,))]
+    for g, k_values in graphs:
+        for k in k_values:
+            comb = combine_qac_rbm(g, k)
+            data = json.loads(dumps(combined_to_dict(comb)))
+            # encodings 1..k-1 are encoding 0's couplers on their own units
+            assert [sorted(e) for e in data["encodings"]] == (
+                [["couplers", "penalty", "problem"]] + [["penalty", "problem"]] * (k - 1))
+            assert combined_from_dict(data) == comb
+
+
+def test_combined_translates_write_couplers_rising():
+    # encoding 1's units list their qubits falling, so its couplers in
+    # encoding 0's slots end higher first and are turned round on load
+    data = {"k": 2, "rbm_slots": [0, 0], "encodings": [
+        {"problem": [[0, 1, 2], [4, 5, 6]], "penalty": [3, 7], "couplers": [[0, 4], [1, 5]]},
+        {"problem": [[14, 13, 12], [10, 9, 8]], "penalty": [15, 11]}]}
+    comb = combined_from_dict(data)
+    assert comb.encodings[1].couplers.tolist() == [[10, 14], [9, 13]]
+    assert combined_to_dict(comb) == data
 
 
 def test_combined_payload_whose_counts_disagree_is_rejected(g4):
@@ -285,19 +309,24 @@ def test_combined_payload_whose_counts_disagree_is_rejected(g4):
     for bad in ({**data, "k": 2}, {**data, "encodings": data["encodings"][:3]},
                 {**data, "k": 0, "encodings": []},
                 {**data, "encodings": [two["encodings"][0], *data["encodings"][1:]]},
+                {**data, "encodings": [*data["encodings"][:2], {**data["encodings"][2],
+                                       "penalty": data["encodings"][2]["penalty"][:-1]},
+                                       data["encodings"][3]]},
                 {**data, "rbm_slots": slots[:-1]}, {**data, "rbm_slots": [3, *slots[1:]]},
                 {**data, "rbm_slots": [-1, *slots[1:]]}):
         with pytest.raises(FormatError, match="inconsistent"):
             combined_from_dict(bad)
     # two equal encodings pick the same qubits for both regions
-    twice = [data["encodings"][0]] * 2 + data["encodings"][2:]
+    first = data["encodings"][0]
+    twice = [first, {"problem": first["problem"], "penalty": first["penalty"]},
+             *data["encodings"][2:]]
     with pytest.raises(FormatError, match="encodings 0 and 1 share qubit 6"):
         combined_from_dict({**data, "encodings": twice})
     # regions share no qubit, a hub included: encoding 3's unit 0 takes
-    # encoding 1's hub, and each encoding is sound alone
+    # encoding 1's hub, and each encoding is sound alone, as the second of two
     third = {**data["encodings"][3], "penalty": [*data["encodings"][3]["penalty"]]}
     third["penalty"][0] = data["encodings"][1]["penalty"][0]
-    encoding_from_dict(third)
+    combined_from_dict({**data, "k": 2, "encodings": [first, third]})
     with pytest.raises(FormatError, match=f"encodings 1 and 3 share qubit {third['penalty'][0]}"):
         combined_from_dict({**data, "encodings": [*data["encodings"][:3], third]})
 
@@ -315,6 +344,27 @@ def test_combined_payload_names_each_units_replica_slot(g4):
         comb.rbm_partition, images=images))
     with pytest.raises(InvalidParameterError, match="same slot in every region"):
         combined_to_dict(moved)
+
+
+def test_combined_writer_refuses_an_encoding_that_is_not_a_translate(g4):
+    # a later encoding is written as its units alone, so one whose couplers
+    # are not encoding 0's in the same slots would load as another encoding
+    comb = combine_qac_rbm(g4, 4)
+    e1 = comb.encodings[1]
+    # encoding 1's first coupler moved to another problem qubit of its unit
+    # that does not already join the other end
+    (p, q), couplers = e1.couplers[0], e1.couplers.tolist()
+    unit = e1.problem[e1.slots([p])[0] // 3]
+    other = next(x for x in unit.tolist() if x != p and sorted([x, q]) not in couplers)
+    couplers[0] = sorted([other, q])
+    moved = QacEncoding(e1.problem, e1.penalty, e1.edge_codes, couplers, e1.offsets)
+    # and encoding 1 without its first pair
+    fewer = QacEncoding(e1.problem, e1.penalty, e1.edge_codes[1:],
+                        e1.couplers[e1.offsets[1]:], e1.offsets[1:] - e1.offsets[1])
+    for enc in (moved, fewer):
+        bad = dataclasses.replace(comb, encodings=(comb.encodings[0], enc, *comb.encodings[2:]))
+        with pytest.raises(InvalidParameterError, match="encoding 1 is not encoding 0's"):
+            combined_to_dict(bad)
 
 
 def test_structure_loaders_name_keys_they_do_not_read(g4):
@@ -344,6 +394,11 @@ def test_structure_loaders_name_keys_they_do_not_read(g4):
         encoding_from_dict(weighted)
     with pytest.raises(FormatError, match=unread("encoding", "penalty_weight")):
         combined_from_dict({**data, "encodings": [weighted, *data["encodings"][1:]]})
+    # a combined file as it was before its later encodings were translates:
+    # every encoding with its couplers
+    whole = [encoding_to_dict(e) for e in combine_qac_rbm(g4, 4).encodings]
+    with pytest.raises(FormatError, match=unread("translated-encoding", "couplers")):
+        combined_from_dict({**data, "encodings": whole})
 
 
 def test_structure_from_dict_serves_each_role_from_each_file_kind(g4):

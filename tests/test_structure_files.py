@@ -13,12 +13,12 @@ the mask applied.  A partition file is a recipe too, the graph's recipe and
 k, and a combined file holds its encodings and the slot of each unit's
 problem qubit that hosts the unit's replica.  An encoding is its three
 stored arrays as rows: each unit's problem qubits, each unit's hub and the
-couplers.
+couplers.  A combined file's later encodings are encoding 0's couplers on
+their own units, so they hold only their problem qubits and hubs.
 """
 
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -26,21 +26,12 @@ from anneal_rbm.cli import main
 from anneal_rbm.embedding import combine_qac_rbm, partition_replicas, structure_from_dict
 from anneal_rbm.jsonio import read_json
 from anneal_rbm.topology import apply_defects, build_chimera, build_pegasus, graph_from_dict
-from conftest import edge_tuples
+from conftest import defect_mask
 from structure_reference import graph_from_dict_reference
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def defect_mask(g, seed: int, qubits: int, couplers: int) -> dict:
-    """A reproducible mask of ``qubits`` dead qubits and ``couplers`` dead
-    couplers of the ideal graph ``g``."""
-    r = random.Random(seed)
-    return {"nodes": sorted(r.sample(g.node_ids.tolist(), qubits)),
-            "edges": [list(e) for e in
-                      sorted(r.sample(edge_tuples(g.ideal_codes, g.code_base), couplers))]}
 
 
 def graph_file(tmp_path, build, mask: dict | None = None):
@@ -79,17 +70,17 @@ def qac_file(tmp_path, graph) -> str:
 PINNED_M16 = {
     "graph": "c86927aeb77441369adca0112c02938b57d01c2eec4405887ff3f168beef5ed7",
     "partition_k4": "2079662ffa885082b4868cdced9b15df8a7e22e43dc650f236ccec058f8979e4",
-    "combined_k4": "6ddd2aa0d0c35943db5f0ceecaf40631721dd9bb497f3f0c6108fd9f32ad7d71",
+    "combined_k4": "6a04e2f55e7572451082391304239ba6cf9911967926ce7eb92787d17bd1627d",
 }
 
 PINNED_M6_DEFECTS = {
     "graph": "a84c552d97b15bfdd2e22b9c2cb06f6e344263bf5291fd5ac86470a417bbbf82",
     "partition_k2": "be8baeedf8636912070bac4acfe28960f896037df75684a164ea7a12164718e3",
-    "combined_k2": "6e021122c331dd9e7454cbbfc10c84bd64963a770f74206e54a4832637c81790",
+    "combined_k2": "d989a128d59ecd969889ad6891cd7fcf4aee6b7bf1216b90bb2630c769a7a18d",
     "partition_k4": "8f0726ca9bac05a2a4dafbedfe5d4ded719070af66e24ad55a2096f2b4bbbc4e",
-    "combined_k4": "afca8bb29019143e5efe081fb76da09a2dc8e257ad4dbeccb0290aeb9304cfd7",
+    "combined_k4": "6a1df8b8c610ba6f7777e353fd8f38d3a41910bf684509715c61e91895e62ff1",
     "partition_k8": "74c0c003b1310b36158f372ccb0b31f77439f5fe967b6fa0648bed5a55e45fd7",
-    "combined_k8": "29d67e07d924b99c782835625fa9a85a2087dcda4f8ab017e9a4e09bd938bce5",
+    "combined_k8": "96fa67d9c41e0fdfa51b8a39554ac7ca23bb953834247ad4066eed5aaa2651ad",
 }
 
 PINNED_QAC = {
@@ -128,6 +119,9 @@ def test_graph_files_are_recipes_that_load_as_builder_plus_mask(tmp_path, build,
 KEYS = {"partition": ["graph", "k", "meta"], "combined": ["encodings", "k", "meta", "rbm_slots"]}
 #: the keys of an encoding: its arrays
 ENCODING_KEYS = ["couplers", "penalty", "problem"]
+#: the keys of a combined file's later encodings: their units, which carry
+#: encoding 0's couplers
+TRANSLATE_KEYS = ["penalty", "problem"]
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
@@ -145,7 +139,8 @@ def test_structure_files_load_as_what_they_were_written_from(tmp_path, k):
                      "--out", str(out)]) == 0
         assert sorted(read_json(str(out))) == KEYS[kind]
         assert structure_from_dict(read_json(str(out)), "partition") == want
-    assert [sorted(e) for e in read_json(str(out))["encodings"]] == [ENCODING_KEYS] * k
+    assert [sorted(e) for e in read_json(str(out))["encodings"]] == (
+        [ENCODING_KEYS] + [TRANSLATE_KEYS] * (k - 1))
     assert structure_from_dict(read_json(str(out)), "encoding") == comb.encodings[0]
 
 
